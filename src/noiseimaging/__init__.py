@@ -1,6 +1,6 @@
 """Twin-beam noise imaging simulator.
 
-Covariance-matrix optics for squeezed pairs, binary mask/LO scenes on a
+Closed-form noise of squeezed pairs behind loss, binary mask/LO scenes on a
 pixel grid, spectrum-analyzer trace statistics, and the estimation pipeline
 comparing classical (single-beam excess noise) against quantum (twin-beam
 difference noise) imaging sensitivity.
@@ -23,20 +23,6 @@ from .estimate import (
     estimate_sensitivity,
     fit_noise_curve,
     overlap_uncertainty,
-)
-from .gaussian import (
-    CovMatrix,
-    GaussianStateError,
-    QuadratureSpec,
-    apply_loss,
-    intrinsic_db_to_r,
-    joint_quad_variance,
-    locked_joint_minimum,
-    phase_rotate,
-    quad_variance,
-    r_to_detected_db,
-    two_mode_squeezed_cov,
-    vacuum_cov,
 )
 from .noise import (
     NoiseMeasurement,
@@ -61,7 +47,6 @@ from .scene import (
     glyph,
     load_font,
     load_pbm,
-    overlap,
     save_pbm,
     single_cell_decomposition,
 )

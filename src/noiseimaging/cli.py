@@ -23,7 +23,6 @@ from .estimate import (
     estimate_sensitivity,
     fit_noise_curve,
 )
-from .gaussian import GaussianStateError
 from .noise import (
     NoiseModelError,
     TECH_CLASSICAL,
@@ -313,8 +312,8 @@ def main(argv=None):
         if args.command == "alphabet":
             return cmd_alphabet(cfg, args.mask.upper())
         return cmd_calibrate(cfg, args.db)
-    except (ConfigError, SceneError, NoiseModelError, GaussianStateError,
-            TraceError, EstimationError) as exc:
+    except (ConfigError, SceneError, NoiseModelError, TraceError,
+            EstimationError) as exc:
         print(_error_line(args.command, exc), file=sys.stderr)
         return 2
 

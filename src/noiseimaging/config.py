@@ -150,6 +150,9 @@ class RunConfig:
                 continue
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
+        # JSON has no NaN: an unset r is null, and r_resolved carries the value
+        if np.isnan(self.r):
+            out["r"] = None
         out["r_resolved"] = self.resolve_r()
         return out
 

@@ -422,8 +422,11 @@ def alphabet_gun(mask, params, acq_cfg, grid, font_dir=None, n_series=10,
     rankings = {}
     for technique in (TECH_CLASSICAL, TECH_QUANTUM):
         valid = [r for r in records if r.technique == technique and r.valid]
-        if not valid:
-            raise EstimationError("every letter failed the electronic-floor check")
+        if len(valid) < 2:
+            raise EstimationError(
+                "ranking needs two letters above the electronic floor, %d passed"
+                % len(valid)
+            )
         reverse = technique == TECH_CLASSICAL
         ordered = sorted(valid, key=lambda r: r.d, reverse=reverse)
         best, runner = ordered[0], ordered[1]

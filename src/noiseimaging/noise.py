@@ -5,27 +5,24 @@ detection transmission and the conjugate arm the detection transmission
 times the cell's mask transmission; the cell noises are combined with the
 LO weight fractions.  Quantum = locked joint-difference variance relative
 to the two-beam SNL; classical = single conjugate-arm variance relative to
-the one-beam SNL.  Both normalizations are read off vacuum states at
-runtime rather than hard-coded.
+the one-beam SNL.
+
+Every cell holds a squeezed pair behind loss with an isotropic conjugate
+block, so both variances have closed forms (Weedbrook et al., Rev. Mod.
+Phys. 84, 621 (2012)); the SNLs are 1/2 per vacuum quadrature, one vacuum
+for the single beam and two for the difference signal.  With
+T_c = t_conj * T_cell:
+
+    N_q = 1 + (t_p + T_c) sinh^2 r - sqrt(t_p T_c) sinh 2r + lock_noise
+    N_c = 1 + 2 T_c sinh^2 r
+
+The quantum form is the lock's minimum over the conjugate LO phase, reached
+at the same phase in every cell.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-
-from .gaussian import (
-    QuadratureSpec,
-    apply_loss,
-    joint_quad_variance,
-    locked_joint_minimum,
-    quad_variance,
-    two_mode_squeezed_cov,
-    vacuum_cov,
-)
-from .scene import single_cell_decomposition
-
-PROBE, CONJUGATE = 0, 1
 
 TECH_CLASSICAL = "classical"
 TECH_QUANTUM = "quantum"
@@ -86,52 +83,19 @@ class NoiseMeasurement:
         return 10.0 * np.log10(self.n)
 
 
-def _snl_joint():
-    # two uncorrelated vacua into the difference signal
-    return joint_quad_variance(vacuum_cov(2), 0.0, np.pi)
-
-
-def _snl_single():
-    return quad_variance(vacuum_cov(1), QuadratureSpec(0, 0.0))
-
-
-def _cell_joint_variance(r, t_probe, t_conj_eff):
-    cov = two_mode_squeezed_cov(r)
-    cov = apply_loss(cov, PROBE, t_probe)
-    cov = apply_loss(cov, CONJUGATE, t_conj_eff)
-    value, _ = locked_joint_minimum(cov)
-    return value
-
-
-def _cell_single_variance(r, t_conj_eff):
-    cov = two_mode_squeezed_cov(r)
-    cov = apply_loss(cov, CONJUGATE, t_conj_eff)
-    return quad_variance(cov, QuadratureSpec(CONJUGATE, 0.0))
-
-
 def quantum_noise(decomp, params):
-    """Locked twin-beam difference noise for a cell decomposition, SNL units.
-
-    Cells with equal transmission share one evaluation; the lock phase is the
-    same for every cell, so per-cell minima coincide with the global lock.
-    """
-    snl = _snl_joint()
-    ts, inverse = np.unique(decomp.transmissions, return_inverse=True)
-    cell_vars = np.array(
-        [_cell_joint_variance(params.r, params.t_probe, params.t_conj * t) for t in ts]
-    )
-    n = float(np.dot(decomp.weights, cell_vars[inverse])) / snl
-    return n + params.lock_noise
+    """Locked twin-beam difference noise for a cell decomposition, SNL units."""
+    t_c = params.t_conj * decomp.transmissions
+    cell = (1.0 + (params.t_probe + t_c) * np.sinh(params.r) ** 2
+            - np.sqrt(params.t_probe * t_c) * np.sinh(2.0 * params.r))
+    return float(np.sum(decomp.weights * cell)) + params.lock_noise
 
 
 def classical_noise(decomp, params):
     """Single conjugate-beam excess noise for a cell decomposition, SNL units."""
-    snl = _snl_single()
-    ts, inverse = np.unique(decomp.transmissions, return_inverse=True)
-    cell_vars = np.array(
-        [_cell_single_variance(params.r, params.t_conj * t) for t in ts]
-    )
-    return float(np.dot(decomp.weights, cell_vars[inverse])) / snl
+    t_c = params.t_conj * decomp.transmissions
+    cell = 1.0 + 2.0 * t_c * np.sinh(params.r) ** 2
+    return float(np.sum(decomp.weights * cell))
 
 
 def technique_noise(technique, decomp, params):
@@ -165,11 +129,21 @@ def detected_noise_floor(params):
     return 1.0 - a + np.sqrt(max(a * a - b * b, 0.0)) + params.lock_noise
 
 
+def _unreachable(db, floor):
+    return NoiseModelError(
+        "detected squeezing of -%.4g dB is unreachable: losses bound the "
+        "noise at %.6g SNL (%.4g dB)" % (db, floor, 10.0 * np.log10(floor))
+    )
+
+
 def calibrate_r(db_below_snl, t_probe=1.0, t_conj=1.0, lock_noise=0.0):
     """Solve for r so the detected quantum noise at unit overlap is -db dB.
 
     The detected baseline includes the lock noise, matching how squeezing is
-    measured with the lock engaged.  Raises if the target is deeper than the
+    measured with the lock engaged.  With x = exp(2r), A = (t_p + t_c)/2 and
+    B = sqrt(t_p t_c), that noise is 1 + lock_noise - A + ((A-B) x + (A+B)/x)/2,
+    so r comes from the smaller root of a quadratic in x, written in the form
+    that does not cancel.  Raises if the target is deeper than the
     loss-limited bound.
     """
     db = float(db_below_snl)
@@ -179,27 +153,17 @@ def calibrate_r(db_below_snl, t_probe=1.0, t_conj=1.0, lock_noise=0.0):
     probe = TwinBeamParams(r=0.0, t_probe=t_probe, t_conj=t_conj, lock_noise=lock_noise)
     floor = detected_noise_floor(probe)
     if target < floor - 1e-12:
-        raise NoiseModelError(
-            "detected squeezing of -%.4g dB is unreachable: losses bound the "
-            "noise at %.6g SNL (%.4g dB)" % (db, floor, 10.0 * np.log10(floor))
-        )
-
-    unit = single_cell_decomposition(1.0)
-
-    def detected(r):
-        p = TwinBeamParams(r=r, t_probe=t_probe, t_conj=t_conj, lock_noise=lock_noise)
-        return quantum_noise(unit, p) - target
-
-    if detected(0.0) <= 1e-14:
+        raise _unreachable(db, floor)
+    if 1.0 + lock_noise - target <= 1e-14:
         return 0.0
-    # the noise is monotone decreasing in r up to the unbalanced-loss optimum;
-    # beyond r ~ 12 the squeezed term is below double precision anyway
-    a, b = np.sqrt(t_probe * t_conj), 0.5 * (t_probe + t_conj)
-    r_best = np.inf if a == b else 0.25 * np.log((b + a) / (b - a))
-    hi = min(r_best, 12.0)
-    if detected(hi) > 0.0:
-        raise NoiseModelError(
-            "detected squeezing of -%.4g dB is unreachable: losses bound the "
-            "noise at %.6g SNL (%.4g dB)" % (db, floor, 10.0 * np.log10(floor))
-        )
-    return float(brentq(detected, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    a, b = 0.5 * (t_probe + t_conj), np.sqrt(t_probe * t_conj)
+    c = target - lock_noise - 1.0 + a
+    # c <= 0: balanced arms at their floor, reached only as r -> infinity
+    if c <= 0.0:
+        raise _unreachable(db, floor)
+    x = (a + b) / (c + np.sqrt(max(c * c - (a - b) * (a + b), 0.0)))
+    r = 0.5 * float(np.log(x))
+    # past r = 12 the sinh terms cancel to worse than 1e-6: the noise is not resolved
+    if r > 12.0:
+        raise _unreachable(db, floor)
+    return r

@@ -10,7 +10,7 @@ bundled A-Z font ships as one P1 file per letter.
 """
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -96,6 +96,7 @@ class CellDecomposition:
     weights: np.ndarray
     transmissions: np.ndarray
     lo_pixel_count: int
+    overlap: float = field(init=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.array(self.weights, dtype=float))
@@ -113,11 +114,9 @@ class CellDecomposition:
         t.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "transmissions", t)
-
-    @property
-    def overlap(self):
-        # the dot product can drift past the boundaries by float rounding
-        return float(np.clip(np.dot(self.weights, self.transmissions), 0.0, 1.0))
+        # a fixed-order sum, not a BLAS dot, so the bytes do not depend on the
+        # thread count; it can drift past the boundaries by float rounding
+        object.__setattr__(self, "overlap", float(np.clip(np.sum(w * t), 0.0, 1.0)))
 
 
 def single_cell_decomposition(transmission, lo_pixel_count=1):
@@ -154,20 +153,6 @@ def bowtie(rotation, half_angle, radius, width, height):
     psi = np.where(psi > np.pi / 2, psi - np.pi, psi)
     bits = (rr <= radius) & (np.abs(psi) <= half_angle)
     return Bitmap(bits)
-
-
-def overlap(lo, mask, weight_map=None):
-    """Fraction of LO power transmitted by the mask, sum over lo&mask / sum over lo.
-
-    `weight_map` optionally weights pixels by a non-uniform beam intensity
-    profile; by default illumination is uniform.
-    """
-    _check_same_dims(lo, mask)
-    w = _pixel_weights(lo, weight_map)
-    total = float(w[lo.bits].sum())
-    if total <= 0.0:
-        raise SceneError("LO bitmap carries no power (empty LO)")
-    return float(w[lo.bits & mask.bits].sum()) / total
 
 
 def decompose(lo, mask, grid, weight_map=None):

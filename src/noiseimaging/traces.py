@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.random import default_rng
 
 from .noise import NoiseMeasurement
 
@@ -93,20 +93,18 @@ def simulate_trace(n_true, cfg, trace_index=0):
     n_true = float(n_true)
     if not n_true > 0:
         raise TraceError("true noise power must be positive, got %r" % (n_true,))
-    rng = np.random.default_rng([cfg.rng_seed, int(trace_index)])
+    rng = default_rng([cfg.rng_seed, int(trace_index)])
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
     phi = cfg.point_correlation
     burn_in = _burn_in(phi)
     raw = rng.chisquare(df, size=cfg.points_per_trace + burn_in) / df
-    if phi > 0.0:
-        # exponentially weighted running average: an AR(1) with lag
-        # correlation phi^d that keeps power samples positive by construction
-        smoothed, _ = lfilter([1.0 - phi], [1.0, -phi], raw, zi=[phi * raw[0]])
-        points = smoothed[burn_in:]
-    else:
-        points = raw
+    # exponentially weighted running average: an AR(1) with lag correlation
+    # phi^d that keeps power samples positive by construction, its kernel
+    # cut where the weights fall below the burn-in bound
+    kernel = (1.0 - phi) * phi ** np.arange(burn_in + 1)
+    points = np.convolve(raw, kernel, mode="valid")
     return Trace(values=n_true * points, config=cfg, true_n=n_true)
 
 

@@ -22,7 +22,7 @@ from noiseimaging.estimate import (
     fit_noise_curve,
     summarize_series,
 )
-from noiseimaging.gaussian import two_mode_squeezed_cov, apply_loss, phase_rotate
+from gaussian_reference import two_mode_squeezed_cov, apply_loss, phase_rotate
 from noiseimaging.noise import (
     TECH_CLASSICAL,
     TECH_QUANTUM,

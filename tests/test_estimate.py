@@ -242,12 +242,14 @@ class TestAngleCalibration:
 
     @staticmethod
     def _factors_for_weight_map(w):
-        from noiseimaging.scene import bowtie, overlap
+        from noiseimaging.scene import bowtie, decompose
 
         n = 256
         mask = bowtie(0.0, ALPHA, 120, n, n)
         angles = np.linspace(0.0, 2 * ALPHA, 60)
-        os = np.array([overlap(bowtie(d, ALPHA, 120, n, n), mask, w) for d in angles])
+        whole = CoherenceGrid(cell_size=n)
+        os = np.array([decompose(bowtie(d, ALPHA, 120, n, n), mask, whole, w).overlap
+                       for d in angles])
         cal = AngleCalibration(angles=angles, overlaps=os)
         pts_o = np.sort(os)
         kappa = 0.03

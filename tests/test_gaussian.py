@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noiseimaging.gaussian import (
+from gaussian_reference import (
     CovMatrix,
     GaussianStateError,
     QuadratureSpec,
