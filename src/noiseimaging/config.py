@@ -6,6 +6,7 @@ save/load (floats are written with repr).  Unknown sections or keys are
 rejected with field-level messages.
 """
 
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -133,7 +134,13 @@ class RunConfig:
     def load_weight_map(self):
         if not self.weight_map:
             return None
-        data = np.loadtxt(self.weight_map, dtype=float)
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on an empty file; the shape check below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(self.weight_map, dtype=float)
+        except ValueError as exc:
+            raise ConfigError("scene.weight_map", "not a numeric matrix: %s" % exc) from None
         if data.shape != (self.grid_size, self.grid_size):
             raise ConfigError(
                 "scene.weight_map",

@@ -188,26 +188,40 @@ class EstimationResult:
     angle_note: str = ""
 
 
-def _subset_mean(records, o_min):
-    vals = np.array([u.delta_o for u in records if u.overlap >= o_min])
-    if len(vals) == 0:
+def _ratio_of_means(classical, quantum, n_insensitive, o_min):
+    """Ratio of mean classical to mean quantum uncertainty, with its error.
+
+    The error propagates each side's standard error of the mean; a side with
+    a single point contributes none.
+    """
+    if len(classical) == 0 or len(quantum) == 0:
         raise EstimationError("no overlap points at or above %g" % o_min)
-    sem = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
-    flagged = sum(1 for u in records if u.overlap >= o_min and u.insensitive)
-    return float(vals.mean()), float(sem), len(vals), flagged
-
-
-def enhancement(classical_records, quantum_records, o_min=ENHANCEMENT_MIN_OVERLAP):
-    """Ratio of mean classical to mean quantum overlap uncertainty, O >= o_min."""
-    mc, sc, kc, fc = _subset_mean(classical_records, o_min)
-    mq, sq, kq, fq = _subset_mean(quantum_records, o_min)
+    mc, sc = _mean_and_sem(classical)
+    mq, sq = _mean_and_sem(quantum)
     factor = mc / mq
     sigma = factor * np.sqrt((sc / mc) ** 2 + (sq / mq) ** 2)
     return EnhancementResult(
         factor=float(factor),
         sigma=float(sigma),
-        n_points=kc + kq,
-        n_insensitive=fc + fq,
+        n_points=len(classical) + len(quantum),
+        n_insensitive=n_insensitive,
+    )
+
+
+def _mean_and_sem(vals):
+    sem = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    return float(vals.mean()), float(sem)
+
+
+def enhancement(classical_records, quantum_records, o_min=ENHANCEMENT_MIN_OVERLAP):
+    """Ratio of mean classical to mean quantum overlap uncertainty, O >= o_min."""
+    classical = [u for u in classical_records if u.overlap >= o_min]
+    quantum = [u for u in quantum_records if u.overlap >= o_min]
+    return _ratio_of_means(
+        np.array([u.delta_o for u in classical]),
+        np.array([u.delta_o for u in quantum]),
+        sum(u.insensitive for u in classical + quantum),
+        o_min,
     )
 
 
@@ -289,23 +303,12 @@ def angle_enhancement(calibration, classical_records, quantum_records,
     """Enhancement of the angle estimate, via the O(angle) calibration."""
 
     def in_angle(records):
-        out = []
-        for u in records:
-            if u.overlap < o_min:
-                continue
-            slope = abs(calibration.slope_at(calibration.angle_for(u.overlap)))
-            out.append(u.delta_o / slope)
-        return np.array(out)
+        return np.array([
+            u.delta_o / abs(calibration.slope_at(calibration.angle_for(u.overlap)))
+            for u in records if u.overlap >= o_min
+        ])
 
-    dc, dq = in_angle(classical_records), in_angle(quantum_records)
-    if len(dc) == 0 or len(dq) == 0:
-        raise EstimationError("no overlap points at or above %g" % o_min)
-    mc, mq = dc.mean(), dq.mean()
-    sc = dc.std(ddof=1) / np.sqrt(len(dc)) if len(dc) > 1 else 0.0
-    sq = dq.std(ddof=1) / np.sqrt(len(dq)) if len(dq) > 1 else 0.0
-    factor = mc / mq
-    sigma = factor * np.sqrt((sc / mc) ** 2 + (sq / mq) ** 2)
-    return EnhancementResult(float(factor), float(sigma), len(dc) + len(dq), 0)
+    return _ratio_of_means(in_angle(classical_records), in_angle(quantum_records), 0, o_min)
 
 
 # ---------------------------------------------------------------------------

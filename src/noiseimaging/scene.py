@@ -9,6 +9,7 @@ Bitmaps load and save as plain ASCII portable bitmaps (magic "P1").  The
 bundled A-Z font ships as one P1 file per letter.
 """
 
+import functools
 import string
 from dataclasses import dataclass, field
 from importlib import resources
@@ -77,12 +78,16 @@ class CoherenceGrid:
         if not (0 <= self.offset_x < self.cell_size and 0 <= self.offset_y < self.cell_size):
             raise SceneError("grid offsets must lie in [0, cell_size)")
 
-    def cell_index_map(self, width, height):
-        """Integer cell id for every pixel of a width x height bitmap."""
-        xs = (np.arange(width) + self.offset_x) // self.cell_size
-        ys = (np.arange(height) + self.offset_y) // self.cell_size
-        ncols = int(xs[-1]) + 1
-        return ys[:, None] * ncols + xs[None, :]
+    def cell_ids(self, pixels, width):
+        """Integer cell id of each row-major flat pixel index on a grid `width` wide.
+
+        Cells are numbered row by row, so ids increase with the cell's
+        (row, column) position on the plane.
+        """
+        ys, xs = np.divmod(pixels, width)
+        ncols = (width - 1 + self.offset_x) // self.cell_size + 1
+        return ((ys + self.offset_y) // self.cell_size * ncols
+                + (xs + self.offset_x) // self.cell_size)
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,22 @@ def _check_same_dims(a, b):
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _polar_grid(width, height, radius):
+    """Disk mask and polar angle of the pixel centers about the grid center.
+
+    Neither depends on the rotation, so a sweep of rotations on one grid
+    computes them once.  Both arrays are read-only: every caller shares them.
+    """
+    x = (np.arange(width) + 0.5) - width / 2.0
+    y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
+    disk = np.hypot(x, y) <= radius
+    theta = np.arctan2(y, x)
+    disk.setflags(write=False)
+    theta.setflags(write=False)
+    return disk, theta
+
+
 def bowtie(rotation, half_angle, radius, width, height):
     """Two opposing angular wedges of the given half-angle about the grid center.
 
@@ -143,35 +164,40 @@ def bowtie(rotation, half_angle, radius, width, height):
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):
         raise SceneError("bow-tie radius must be positive and fit inside the grid")
-    cx, cy = width / 2.0, height / 2.0
-    x = (np.arange(width) + 0.5) - cx
-    y = (np.arange(height) + 0.5) - cy
-    xx, yy = np.meshgrid(x, y)
-    rr = np.hypot(xx, yy)
-    # fold the polar angle onto one wedge: identical for phi and phi + pi
-    psi = (np.arctan2(yy, xx) - rotation) % np.pi
-    psi = np.where(psi > np.pi / 2, psi - np.pi, psi)
-    bits = (rr <= radius) & (np.abs(psi) <= half_angle)
+    disk, theta = _polar_grid(width, height, radius)
+    # fold the polar angle onto [0, pi), identical for phi and phi + pi: numpy's
+    # `%` is this fmod plus pi where it is negative (fmod may leave -0.0 where
+    # `%` gives +0.0, which compares the same)
+    psi = np.subtract(theta, rotation)
+    np.fmod(psi, np.pi, out=psi)
+    np.add(psi, np.pi, out=psi, where=psi < 0)
+    # inside the wedge pair: |psi| <= half_angle for psi <= pi/2, else
+    # |psi - pi| <= half_angle; half_angle < pi/2 keeps each test to its half
+    bits = psi <= half_angle
+    psi -= np.pi
+    bits |= psi >= -half_angle
+    bits &= disk
     return Bitmap(bits)
 
 
 def decompose(lo, mask, grid, weight_map=None):
     """Per-cell LO weights and mask transmissions on a coherence grid."""
     _check_same_dims(lo, mask)
-    w = _pixel_weights(lo, weight_map)
-    lo_power = w * lo.bits
+    lo_power = _pixel_weights(lo, weight_map) * lo.bits
     total = float(lo_power.sum())
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
-    cells = grid.cell_index_map(lo.width, lo.height)
-    ncells = int(cells.max()) + 1
-    per_cell_lo = np.bincount(cells.ravel(), weights=lo_power.ravel(), minlength=ncells)
-    passed = lo_power * mask.bits
-    per_cell_passed = np.bincount(cells.ravel(), weights=passed.ravel(), minlength=ncells)
+    # off the LO every term of the per-cell sums is zero, so summing only LO
+    # pixels, in pixel order, gives the same sums
+    pixels = np.flatnonzero(lo.bits)
+    cells = grid.cell_ids(pixels, lo.width)
+    power = lo_power.ravel()[pixels]
+    per_cell_lo = np.bincount(cells, weights=power)
+    per_cell_passed = np.bincount(cells, weights=power * mask.bits.ravel()[pixels])
     keep = per_cell_lo > 0.0
     weights = per_cell_lo[keep] / total
     transmissions = per_cell_passed[keep] / per_cell_lo[keep]
-    return CellDecomposition(weights, transmissions, lo.pixel_count)
+    return CellDecomposition(weights, transmissions, len(pixels))
 
 
 def _pixel_weights(ref, weight_map):
@@ -181,8 +207,8 @@ def _pixel_weights(ref, weight_map):
     if w.shape != ref.bits.shape:
         raise SceneError("weight map shape %s does not match bitmap %s"
                          % (w.shape, ref.bits.shape))
-    if np.any(w < 0):
-        raise SceneError("weight map entries must be non-negative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise SceneError("weight map entries must be finite and non-negative")
     return w
 
 

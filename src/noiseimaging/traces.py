@@ -48,6 +48,12 @@ class AcquisitionConfig:
                 "points_per_trace (%d) must be divisible by segment_length (%d)"
                 % (self.points_per_trace, self.segment_length)
             )
+        if self.points_per_trace == self.segment_length:
+            raise TraceError(
+                "points_per_trace (%d) must span at least two segments of segment_length"
+                " (%d): the segment scatter needs two segment means"
+                % (self.points_per_trace, self.segment_length)
+            )
         if self.samples_per_point < 1:
             raise TraceError("samples_per_point must be >= 1")
         if not 0.0 <= self.point_correlation < 1.0:
@@ -125,7 +131,7 @@ def segment_stats(trace, technique="quantum"):
         raise TraceError("trace length is not divisible by the segment length")
     seg_means = trace.values.reshape(cfg.n_segments, cfg.segment_length).mean(axis=1)
     n = float(trace.values.mean())
-    delta_n = float(seg_means.std(ddof=1)) if cfg.n_segments > 1 else 0.0
+    delta_n = float(seg_means.std(ddof=1))
     return NoiseMeasurement(n=n, delta_n=delta_n, technique=technique)
 
 

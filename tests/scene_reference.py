@@ -1,0 +1,48 @@
+"""Full-grid reference for the scene layer's rotation-only fast paths.
+
+`reference_bowtie` rasterizes a bow-tie from a fresh meshgrid with numpy's
+`%` and `np.where`, and `reference_decompose` sums every pixel of the grid
+into a full-length `bincount` per cell.  The runtime caches the polar grid
+and sums over LO pixels only; the tests require the same bits from both.
+"""
+
+import numpy as np
+
+from noiseimaging.scene import Bitmap, CellDecomposition, SceneError
+
+
+def reference_bowtie(rotation, half_angle, radius, width, height):
+    """Two opposing wedges about the grid center, from a fresh polar grid."""
+    if not 0.0 < half_angle < np.pi / 2:
+        raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
+    if radius <= 0 or 2.0 * radius > min(width, height):
+        raise SceneError("bow-tie radius must be positive and fit inside the grid")
+    cx, cy = width / 2.0, height / 2.0
+    x = (np.arange(width) + 0.5) - cx
+    y = (np.arange(height) + 0.5) - cy
+    xx, yy = np.meshgrid(x, y)
+    rr = np.hypot(xx, yy)
+    psi = (np.arctan2(yy, xx) - rotation) % np.pi
+    psi = np.where(psi > np.pi / 2, psi - np.pi, psi)
+    bits = (rr <= radius) & (np.abs(psi) <= half_angle)
+    return Bitmap(bits)
+
+
+def reference_decompose(lo, mask, grid, weight_map=None):
+    """Per-cell LO weights and mask transmissions from full-grid sums."""
+    w = np.ones(lo.bits.shape) if weight_map is None else np.asarray(weight_map, float)
+    lo_power = w * lo.bits
+    total = float(lo_power.sum())
+    if total <= 0.0:
+        raise SceneError("LO bitmap carries no power (empty LO)")
+    xs = (np.arange(lo.width) + grid.offset_x) // grid.cell_size
+    ys = (np.arange(lo.height) + grid.offset_y) // grid.cell_size
+    cells = ys[:, None] * (int(xs[-1]) + 1) + xs[None, :]
+    ncells = int(cells.max()) + 1
+    per_cell_lo = np.bincount(cells.ravel(), weights=lo_power.ravel(), minlength=ncells)
+    passed = lo_power * mask.bits
+    per_cell_passed = np.bincount(cells.ravel(), weights=passed.ravel(), minlength=ncells)
+    keep = per_cell_lo > 0.0
+    weights = per_cell_lo[keep] / total
+    transmissions = per_cell_passed[keep] / per_cell_lo[keep]
+    return CellDecomposition(weights, transmissions, lo.pixel_count)

@@ -86,6 +86,43 @@ def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
     assert "two letters" in payload["error"]["message"]
 
 
+def _one_error_line(capsys, command):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"]["command"] == command
+    return payload["error"]
+
+
+@pytest.mark.parametrize("args", [["sweep"], ["alphabet", "--mask", "Z"]],
+                         ids=["sweep", "alphabet"])
+def test_single_segment_acquisition_fails_cleanly(args, tmp_path, capsys):
+    # one segment mean per trace leaves no segment scatter to measure
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=64, cell_size=8, points_per_trace=10,
+                          segment_length=10, n_series=2, samples_per_point=100), cfgfile)
+    code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = _one_error_line(capsys, args[0])
+    assert error["field"] == "acquisition"
+    assert "two segments" in error["message"]
+
+
+# a warning would print a second stderr line outside pytest
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("contents", ["a b\nc d\n", "nan 1\n1 1\n", "1 inf\n1 1\n", ""],
+                         ids=["letters", "nan", "inf", "empty"])
+def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
+    wmap = tmp_path / "w.txt"
+    wmap.write_text(contents)
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=2, cell_size=1, weight_map=str(wmap), n_series=2,
+                          samples_per_point=100), cfgfile)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "weight map" in _one_error_line(capsys, "sweep")["message"].replace("_", " ")
+
+
 def test_runtime_imports_numpy_only():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -33,6 +33,10 @@ class TestConfigValidation:
         with pytest.raises(TraceError):
             AcquisitionConfig(points_per_trace=101, segment_length=10)
 
+    def test_single_segment_rejected(self):
+        with pytest.raises(TraceError, match="two segments"):
+            AcquisitionConfig(points_per_trace=10, segment_length=10)
+
     def test_bad_correlation(self):
         for phi in (-0.1, 1.0):
             with pytest.raises(TraceError):
