@@ -8,6 +8,7 @@ Failures exit nonzero with one machine-readable JSON line on stderr.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,10 +49,30 @@ def _fmt(x):
 
 
 def _write_json(path, payload):
+    """Write a JSON object; non-finite floats become null, listed by dotted path
+    under a top-level "non_finite" key that appears only when one was replaced."""
+    replaced = []
+    payload = _finite(payload, "", replaced)
+    if replaced:
+        payload["non_finite"] = replaced
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="ascii",
     )
+
+
+def _finite(value, path, replaced):
+    """Copy of a JSON value with non-finite floats as None; appends their paths."""
+    if isinstance(value, float) and not math.isfinite(value):
+        replaced.append(path)
+        return None
+    prefix = path + "." if path else ""
+    if isinstance(value, dict):
+        return {key: _finite(v, prefix + str(key), replaced)
+                for key, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, prefix + str(i), replaced) for i, v in enumerate(value)]
+    return value
 
 
 def _write_csv(path, schema, header, rows):

@@ -130,9 +130,18 @@ def detected_noise_floor(params):
 
 
 def _unreachable(db, floor):
+    # only called for target < floor, so the floor is positive
     return NoiseModelError(
         "detected squeezing of -%.4g dB is unreachable: losses bound the "
         "noise at %.6g SNL (%.4g dB)" % (db, floor, 10.0 * np.log10(floor))
+    )
+
+
+def _unresolved(db, floor):
+    # the floor may be 0 here (lossless arms), so it is not given in dB
+    return NoiseModelError(
+        "detected squeezing of -%.4g dB is unreachable: it needs r > 12, past "
+        "which the noise is not resolved (the loss bound is %.6g SNL)" % (db, floor)
     )
 
 
@@ -147,8 +156,8 @@ def calibrate_r(db_below_snl, t_probe=1.0, t_conj=1.0, lock_noise=0.0):
     loss-limited bound.
     """
     db = float(db_below_snl)
-    if db < 0:
-        raise NoiseModelError("squeezing depth in dB must be >= 0, got %r" % db)
+    if not (np.isfinite(db) and db >= 0):
+        raise NoiseModelError("squeezing depth in dB must be finite and >= 0, got %r" % db)
     target = 10.0 ** (-db / 10.0)
     probe = TwinBeamParams(r=0.0, t_probe=t_probe, t_conj=t_conj, lock_noise=lock_noise)
     floor = detected_noise_floor(probe)
@@ -160,10 +169,10 @@ def calibrate_r(db_below_snl, t_probe=1.0, t_conj=1.0, lock_noise=0.0):
     c = target - lock_noise - 1.0 + a
     # c <= 0: balanced arms at their floor, reached only as r -> infinity
     if c <= 0.0:
-        raise _unreachable(db, floor)
+        raise _unresolved(db, floor)
     x = (a + b) / (c + np.sqrt(max(c * c - (a - b) * (a + b), 0.0)))
     r = 0.5 * float(np.log(x))
     # past r = 12 the sinh terms cancel to worse than 1e-6: the noise is not resolved
     if r > 12.0:
-        raise _unreachable(db, floor)
+        raise _unresolved(db, floor)
     return r

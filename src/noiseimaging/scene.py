@@ -183,15 +183,20 @@ def bowtie(rotation, half_angle, radius, width, height):
 def decompose(lo, mask, grid, weight_map=None):
     """Per-cell LO weights and mask transmissions on a coherence grid."""
     _check_same_dims(lo, mask)
-    lo_power = _pixel_weights(lo, weight_map) * lo.bits
-    total = float(lo_power.sum())
-    if total <= 0.0:
-        raise SceneError("LO bitmap carries no power (empty LO)")
     # off the LO every term of the per-cell sums is zero, so summing only LO
     # pixels, in pixel order, gives the same sums
     pixels = np.flatnonzero(lo.bits)
+    if weight_map is None:
+        # unit weights: the full-grid sum of ones and zeros is the exact count
+        power = np.ones(len(pixels))
+        total = float(len(pixels))
+    else:
+        lo_power = _pixel_weights(lo, weight_map) * lo.bits
+        power = lo_power.ravel()[pixels]
+        total = float(lo_power.sum())
+    if total <= 0.0:
+        raise SceneError("LO bitmap carries no power (empty LO)")
     cells = grid.cell_ids(pixels, lo.width)
-    power = lo_power.ravel()[pixels]
     per_cell_lo = np.bincount(cells, weights=power)
     per_cell_passed = np.bincount(cells, weights=power * mask.bits.ravel()[pixels])
     keep = per_cell_lo > 0.0
@@ -201,8 +206,6 @@ def decompose(lo, mask, grid, weight_map=None):
 
 
 def _pixel_weights(ref, weight_map):
-    if weight_map is None:
-        return np.ones(ref.bits.shape)
     w = np.asarray(weight_map, dtype=float)
     if w.shape != ref.bits.shape:
         raise SceneError("weight map shape %s does not match bitmap %s"

@@ -13,6 +13,7 @@ is proportional to the true noise power, so delta_n/n does not depend on it.
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -96,22 +97,53 @@ def simulate_trace(n_true, cfg, trace_index=0):
 
     Deterministic for a fixed (cfg.rng_seed, trace_index) pair.
     """
+    values = _series_points(n_true, cfg, 1, trace_index)[0]
+    return Trace(values=values, config=cfg, true_n=float(n_true))
+
+
+def _series_points(n_true, cfg, n_series, first_index):
+    """Points of the traces first_index .. first_index + n_series - 1, one per row.
+
+    Row i draws from its own stream (cfg.rng_seed, first_index + i), so a row
+    does not depend on which series or block it is drawn in.
+    """
     n_true = float(n_true)
     if not n_true > 0:
         raise TraceError("true noise power must be positive, got %r" % (n_true,))
-    rng = default_rng([cfg.rng_seed, int(trace_index)])
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
-    phi = cfg.point_correlation
+    burn_in, kernel = _smoothing_kernel(cfg.point_correlation)
+    raw = np.empty((n_series, cfg.points_per_trace + burn_in))
+    for i in range(n_series):
+        rng = default_rng([cfg.rng_seed, int(first_index) + i])
+        raw[i] = rng.chisquare(df, size=raw.shape[1])
+    raw /= df
+    # one convolution per row: laid end to end, the rows would also be
+    # convolved across their seams, about burn_in wasted windows per row
+    vals = np.empty((n_series, cfg.points_per_trace))
+    for i in range(n_series):
+        vals[i] = np.convolve(raw[i], kernel, mode="valid")
+    vals *= n_true
+    if np.any(vals <= 0):
+        raise TraceError(
+            "trace contains non-positive noise power; increase samples_per_point"
+        )
+    return vals
+
+
+@lru_cache(maxsize=8)
+def _smoothing_kernel(phi):
+    """(burn_in, kernel) of the running average, shared read-only per phi.
+
+    An exponentially weighted running average: an AR(1) with lag correlation
+    phi^d that keeps power samples positive by construction, its kernel cut
+    where the weights fall below the burn-in bound.
+    """
     burn_in = _burn_in(phi)
-    raw = rng.chisquare(df, size=cfg.points_per_trace + burn_in) / df
-    # exponentially weighted running average: an AR(1) with lag correlation
-    # phi^d that keeps power samples positive by construction, its kernel
-    # cut where the weights fall below the burn-in bound
     kernel = (1.0 - phi) * phi ** np.arange(burn_in + 1)
-    points = np.convolve(raw, kernel, mode="valid")
-    return Trace(values=n_true * points, config=cfg, true_n=n_true)
+    kernel.setflags(write=False)
+    return burn_in, kernel
 
 
 def _burn_in(phi):
@@ -119,6 +151,14 @@ def _burn_in(phi):
     if phi <= 0.0:
         return 0
     return int(np.ceil(np.log(1e-12) / np.log(phi)))
+
+
+def _segment_moments(values, cfg):
+    """Per-row mean and sample standard deviation of the segment means."""
+    n = values.shape[0]
+    ns = values.mean(axis=1)
+    seg = values.reshape(n, cfg.n_segments, cfg.segment_length).mean(axis=2)
+    return ns, seg.std(axis=1, ddof=1)
 
 
 def segment_stats(trace, technique="quantum"):
@@ -129,21 +169,22 @@ def segment_stats(trace, technique="quantum"):
     cfg = trace.config
     if len(trace.values) % cfg.segment_length != 0:
         raise TraceError("trace length is not divisible by the segment length")
-    seg_means = trace.values.reshape(cfg.n_segments, cfg.segment_length).mean(axis=1)
-    n = float(trace.values.mean())
-    delta_n = float(seg_means.std(ddof=1))
-    return NoiseMeasurement(n=n, delta_n=delta_n, technique=technique)
+    ns, deltas = _segment_moments(trace.values[None], cfg)
+    return NoiseMeasurement(n=float(ns[0]), delta_n=float(deltas[0]), technique=technique)
 
 
 def measure_series(n_true, cfg, n_series, technique="quantum", first_index=0):
-    """Independent seeded traces reduced by segment statistics."""
+    """Independent seeded traces reduced by segment statistics.
+
+    The n_series traces are drawn and reduced as one block, with the same
+    values as simulate_trace and segment_stats give trace by trace.
+    """
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
-    out = []
-    for i in range(int(n_series)):
-        trace = simulate_trace(n_true, cfg, trace_index=first_index + i)
-        out.append(segment_stats(trace, technique=technique))
-    return out
+    values = _series_points(n_true, cfg, int(n_series), first_index)
+    ns, deltas = _segment_moments(values, cfg)
+    return [NoiseMeasurement(n=n, delta_n=d, technique=technique)
+            for n, d in zip(ns.tolist(), deltas.tolist())]
 
 
 def trace_to_csv(trace, path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import noiseimaging
-from noiseimaging.cli import main
+from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
 from noiseimaging.scene import full_bitmap, save_pbm
 
@@ -65,6 +65,33 @@ def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
         assert main(args + ["--config", str(cfgfile), "--out", str(out)]) == 0
         payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
         assert payload["config"]["r_resolved"] > 0
+
+
+def test_non_finite_floats_are_written_as_null(tmp_path):
+    payload = {"a": 1.5, "b": [1.0, float("nan"), {"c": float("-inf")}],
+               "d": {"e": float("inf"), "f": (2.0, float("nan"))}, "g": None, "h": "x"}
+    _write_json(tmp_path / "p.json", payload)
+    text = (tmp_path / "p.json").read_text()
+    got = json.loads(text, parse_constant=_reject_constant)
+    assert got == {"a": 1.5, "b": [1.0, None, {"c": None}], "d": {"e": None, "f": [2.0, None]},
+                   "g": None, "h": "x", "non_finite": ["b.1", "b.2.c", "d.e", "d.f.1"]}
+    # a finite payload keeps the bytes of a plain dump, with no flag key
+    finite = {"z": [0.1, 2], "a": {"k": -0.0, "j": 1e308}}
+    _write_json(tmp_path / "q.json", finite)
+    assert (tmp_path / "q.json").read_text() == json.dumps(finite, indent=2,
+                                                           sort_keys=True) + "\n"
+
+
+# a warning would print a second stderr line outside pytest
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("db", ["nan", "inf", "200"])
+def test_calibrate_unusable_depth_fails_cleanly(db, tmp_path, capsys):
+    code = main(["calibrate", "--db", db, "--config", str(ROOT / "configs" / "desk_sweep.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    message = _one_error_line(capsys, "calibrate")["message"]
+    assert "inf dB" not in message and "r must be finite" not in message
+    assert not (tmp_path / "out").exists()
 
 
 def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):

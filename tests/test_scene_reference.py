@@ -86,6 +86,28 @@ def test_random_masks_with_weight_maps_and_offset_cells():
         checked += 1
 
 
+def test_random_masks_without_weight_maps():
+    rng = np.random.default_rng(34)
+    empty = 0
+    for k in range(240):
+        width, height = (int(v) for v in rng.integers(1, 48, size=2))
+        # every twelfth LO is empty: both sides must reject it
+        density = 0.0 if k % 12 == 0 else rng.uniform(0.01, 1.0)
+        lo = Bitmap(rng.random((height, width)) < density)
+        mask = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
+        cs = int(rng.integers(1, 12))
+        grid = CoherenceGrid(cell_size=cs, offset_x=int(rng.integers(0, cs)),
+                             offset_y=int(rng.integers(0, cs)))
+        if not lo.bits.any():
+            empty += 1
+            for fn in (reference_decompose, decompose):
+                with pytest.raises(SceneError, match="empty LO"):
+                    fn(lo, mask, grid)
+            continue
+        assert_same_decomposition(decompose(lo, mask, grid), reference_decompose(lo, mask, grid))
+    assert 240 - empty >= 200
+
+
 def test_bowtie_decompositions_on_coarse_offset_cells():
     rng = np.random.default_rng(33)
     alpha = np.pi / 8
