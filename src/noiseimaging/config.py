@@ -62,19 +62,22 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self):
-        if not (np.isnan(self.r) or self.r >= 0):
-            raise ConfigError("source.r", "must be >= 0 when given")
+        # NaN fails every comparison and inf passes a lower bound, so each
+        # bound is also capped at inf: a non-finite value fails here, naming
+        # its field, not in a later stage that blames another one
+        if not (np.isnan(self.r) or 0 <= self.r < np.inf):
+            raise ConfigError("source.r", "must be finite and >= 0 when given")
         if np.isnan(self.r) and self.squeezing_db_detected < 0:
             raise ConfigError("source.squeezing_db_detected", "must be >= 0 (dB below SNL)")
         for name in ("t_probe", "t_conj"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError("source.%s" % name, "must lie in [0, 1]")
-        if self.lock_noise < 0:
-            raise ConfigError("source.lock_noise", "must be >= 0")
-        if self.electronic_floor < 0:
-            raise ConfigError("source.electronic_floor", "must be >= 0")
-        if self.power_per_pixel <= 0:
-            raise ConfigError("source.power_per_pixel", "must be > 0")
+        if not 0 <= self.lock_noise < np.inf:
+            raise ConfigError("source.lock_noise", "must be finite and >= 0")
+        if not 0 <= self.electronic_floor < np.inf:
+            raise ConfigError("source.electronic_floor", "must be finite and >= 0")
+        if not 0 < self.power_per_pixel < np.inf:
+            raise ConfigError("source.power_per_pixel", "must be finite and > 0")
         if self.grid_size < 2:
             raise ConfigError("scene.grid_size", "must be >= 2")
         if not 1 <= self.cell_size <= self.grid_size:
@@ -95,6 +98,8 @@ class RunConfig:
             raise ConfigError("acquisition.n_series", "must be >= 1")
         if len(self.angles_deg) < 1:
             raise ConfigError("acquisition.angles_deg", "must list at least one angle")
+        if not np.all(np.isfinite(self.angles_deg)):
+            raise ConfigError("acquisition.angles_deg", "angles must be finite")
         if len(set(self.angles_deg)) != len(self.angles_deg):
             raise ConfigError("acquisition.angles_deg", "angles must be distinct")
         return self
@@ -216,9 +221,13 @@ def load_config(path):
     path = Path(path)
     if not path.is_file():
         raise ConfigError("config", "file %r not found" % str(path))
+    try:
+        contents = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", "file %r is not ASCII text: %s" % (str(path), exc)) from None
     values = {}
     section = None
-    for lineno, line in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
+    for lineno, line in enumerate(contents.splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

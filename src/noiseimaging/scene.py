@@ -10,6 +10,7 @@ bundled A-Z font ships as one P1 file per letter.
 """
 
 import functools
+import math
 import string
 from dataclasses import dataclass, field
 from importlib import resources
@@ -52,13 +53,6 @@ class Bitmap:
             return NotImplemented
         return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
 
-    def __and__(self, other):
-        _check_same_dims(self, other)
-        return Bitmap(self.bits & other.bits)
-
-    def inverted(self):
-        return Bitmap(~self.bits)
-
 
 def full_bitmap(width, height, value=True):
     return Bitmap(np.full((height, width), bool(value)))
@@ -84,6 +78,9 @@ class CoherenceGrid:
         Cells are numbered row by row, so ids increase with the cell's
         (row, column) position on the plane.
         """
+        if self.cell_size == 1:
+            # offsets are 0 and there are `width` columns: the id is the pixel's
+            return pixels
         ys, xs = np.divmod(pixels, width)
         ncols = (width - 1 + self.offset_x) // self.cell_size + 1
         return ((ys + self.offset_y) // self.cell_size * ncols
@@ -138,20 +135,69 @@ def _check_same_dims(a, b):
         )
 
 
+# pixel angles are grouped into sectors of 1/40 rad, which the uint8 sector
+# key holds: (pi + pi) * 40 < 252
+_SECTORS_PER_RADIAN = 40.0
+# how far past half_angle a folded pixel can still pass the wedge test: the
+# difference theta - rotation rounds by half an ulp of pi + |rotation|, and the
+# fold's +-pi and the window ends by a few ulps of pi; 8 eps times
+# (pi + |rotation|) covers them with room
+_REACH_ULPS = 8.0 * np.finfo(float).eps
+
+
+def _sector(angle):
+    """Sector of an angle in [-pi, pi]: monotone, so it brackets any window."""
+    return int((angle + np.pi) * _SECTORS_PER_RADIAN)
+
+
 @functools.lru_cache(maxsize=1)
 def _polar_grid(width, height, radius):
-    """Disk mask and polar angle of the pixel centers about the grid center.
+    """The disk's pixels grouped by angle sector, with their polar angles.
 
-    Neither depends on the rotation, so a sweep of rotations on one grid
-    computes them once.  Both arrays are read-only: every caller shares them.
+    Returns (pixels, theta, starts): the row-major flat indices (int32) of the
+    pixel centers with hypot <= radius about the grid center, their polar
+    angles, both ordered by sector, and each sector's first position in them
+    (starts[s] .. starts[s + 1] is sector s).  None depends on the rotation,
+    so a sweep of rotations on one grid computes them once.  All are
+    read-only: every caller shares them.
     """
     x = (np.arange(width) + 0.5) - width / 2.0
     y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
-    disk = np.hypot(x, y) <= radius
-    theta = np.arctan2(y, x)
-    disk.setflags(write=False)
-    theta.setflags(write=False)
-    return disk, theta
+    pixels = np.flatnonzero(np.hypot(x, y) <= radius).astype(np.int32)
+    # one contiguous full-grid arctan2, then a gather: a gathered arctan2 is slower
+    theta = np.arctan2(y, x).ravel()[pixels]
+    # the same arithmetic as _sector, so window bounds bracket pixel sectors
+    sector = ((theta + np.pi) * _SECTORS_PER_RADIAN).astype(np.uint8)
+    order = np.argsort(sector, kind="stable")
+    starts = np.zeros(_sector(np.pi) + 2, dtype=np.intp)
+    np.cumsum(np.bincount(sector, minlength=len(starts) - 1), out=starts[1:])
+    pixels, theta = pixels[order], theta[order]
+    for arr in (pixels, theta, starts):
+        arr.setflags(write=False)
+    return pixels, theta, starts
+
+
+def _candidate_spans(rotation, half_angle, starts):
+    """Disjoint (start, stop) spans of the sector-ordered disk that hold every
+    pixel within half_angle (plus the rounding reach) of rotation mod pi."""
+    reach = half_angle + _REACH_ULPS * (np.pi + abs(rotation))
+    # fmod is exact, so the window centres rotation + k pi are exactly
+    # center + m pi with center in (-pi, pi): a reach below pi meets [-pi, pi]
+    # only for |m| <= 2, and a larger one covers it with m in -1..1
+    center = math.fmod(rotation, np.pi)
+    spans = []
+    for m in (-2, -1, 0, 1, 2):
+        lo = center + m * np.pi - reach
+        hi = center + m * np.pi + reach
+        if hi < -np.pi or lo > np.pi:
+            continue
+        start = int(starts[_sector(max(lo, -np.pi))])
+        stop = int(starts[_sector(min(hi, np.pi)) + 1])
+        if spans and start <= spans[-1][1]:
+            spans[-1][1] = max(stop, spans[-1][1])
+        else:
+            spans.append([start, stop])
+    return spans
 
 
 def bowtie(rotation, half_angle, radius, width, height):
@@ -160,35 +206,51 @@ def bowtie(rotation, half_angle, radius, width, height):
     `rotation` orients the wedge axis; the shape is point-symmetric about the
     center, so rotation and rotation + pi rasterize identically.
     """
+    if not math.isfinite(rotation):
+        raise SceneError("bow-tie rotation must be finite, got %r" % (rotation,))
     if not 0.0 < half_angle < np.pi / 2:
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):
         raise SceneError("bow-tie radius must be positive and fit inside the grid")
-    disk, theta = _polar_grid(width, height, radius)
-    # fold the polar angle onto [0, pi), identical for phi and phi + pi: numpy's
-    # `%` is this fmod plus pi where it is negative (fmod may leave -0.0 where
-    # `%` gives +0.0, which compares the same)
-    psi = np.subtract(theta, rotation)
-    np.fmod(psi, np.pi, out=psi)
-    np.add(psi, np.pi, out=psi, where=psi < 0)
-    # inside the wedge pair: |psi| <= half_angle for psi <= pi/2, else
-    # |psi - pi| <= half_angle; half_angle < pi/2 keeps each test to its half
-    bits = psi <= half_angle
-    psi -= np.pi
-    bits |= psi >= -half_angle
-    bits &= disk
-    return Bitmap(bits)
+    pixels, theta, starts = _polar_grid(width, height, radius)
+    bits = np.zeros(width * height, dtype=bool)
+    for start, stop in _candidate_spans(rotation, half_angle, starts):
+        # fold the polar angle onto [0, pi), identical for phi and phi + pi:
+        # numpy's `%` is this fmod plus pi where it is negative (fmod may leave
+        # -0.0 where `%` gives +0.0, which compares the same)
+        psi = np.subtract(theta[start:stop], rotation)
+        np.fmod(psi, np.pi, out=psi)
+        np.add(psi, np.pi, out=psi, where=psi < 0)
+        # inside the wedge pair: |psi| <= half_angle for psi <= pi/2, else
+        # |psi - pi| <= half_angle; half_angle < pi/2 keeps each test to its half
+        hit = psi <= half_angle
+        psi -= np.pi
+        hit |= psi >= -half_angle
+        bits[pixels[start:stop][hit]] = True
+    return Bitmap(bits.reshape(height, width))
 
 
 def decompose(lo, mask, grid, weight_map=None):
     """Per-cell LO weights and mask transmissions on a coherence grid."""
+    lo_sums, passed_sums, total, n_pixels = _occupied_cell_sums(lo, mask, grid, weight_map)
+    return CellDecomposition(lo_sums / total, passed_sums / lo_sums, n_pixels)
+
+
+def _occupied_cell_sums(lo, mask, grid, weight_map):
+    """LO power and passed power of each cell holding LO power, the total LO
+    power and the LO pixel count.
+
+    A separate function so the full-range per-cell arrays are freed before the
+    decomposition allocates the arrays it keeps: a sweep holds one per angle.
+    """
     _check_same_dims(lo, mask)
-    # off the LO every term of the per-cell sums is zero, so summing only LO
-    # pixels, in pixel order, gives the same sums
+    # off the LO every term of the per-cell sums is zero, and off the mask
+    # every term of the passed sums is; a zero term leaves a partial sum
+    # (which starts at +0.0 and so is never -0.0) unchanged, so summing only
+    # the other pixels, in pixel order, gives the same sums
     pixels = np.flatnonzero(lo.bits)
     if weight_map is None:
-        # unit weights: the full-grid sum of ones and zeros is the exact count
-        power = np.ones(len(pixels))
+        power = None
         total = float(len(pixels))
     else:
         lo_power = _pixel_weights(lo, weight_map) * lo.bits
@@ -197,12 +259,14 @@ def decompose(lo, mask, grid, weight_map=None):
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
     cells = grid.cell_ids(pixels, lo.width)
+    passed = mask.bits.ravel()[pixels]
+    # unit weights: integer counts, which are exact, so they divide to the
+    # same floats as float sums
     per_cell_lo = np.bincount(cells, weights=power)
-    per_cell_passed = np.bincount(cells, weights=power * mask.bits.ravel()[pixels])
-    keep = per_cell_lo > 0.0
-    weights = per_cell_lo[keep] / total
-    transmissions = per_cell_passed[keep] / per_cell_lo[keep]
-    return CellDecomposition(weights, transmissions, len(pixels))
+    per_cell_passed = np.bincount(cells[passed], minlength=len(per_cell_lo),
+                                  weights=None if power is None else power[passed])
+    keep = np.flatnonzero(per_cell_lo > 0)
+    return per_cell_lo[keep], per_cell_passed[keep], total, len(pixels)
 
 
 def _pixel_weights(ref, weight_map):
@@ -226,26 +290,35 @@ def save_pbm(bitmap, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# str.split() also splits on the ASCII separators 0x1c-0x1f, bytes.split() does not
+_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
 def load_pbm(path):
     """Read a plain P1 portable bitmap file (comments and packed digits allowed)."""
-    text = Path(path).read_text(encoding="ascii")
-    tokens = []
-    for line in text.splitlines():
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        raise SceneError("%s: not a plain P1 portable bitmap (non-ASCII bytes)" % (path,))
+    if b"#" in data:
+        # a comment runs from '#' to the end of its line
+        lines = data.decode("ascii").splitlines()
+        data = "\n".join(line.split("#", 1)[0] for line in lines).encode("ascii")
+    fields = data.translate(_TO_SPACE).split(maxsplit=3)
+    if not fields or fields[0] != b"P1":
         raise SceneError("%s: not a plain P1 portable bitmap" % (path,))
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = int(fields[1]), int(fields[2])
     except (IndexError, ValueError):
         raise SceneError("%s: malformed P1 header" % (path,)) from None
-    digits = "".join(tokens[3:])
-    if len(digits) != width * height or set(digits) - {"0", "1"}:
+    digits = fields[3].translate(None, _WHITESPACE) if len(fields) > 3 else b""
+    if len(digits) != width * height or digits.translate(None, b"01"):
         raise SceneError("%s: expected %d binary digits" % (path, width * height))
-    bits = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-    return Bitmap(bits.reshape(height, width).astype(bool))
+    # two negative sizes can match the digit count
+    if width < 0 or height < 0:
+        raise SceneError("%s: malformed P1 header" % (path,))
+    bits = np.frombuffer(digits, dtype=np.uint8) == ord("1")
+    return Bitmap(bits.reshape(height, width))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def _series_points(n_true, cfg, n_series, first_index):
     # convolved across their seams, about burn_in wasted windows per row
     vals = np.empty((n_series, cfg.points_per_trace))
     for i in range(n_series):
-        vals[i] = np.convolve(raw[i], kernel, mode="valid")
+        vals[i] = np.correlate(raw[i], kernel, mode="valid")
     vals *= n_true
     if np.any(vals <= 0):
         raise TraceError(
@@ -138,10 +138,12 @@ def _smoothing_kernel(phi):
 
     An exponentially weighted running average: an AR(1) with lag correlation
     phi^d that keeps power samples positive by construction, its kernel cut
-    where the weights fall below the burn-in bound.
+    where the weights fall below the burn-in bound.  The kernel is stored
+    reversed, newest weight last, so `np.correlate` with it is the
+    convolution, without `np.convolve`'s per-call reversal.
     """
     burn_in = _burn_in(phi)
-    kernel = (1.0 - phi) * phi ** np.arange(burn_in + 1)
+    kernel = ((1.0 - phi) * phi ** np.arange(burn_in + 1))[::-1].copy()
     kernel.setflags(write=False)
     return burn_in, kernel
 

@@ -1,10 +1,14 @@
-"""Full-grid reference for the scene layer's rotation-only fast paths.
+"""Full-grid reference for the scene layer's fast paths.
 
 `reference_bowtie` rasterizes a bow-tie from a fresh meshgrid with numpy's
 `%` and `np.where`, and `reference_decompose` sums every pixel of the grid
-into a full-length `bincount` per cell.  The runtime caches the polar grid
-and sums over LO pixels only; the tests require the same bits from both.
+into a full-length float `bincount` per cell.  The runtime folds only the
+disk pixels near the wedge axis and counts only LO pixels; the tests require
+the same bits from both.  `reference_load_pbm` tokenizes a P1 file line by
+line as text, where the runtime parses its bytes.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -46,3 +50,25 @@ def reference_decompose(lo, mask, grid, weight_map=None):
     weights = per_cell_lo[keep] / total
     transmissions = per_cell_passed[keep] / per_cell_lo[keep]
     return CellDecomposition(weights, transmissions, lo.pixel_count)
+
+
+def reference_load_pbm(path):
+    """Read a plain P1 portable bitmap file, one whitespace token at a time."""
+    text = Path(path).read_text(encoding="ascii")
+    tokens = []
+    for line in text.splitlines():
+        hash_pos = line.find("#")
+        if hash_pos >= 0:
+            line = line[:hash_pos]
+        tokens.extend(line.split())
+    if not tokens or tokens[0] != "P1":
+        raise SceneError("%s: not a plain P1 portable bitmap" % (path,))
+    try:
+        width, height = int(tokens[1]), int(tokens[2])
+    except (IndexError, ValueError):
+        raise SceneError("%s: malformed P1 header" % (path,)) from None
+    digits = "".join(tokens[3:])
+    if len(digits) != width * height or set(digits) - {"0", "1"}:
+        raise SceneError("%s: expected %d binary digits" % (path, width * height))
+    bits = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return Bitmap(bits.reshape(height, width).astype(bool))

@@ -150,6 +150,59 @@ def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
     assert "weight map" in _one_error_line(capsys, "sweep")["message"].replace("_", " ")
 
 
+# a warning would print a second stderr line outside pytest
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("angle", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                          angles_deg=(0.0, angle, 9.0)), cfgfile)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _one_error_line(capsys, "sweep")["field"] == "acquisition.angles_deg"
+    assert not (tmp_path / "out").exists()
+
+
+# NaN compares false and inf passes a lower bound; each must name its own field
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,value,field", [
+    ("power_per_pixel", float("nan"), "source.power_per_pixel"),
+    ("power_per_pixel", float("inf"), "source.power_per_pixel"),
+    ("electronic_floor", float("nan"), "source.electronic_floor"),
+    ("electronic_floor", float("inf"), "source.electronic_floor"),
+    ("lock_noise", float("nan"), "source.lock_noise"),
+    ("lock_noise", float("inf"), "source.lock_noise"),
+    ("r", float("inf"), "source.r"),
+], ids=["power-nan", "power-inf", "floor-nan", "floor-inf", "lock-nan", "lock-inf", "r-inf"])
+@pytest.mark.parametrize("args", [["sweep"], ["alphabet", "--mask", "Z"]],
+                         ids=["sweep", "alphabet"])
+def test_non_finite_source_value_names_its_field(name, value, field, args, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                          **{name: value}), cfgfile)
+    code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _one_error_line(capsys, args[0])["field"] == field
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["comment", "value"])
+def test_non_ascii_config_fails_cleanly(where, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100),
+                cfgfile)
+    text = cfgfile.read_bytes()
+    if where == "comment":
+        text = "# r\u00e9glage\n".encode("utf-8") + text
+    else:
+        text = text.replace(b"out_dir = out", "out_dir = \u00e9".encode("latin-1"))
+    cfgfile.write_bytes(text)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _one_error_line(capsys, "sweep")["field"] == "config"
+
+
 def test_runtime_imports_numpy_only():
     proc = subprocess.run(
         [sys.executable, "-c",

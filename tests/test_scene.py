@@ -47,7 +47,7 @@ class TestBitmap:
         a = full_bitmap(3, 3)
         b = full_bitmap(3, 3)
         assert a == b
-        assert (a & b) == a
+        assert Bitmap(a.bits & b.bits) == a
 
 
 class TestPbmIO:
@@ -88,6 +88,11 @@ class TestBowtie:
         for alpha in (0.0, np.pi / 2, -0.1):
             with pytest.raises(SceneError):
                 bowtie(0.0, alpha, 100, 256, 256)
+
+    def test_rejects_non_finite_rotation(self):
+        for rotation in (np.inf, -np.inf, np.nan):
+            with pytest.raises(SceneError, match="rotation"):
+                bowtie(rotation, ALPHA, 100, 256, 256)
 
     def test_rejects_oversized_radius(self):
         with pytest.raises(SceneError):
