@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, scene
-from .config import ConfigError, RunConfig, load_config, save_config, with_overrides
+from .config import ConfigError, RunConfig, config_text, load_config, with_overrides
 from .estimate import (
     AngleCalibration,
     CurvePoint,
@@ -40,6 +40,8 @@ SWEEP_SCHEMA = "noiseimaging.sweep.v1"
 ALPHABET_SCHEMA = "noiseimaging.alphabet.v1"
 
 _TECHNIQUES = (TECH_CLASSICAL, TECH_QUANTUM)
+# the config field every output failure is reported under
+_OUT_FIELD = "output.out_dir"
 
 
 def _fmt(x):
@@ -55,10 +57,7 @@ def _write_json(path, payload):
     payload = _finite(payload, "", replaced)
     if replaced:
         payload["non_finite"] = replaced
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="ascii",
-    )
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _finite(value, path, replaced):
@@ -78,7 +77,14 @@ def _finite(value, path, replaced):
 def _write_csv(path, schema, header, rows):
     lines = ["# schema: %s" % schema, ",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text):
+    try:
+        Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
 
 
 def _load_cfg(args):
@@ -90,7 +96,10 @@ def _load_cfg(args):
 
 def _out_dir(cfg):
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(_OUT_FIELD, "cannot create the output directory: %s" % exc) from None
     return out
 
 
@@ -271,8 +280,10 @@ def cmd_calibrate(cfg, db):
     acq = seeded_config(cfg.acquisition(), cfg.seed, "calibrate")
     series = measure_series(n_true, acq, cfg.n_series, technique=TECH_QUANTUM)
     n_mean = float(np.mean([m.n for m in series]))
+    # before any file: the one artifact that records out_dir must encode it
+    cfg_text = config_text(calibrated)
     out = _out_dir(cfg)
-    save_config(calibrated, out / "calibrated.cfg")
+    _write_text(out / "calibrated.cfg", cfg_text)
     floor = detected_noise_floor(params)
     payload = {
         "target_db": float(db),

@@ -207,14 +207,24 @@ def _parse_value(name, raw, where):
         raise ConfigError(where, "cannot parse value %r" % raw) from None
 
 
-def save_config(cfg, path):
+def config_text(cfg):
+    """The config file text for `cfg`; a non-ASCII value (only a path can hold
+    one) raises a ConfigError naming its field."""
     lines = ["# noiseimaging run config v1"]
     for section, names in _SECTIONS.items():
         lines.append("")
         lines.append("[%s]" % section)
         for name in names:
-            lines.append("%s = %s" % (name, _format_value(name, getattr(cfg, name))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+            value = _format_value(name, getattr(cfg, name))
+            if not value.isascii():
+                raise ConfigError("%s.%s" % (section, name),
+                                  "%r is not ASCII; config files are ASCII" % value)
+            lines.append("%s = %s" % (name, value))
+    return "\n".join(lines) + "\n"
+
+
+def save_config(cfg, path):
+    Path(path).write_text(config_text(cfg), encoding="ascii")
 
 
 def load_config(path):

@@ -30,7 +30,17 @@ class Bitmap:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.bits, dtype=bool)
+        # a copy: the caller keeps its array, writable
+        self._own(np.array(self.bits, dtype=bool))
+
+    @classmethod
+    def _adopt(cls, bits):
+        """Wrap a bool array the scene layer just built, without copying it."""
+        self = object.__new__(cls)
+        self._own(bits)
+        return self
+
+    def _own(self, arr):
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise SceneError("bitmap must be a 2-D array with width, height >= 1")
         arr.setflags(write=False)
@@ -55,7 +65,7 @@ class Bitmap:
 
 
 def full_bitmap(width, height, value=True):
-    return Bitmap(np.full((height, width), bool(value)))
+    return Bitmap._adopt(np.full((height, width), bool(value)))
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,6 @@ class CoherenceGrid:
         Cells are numbered row by row, so ids increase with the cell's
         (row, column) position on the plane.
         """
-        if self.cell_size == 1:
-            # offsets are 0 and there are `width` columns: the id is the pixel's
-            return pixels
         ys, xs = np.divmod(pixels, width)
         ncols = (width - 1 + self.offset_x) // self.cell_size + 1
         return ((ys + self.offset_y) // self.cell_size * ncols
@@ -101,8 +108,19 @@ class CellDecomposition:
     overlap: float = field(init=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.array(self.weights, dtype=float))
-        t = np.atleast_1d(np.array(self.transmissions, dtype=float))
+        # copies: the caller keeps its arrays, writable
+        self._own(np.atleast_1d(np.array(self.weights, dtype=float)),
+                  np.atleast_1d(np.array(self.transmissions, dtype=float)))
+
+    @classmethod
+    def _adopt(cls, weights, transmissions, lo_pixel_count):
+        """Wrap 1-D float arrays the scene layer just built, without copying them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "lo_pixel_count", lo_pixel_count)
+        self._own(weights, transmissions)
+        return self
+
+    def _own(self, w, t):
         if w.shape != t.shape or w.ndim != 1:
             raise SceneError("weights and transmissions must be 1-D arrays of equal length")
         if np.any(w < 0):
@@ -145,6 +163,11 @@ _SECTORS_PER_RADIAN = 40.0
 _REACH_ULPS = 8.0 * np.finfo(float).eps
 
 
+# relative half-width of the squared-radius band where the disk test defers to
+# hypot: far above the rounding of hypot and of radius**2
+_EDGE_BAND = 1e-12
+
+
 def _sector(angle):
     """Sector of an angle in [-pi, pi]: monotone, so it brackets any window."""
     return int((angle + np.pi) * _SECTORS_PER_RADIAN)
@@ -163,7 +186,19 @@ def _polar_grid(width, height, radius):
     """
     x = (np.arange(width) + 0.5) - width / 2.0
     y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
-    pixels = np.flatnonzero(np.hypot(x, y) <= radius).astype(np.int32)
+    # centers are multiples of 1/2, so their squared radius is exact, and only
+    # the centers within rounding of radius**2 need hypot to place them
+    r2 = x * x + y * y
+    edge = radius * radius
+    disk = r2 <= edge * (1.0 - _EDGE_BAND)
+    band = r2 > edge * (1.0 - _EDGE_BAND)
+    band &= r2 <= edge * (1.0 + _EDGE_BAND)
+    del r2
+    band = np.flatnonzero(band)
+    ys, xs = np.divmod(band, width)
+    disk.ravel()[band] = np.hypot(x[xs], y[ys, 0]) <= radius
+    pixels = np.flatnonzero(disk).astype(np.int32)
+    del disk
     # one contiguous full-grid arctan2, then a gather: a gathered arctan2 is slower
     theta = np.arctan2(y, x).ravel()[pixels]
     # the same arithmetic as _sector, so window bounds bracket pixel sectors
@@ -227,13 +262,13 @@ def bowtie(rotation, half_angle, radius, width, height):
         psi -= np.pi
         hit |= psi >= -half_angle
         bits[pixels[start:stop][hit]] = True
-    return Bitmap(bits.reshape(height, width))
+    return Bitmap._adopt(bits.reshape(height, width))
 
 
 def decompose(lo, mask, grid, weight_map=None):
     """Per-cell LO weights and mask transmissions on a coherence grid."""
     lo_sums, passed_sums, total, n_pixels = _occupied_cell_sums(lo, mask, grid, weight_map)
-    return CellDecomposition(lo_sums / total, passed_sums / lo_sums, n_pixels)
+    return CellDecomposition._adopt(lo_sums / total, passed_sums / lo_sums, n_pixels)
 
 
 def _occupied_cell_sums(lo, mask, grid, weight_map):
@@ -258,8 +293,17 @@ def _occupied_cell_sums(lo, mask, grid, weight_map):
         total = float(lo_power.sum())
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
-    cells = grid.cell_ids(pixels, lo.width)
     passed = mask.bits.ravel()[pixels]
+    if grid.cell_size == 1:
+        # each LO pixel is its own cell, in ascending order, so a per-cell
+        # sum is +0.0 plus the pixel's one term: the term itself, and +0.0
+        # for a -0.0 weight, which drops the cell like a +0.0 one
+        if power is None:
+            return np.ones(len(pixels)), passed.astype(float), total, len(pixels)
+        keep = power > 0.0
+        power = power[keep]
+        return power, np.where(passed[keep], power, 0.0), total, len(pixels)
+    cells = grid.cell_ids(pixels, lo.width)
     # unit weights: integer counts, which are exact, so they divide to the
     # same floats as float sums
     per_cell_lo = np.bincount(cells, weights=power)
@@ -318,7 +362,7 @@ def load_pbm(path):
     if width < 0 or height < 0:
         raise SceneError("%s: malformed P1 header" % (path,))
     bits = np.frombuffer(digits, dtype=np.uint8) == ord("1")
-    return Bitmap(bits.reshape(height, width))
+    return Bitmap._adopt(bits.reshape(height, width))
 
 
 # ---------------------------------------------------------------------------

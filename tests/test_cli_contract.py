@@ -212,3 +212,59 @@ def test_runtime_imports_numpy_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_COMMANDS = {
+    "sweep": (["sweep"], "sweep.csv"),
+    "alphabet": (["alphabet", "--mask", "Z"], "alphabet.csv"),
+    "calibrate": (["calibrate", "--db", "2.2"], "calibrated.cfg"),
+}
+
+
+def _small_config(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
+                cfgfile)
+    return cfgfile
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_unusable_output_directory_fails_cleanly(command, tmp_path, capsys):
+    # a directory cannot be made under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args, _ = _COMMANDS[command]
+    code = main(args + ["--config", str(_small_config(tmp_path)),
+                        "--out", str(blocker / "out")])
+    assert code == 2
+    assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_unwritable_artifact_fails_cleanly(command, tmp_path, capsys):
+    args, first_artifact = _COMMANDS[command]
+    out = tmp_path / "out"
+    (out / first_artifact).mkdir(parents=True)
+    code = main(args + ["--config", str(_small_config(tmp_path)), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+
+
+def test_non_ascii_output_directory(tmp_path, capsys):
+    cfgfile = _small_config(tmp_path)
+    # calibrated.cfg records out_dir, and config files are ASCII
+    out = tmp_path / "résultats"
+    code = main(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, "calibrate")["field"] == "output.out_dir"
+    assert not out.exists()
+    # no other artifact records out_dir: the same bytes as in an ASCII directory
+    for command in ("sweep", "alphabet"):
+        args, _ = _COMMANDS[command]
+        for where in (out, tmp_path / "ascii"):
+            assert main(args + ["--config", str(cfgfile), "--out", str(where)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in (tmp_path / "ascii").iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (tmp_path / "ascii" / path.name).read_bytes()

@@ -3,6 +3,7 @@ import pytest
 
 from noiseimaging.scene import (
     Bitmap,
+    CellDecomposition,
     CoherenceGrid,
     LETTERS,
     SceneError,
@@ -48,6 +49,36 @@ class TestBitmap:
         b = full_bitmap(3, 3)
         assert a == b
         assert Bitmap(a.bits & b.bits) == a
+
+
+class TestArrayOwnership:
+    def test_public_constructors_copy_caller_arrays(self):
+        bits = np.zeros((3, 4), dtype=bool)
+        weights, transmissions = np.array([0.25, 0.75]), np.array([1.0, 0.5])
+        bm = Bitmap(bits)
+        d = CellDecomposition(weights, transmissions, 2)
+        for caller, kept in ((bits, bm.bits), (weights, d.weights),
+                             (transmissions, d.transmissions)):
+            assert caller.flags.writeable
+            assert not kept.flags.writeable
+            assert not np.shares_memory(caller, kept)
+
+    def test_scene_results_are_read_only(self, tmp_path):
+        mask = bowtie(0.0, ALPHA, 14, 32, 32)
+        lo = bowtie(0.3, ALPHA, 14, 32, 32)
+        save_pbm(lo, tmp_path / "lo.pbm")
+        d = decompose(lo, mask, CoherenceGrid(cell_size=1))
+        for arr in (mask.bits, lo.bits, full_bitmap(3, 2).bits,
+                    load_pbm(tmp_path / "lo.pbm").bits, d.weights, d.transmissions):
+            assert not arr.flags.writeable
+
+    def test_construction_checks_the_arrays(self):
+        with pytest.raises(SceneError, match="non-negative"):
+            CellDecomposition(np.array([-0.5, 1.5]), np.array([1.0, 1.0]), 2)
+        with pytest.raises(SceneError, match=r"\[0, 1\]"):
+            CellDecomposition(np.array([0.5, 0.5]), np.array([1.0, 1.5]), 2)
+        with pytest.raises(SceneError, match="sum to 1"):
+            CellDecomposition(np.array([0.5, 0.25]), np.array([1.0, 1.0]), 2)
 
 
 class TestPbmIO:

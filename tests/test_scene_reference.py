@@ -2,10 +2,13 @@
 P1 parser against their references: every bit and every float must agree,
 and every rejected input must raise a SceneError."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import noiseimaging
 from noiseimaging.config import load_config
@@ -183,6 +186,153 @@ def test_one_pixel_wide_grids():
         alpha = float(rng.uniform(1e-3, np.pi / 2 - 1e-3))
         rotation = float(rng.choice([0.0, np.pi / 2, -np.pi, rng.uniform(-7.0, 7.0)]))
         assert_same_bowtie(rotation, alpha, radius, width, height)
+
+
+def _grid_centers(width, height):
+    x = (np.arange(width) + 0.5) - width / 2.0
+    y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
+    return x, y
+
+
+@pytest.mark.parametrize("width,height", [(9, 9), (16, 16), (33, 20), (12, 41), (1, 7)],
+                         ids=["odd", "even", "wide", "tall", "one-column"])
+def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height):
+    # a radius exactly at a pixel center's distance puts that center (and its
+    # mirror images) on the disk's edge; one ulp either side moves it out or in
+    x, y = _grid_centers(width, height)
+    rr = np.hypot(x, y)
+    radii = set()
+    for r in np.unique(rr):
+        radii.update((float(r), float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))))
+    checked = 0
+    for radius in sorted(radii):
+        if radius <= 0.0:
+            continue
+        pixels, _, _ = _polar_grid(width, height, radius)
+        want = np.flatnonzero(rr <= radius)
+        assert np.array_equal(np.sort(pixels), want), radius
+        checked += 1
+    assert checked >= 3 * (len(np.unique(rr)) - 1)
+
+
+def test_polar_grid_disk_on_the_desk_grid_edge():
+    # exact radii at distances near the desk radius, on the 512^2 grid
+    x, y = _grid_centers(512, 512)
+    rr = np.hypot(x, y)
+    near = np.unique(rr[np.abs(rr - 230.4) < 0.6])
+    assert len(near) >= 20
+    for r in near[::4]:
+        for radius in (float(r), float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))):
+            pixels, _, _ = _polar_grid(512, 512, radius)
+            assert np.array_equal(np.sort(pixels), np.flatnonzero(rr <= radius)), radius
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_polar_grid_build_peak_memory():
+    _polar_grid.cache_clear()
+    # the exact squared radii are freed before the full-grid arctan2
+    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 5.5
+
+
+def test_single_pixel_cell_decomposition_peak_memory():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    mask = bowtie(0.0, alpha, radius, n, n)
+    lo = bowtie(np.deg2rad(45.0), alpha, radius, n, n)
+    grid = CoherenceGrid(cell_size=1)
+    # no full-range per-cell arrays and no second copy of the ones kept
+    assert _traced_peak_mib(lambda: decompose(lo, mask, grid)) < 2.5
+
+
+def _signed_zero_weights(rng, height, width):
+    weights = rng.uniform(0.0, 3.0, size=(height, width))
+    weights[rng.random((height, width)) < 0.15] = 0.0
+    weights[rng.random((height, width)) < 0.15] = -0.0
+    return weights
+
+
+def test_single_pixel_cells_with_weight_maps():
+    rng = np.random.default_rng(40)
+    grid = CoherenceGrid(cell_size=1)
+    rejected = 0
+    for k in range(300):
+        if k % 3 == 0:
+            # 1-pixel-wide grids
+            length = int(rng.integers(1, 40))
+            width, height = (1, length) if k % 2 else (length, 1)
+        else:
+            width, height = (int(v) for v in rng.integers(1, 48, size=2))
+        lo = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
+        mask = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
+        weights = _signed_zero_weights(rng, height, width)
+        try:
+            want = reference_decompose(lo, mask, grid, weights)
+        except SceneError:
+            rejected += 1
+            with pytest.raises(SceneError, match="empty LO"):
+                decompose(lo, mask, grid, weights)
+            continue
+        assert_same_decomposition(decompose(lo, mask, grid, weights), want)
+        assert_same_decomposition(decompose(lo, mask, grid), reference_decompose(lo, mask, grid))
+    assert 0 < rejected < 60
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_single_pixel_cells_reject_an_lo_without_weight(zero):
+    rng = np.random.default_rng(41)
+    lo = Bitmap(rng.random((12, 9)) < 0.5)
+    mask = Bitmap(rng.random((12, 9)) < 0.5)
+    # power only off the LO
+    weights = np.where(lo.bits, zero, 2.0)
+    for fn in (reference_decompose, decompose):
+        with pytest.raises(SceneError, match="empty LO"):
+            fn(lo, mask, CoherenceGrid(cell_size=1), weights)
+
+
+def test_single_pixel_cells_on_the_desk_bowtie_with_a_weight_map():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    rng = np.random.default_rng(42)
+    weights = _signed_zero_weights(rng, n, n)
+    mask = bowtie(0.0, alpha, radius, n, n)
+    lo = bowtie(np.deg2rad(13.5), alpha, radius, n, n)
+    grid = CoherenceGrid(cell_size=1)
+    assert_same_decomposition(decompose(lo, mask, grid, weights),
+                              reference_decompose(lo, mask, grid, weights))
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(min_value=5e-324, max_value=1e6))
+
+
+@st.composite
+def _single_pixel_scenes(draw):
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lo = draw(arrays(bool, (height, width)))
+    mask = draw(arrays(bool, (height, width)))
+    weights = draw(st.none() | arrays(float, (height, width), elements=_WEIGHTS))
+    return Bitmap(lo), Bitmap(mask), weights
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_single_pixel_scenes())
+def test_single_pixel_cells_match_the_reference(scene):
+    lo, mask, weights = scene
+    grid = CoherenceGrid(cell_size=1)
+    try:
+        want = reference_decompose(lo, mask, grid, weights)
+    except SceneError as exc:
+        with pytest.raises(SceneError) as got:
+            decompose(lo, mask, grid, weights)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_decomposition(decompose(lo, mask, grid, weights), want)
 
 
 def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():
