@@ -294,15 +294,10 @@ def _occupied_cell_sums(lo, mask, grid, weight_map):
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
     passed = mask.bits.ravel()[pixels]
-    if grid.cell_size == 1:
+    if grid.cell_size == 1 and power is None:
         # each LO pixel is its own cell, in ascending order, so a per-cell
-        # sum is +0.0 plus the pixel's one term: the term itself, and +0.0
-        # for a -0.0 weight, which drops the cell like a +0.0 one
-        if power is None:
-            return np.ones(len(pixels)), passed.astype(float), total, len(pixels)
-        keep = power > 0.0
-        power = power[keep]
-        return power, np.where(passed[keep], power, 0.0), total, len(pixels)
+        # sum is +0.0 plus the pixel's one unit term
+        return np.ones(len(pixels)), passed.astype(float), total, len(pixels)
     cells = grid.cell_ids(pixels, lo.width)
     # unit weights: integer counts, which are exact, so they divide to the
     # same floats as float sums
