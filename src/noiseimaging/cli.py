@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,24 @@ def _write_text(path, text):
         raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
 
 
+def _write_artifacts(*writes):
+    """Write a command's artifacts in order, each given as (writer, path, *args).
+
+    On a failure every file reached is removed, the failing one too (it may
+    hold part of its text), so a failed run leaves no set that looks finished.
+    """
+    reached = []
+    try:
+        for writer, path, *args in writes:
+            reached.append(path)
+            writer(path, *args)
+    except ConfigError:
+        for path in reached:
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
+
+
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg = with_overrides(cfg, seed=args.seed, out_dir=args.out)
@@ -111,18 +130,14 @@ def _measure_curve(cfg, params, decomps, technique):
     rows, points = [], []
     for k, (angle, decomp) in enumerate(decomps):
         n_true = technique_noise(technique, decomp, params)
-        series = measure_series(
-            n_true,
-            seeded_config(acq, cfg.seed, "sweep", technique, k),
-            cfg.n_series,
-            technique=technique,
-        )
-        n_mean, sem, delta_mean = estimate.summarize_series(series, acq.n_segments)
+        seeded = seeded_config(acq, cfg.seed, "sweep", technique, k)
+        ns, deltas = measure_series(n_true, seeded, cfg.n_series)
+        n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, acq.n_segments)
         points.append(CurvePoint(
             overlap=decomp.overlap, n=n_mean, sigma_n=sem, delta_n=delta_mean,
         ))
-        for s, m in enumerate(series):
-            rows.append((angle, decomp.overlap, technique, s, m.n, m.n_db, m.delta_n))
+        for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
+            rows.append((angle, decomp.overlap, technique, s, n, 10.0 * np.log10(n), delta))
     return rows, points
 
 
@@ -162,16 +177,7 @@ def cmd_sweep(cfg):
     angle_note = result.angle_note or calibration_note
     tables = result.delta_o
 
-    out = _out_dir(cfg)
-    _write_csv(
-        out / "sweep.csv", SWEEP_SCHEMA,
-        ("angle_deg", "overlap", "technique", "series", "noise_snl", "noise_db",
-         "delta_noise_snl"),
-        all_rows,
-    )
-    _write_json(out / "fits.json", {
-        technique: _curve_payload(curve) for technique, curve in curves.items()
-    })
+    fits = {technique: _curve_payload(curve) for technique, curve in curves.items()}
     summary = {
         "config": cfg.as_dict(),
         "enhancement": {"factor": enh.factor, "sigma": enh.sigma,
@@ -195,7 +201,15 @@ def cmd_sweep(cfg):
                 for u in tables[technique]
             ],
         }
-    _write_json(out / "summary.json", summary)
+    out = _out_dir(cfg)
+    _write_artifacts(
+        (_write_csv, out / "sweep.csv", SWEEP_SCHEMA,
+         ("angle_deg", "overlap", "technique", "series", "noise_snl", "noise_db",
+          "delta_noise_snl"),
+         all_rows),
+        (_write_json, out / "fits.json", fits),
+        (_write_json, out / "summary.json", summary),
+    )
     print("sweep: %d angles x %d series x %d techniques -> %s"
           % (len(cfg.angles_deg), cfg.n_series, len(_TECHNIQUES), out))
     print("enhancement (O >= %.2g): %.3f +/- %.3f"
@@ -230,7 +244,6 @@ def cmd_alphabet(cfg, mask_letter):
         n_series=cfg.n_series, power_per_pixel=cfg.power_per_pixel,
         master_seed=cfg.seed,
     )
-    out = _out_dir(cfg)
     rows = []
     for rec in result.records:
         rows.append((
@@ -239,14 +252,6 @@ def cmd_alphabet(cfg, mask_letter):
             rec.n_masked, 10.0 * np.log10(rec.n_masked), rec.sigma_masked,
             rec.d, rec.sigma_d, int(rec.sub_snl), rec.reason,
         ))
-    _write_csv(
-        out / "alphabet.csv", ALPHABET_SCHEMA,
-        ("letter", "technique", "valid", "overlap",
-         "n_baseline", "n_baseline_db", "sigma_baseline",
-         "n_masked", "n_masked_db", "sigma_masked",
-         "deviation", "sigma_deviation", "sub_snl", "reason"),
-        rows,
-    )
     payload = {
         "config": cfg.as_dict(),
         "mask_letter": mask_letter,
@@ -262,7 +267,16 @@ def cmd_alphabet(cfg, mask_letter):
             "sigma_separation": ranking.sigma_separation,
             "sub_snl_letters": list(ranking.sub_snl_letters),
         }
-    _write_json(out / "ranking.json", payload)
+    out = _out_dir(cfg)
+    _write_artifacts(
+        (_write_csv, out / "alphabet.csv", ALPHABET_SCHEMA,
+         ("letter", "technique", "valid", "overlap",
+          "n_baseline", "n_baseline_db", "sigma_baseline",
+          "n_masked", "n_masked_db", "sigma_masked",
+          "deviation", "sigma_deviation", "sub_snl", "reason"),
+         rows),
+        (_write_json, out / "ranking.json", payload),
+    )
     q = result.rankings[TECH_QUANTUM]
     print("alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
           % (mask_letter, q.best, q.runner_up, q.sigma_separation, len(result.excluded)))
@@ -278,12 +292,10 @@ def cmd_calibrate(cfg, db):
     params = calibrated.twin_beam_params()
     n_true = quantum_noise(single_cell_decomposition(1.0), params)
     acq = seeded_config(cfg.acquisition(), cfg.seed, "calibrate")
-    series = measure_series(n_true, acq, cfg.n_series, technique=TECH_QUANTUM)
-    n_mean = float(np.mean([m.n for m in series]))
+    ns, _ = measure_series(n_true, acq, cfg.n_series)
+    n_mean = float(np.mean(ns))
     # before any file: the one artifact that records out_dir must encode it
     cfg_text = config_text(calibrated)
-    out = _out_dir(cfg)
-    _write_text(out / "calibrated.cfg", cfg_text)
     floor = detected_noise_floor(params)
     payload = {
         "target_db": float(db),
@@ -295,7 +307,11 @@ def cmd_calibrate(cfg, db):
         "loss_bound_db": 10.0 * np.log10(floor) if floor > 0 else None,
         "config": calibrated.as_dict(),
     }
-    _write_json(out / "calibration.json", payload)
+    out = _out_dir(cfg)
+    _write_artifacts(
+        (_write_text, out / "calibrated.cfg", cfg_text),
+        (_write_json, out / "calibration.json", payload),
+    )
     print("calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"
           % (r, db, payload["measured_db_over_series"], cfg.n_series))
     return 0

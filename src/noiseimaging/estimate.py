@@ -59,9 +59,6 @@ class NoiseCurve:
     synthetic_point: tuple
     residual_rms: float
 
-    def value(self, o):
-        return float(np.polynomial.polynomial.polyval(o, self.coeffs))
-
     def slope(self, o):
         c = self.coeffs
         return float(c[1] + 2.0 * c[2] * o + 3.0 * c[3] * o * o)
@@ -254,17 +251,9 @@ class AngleCalibration:
         object.__setattr__(self, "angles", a)
         object.__setattr__(self, "overlaps", o)
 
-    @classmethod
-    def from_ideal_bowtie(cls, half_angle, angles):
-        angles = np.asarray(angles, dtype=float)
-        return cls(angles=angles, overlaps=1.0 - angles / (2.0 * half_angle))
-
     def _segment(self, delta):
         k = int(np.searchsorted(self.angles, delta, side="right")) - 1
         return min(max(k, 0), len(self.angles) - 2)
-
-    def overlap_at(self, delta):
-        return float(np.interp(delta, self.angles, self.overlaps))
 
     def slope_at(self, delta):
         """dO/d(angle) of the piecewise-linear lookup at this angle."""
@@ -348,31 +337,22 @@ class AlphabetResult:
     rankings: dict
     excluded: tuple = field(default_factory=tuple)
 
-    def record(self, letter, technique):
-        for rec in self.records:
-            if rec.letter == letter and rec.technique == technique:
-                return rec
-        raise KeyError((letter, technique))
 
-
-def summarize_series(measurements, n_segments):
-    """Mean noise, its standard error, and the mean per-trace delta_n.
+def summarize_series(ns, deltas, n_segments):
+    """Mean noise, its standard error, and the mean per-trace delta_n of a
+    series, from the per-trace arrays that `measure_series` returns.
 
     Segment means are near-independent, so one trace mean carries a standard
     deviation of about delta_n/sqrt(segments); averaging the series divides
     by sqrt(series count) again.
     """
-    ns = np.array([m.n for m in measurements])
-    deltas = np.array([m.delta_n for m in measurements])
     sem = deltas.mean() / np.sqrt(n_segments * len(ns))
     return float(ns.mean()), float(sem), float(deltas.mean())
 
 
-def _measured_noise(n_true, cfg, n_series, technique, master, *tags):
-    series = measure_series(
-        n_true, seeded_config(cfg, master, *tags), n_series, technique=technique
-    )
-    n_mean, sem, _ = summarize_series(series, cfg.n_segments)
+def _measured_noise(n_true, cfg, n_series, master, *tags):
+    ns, deltas = measure_series(n_true, seeded_config(cfg, master, *tags), n_series)
+    n_mean, sem, _ = summarize_series(ns, deltas, cfg.n_segments)
     return n_mean, sem
 
 
@@ -407,11 +387,11 @@ def alphabet_gun(mask, params, acq_cfg, grid, font_dir=None, n_series=10,
             nb_true = technique_noise(technique, base_decomp, params)
             nm_true = technique_noise(technique, masked_decomp, params)
             nb, sb = _measured_noise(
-                nb_true, acq_cfg, n_series, technique, master_seed,
+                nb_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "baseline",
             )
             nm, sm = _measured_noise(
-                nm_true, acq_cfg, n_series, technique, master_seed,
+                nm_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "masked",
             )
             d = nm / nb

@@ -63,26 +63,6 @@ class TwinBeamParams:
             raise NoiseModelError("electronic_floor must be >= 0")
 
 
-@dataclass(frozen=True)
-class NoiseMeasurement:
-    """A noise power in SNL units with its measured standard deviation."""
-
-    n: float
-    delta_n: float
-    technique: str
-    valid: bool = True
-
-    def __post_init__(self):
-        if self.valid and not self.n > 0:
-            raise NoiseModelError("valid measurements need n > 0, got %r" % (self.n,))
-        if self.delta_n < 0:
-            raise NoiseModelError("delta_n must be >= 0")
-
-    @property
-    def n_db(self):
-        return 10.0 * np.log10(self.n)
-
-
 def quantum_noise(decomp, params):
     """Locked twin-beam difference noise for a cell decomposition, SNL units."""
     t_c = params.t_conj * decomp.transmissions

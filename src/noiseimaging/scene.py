@@ -5,7 +5,7 @@ plane is partitioned into square coherence cells; `decompose` reduces an
 (LO, mask) pair to per-cell LO weight fractions w_i and mask transmissions
 T_i with sum(w_i * T_i) equal to the scalar LO-mask overlap.
 
-Bitmaps load and save as plain ASCII portable bitmaps (magic "P1").  The
+Bitmaps load from plain ASCII portable bitmaps (magic "P1").  The
 bundled A-Z font ships as one P1 file per letter.
 """
 
@@ -319,15 +319,7 @@ def _pixel_weights(ref, weight_map):
 
 
 # ---------------------------------------------------------------------------
-# plain ASCII portable bitmap (P1) I/O
-
-def save_pbm(bitmap, path):
-    """Write a bitmap as a plain P1 portable bitmap file."""
-    lines = ["P1", "%d %d" % (bitmap.width, bitmap.height)]
-    for row in bitmap.bits:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
+# plain ASCII portable bitmap (P1) input
 
 # str.split() also splits on the ASCII separators 0x1c-0x1f, bytes.split() does not
 _TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")

@@ -18,8 +18,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import default_rng
 
-from .noise import NoiseMeasurement
-
 
 class TraceError(ValueError):
     """Raised for invalid acquisition settings."""
@@ -65,40 +63,11 @@ class AcquisitionConfig:
         return self.points_per_trace // self.segment_length
 
 
-@dataclass(frozen=True)
-class Trace:
-    """One simulated zero-span trace in SNL units."""
-
-    values: np.ndarray
-    config: AcquisitionConfig
-    true_n: float
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.config.points_per_trace,):
-            raise TraceError("trace length does not match points_per_trace")
-        if np.any(vals <= 0):
-            raise TraceError(
-                "trace contains non-positive noise power; increase samples_per_point"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def derive_seed(master, *tags):
     """Deterministic 63-bit sub-seed from a master seed and string/int tags."""
     text = "|".join([str(int(master))] + [str(t) for t in tags])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def simulate_trace(n_true, cfg, trace_index=0):
-    """Generate one trace of chi-square noise power at the given level.
-
-    Deterministic for a fixed (cfg.rng_seed, trace_index) pair.
-    """
-    values = _series_points(n_true, cfg, 1, trace_index)[0]
-    return Trace(values=values, config=cfg, true_n=float(n_true))
 
 
 def _series_points(n_true, cfg, n_series, first_index):
@@ -163,38 +132,16 @@ def _segment_moments(values, cfg):
     return ns, seg.std(axis=1, ddof=1)
 
 
-def segment_stats(trace, technique="quantum"):
-    """Reduce a trace to (mean, segment-scatter) as a NoiseMeasurement.
+def measure_series(n_true, cfg, n_series, first_index=0):
+    """(ns, deltas) of independent seeded traces: each trace's mean and the
+    sample standard deviation of its segment means, as float arrays.
 
-    The uncertainty is the sample standard deviation of the segment means.
-    """
-    cfg = trace.config
-    if len(trace.values) % cfg.segment_length != 0:
-        raise TraceError("trace length is not divisible by the segment length")
-    ns, deltas = _segment_moments(trace.values[None], cfg)
-    return NoiseMeasurement(n=float(ns[0]), delta_n=float(deltas[0]), technique=technique)
-
-
-def measure_series(n_true, cfg, n_series, technique="quantum", first_index=0):
-    """Independent seeded traces reduced by segment statistics.
-
-    The n_series traces are drawn and reduced as one block, with the same
-    values as simulate_trace and segment_stats give trace by trace.
+    The n_series traces are drawn and reduced as one block.
     """
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
     values = _series_points(n_true, cfg, int(n_series), first_index)
-    ns, deltas = _segment_moments(values, cfg)
-    return [NoiseMeasurement(n=n, delta_n=d, technique=technique)
-            for n, d in zip(ns.tolist(), deltas.tolist())]
-
-
-def trace_to_csv(trace, path):
-    """Export a trace as CSV rows of (point index, value)."""
-    lines = ["index,value"]
-    lines += ["%d,%s" % (i, format(v, ".12g")) for i, v in enumerate(trace.values)]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _segment_moments(values, cfg)
 
 
 def seeded_config(cfg, master, *tags):

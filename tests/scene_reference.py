@@ -72,3 +72,11 @@ def reference_load_pbm(path):
         raise SceneError("%s: expected %d binary digits" % (path, width * height))
     bits = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
     return Bitmap(bits.reshape(height, width).astype(bool))
+
+
+def save_pbm(bitmap, path):
+    """Write a bitmap as a plain P1 portable bitmap file."""
+    lines = ["P1", "%d %d" % (bitmap.width, bitmap.height)]
+    for row in bitmap.bits:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

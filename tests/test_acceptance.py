@@ -210,9 +210,9 @@ def test_criterion_5_delta_n_scales_with_n():
         ns, deltas = [], []
         for seed in range(100):
             cfg = seeded_config(base, 20260403, "scaling", li, seed)
-            m = measure_series(level, cfg, 1)[0]
-            ns.append(m.n)
-            deltas.append(m.delta_n)
+            n, delta = measure_series(level, cfg, 1)
+            ns.append(n[0])
+            deltas.append(delta[0])
         mean_n.append(np.mean(ns))
         mean_delta.append(np.mean(deltas))
         sem_delta.append(np.std(deltas, ddof=1) / np.sqrt(len(deltas)))
@@ -292,11 +292,10 @@ def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
                 n_true = quantum_noise(decomp, params)
             else:
                 n_true = classical_noise(decomp, params)
-            series = measure_series(
+            ns, deltas = measure_series(
                 n_true, seeded_config(acq, master, tag, technique, k), n_series,
-                technique=technique,
             )
-            n, sem, delta = summarize_series(series, acq.n_segments)
+            n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
         curve = fit_noise_curve(sorted(pts, key=lambda p: p.overlap), technique)
         tables[technique] = delta_o_table(curve)
@@ -340,11 +339,10 @@ def test_criterion_8_null_case():
             decomp = _binary_decomposition(o)
             n_true = (quantum_noise if technique == TECH_QUANTUM else classical_noise)(
                 decomp, params)
-            series = measure_series(
+            ns, deltas = measure_series(
                 n_true, seeded_config(acq, 20260406, "null", technique, k), 10,
-                technique=technique,
             )
-            n, sem, delta = summarize_series(series, acq.n_segments)
+            n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))

@@ -11,7 +11,8 @@ import pytest
 import noiseimaging
 from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
-from noiseimaging.scene import full_bitmap, save_pbm
+from noiseimaging.scene import full_bitmap
+from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(noiseimaging.__file__).resolve().parents[1]
@@ -248,6 +249,42 @@ def test_unwritable_artifact_fails_cleanly(command, tmp_path, capsys):
     code = main(args + ["--config", str(_small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+
+
+_LAST_ARTIFACT = {"sweep": "summary.json", "alphabet": "ranking.json",
+                  "calibrate": "calibration.json"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_failed_run_leaves_no_artifact(command, tmp_path, capsys):
+    # the earlier artifacts are written before the last one fails
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    (out / _LAST_ARTIFACT[command]).mkdir(parents=True)
+    code = main(args + ["--config", str(_small_config(tmp_path)), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+    assert [p.name for p in out.iterdir()] == [_LAST_ARTIFACT[command]]
+    assert (out / _LAST_ARTIFACT[command]).is_dir()
+
+
+def test_partly_written_artifact_is_removed(tmp_path, capsys, monkeypatch):
+    def full_disk(path, text, encoding):
+        # part of the text lands before the device runs out of space
+        with open(path, "w", encoding=encoding) as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    cfgfile = _small_config(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    code = main(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 2
+    error = _one_error_line(capsys, "calibrate")
+    assert error["field"] == "output.out_dir"
+    assert "No space left" in error["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_non_ascii_output_directory(tmp_path, capsys):

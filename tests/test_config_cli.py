@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -176,6 +177,18 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("# schema: noiseimaging.sweep.v1")
         assert len(lines) == 2 + 15 * 3 * 2  # comment + header + rows
+
+    def test_noise_db_column_is_ten_log10_of_noise(self, sweep_out):
+        _, out = sweep_out
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 15 * 3 * 2
+        for row in rows:
+            noise, db = float(row["noise_snl"]), float(row["noise_db"])
+            # both columns are rounded to 12 significant digits, a relative
+            # 5e-12 each; 10 log10 turns noise_snl's into 10/ln(10) * 5e-12 dB
+            bound = 10.0 / np.log(10.0) * 5e-12 + 5e-12 * abs(db) + 1e-15
+            assert abs(db - 10.0 * np.log10(noise)) <= bound, row
+            assert row["noise_db"] == format(db, ".12g")
 
     def test_rerun_is_byte_identical(self, sweep_out, tmp_path):
         cfgfile, out = sweep_out

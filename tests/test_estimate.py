@@ -77,8 +77,8 @@ class TestFitNoiseCurve:
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 12)):
             n_true = classical_noise(single_cell_decomposition(o), params)
-            series = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
-            n, sem, delta = summarize_series(series, cfg.n_segments)
+            ns, deltas = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
+            n, sem, delta = summarize_series(ns, deltas, cfg.n_segments)
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
         curve = fit_noise_curve(pts, technique="classical")
         true_slope = np.cosh(2 * r) - 1
@@ -176,7 +176,8 @@ class TestEnhancement:
         qu = fit_noise_curve(
             [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
              for o, v in zip(os, nq)], technique="quantum")
-        cal = AngleCalibration.from_ideal_bowtie(ALPHA, np.linspace(0, 2 * ALPHA, 9))
+        angles = np.linspace(0, 2 * ALPHA, 9)
+        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
         result = estimate_sensitivity(cl, qu, cal)
         assert set(result.delta_o) == {"classical", "quantum"}
         assert len(result.delta_o["classical"]) == 10
@@ -218,7 +219,7 @@ class TestAngleCalibration:
     def test_ideal_bowtie_equality(self):
         # constant wedge slope cancels in the ratio even with varying delta_n
         angles = np.linspace(0.0, 2 * ALPHA, 20)
-        cal = AngleCalibration.from_ideal_bowtie(ALPHA, angles)
+        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
         os = np.linspace(0.0, 1.0, 10)
         kappa = 0.03
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
@@ -231,8 +232,9 @@ class TestAngleCalibration:
         assert angle_factor == pytest.approx(overlap_factor, rel=1e-9)
 
     def test_zero_angle_is_unit_overlap(self):
-        cal = AngleCalibration.from_ideal_bowtie(ALPHA, np.linspace(0, 2 * ALPHA, 5))
-        assert cal.overlap_at(0.0) == 1.0
+        angles = np.linspace(0, 2 * ALPHA, 5)
+        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
+        assert float(np.interp(0.0, cal.angles, cal.overlaps)) == 1.0
         assert cal.angle_for(1.0) == 0.0
 
     def test_rejects_non_monotone(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from noiseimaging.noise import (
-    NoiseMeasurement,
     NoiseModelError,
     TwinBeamParams,
     calibrate_r,
@@ -41,12 +40,6 @@ class TestParams:
             TwinBeamParams(r=0.1, t_probe=1.2)
         with pytest.raises(NoiseModelError):
             TwinBeamParams(r=0.1, lock_noise=-0.01)
-
-    def test_measurement_invariants(self):
-        with pytest.raises(NoiseModelError):
-            NoiseMeasurement(n=0.0, delta_n=0.1, technique="quantum")
-        m = NoiseMeasurement(n=0.5, delta_n=0.02, technique="quantum")
-        assert m.n_db == pytest.approx(10 * np.log10(0.5))
 
 
 class TestNullSource:

@@ -13,8 +13,9 @@ from noiseimaging.scene import (
     glyph,
     load_font,
     load_pbm,
-    save_pbm,
 )
+
+from scene_reference import save_pbm
 
 ALPHA = np.pi / 8
 

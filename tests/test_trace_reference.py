@@ -11,10 +11,10 @@ from noiseimaging.config import load_config
 from noiseimaging.traces import (
     AcquisitionConfig,
     TraceError,
+    _series_points,
     derive_seed,
     measure_series,
     seeded_config,
-    simulate_trace,
 )
 from trace_reference import reference_measure_series, reference_simulate_trace
 
@@ -29,22 +29,18 @@ def _outcome(fn, *args, **kwargs):
         return "raise", type(exc)
 
 
-def _bits(series):
-    return (np.array([[m.n, m.delta_n] for m in series]).tobytes(),
-            [(m.technique, m.valid) for m in series])
-
-
-def assert_same_series(n_true, cfg, n_series, technique="quantum", first_index=0):
-    got = _outcome(measure_series, n_true, cfg, n_series, technique=technique,
-                   first_index=first_index)
+def assert_same_series(n_true, cfg, n_series, first_index=0):
+    got = _outcome(measure_series, n_true, cfg, n_series, first_index=first_index)
     want = _outcome(reference_measure_series, n_true, cfg, n_series,
-                    technique=technique, first_index=first_index)
+                    first_index=first_index)
     assert got[0] == want[0]
     if want[0] == "raise":
         assert got[1] is want[1]
         return
-    assert len(got[1]) == len(want[1]) == n_series
-    assert _bits(got[1]) == _bits(want[1])
+    ns, deltas = got[1]
+    assert ns.shape == deltas.shape == (n_series,)
+    assert len(want[1]) == n_series
+    assert np.column_stack([ns, deltas]).tobytes() == np.array(want[1]).tobytes()
 
 
 def _random_config(rng):
@@ -68,8 +64,7 @@ def test_random_acquisitions_match_the_reference():
         n_series = 1 if rng.random() < 0.15 else int(rng.integers(1, 13))
         first_index = int(rng.integers(0, 6))
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
-        technique = "quantum" if rng.random() < 0.5 else "classical"
-        assert_same_series(level, cfg, n_series, technique, first_index)
+        assert_same_series(level, cfg, n_series, first_index)
         seen["phi0"] += cfg.point_correlation == 0.0
         seen["seg1"] += cfg.segment_length == 1
         seen["series1"] += n_series == 1
@@ -83,16 +78,17 @@ def test_shipped_profiles_match_the_reference(name):
     for k, level in enumerate((0.45, 0.6026, 1.0, 1.7, 4.4)):
         for technique in ("classical", "quantum"):
             cfg = seeded_config(run.acquisition(), run.seed, "sweep", technique, k)
-            assert_same_series(level, cfg, run.n_series, technique)
+            assert_same_series(level, cfg, run.n_series)
 
 
 @pytest.mark.parametrize("n_true", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
 def test_nonpositive_levels_raise_like_the_reference(n_true):
     cfg = AcquisitionConfig(rng_seed=5)
-    for fn in (measure_series, reference_measure_series, simulate_trace,
-               reference_simulate_trace):
+    for fn in (measure_series, reference_measure_series, reference_simulate_trace):
         with pytest.raises(TraceError, match="must be positive"):
             fn(n_true, cfg, 3)
+    with pytest.raises(TraceError, match="must be positive"):
+        _series_points(n_true, cfg, 1, 3)
 
 
 def test_empty_series_raises_like_the_reference():
@@ -105,8 +101,22 @@ def test_simulated_trace_points_match_the_reference():
         cfg = _random_config(rng)
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
         index = int(rng.integers(0, 50))
-        got = simulate_trace(level, cfg, trace_index=index)
+        got = _series_points(level, cfg, 1, index)[0]
         want = reference_simulate_trace(level, cfg, trace_index=index)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.true_n == want.true_n and got.config == want.config
-        assert not got.values.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_rows_match_the_reference_trace_by_trace():
+    # a row's points do not depend on the block it is drawn in, so a series
+    # can stand for its traces one by one
+    rng = np.random.default_rng(43)
+    for _ in range(150):
+        cfg = _random_config(rng)
+        level = float(10.0 ** rng.uniform(-3.0, 1.0))
+        n_series = int(rng.integers(1, 13))
+        first_index = int(rng.integers(0, 6))
+        block = _series_points(level, cfg, n_series, first_index)
+        assert block.shape == (n_series, cfg.points_per_trace)
+        for i, row in enumerate(block):
+            want = reference_simulate_trace(level, cfg, trace_index=first_index + i)
+            assert row.tobytes() == want.tobytes()

@@ -9,12 +9,11 @@ tests require the same bits from both.
 import numpy as np
 from numpy.random import default_rng
 
-from noiseimaging.noise import NoiseMeasurement
-from noiseimaging.traces import Trace, TraceError
+from noiseimaging.traces import TraceError
 
 
 def reference_simulate_trace(n_true, cfg, trace_index=0):
-    """Generate one trace of chi-square noise power at the given level.
+    """The points of one trace of chi-square noise power, read-only.
 
     Deterministic for a fixed (cfg.rng_seed, trace_index) pair.
     """
@@ -32,8 +31,13 @@ def reference_simulate_trace(n_true, cfg, trace_index=0):
     # phi^d that keeps power samples positive by construction, its kernel
     # cut where the weights fall below the burn-in bound
     kernel = (1.0 - phi) * phi ** np.arange(burn_in + 1)
-    points = np.convolve(raw, kernel, mode="valid")
-    return Trace(values=n_true * points, config=cfg, true_n=n_true)
+    points = n_true * np.convolve(raw, kernel, mode="valid")
+    if np.any(points <= 0):
+        raise TraceError(
+            "trace contains non-positive noise power; increase samples_per_point"
+        )
+    points.setflags(write=False)
+    return points
 
 
 def _burn_in(phi):
@@ -43,26 +47,22 @@ def _burn_in(phi):
     return int(np.ceil(np.log(1e-12) / np.log(phi)))
 
 
-def reference_segment_stats(trace, technique="quantum"):
-    """Reduce a trace to (mean, segment-scatter) as a NoiseMeasurement.
+def reference_segment_stats(points, cfg):
+    """Reduce one trace's points to (mean, segment scatter).
 
-    The uncertainty is the sample standard deviation of the segment means.
+    The scatter is the sample standard deviation of the segment means.
     """
-    cfg = trace.config
-    if len(trace.values) % cfg.segment_length != 0:
+    if len(points) % cfg.segment_length != 0:
         raise TraceError("trace length is not divisible by the segment length")
-    seg_means = trace.values.reshape(cfg.n_segments, cfg.segment_length).mean(axis=1)
-    n = float(trace.values.mean())
-    delta_n = float(seg_means.std(ddof=1))
-    return NoiseMeasurement(n=n, delta_n=delta_n, technique=technique)
+    seg_means = points.reshape(cfg.n_segments, cfg.segment_length).mean(axis=1)
+    return float(points.mean()), float(seg_means.std(ddof=1))
 
 
-def reference_measure_series(n_true, cfg, n_series, technique="quantum", first_index=0):
-    """Independent seeded traces reduced by segment statistics."""
+def reference_measure_series(n_true, cfg, n_series, first_index=0):
+    """(n, delta_n) of independent seeded traces, one pair per trace."""
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
-    out = []
-    for i in range(int(n_series)):
-        trace = reference_simulate_trace(n_true, cfg, trace_index=first_index + i)
-        out.append(reference_segment_stats(trace, technique=technique))
-    return out
+    return [
+        reference_segment_stats(reference_simulate_trace(n_true, cfg, first_index + i), cfg)
+        for i in range(int(n_series))
+    ]
