@@ -125,45 +125,56 @@ def _out_dir(cfg):
 # ---------------------------------------------------------------------------
 # sweep
 
-def _measure_curve(cfg, params, decomps, technique):
+def _measure_curve(cfg, readings, technique):
+    """Rows and fit points of one technique from (angle, overlap, n_true) readings."""
     acq = cfg.acquisition()
     rows, points = [], []
-    for k, (angle, decomp) in enumerate(decomps):
-        n_true = technique_noise(technique, decomp, params)
+    for k, (angle, overlap, n_true) in enumerate(readings):
         seeded = seeded_config(acq, cfg.seed, "sweep", technique, k)
-        ns, deltas = measure_series(n_true, seeded, cfg.n_series)
+        ns, deltas = measure_series(n_true[technique], seeded, cfg.n_series)
         n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, acq.n_segments)
         points.append(CurvePoint(
-            overlap=decomp.overlap, n=n_mean, sigma_n=sem, delta_n=delta_mean,
+            overlap=overlap, n=n_mean, sigma_n=sem, delta_n=delta_mean,
         ))
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
-            rows.append((angle, decomp.overlap, technique, s, n, 10.0 * np.log10(n), delta))
+            rows.append((angle, overlap, technique, s, n, 10.0 * np.log10(n), delta))
     return rows, points
 
 
-def cmd_sweep(cfg):
-    params = cfg.twin_beam_params()
+def _angle_readings(cfg, params):
+    """(angle, overlap, {technique: n_true}) per configured angle, in config order.
+
+    No angle's LO bitmap or cell decomposition outlives the next angle's, so
+    a sweep keeps only these three numbers per angle.
+    """
     weight = cfg.load_weight_map()
     grid = scene.CoherenceGrid(cell_size=cfg.cell_size)
     alpha = cfg.bowtie_half_angle()
     radius = cfg.bowtie_radius()
     mask = scene.bowtie(0.0, alpha, radius, cfg.grid_size, cfg.grid_size)
-
-    decomps = []
+    readings = []
     for angle in cfg.angles_deg:
         lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
-        decomps.append((angle, scene.decompose(lo, mask, grid, weight)))
+        decomp = scene.decompose(lo, mask, grid, weight)
+        readings.append((angle, decomp.overlap,
+                         {t: technique_noise(t, decomp, params) for t in _TECHNIQUES}))
+    return readings
+
+
+def cmd_sweep(cfg):
+    params = cfg.twin_beam_params()
+    readings = _angle_readings(cfg, params)
 
     all_rows, curves = [], {}
     for technique in _TECHNIQUES:
-        rows, points = _measure_curve(cfg, params, decomps, technique)
+        rows, points = _measure_curve(cfg, readings, technique)
         all_rows.extend(rows)
         curves[technique] = fit_noise_curve(
             sorted(points, key=lambda p: p.overlap), technique=technique
         )
 
-    angles = np.array([a for a, _ in decomps])
-    overlaps = np.array([d.overlap for _, d in decomps])
+    angles = np.array([a for a, _, _ in readings])
+    overlaps = np.array([o for _, o, _ in readings])
     order = np.argsort(angles)
     try:
         calibration = AngleCalibration(angles=angles[order], overlaps=overlaps[order])
@@ -361,7 +372,7 @@ def main(argv=None):
             return cmd_alphabet(cfg, args.mask.upper())
         return cmd_calibrate(cfg, args.db)
     except (ConfigError, SceneError, NoiseModelError, TraceError,
-            EstimationError) as exc:
+            EstimationError, MemoryError) as exc:
         print(_error_line(args.command, exc), file=sys.stderr)
         return 2
 

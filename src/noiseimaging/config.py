@@ -151,6 +151,9 @@ class RunConfig:
                 "scene.weight_map",
                 "expected a %dx%d matrix, got %s" % (self.grid_size, self.grid_size, data.shape),
             )
+        if not np.all(np.isfinite(data) & (data >= 0)):
+            raise ConfigError("scene.weight_map",
+                              "weight map entries must be finite and non-negative")
         return data
 
     def as_dict(self):

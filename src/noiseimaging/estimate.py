@@ -68,9 +68,9 @@ class NoiseCurve:
         var = float(grad @ self.coeff_cov @ grad)
         return float(np.sqrt(max(var, 0.0)))
 
-    def snl_crossing(self, lo=0.0, hi=1.0, n_grid=2001):
-        """Overlap where the fitted curve crosses the SNL (first crossing)."""
-        os = np.linspace(lo, hi, n_grid)
+    def snl_crossing(self):
+        """Overlap where the fitted curve crosses the SNL (first crossing on [0, 1])."""
+        os = np.linspace(0.0, 1.0, 2001)
         vals = np.polynomial.polynomial.polyval(os, self.coeffs) - 1.0
         sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         if len(sign_change) == 0:

@@ -64,8 +64,8 @@ class Bitmap:
         return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
 
 
-def full_bitmap(width, height, value=True):
-    return Bitmap._adopt(np.full((height, width), bool(value)))
+def full_bitmap(width, height):
+    return Bitmap._adopt(np.ones((height, width), dtype=bool))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,8 +139,9 @@ def test_single_segment_acquisition_fails_cleanly(args, tmp_path, capsys):
 
 # a warning would print a second stderr line outside pytest
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("contents", ["a b\nc d\n", "nan 1\n1 1\n", "1 inf\n1 1\n", ""],
-                         ids=["letters", "nan", "inf", "empty"])
+@pytest.mark.parametrize("contents", ["a b\nc d\n", "nan 1\n1 1\n", "1 inf\n1 1\n",
+                                      "1 -1\n1 1\n", ""],
+                         ids=["letters", "nan", "inf", "negative", "empty"])
 def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
     wmap = tmp_path / "w.txt"
     wmap.write_text(contents)
@@ -148,7 +150,41 @@ def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
                           samples_per_point=100), cfgfile)
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "weight map" in _one_error_line(capsys, "sweep")["message"].replace("_", " ")
+    error = _one_error_line(capsys, "sweep")
+    assert error["field"] == "scene.weight_map"
+    assert "weight map" in error["message"].replace("_", " ")
+
+
+# a PiB-sized request is beyond the user address space, so it fails at once
+@pytest.mark.parametrize("args,overrides", [
+    (["sweep"], {"grid_size": 10**15}),
+    (["calibrate", "--db", "2.2"], {"points_per_trace": 10**15, "segment_length": 10**14}),
+], ids=["sweep-grid", "calibrate-trace"])
+def test_failed_allocation_fails_cleanly(args, overrides, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(cell_size=1, n_series=2, samples_per_point=100, **overrides),
+                cfgfile)
+    code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = _one_error_line(capsys, args[0])
+    assert "field" not in error
+    assert error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):
+    # 15 angles' cell decompositions would hold about 9.6 MiB at once
+    args = ["sweep", "--config", str(ROOT / "configs" / "desk_sweep.cfg")]
+    # the first run caches the polar grid, so the traced run counts only the sweep
+    assert main(args + ["--out", str(tmp_path / "first")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(args + ["--out", str(tmp_path / "traced")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 4 * 2**20, "traced peak %.1f MiB" % (peak / 2**20)
 
 
 # a warning would print a second stderr line outside pytest
