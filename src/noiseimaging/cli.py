@@ -7,6 +7,7 @@ Failures exit nonzero with one machine-readable JSON line on stderr.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -22,7 +23,9 @@ from .estimate import (
     AngleCalibration,
     CurvePoint,
     EstimationError,
-    estimate_sensitivity,
+    angle_enhancement,
+    delta_o_table,
+    enhancement,
     fit_noise_curve,
 )
 from .noise import (
@@ -148,14 +151,13 @@ def _angle_readings(cfg, params):
     a sweep keeps only these three numbers per angle.
     """
     weight = cfg.load_weight_map()
-    grid = scene.CoherenceGrid(cell_size=cfg.cell_size)
     alpha = cfg.bowtie_half_angle()
     radius = cfg.bowtie_radius()
     mask = scene.bowtie(0.0, alpha, radius, cfg.grid_size, cfg.grid_size)
     readings = []
     for angle in cfg.angles_deg:
         lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
-        decomp = scene.decompose(lo, mask, grid, weight)
+        decomp = scene.decompose(lo, mask, cfg.cell_size, weight)
         readings.append((angle, decomp.overlap,
                          {t: technique_noise(t, decomp, params) for t in _TECHNIQUES}))
     return readings
@@ -169,34 +171,27 @@ def cmd_sweep(cfg):
     for technique in _TECHNIQUES:
         rows, points = _measure_curve(cfg, readings, technique)
         all_rows.extend(rows)
-        curves[technique] = fit_noise_curve(
-            sorted(points, key=lambda p: p.overlap), technique=technique
-        )
+        curves[technique] = fit_noise_curve(points)
+    tables = {technique: delta_o_table(curve) for technique, curve in curves.items()}
+    enh = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
     angles = np.array([a for a, _, _ in readings])
     overlaps = np.array([o for _, o, _ in readings])
     order = np.argsort(angles)
     try:
         calibration = AngleCalibration(angles=angles[order], overlaps=overlaps[order])
-        calibration_note = ""
+        angle_enh = angle_enhancement(calibration, tables[TECH_CLASSICAL],
+                                      tables[TECH_QUANTUM])
+        angle_payload = {"factor": angle_enh.factor, "sigma": angle_enh.sigma}
     except EstimationError as exc:
-        calibration, calibration_note = None, str(exc)
-    result = estimate_sensitivity(curves[TECH_CLASSICAL], curves[TECH_QUANTUM],
-                                  calibration)
-    enh = result.enhancement
-    angle_enh = result.angle_enhancement
-    angle_note = result.angle_note or calibration_note
-    tables = result.delta_o
+        angle_payload = {"error": str(exc)}
 
     fits = {technique: _curve_payload(curve) for technique, curve in curves.items()}
     summary = {
         "config": cfg.as_dict(),
         "enhancement": {"factor": enh.factor, "sigma": enh.sigma,
                         "n_points": enh.n_points, "n_insensitive": enh.n_insensitive},
-        "angle_enhancement": (
-            {"factor": angle_enh.factor, "sigma": angle_enh.sigma}
-            if angle_enh is not None else {"error": angle_note}
-        ),
+        "angle_enhancement": angle_payload,
         "snl_crossing_overlap": curves[TECH_QUANTUM].snl_crossing(),
         "techniques": {},
     }
@@ -249,14 +244,13 @@ def cmd_alphabet(cfg, mask_letter):
     params = cfg.twin_beam_params()
     font_dir = cfg.font_dir or None
     mask = scene.glyph(mask_letter, font_dir)
-    grid = scene.CoherenceGrid(cell_size=cfg.cell_size)
-    result = estimate.alphabet_gun(
-        mask, params, cfg.acquisition(), grid, font_dir=font_dir,
+    records, rankings = estimate.alphabet_gun(
+        mask, params, cfg.acquisition(), cfg.cell_size, font_dir=font_dir,
         n_series=cfg.n_series, power_per_pixel=cfg.power_per_pixel,
         master_seed=cfg.seed,
     )
     rows = []
-    for rec in result.records:
+    for rec in records:
         rows.append((
             rec.letter, rec.technique, int(rec.valid), rec.overlap,
             rec.n_baseline, 10.0 * np.log10(rec.n_baseline), rec.sigma_baseline,
@@ -266,15 +260,15 @@ def cmd_alphabet(cfg, mask_letter):
     payload = {
         "config": cfg.as_dict(),
         "mask_letter": mask_letter,
-        "excluded": [{"letter": letter, "reason": reason}
-                     for letter, reason in result.excluded],
+        "excluded": [{"letter": rec.letter, "reason": rec.reason}
+                     for rec in records if not rec.valid and rec.technique == TECH_CLASSICAL],
         "rankings": {},
     }
-    for technique, ranking in result.rankings.items():
+    for technique, ranking in rankings.items():
         payload["rankings"][technique] = {
             "ranking": list(ranking.ranking),
-            "best": ranking.best,
-            "runner_up": ranking.runner_up,
+            "best": ranking.ranking[0],
+            "runner_up": ranking.ranking[1],
             "sigma_separation": ranking.sigma_separation,
             "sub_snl_letters": list(ranking.sub_snl_letters),
         }
@@ -288,9 +282,10 @@ def cmd_alphabet(cfg, mask_letter):
          rows),
         (_write_json, out / "ranking.json", payload),
     )
-    q = result.rankings[TECH_QUANTUM]
+    q = rankings[TECH_QUANTUM]
     print("alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
-          % (mask_letter, q.best, q.runner_up, q.sigma_separation, len(result.excluded)))
+          % (mask_letter, q.ranking[0], q.ranking[1], q.sigma_separation,
+             len(payload["excluded"])))
     return 0
 
 
@@ -363,7 +358,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # what import allocated (numpy, the package) lives as long as the process;
+    # frozen, it is not traversed by the collections a command triggers, so a
+    # command's cost does not depend on the collector counts import left
+    gc.freeze()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        gc.unfreeze()
+
+
+def _run(args):
     try:
         cfg = _load_cfg(args)
         if args.command == "sweep":

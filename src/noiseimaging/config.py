@@ -22,6 +22,10 @@ DEFAULT_ANGLES_DEG = (
     5.4, 7.2, 9.0, 13.5, 20.25, 27.0, 33.75, 39.6, 45.0,
 )
 
+# float64 values in the largest array numpy can address: past intp-max bytes
+# it raises ValueError, where a size that only exceeds memory raises MemoryError
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 class ConfigError(ValueError):
     """Raised with a field-qualified message for invalid configuration."""
@@ -80,6 +84,10 @@ class RunConfig:
             raise ConfigError("source.power_per_pixel", "must be finite and > 0")
         if self.grid_size < 2:
             raise ConfigError("scene.grid_size", "must be >= 2")
+        if self.grid_size > _MAX_FLOATS:
+            raise ConfigError("scene.grid_size",
+                              "a grid row of %d floats is more than numpy can address"
+                              % self.grid_size)
         if not 1 <= self.cell_size <= self.grid_size:
             raise ConfigError("scene.cell_size", "must lie in [1, grid_size]")
         if not 0.0 < self.bowtie_half_angle_deg < 90.0:
@@ -91,11 +99,19 @@ class RunConfig:
         if self.weight_map and not Path(self.weight_map).is_file():
             raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
         try:
-            self.acquisition()
+            row = self.acquisition().raw_points_per_trace
         except Exception as exc:
             raise ConfigError("acquisition", str(exc)) from None
         if self.n_series < 1:
             raise ConfigError("acquisition.n_series", "must be >= 1")
+        # a series is drawn as one n_series x row block of floats
+        if row > _MAX_FLOATS:
+            raise ConfigError("acquisition.points_per_trace",
+                              "a trace of %d raw points is more than numpy can address" % row)
+        if self.n_series > _MAX_FLOATS // row:
+            raise ConfigError("acquisition.n_series",
+                              "%d traces of %d raw points are more than numpy can address"
+                              % (self.n_series, row))
         if len(self.angles_deg) < 1:
             raise ConfigError("acquisition.angles_deg", "must list at least one angle")
         if not np.all(np.isfinite(self.angles_deg)):

@@ -9,7 +9,7 @@ flagged insensitive and evaluated at a slope floor instead of silently
 diverging.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class NoiseCurve:
-    technique: str
     points: tuple
     coeffs: np.ndarray
     coeff_cov: np.ndarray
@@ -89,7 +88,7 @@ def _lstsq_with_cov(design, y, sigmas):
     return coeffs, cov
 
 
-def fit_noise_curve(points, technique=""):
+def fit_noise_curve(points):
     """Two-stage fit: line on O > 0.8 extrapolated to O = 1, then a cubic."""
     pts = sorted(points, key=lambda p: p.overlap)
     if len(pts) < 5:
@@ -120,7 +119,6 @@ def fit_noise_curve(points, technique=""):
     coeffs, cov = _lstsq_with_cov(design, y_aug, sig_aug)
     residuals = y_aug - design @ coeffs
     return NoiseCurve(
-        technique=technique,
         points=tuple(pts),
         coeffs=coeffs,
         coeff_cov=cov,
@@ -145,11 +143,10 @@ class OverlapUncertainty:
     insensitive: bool
 
 
-def overlap_uncertainty(curve, o, delta_n, slope_floor=SLOPE_FLOOR,
-                        significance=SLOPE_SIGNIFICANCE):
+def overlap_uncertainty(curve, o, delta_n):
     slope = curve.slope(o)
-    resolved = abs(slope) >= max(slope_floor, significance * curve.slope_sigma(o))
-    effective = abs(slope) if resolved else slope_floor
+    resolved = abs(slope) >= max(SLOPE_FLOOR, SLOPE_SIGNIFICANCE * curve.slope_sigma(o))
+    effective = abs(slope) if resolved else SLOPE_FLOOR
     return OverlapUncertainty(
         overlap=float(o),
         delta_o=float(delta_n) / effective,
@@ -171,28 +168,14 @@ class EnhancementResult:
     n_insensitive: int
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Sensitivity analysis of one classical/quantum curve pair.
-
-    delta_o holds the per-overlap uncertainty records for both techniques;
-    the factors compare mean sensitivities over the high-overlap subset.
-    """
-
-    delta_o: dict
-    enhancement: EnhancementResult
-    angle_enhancement: EnhancementResult = None
-    angle_note: str = ""
-
-
-def _ratio_of_means(classical, quantum, n_insensitive, o_min):
+def _ratio_of_means(classical, quantum, n_insensitive):
     """Ratio of mean classical to mean quantum uncertainty, with its error.
 
     The error propagates each side's standard error of the mean; a side with
     a single point contributes none.
     """
     if len(classical) == 0 or len(quantum) == 0:
-        raise EstimationError("no overlap points at or above %g" % o_min)
+        raise EstimationError("no overlap points at or above %g" % ENHANCEMENT_MIN_OVERLAP)
     mc, sc = _mean_and_sem(classical)
     mq, sq = _mean_and_sem(quantum)
     factor = mc / mq
@@ -210,15 +193,15 @@ def _mean_and_sem(vals):
     return float(vals.mean()), float(sem)
 
 
-def enhancement(classical_records, quantum_records, o_min=ENHANCEMENT_MIN_OVERLAP):
-    """Ratio of mean classical to mean quantum overlap uncertainty, O >= o_min."""
-    classical = [u for u in classical_records if u.overlap >= o_min]
-    quantum = [u for u in quantum_records if u.overlap >= o_min]
+def enhancement(classical_records, quantum_records):
+    """Ratio of mean classical to mean quantum overlap uncertainty, at
+    O >= ENHANCEMENT_MIN_OVERLAP."""
+    classical = [u for u in classical_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
+    quantum = [u for u in quantum_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
     return _ratio_of_means(
         np.array([u.delta_o for u in classical]),
         np.array([u.delta_o for u in quantum]),
         sum(u.insensitive for u in classical + quantum),
-        o_min,
     )
 
 
@@ -266,38 +249,16 @@ class AngleCalibration:
         return float(np.interp(overlap, self.overlaps[::-1], self.angles[::-1]))
 
 
-def estimate_sensitivity(classical_curve, quantum_curve, calibration=None,
-                         o_min=ENHANCEMENT_MIN_OVERLAP):
-    """Per-overlap uncertainty tables and enhancement factors for a curve pair."""
-    tables = {
-        classical_curve.technique: delta_o_table(classical_curve),
-        quantum_curve.technique: delta_o_table(quantum_curve),
-    }
-    classical_table = tables[classical_curve.technique]
-    quantum_table = tables[quantum_curve.technique]
-    factor = enhancement(classical_table, quantum_table, o_min)
-    angle_factor, note = None, ""
-    if calibration is not None:
-        try:
-            angle_factor = angle_enhancement(calibration, classical_table,
-                                             quantum_table, o_min)
-        except EstimationError as exc:
-            note = str(exc)
-    return EstimationResult(delta_o=tables, enhancement=factor,
-                            angle_enhancement=angle_factor, angle_note=note)
-
-
-def angle_enhancement(calibration, classical_records, quantum_records,
-                      o_min=ENHANCEMENT_MIN_OVERLAP):
+def angle_enhancement(calibration, classical_records, quantum_records):
     """Enhancement of the angle estimate, via the O(angle) calibration."""
 
     def in_angle(records):
         return np.array([
             u.delta_o / abs(calibration.slope_at(calibration.angle_for(u.overlap)))
-            for u in records if u.overlap >= o_min
+            for u in records if u.overlap >= ENHANCEMENT_MIN_OVERLAP
         ])
 
-    return _ratio_of_means(in_angle(classical_records), in_angle(quantum_records), 0, o_min)
+    return _ratio_of_means(in_angle(classical_records), in_angle(quantum_records), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +284,11 @@ class DeviationRecord:
 
 @dataclass(frozen=True)
 class TechniqueRanking:
-    technique: str
+    """Letters ordered best first, and how far the best stands from the runner-up."""
+
     ranking: tuple
-    best: str
-    runner_up: str
     sigma_separation: float
     sub_snl_letters: tuple
-
-
-@dataclass(frozen=True)
-class AlphabetResult:
-    records: tuple
-    rankings: dict
-    excluded: tuple = field(default_factory=tuple)
 
 
 def summarize_series(ns, deltas, n_segments):
@@ -356,7 +309,7 @@ def _measured_noise(n_true, cfg, n_series, master, *tags):
     return n_mean, sem
 
 
-def alphabet_gun(mask, params, acq_cfg, grid, font_dir=None, n_series=10,
+def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
                  power_per_pixel=1.0, master_seed=0):
     """Rank every LO letter by its masked-to-baseline noise deviation.
 
@@ -364,24 +317,23 @@ def alphabet_gun(mask, params, acq_cfg, grid, font_dir=None, n_series=10,
     each letter; letters whose LO cannot clear the electronic floor are
     excluded from the rankings.  Quantum ranking is by smallest deviation
     with a sub-SNL flag on the masked noise; classical by largest retained
-    deviation.
+    deviation.  Returns (records, rankings): the per-letter records in
+    letter order, and a TechniqueRanking per technique.
     """
     glyphs = scene.load_font(font_dir)
     full = scene.full_bitmap(mask.width, mask.height)
     records = []
-    excluded = []
     snl_joint = 1.0
     for letter in scene.LETTERS:
         lo = glyphs[letter]
         if not lo_power_check(lo, params, power_per_pixel):
-            excluded.append((letter, FLOOR_REASON))
             for technique in (TECH_CLASSICAL, TECH_QUANTUM):
                 records.append(DeviationRecord(
                     letter=letter, technique=technique, valid=False, reason=FLOOR_REASON,
                 ))
             continue
-        base_decomp = scene.decompose(lo, full, grid)
-        masked_decomp = scene.decompose(lo, mask, grid)
+        base_decomp = scene.decompose(lo, full, cell_size)
+        masked_decomp = scene.decompose(lo, mask, cell_size)
         o = masked_decomp.overlap
         for technique in (TECH_CLASSICAL, TECH_QUANTUM):
             nb_true = technique_noise(technique, base_decomp, params)
@@ -415,12 +367,8 @@ def alphabet_gun(mask, params, acq_cfg, grid, font_dir=None, n_series=10,
         best, runner = ordered[0], ordered[1]
         sep = abs(best.d - runner.d) / np.sqrt(best.sigma_d**2 + runner.sigma_d**2)
         rankings[technique] = TechniqueRanking(
-            technique=technique,
             ranking=tuple(r.letter for r in ordered),
-            best=best.letter,
-            runner_up=runner.letter,
             sigma_separation=float(sep),
             sub_snl_letters=tuple(r.letter for r in ordered if r.sub_snl),
         )
-    return AlphabetResult(records=tuple(records), rankings=rankings,
-                          excluded=tuple(excluded))
+    return records, rankings

@@ -69,32 +69,6 @@ def full_bitmap(width, height):
 
 
 @dataclass(frozen=True)
-class CoherenceGrid:
-    """Square partition of the plane into pairwise-correlated cells."""
-
-    cell_size: int
-    offset_x: int = 0
-    offset_y: int = 0
-
-    def __post_init__(self):
-        if self.cell_size < 1:
-            raise SceneError("cell_size must be >= 1, got %r" % (self.cell_size,))
-        if not (0 <= self.offset_x < self.cell_size and 0 <= self.offset_y < self.cell_size):
-            raise SceneError("grid offsets must lie in [0, cell_size)")
-
-    def cell_ids(self, pixels, width):
-        """Integer cell id of each row-major flat pixel index on a grid `width` wide.
-
-        Cells are numbered row by row, so ids increase with the cell's
-        (row, column) position on the plane.
-        """
-        ys, xs = np.divmod(pixels, width)
-        ncols = (width - 1 + self.offset_x) // self.cell_size + 1
-        return ((ys + self.offset_y) // self.cell_size * ncols
-                + (xs + self.offset_x) // self.cell_size)
-
-
-@dataclass(frozen=True)
 class CellDecomposition:
     """Per-cell LO weight fractions and mask power transmissions.
 
@@ -104,7 +78,6 @@ class CellDecomposition:
 
     weights: np.ndarray
     transmissions: np.ndarray
-    lo_pixel_count: int
     overlap: float = field(init=False)
 
     def __post_init__(self):
@@ -113,10 +86,9 @@ class CellDecomposition:
                   np.atleast_1d(np.array(self.transmissions, dtype=float)))
 
     @classmethod
-    def _adopt(cls, weights, transmissions, lo_pixel_count):
+    def _adopt(cls, weights, transmissions):
         """Wrap 1-D float arrays the scene layer just built, without copying them."""
         self = object.__new__(cls)
-        object.__setattr__(self, "lo_pixel_count", lo_pixel_count)
         self._own(weights, transmissions)
         return self
 
@@ -127,7 +99,7 @@ class CellDecomposition:
             raise SceneError("cell weights must be non-negative")
         if np.any((t < -1e-12) | (t > 1.0 + 1e-12)):
             raise SceneError("cell transmissions must lie in [0, 1]")
-        if self.lo_pixel_count > 0 and abs(w.sum() - 1.0) > 1e-9:
+        if abs(w.sum() - 1.0) > 1e-9:
             raise SceneError("cell weights must sum to 1")
         w.setflags(write=False)
         np.clip(t, 0.0, 1.0, out=t)
@@ -139,10 +111,9 @@ class CellDecomposition:
         object.__setattr__(self, "overlap", float(np.clip(np.sum(w * t), 0.0, 1.0)))
 
 
-def single_cell_decomposition(transmission, lo_pixel_count=1):
+def single_cell_decomposition(transmission):
     """Degenerate one-cell decomposition with the given transmission."""
-    return CellDecomposition(np.array([1.0]), np.array([float(transmission)]),
-                             lo_pixel_count)
+    return CellDecomposition(np.array([1.0]), np.array([float(transmission)]))
 
 
 def _check_same_dims(a, b):
@@ -265,15 +236,18 @@ def bowtie(rotation, half_angle, radius, width, height):
     return Bitmap._adopt(bits.reshape(height, width))
 
 
-def decompose(lo, mask, grid, weight_map=None):
-    """Per-cell LO weights and mask transmissions on a coherence grid."""
-    lo_sums, passed_sums, total, n_pixels = _occupied_cell_sums(lo, mask, grid, weight_map)
-    return CellDecomposition._adopt(lo_sums / total, passed_sums / lo_sums, n_pixels)
+def decompose(lo, mask, cell_size, weight_map=None):
+    """Per-cell LO weights and mask transmissions on square coherence cells of
+    cell_size pixels a side, tiling the plane from the top-left corner."""
+    if cell_size < 1:
+        raise SceneError("cell_size must be >= 1, got %r" % (cell_size,))
+    lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weight_map)
+    return CellDecomposition._adopt(lo_sums / total, passed_sums / lo_sums)
 
 
-def _occupied_cell_sums(lo, mask, grid, weight_map):
-    """LO power and passed power of each cell holding LO power, the total LO
-    power and the LO pixel count.
+def _occupied_cell_sums(lo, mask, cell_size, weight_map):
+    """LO power and passed power of each cell holding LO power, and the total
+    LO power.
 
     A separate function so the full-range per-cell arrays are freed before the
     decomposition allocates the arrays it keeps: a sweep holds one per angle.
@@ -294,18 +268,21 @@ def _occupied_cell_sums(lo, mask, grid, weight_map):
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
     passed = mask.bits.ravel()[pixels]
-    if grid.cell_size == 1 and power is None:
+    if cell_size == 1 and power is None:
         # each LO pixel is its own cell, in ascending order, so a per-cell
         # sum is +0.0 plus the pixel's one unit term
-        return np.ones(len(pixels)), passed.astype(float), total, len(pixels)
-    cells = grid.cell_ids(pixels, lo.width)
+        return np.ones(len(pixels)), passed.astype(float), total
+    # cells are numbered row by row, so ids increase with the cell's
+    # (row, column) position on the plane
+    ys, xs = np.divmod(pixels, lo.width)
+    cells = ys // cell_size * ((lo.width - 1) // cell_size + 1) + xs // cell_size
     # unit weights: integer counts, which are exact, so they divide to the
     # same floats as float sums
     per_cell_lo = np.bincount(cells, weights=power)
     per_cell_passed = np.bincount(cells[passed], minlength=len(per_cell_lo),
                                   weights=None if power is None else power[passed])
     keep = np.flatnonzero(per_cell_lo > 0)
-    return per_cell_lo[keep], per_cell_passed[keep], total, len(pixels)
+    return per_cell_lo[keep], per_cell_passed[keep], total
 
 
 def _pixel_weights(ref, weight_map):

@@ -62,6 +62,11 @@ class AcquisitionConfig:
     def n_segments(self):
         return self.points_per_trace // self.segment_length
 
+    @property
+    def raw_points_per_trace(self):
+        """Raw points drawn per trace: the displayed points and the burn-in."""
+        return self.points_per_trace + _burn_in(self.point_correlation)
+
 
 def derive_seed(master, *tags):
     """Deterministic 63-bit sub-seed from a master seed and string/int tags."""
@@ -82,8 +87,8 @@ def _series_points(n_true, cfg, n_series, first_index):
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
-    burn_in, kernel = _smoothing_kernel(cfg.point_correlation)
-    raw = np.empty((n_series, cfg.points_per_trace + burn_in))
+    kernel = _smoothing_kernel(cfg.point_correlation)
+    raw = np.empty((n_series, cfg.raw_points_per_trace))
     for i in range(n_series):
         rng = default_rng([cfg.rng_seed, int(first_index) + i])
         raw[i] = rng.chisquare(df, size=raw.shape[1])
@@ -103,7 +108,7 @@ def _series_points(n_true, cfg, n_series, first_index):
 
 @lru_cache(maxsize=8)
 def _smoothing_kernel(phi):
-    """(burn_in, kernel) of the running average, shared read-only per phi.
+    """The kernel of the running average, shared read-only per phi.
 
     An exponentially weighted running average: an AR(1) with lag correlation
     phi^d that keeps power samples positive by construction, its kernel cut
@@ -111,10 +116,9 @@ def _smoothing_kernel(phi):
     reversed, newest weight last, so `np.correlate` with it is the
     convolution, without `np.convolve`'s per-call reversal.
     """
-    burn_in = _burn_in(phi)
-    kernel = ((1.0 - phi) * phi ** np.arange(burn_in + 1))[::-1].copy()
+    kernel = ((1.0 - phi) * phi ** np.arange(_burn_in(phi) + 1))[::-1].copy()
     kernel.setflags(write=False)
-    return burn_in, kernel
+    return kernel
 
 
 def _burn_in(phi):
@@ -132,15 +136,15 @@ def _segment_moments(values, cfg):
     return ns, seg.std(axis=1, ddof=1)
 
 
-def measure_series(n_true, cfg, n_series, first_index=0):
+def measure_series(n_true, cfg, n_series):
     """(ns, deltas) of independent seeded traces: each trace's mean and the
     sample standard deviation of its segment means, as float arrays.
 
-    The n_series traces are drawn and reduced as one block.
+    The traces 0 .. n_series - 1 are drawn and reduced as one block.
     """
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
-    values = _series_points(n_true, cfg, int(n_series), first_index)
+    values = _series_points(n_true, cfg, int(n_series), 0)
     return _segment_moments(values, cfg)
 
 

@@ -32,15 +32,15 @@ def reference_bowtie(rotation, half_angle, radius, width, height):
     return Bitmap(bits)
 
 
-def reference_decompose(lo, mask, grid, weight_map=None):
+def reference_decompose(lo, mask, cell_size, weight_map=None):
     """Per-cell LO weights and mask transmissions from full-grid sums."""
     w = np.ones(lo.bits.shape) if weight_map is None else np.asarray(weight_map, float)
     lo_power = w * lo.bits
     total = float(lo_power.sum())
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
-    xs = (np.arange(lo.width) + grid.offset_x) // grid.cell_size
-    ys = (np.arange(lo.height) + grid.offset_y) // grid.cell_size
+    xs = np.arange(lo.width) // cell_size
+    ys = np.arange(lo.height) // cell_size
     cells = ys[:, None] * (int(xs[-1]) + 1) + xs[None, :]
     ncells = int(cells.max()) + 1
     per_cell_lo = np.bincount(cells.ravel(), weights=lo_power.ravel(), minlength=ncells)
@@ -49,7 +49,7 @@ def reference_decompose(lo, mask, grid, weight_map=None):
     keep = per_cell_lo > 0.0
     weights = per_cell_lo[keep] / total
     transmissions = per_cell_passed[keep] / per_cell_lo[keep]
-    return CellDecomposition(weights, transmissions, lo.pixel_count)
+    return CellDecomposition(weights, transmissions)
 
 
 def reference_load_pbm(path):

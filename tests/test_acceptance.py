@@ -30,7 +30,7 @@ from noiseimaging.noise import (
     classical_noise,
     quantum_noise,
 )
-from noiseimaging.scene import CellDecomposition, CoherenceGrid, glyph
+from noiseimaging.scene import CellDecomposition, glyph
 from noiseimaging.traces import AcquisitionConfig, measure_series, seeded_config
 
 from oracles import mc_classical_noise, mc_quantum_noise
@@ -246,7 +246,7 @@ def test_criterion_6_oracle_equivalence():
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
         transmissions = rng.uniform(0.0, 1.0, size=k)
-        decomp = CellDecomposition(weights, transmissions, lo_pixel_count=10)
+        decomp = CellDecomposition(weights, transmissions)
         params = TwinBeamParams(r=r, t_probe=t_p, t_conj=t_c)
 
         # symplectic positivity along the composition chain
@@ -279,7 +279,7 @@ def test_criterion_6_oracle_equivalence():
 
 def _binary_decomposition(o):
     """Fully transmitted and fully blocked cells mixing to overlap o."""
-    return CellDecomposition(np.array([o, 1.0 - o]), np.array([1.0, 0.0]), 10)
+    return CellDecomposition(np.array([o, 1.0 - o]), np.array([1.0, 0.0]))
 
 
 def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
@@ -297,7 +297,7 @@ def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
             )
             n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
-        curve = fit_noise_curve(sorted(pts, key=lambda p: p.overlap), technique)
+        curve = fit_noise_curve(pts)
         tables[technique] = delta_o_table(curve)
     return enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
@@ -346,7 +346,7 @@ def test_criterion_8_null_case():
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
-        curve = fit_noise_curve(sorted(pts, key=lambda p: p.overlap), technique)
+        curve = fit_noise_curve(pts)
         tables[technique] = delta_o_table(curve)
 
     result = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
@@ -356,13 +356,13 @@ def test_criterion_8_null_case():
         failures.append("flat curves were not flagged insensitive")
 
     # alphabet deviations all consistent with 1
-    alphabet = alphabet_gun(
+    records, _ = alphabet_gun(
         glyph("Z"),
         TwinBeamParams(r=0.0, electronic_floor=1400.0),
-        AcquisitionConfig(), CoherenceGrid(cell_size=8),
+        AcquisitionConfig(), 8,
         n_series=5, master_seed=20260407,
     )
-    for rec in alphabet.records:
+    for rec in records:
         if rec.valid and abs(rec.d - 1.0) > 5 * rec.sigma_d:
             failures.append("letter %s %s deviation %.4f +/- %.4f"
                             % (rec.letter, rec.technique, rec.d, rec.sigma_d))

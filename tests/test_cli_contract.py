@@ -1,5 +1,7 @@
 """CLI artifact contract: bytes independent of BLAS threads, valid JSON, clean failures."""
 
+import contextlib
+import gc
 import json
 import os
 import subprocess
@@ -170,6 +172,58 @@ def test_failed_allocation_fails_cleanly(args, overrides, tmp_path, capsys):
     assert "field" not in error
     assert error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _desk_copy(tmp_path, **values):
+    """configs/desk_sweep.cfg with the given keys' values replaced."""
+    lines = (ROOT / "configs" / "desk_sweep.cfg").read_text().splitlines()
+    for i, line in enumerate(lines):
+        key = line.split("=", 1)[0].strip()
+        if key in values:
+            lines[i] = "%s = %s" % (key, values[key])
+    cfgfile = tmp_path / "desk.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    return cfgfile
+
+
+# past intp-max bytes numpy raises ValueError at once, not MemoryError
+@pytest.mark.parametrize("values,field", [
+    ({"grid_size": 10**20}, "scene.grid_size"),
+    ({"points_per_trace": 10**20}, "acquisition.points_per_trace"),
+    ({"n_series": 10**20}, "acquisition.n_series"),
+    ({"n_series": 10**17}, "acquisition.n_series"),
+], ids=["grid", "trace", "series", "block"])
+def test_unaddressable_size_fails_cleanly(values, field, tmp_path, capsys):
+    cfgfile = _desk_copy(tmp_path, **{"grid_size": 64, **values})
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _one_error_line(capsys, "sweep")["field"] == field
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["calibrate", "--db", "2.2"], ["calibrate", "--db", "x"]],
+                         ids=["run", "usage-error"])
+def test_main_leaves_the_collector_unfrozen(args, tmp_path, capsys):
+    # main freezes what import allocated for the command, and only for it
+    with pytest.raises(SystemExit) if "x" in args else contextlib.nullcontext():
+        main(args + ["--config", str(_small_config(tmp_path)), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+
+
+def test_failed_angle_calibration_is_noted_in_the_summary(tmp_path, capsys):
+    # an angle table that starts below zero has no calibration; the overlap
+    # enhancement does not need one
+    angles = (ROOT / "configs" / "desk_sweep.cfg").read_text().split("angles_deg = ")[1]
+    angles = angles.splitlines()[0].replace("45.0", "-44.0")
+    cfgfile = _desk_copy(tmp_path, grid_size=128, angles_deg=angles)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["angle_enhancement"] == {
+        "error": "calibration angles must be >= 0 and strictly increasing"}
+    assert summary["enhancement"]["factor"] > 1.0
 
 
 def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):

@@ -63,7 +63,7 @@ def draw_decomposition(rng):
     w = rng.dirichlet(np.ones(k))
     # binary and fractional cells mixed in one decomposition
     t = np.where(rng.random(k) < 0.3, rng.integers(0, 2, size=k), rng.uniform(0, 1, size=k))
-    return CellDecomposition(w, t, lo_pixel_count=100)
+    return CellDecomposition(w, t)
 
 
 def test_cell_noise_matches_covariance_reference():

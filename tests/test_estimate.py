@@ -9,12 +9,11 @@ from noiseimaging.estimate import (
     angle_enhancement,
     delta_o_table,
     enhancement,
-    estimate_sensitivity,
     fit_noise_curve,
     overlap_uncertainty,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
-from noiseimaging.scene import CoherenceGrid, full_bitmap, glyph
+from noiseimaging.scene import full_bitmap, glyph
 from noiseimaging.traces import AcquisitionConfig
 
 ALPHA = np.pi / 8
@@ -38,7 +37,7 @@ class TestFitNoiseCurve:
     def test_exact_line_reproduced(self):
         os = np.linspace(0.05, 1.0, 12)
         pts = make_points(os, 1.0 + 0.13 * os)
-        curve = fit_noise_curve(pts, technique="classical")
+        curve = fit_noise_curve(pts)
         assert abs(curve.coeffs[2]) < 1e-9
         assert abs(curve.coeffs[3]) < 1e-9
         assert curve.coeffs[1] == pytest.approx(0.13, abs=1e-9)
@@ -80,7 +79,7 @@ class TestFitNoiseCurve:
             ns, deltas = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
             n, sem, delta = summarize_series(ns, deltas, cfg.n_segments)
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
-        curve = fit_noise_curve(pts, technique="classical")
+        curve = fit_noise_curve(pts)
         true_slope = np.cosh(2 * r) - 1
         assert curve.slope(1.0) == pytest.approx(true_slope, abs=2 * 3 * curve.slope_sigma(1.0))
 
@@ -127,7 +126,7 @@ class TestEnhancement:
         )
         table = delta_o_table(curve)
         with pytest.raises(EstimationError):
-            enhancement(table, table, o_min=0.9)
+            enhancement(table, table)
 
     def test_analytic_ratio_for_clean_curves(self):
         # binary-cell desk calibration: the O >= 0.9 enhancement approaches
@@ -172,19 +171,16 @@ class TestEnhancement:
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
         cl = fit_noise_curve(
             [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
-             for o, v in zip(os, nc)], technique="classical")
+             for o, v in zip(os, nc)])
         qu = fit_noise_curve(
             [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
-             for o, v in zip(os, nq)], technique="quantum")
+             for o, v in zip(os, nq)])
         angles = np.linspace(0, 2 * ALPHA, 9)
         cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
-        result = estimate_sensitivity(cl, qu, cal)
-        assert set(result.delta_o) == {"classical", "quantum"}
-        assert len(result.delta_o["classical"]) == 10
-        assert result.enhancement.factor == pytest.approx(
-            result.angle_enhancement.factor, rel=1e-9)
-        without_cal = estimate_sensitivity(cl, qu)
-        assert without_cal.angle_enhancement is None
+        tc, tq = delta_o_table(cl), delta_o_table(qu)
+        assert len(tc) == len(tq) == 10
+        assert enhancement(tc, tq).factor == pytest.approx(
+            angle_enhancement(cal, tc, tq).factor, rel=1e-9)
 
     def test_advantage_regime_always_enhances(self):
         # balanced lossless arms with any squeezing and no lock noise keep
@@ -249,8 +245,7 @@ class TestAngleCalibration:
         n = 256
         mask = bowtie(0.0, ALPHA, 120, n, n)
         angles = np.linspace(0.0, 2 * ALPHA, 60)
-        whole = CoherenceGrid(cell_size=n)
-        os = np.array([decompose(bowtie(d, ALPHA, 120, n, n), mask, whole, w).overlap
+        os = np.array([decompose(bowtie(d, ALPHA, 120, n, n), mask, n, w).overlap
                        for d in angles])
         cal = AngleCalibration(angles=angles, overlaps=os)
         pts_o = np.sort(os)
@@ -287,10 +282,9 @@ class TestAlphabetGun:
         params = alphabet_profile()
         cfg = AcquisitionConfig()
         mask = full_bitmap(64, 64)
-        result = alphabet_gun(mask, params, cfg, CoherenceGrid(cell_size=8),
-                              n_series=5, master_seed=3)
+        records, _ = alphabet_gun(mask, params, cfg, 8, n_series=5, master_seed=3)
         sems = []
-        for rec in result.records:
+        for rec in records:
             if not rec.valid:
                 continue
             assert rec.d == pytest.approx(1.0, abs=6 * rec.sigma_d)
@@ -300,21 +294,21 @@ class TestAlphabetGun:
     def test_z_mask_structure(self):
         params = alphabet_profile()
         cfg = AcquisitionConfig()
-        result = alphabet_gun(glyph("Z"), params, cfg, CoherenceGrid(cell_size=8),
-                              n_series=5, master_seed=4)
-        q = result.rankings[TECH_QUANTUM]
-        c = result.rankings[TECH_CLASSICAL]
-        assert q.best == "Z"
+        records, rankings = alphabet_gun(glyph("Z"), params, cfg, 8, n_series=5,
+                                         master_seed=4)
+        q = rankings[TECH_QUANTUM]
+        c = rankings[TECH_CLASSICAL]
+        assert q.ranking[0] == "Z"
         assert q.sub_snl_letters == ("Z",)
-        assert c.best == "Z"
+        assert c.ranking[0] == "Z"
         assert q.sigma_separation > c.sigma_separation
-        assert [letter for letter, _ in result.excluded] == ["I"]
+        assert sorted({r.letter for r in records if not r.valid}) == ["I"]
 
     def test_all_letters_reported_with_flags(self):
         params = alphabet_profile()
-        result = alphabet_gun(glyph("Z"), params, AcquisitionConfig(),
-                              CoherenceGrid(cell_size=8), n_series=2, master_seed=5)
-        assert len(result.records) == 52
-        invalid = [r for r in result.records if not r.valid]
+        records, _ = alphabet_gun(glyph("Z"), params, AcquisitionConfig(), 8,
+                                  n_series=2, master_seed=5)
+        assert len(records) == 52
+        invalid = [r for r in records if not r.valid]
         assert {r.letter for r in invalid} == {"I"}
         assert all(r.reason for r in invalid)

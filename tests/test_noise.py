@@ -29,7 +29,7 @@ def random_decomposition(rng, max_cells=6, binary=False):
         t = rng.integers(0, 2, size=k).astype(float)
     else:
         t = rng.uniform(0, 1, size=k)
-    return CellDecomposition(w, t, lo_pixel_count=100)
+    return CellDecomposition(w, t)
 
 
 class TestParams:
@@ -135,11 +135,11 @@ class TestProperties:
                                     t_conj=rng.uniform(0.7, 1.0))
             w = rng.dirichlet(np.ones(3))
             t = rng.uniform(0, 1, size=3)
-            base = quantum_noise(CellDecomposition(w, t, 10), params)
+            base = quantum_noise(CellDecomposition(w, t), params)
             k = rng.integers(0, 3)
             t2 = t.copy()
             t2[k] = min(1.0, t2[k] + rng.uniform(0.01, 0.3))
-            bumped = quantum_noise(CellDecomposition(w, t2, 10), params)
+            bumped = quantum_noise(CellDecomposition(w, t2), params)
             assert bumped <= base + 1e-10
 
     def test_classical_nondecreasing_in_each_transmission(self):
@@ -147,9 +147,9 @@ class TestProperties:
         params = TwinBeamParams(r=0.8, t_conj=0.93)
         w = rng.dirichlet(np.ones(4))
         t = rng.uniform(0, 0.7, size=4)
-        base = classical_noise(CellDecomposition(w, t, 10), params)
+        base = classical_noise(CellDecomposition(w, t), params)
         t[2] += 0.2
-        assert classical_noise(CellDecomposition(w, t, 10), params) >= base
+        assert classical_noise(CellDecomposition(w, t), params) >= base
 
     def test_balanced_loss_degrades_squeezing_toward_snl(self):
         d = single_cell_decomposition(1.0)

@@ -4,7 +4,6 @@ import pytest
 from noiseimaging.scene import (
     Bitmap,
     CellDecomposition,
-    CoherenceGrid,
     LETTERS,
     SceneError,
     bowtie,
@@ -26,8 +25,7 @@ def random_bitmap(rng, w, h, fill=0.5):
 
 def overlap(lo, mask, weight_map=None):
     """Scalar LO-mask overlap: the decomposition on one cell spanning the canvas."""
-    whole = CoherenceGrid(cell_size=max(lo.width, lo.height))
-    return decompose(lo, mask, whole, weight_map).overlap
+    return decompose(lo, mask, max(lo.width, lo.height), weight_map).overlap
 
 
 def _reference_overlap(lo, mask, weight_map=None):
@@ -57,7 +55,7 @@ class TestArrayOwnership:
         bits = np.zeros((3, 4), dtype=bool)
         weights, transmissions = np.array([0.25, 0.75]), np.array([1.0, 0.5])
         bm = Bitmap(bits)
-        d = CellDecomposition(weights, transmissions, 2)
+        d = CellDecomposition(weights, transmissions)
         for caller, kept in ((bits, bm.bits), (weights, d.weights),
                              (transmissions, d.transmissions)):
             assert caller.flags.writeable
@@ -68,18 +66,18 @@ class TestArrayOwnership:
         mask = bowtie(0.0, ALPHA, 14, 32, 32)
         lo = bowtie(0.3, ALPHA, 14, 32, 32)
         save_pbm(lo, tmp_path / "lo.pbm")
-        d = decompose(lo, mask, CoherenceGrid(cell_size=1))
+        d = decompose(lo, mask, 1)
         for arr in (mask.bits, lo.bits, full_bitmap(3, 2).bits,
                     load_pbm(tmp_path / "lo.pbm").bits, d.weights, d.transmissions):
             assert not arr.flags.writeable
 
     def test_construction_checks_the_arrays(self):
         with pytest.raises(SceneError, match="non-negative"):
-            CellDecomposition(np.array([-0.5, 1.5]), np.array([1.0, 1.0]), 2)
+            CellDecomposition(np.array([-0.5, 1.5]), np.array([1.0, 1.0]))
         with pytest.raises(SceneError, match=r"\[0, 1\]"):
-            CellDecomposition(np.array([0.5, 0.5]), np.array([1.0, 1.5]), 2)
+            CellDecomposition(np.array([0.5, 0.5]), np.array([1.0, 1.5]))
         with pytest.raises(SceneError, match="sum to 1"):
-            CellDecomposition(np.array([0.5, 0.25]), np.array([1.0, 1.0]), 2)
+            CellDecomposition(np.array([0.5, 0.25]), np.array([1.0, 1.0]))
 
 
 class TestPbmIO:
@@ -218,7 +216,7 @@ class TestDecompose:
     def test_degenerate_single_cell(self):
         rng = np.random.default_rng(4)
         lo, mask = random_bitmap(rng, 32, 32), random_bitmap(rng, 32, 32)
-        d = decompose(lo, mask, CoherenceGrid(cell_size=32))
+        d = decompose(lo, mask, 32)
         assert len(d.weights) == 1
         assert d.weights[0] == 1.0
         assert d.transmissions[0] == pytest.approx(_reference_overlap(lo, mask), abs=1e-12)
@@ -226,17 +224,17 @@ class TestDecompose:
     def test_single_pixel_cells_are_binary(self):
         rng = np.random.default_rng(5)
         lo, mask = random_bitmap(rng, 32, 32), random_bitmap(rng, 32, 32)
-        d = decompose(lo, mask, CoherenceGrid(cell_size=1))
+        d = decompose(lo, mask, 1)
         assert set(np.unique(d.transmissions)) <= {0.0, 1.0}
         assert len(d.weights) == lo.pixel_count
 
     def test_bowtie_consistency_over_rotations(self):
         rng = np.random.default_rng(6)
         mask = bowtie(0.0, ALPHA, 120, 256, 256)
-        grid = CoherenceGrid(cell_size=16)
+        cell_size = 16
         for delta in rng.uniform(0, 2 * ALPHA, size=50):
             lo = bowtie(delta, ALPHA, 120, 256, 256)
-            d = decompose(lo, mask, grid)
+            d = decompose(lo, mask, cell_size)
             assert d.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert d.overlap == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
 
@@ -249,25 +247,29 @@ class TestDecompose:
             if lo.pixel_count == 0:
                 continue
             mask = random_bitmap(rng, w, h, rng.uniform(0.1, 0.9))
-            cs = int(rng.integers(1, 12))
-            grid = CoherenceGrid(cell_size=cs, offset_x=int(rng.integers(0, cs)),
-                                 offset_y=int(rng.integers(0, cs)))
-            d = decompose(lo, mask, grid)
+            cell_size = int(rng.integers(1, 12))
+            d = decompose(lo, mask, cell_size)
             assert d.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all((d.transmissions >= 0) & (d.transmissions <= 1))
             assert d.overlap == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
 
+    def test_rejects_cell_size_below_one(self):
+        lo = full_bitmap(4, 4)
+        for cell_size in (0, -1):
+            with pytest.raises(SceneError, match="cell_size"):
+                decompose(lo, lo, cell_size)
+
     def test_cells_without_lo_are_omitted(self):
         bits = np.zeros((8, 8), dtype=bool)
         bits[0, 0] = True
-        d = decompose(Bitmap(bits), full_bitmap(8, 8), CoherenceGrid(cell_size=4))
+        d = decompose(Bitmap(bits), full_bitmap(8, 8), 4)
         assert len(d.weights) == 1
 
     def test_weighted_decomposition_matches_weighted_overlap(self):
         rng = np.random.default_rng(8)
         lo, mask = random_bitmap(rng, 24, 24), random_bitmap(rng, 24, 24)
         w = rng.uniform(0.1, 2.0, size=(24, 24))
-        d = decompose(lo, mask, CoherenceGrid(cell_size=5), w)
+        d = decompose(lo, mask, 5, w)
         assert d.overlap == pytest.approx(_reference_overlap(lo, mask, w), abs=1e-9)
 
 

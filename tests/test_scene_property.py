@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noiseimaging.scene import Bitmap, CoherenceGrid, SceneError, decompose
+from noiseimaging.scene import Bitmap, SceneError, decompose
 from scene_reference import reference_decompose
 from test_scene_reference import assert_same_decomposition
 
@@ -31,12 +31,12 @@ def _single_pixel_scenes(draw):
 @given(_single_pixel_scenes())
 def test_single_pixel_cells_match_the_reference(scene):
     lo, mask, weights = scene
-    grid = CoherenceGrid(cell_size=1)
+    cell_size = 1
     try:
-        want = reference_decompose(lo, mask, grid, weights)
+        want = reference_decompose(lo, mask, cell_size, weights)
     except SceneError as exc:
         with pytest.raises(SceneError) as got:
-            decompose(lo, mask, grid, weights)
+            decompose(lo, mask, cell_size, weights)
         assert str(got.value) == str(exc)
         return
-    assert_same_decomposition(decompose(lo, mask, grid, weights), want)
+    assert_same_decomposition(decompose(lo, mask, cell_size, weights), want)

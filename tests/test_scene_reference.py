@@ -12,7 +12,6 @@ import noiseimaging
 from noiseimaging.config import load_config
 from noiseimaging.scene import (
     Bitmap,
-    CoherenceGrid,
     SceneError,
     _polar_grid,
     bowtie,
@@ -33,7 +32,6 @@ def assert_same_decomposition(got, want):
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.transmissions.tobytes() == want.transmissions.tobytes()
     assert got.weights.shape == want.weights.shape
-    assert got.lo_pixel_count == want.lo_pixel_count
     assert got.overlap.hex() == want.overlap.hex()
 
 
@@ -41,13 +39,13 @@ def test_desk_sweep_bitmaps_and_decompositions():
     n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
     mask = bowtie(0.0, alpha, radius, n, n)
     assert_same_bitmap(mask, reference_bowtie(0.0, alpha, radius, n, n))
-    grid = CoherenceGrid(cell_size=DESK.cell_size)
+    cell_size = DESK.cell_size
     for angle in DESK.angles_deg:
         rotation = np.deg2rad(angle)
         lo = bowtie(rotation, alpha, radius, n, n)
         assert_same_bitmap(lo, reference_bowtie(rotation, alpha, radius, n, n))
-        assert_same_decomposition(decompose(lo, mask, grid),
-                                  reference_decompose(lo, mask, grid))
+        assert_same_decomposition(decompose(lo, mask, cell_size),
+                                  reference_decompose(lo, mask, cell_size))
 
 
 def test_random_rotations_on_non_square_grids():
@@ -73,7 +71,7 @@ def test_quarter_turn_rotations_on_the_wedge_boundary(size):
                            reference_bowtie(rotation, alpha, radius, size, size))
 
 
-def test_random_masks_with_weight_maps_and_offset_cells():
+def test_random_masks_with_weight_maps_and_coarse_cells():
     rng = np.random.default_rng(32)
     checked = 0
     while checked < 250:
@@ -83,17 +81,16 @@ def test_random_masks_with_weight_maps_and_offset_cells():
         weights = rng.uniform(0.0, 3.0, size=(height, width))
         weights[rng.random((height, width)) < 0.1] = 0.0
         weights[rng.random((height, width)) < 0.05] = -0.0
-        cs = int(rng.integers(2, 12))
-        grid = CoherenceGrid(cell_size=cs, offset_x=int(rng.integers(1, cs)),
-                             offset_y=int(rng.integers(0, cs)))
+        cell_size = int(rng.integers(2, 12))
         try:
-            want = reference_decompose(lo, mask, grid, weights)
+            want = reference_decompose(lo, mask, cell_size, weights)
         except SceneError:
             with pytest.raises(SceneError):
-                decompose(lo, mask, grid, weights)
+                decompose(lo, mask, cell_size, weights)
             continue
-        assert_same_decomposition(decompose(lo, mask, grid, weights), want)
-        assert_same_decomposition(decompose(lo, mask, grid), reference_decompose(lo, mask, grid))
+        assert_same_decomposition(decompose(lo, mask, cell_size, weights), want)
+        assert_same_decomposition(decompose(lo, mask, cell_size),
+                                  reference_decompose(lo, mask, cell_size))
         checked += 1
 
 
@@ -106,31 +103,28 @@ def test_random_masks_without_weight_maps():
         density = 0.0 if k % 12 == 0 else rng.uniform(0.01, 1.0)
         lo = Bitmap(rng.random((height, width)) < density)
         mask = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
-        cs = int(rng.integers(1, 12))
-        grid = CoherenceGrid(cell_size=cs, offset_x=int(rng.integers(0, cs)),
-                             offset_y=int(rng.integers(0, cs)))
+        cell_size = int(rng.integers(1, 12))
         if not lo.bits.any():
             empty += 1
             for fn in (reference_decompose, decompose):
                 with pytest.raises(SceneError, match="empty LO"):
-                    fn(lo, mask, grid)
+                    fn(lo, mask, cell_size)
             continue
-        assert_same_decomposition(decompose(lo, mask, grid), reference_decompose(lo, mask, grid))
+        assert_same_decomposition(decompose(lo, mask, cell_size),
+                                  reference_decompose(lo, mask, cell_size))
     assert 240 - empty >= 200
 
 
-def test_bowtie_decompositions_on_coarse_offset_cells():
+def test_bowtie_decompositions_on_coarse_cells():
     rng = np.random.default_rng(33)
     alpha = np.pi / 8
     mask = bowtie(0.0, alpha, 60, 128, 128)
     for _ in range(30):
-        cs = int(rng.integers(2, 20))
-        grid = CoherenceGrid(cell_size=cs, offset_x=int(rng.integers(0, cs)),
-                             offset_y=int(rng.integers(1, cs)))
+        cell_size = int(rng.integers(2, 20))
         lo = bowtie(float(rng.uniform(-7.0, 7.0)), alpha, 60, 128, 128)
         weights = rng.uniform(0.1, 2.0, size=(128, 128))
-        assert_same_decomposition(decompose(lo, mask, grid, weights),
-                                  reference_decompose(lo, mask, grid, weights))
+        assert_same_decomposition(decompose(lo, mask, cell_size, weights),
+                                  reference_decompose(lo, mask, cell_size, weights))
 
 
 def assert_same_bowtie(rotation, alpha, radius, width, height):
@@ -247,9 +241,9 @@ def test_single_pixel_cell_decomposition_peak_memory():
     n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
     mask = bowtie(0.0, alpha, radius, n, n)
     lo = bowtie(np.deg2rad(45.0), alpha, radius, n, n)
-    grid = CoherenceGrid(cell_size=1)
+    cell_size = 1
     # no full-range per-cell arrays and no second copy of the ones kept
-    assert _traced_peak_mib(lambda: decompose(lo, mask, grid)) < 2.5
+    assert _traced_peak_mib(lambda: decompose(lo, mask, cell_size)) < 2.5
 
 
 def _signed_zero_weights(rng, height, width):
@@ -261,7 +255,7 @@ def _signed_zero_weights(rng, height, width):
 
 def test_single_pixel_cells_with_weight_maps():
     rng = np.random.default_rng(40)
-    grid = CoherenceGrid(cell_size=1)
+    cell_size = 1
     rejected = 0
     for k in range(300):
         if k % 3 == 0:
@@ -274,14 +268,15 @@ def test_single_pixel_cells_with_weight_maps():
         mask = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
         weights = _signed_zero_weights(rng, height, width)
         try:
-            want = reference_decompose(lo, mask, grid, weights)
+            want = reference_decompose(lo, mask, cell_size, weights)
         except SceneError:
             rejected += 1
             with pytest.raises(SceneError, match="empty LO"):
-                decompose(lo, mask, grid, weights)
+                decompose(lo, mask, cell_size, weights)
             continue
-        assert_same_decomposition(decompose(lo, mask, grid, weights), want)
-        assert_same_decomposition(decompose(lo, mask, grid), reference_decompose(lo, mask, grid))
+        assert_same_decomposition(decompose(lo, mask, cell_size, weights), want)
+        assert_same_decomposition(decompose(lo, mask, cell_size),
+                                  reference_decompose(lo, mask, cell_size))
     assert 0 < rejected < 60
 
 
@@ -294,7 +289,7 @@ def test_single_pixel_cells_reject_an_lo_without_weight(zero):
     weights = np.where(lo.bits, zero, 2.0)
     for fn in (reference_decompose, decompose):
         with pytest.raises(SceneError, match="empty LO"):
-            fn(lo, mask, CoherenceGrid(cell_size=1), weights)
+            fn(lo, mask, 1, weights)
 
 
 def test_single_pixel_cells_on_the_desk_bowtie_with_a_weight_map():
@@ -303,9 +298,9 @@ def test_single_pixel_cells_on_the_desk_bowtie_with_a_weight_map():
     weights = _signed_zero_weights(rng, n, n)
     mask = bowtie(0.0, alpha, radius, n, n)
     lo = bowtie(np.deg2rad(13.5), alpha, radius, n, n)
-    grid = CoherenceGrid(cell_size=1)
-    assert_same_decomposition(decompose(lo, mask, grid, weights),
-                              reference_decompose(lo, mask, grid, weights))
+    cell_size = 1
+    assert_same_decomposition(decompose(lo, mask, cell_size, weights),
+                              reference_decompose(lo, mask, cell_size, weights))
 
 
 def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():

@@ -11,6 +11,7 @@ from noiseimaging.config import load_config
 from noiseimaging.traces import (
     AcquisitionConfig,
     TraceError,
+    _segment_moments,
     _series_points,
     derive_seed,
     measure_series,
@@ -29,8 +30,16 @@ def _outcome(fn, *args, **kwargs):
         return "raise", type(exc)
 
 
+def _measured(n_true, cfg, n_series, first_index):
+    """measure_series, which draws the traces 0 .. n_series - 1; a later first
+    trace goes through the per-row stream seam it reduces."""
+    if first_index == 0:
+        return measure_series(n_true, cfg, n_series)
+    return _segment_moments(_series_points(n_true, cfg, n_series, first_index), cfg)
+
+
 def assert_same_series(n_true, cfg, n_series, first_index=0):
-    got = _outcome(measure_series, n_true, cfg, n_series, first_index=first_index)
+    got = _outcome(_measured, n_true, cfg, n_series, first_index)
     want = _outcome(reference_measure_series, n_true, cfg, n_series,
                     first_index=first_index)
     assert got[0] == want[0]

@@ -98,7 +98,7 @@ class TestSegmentStats:
         assert deltas[0] == 0.0
 
     def test_mean_is_trace_mean(self):
-        ns, _ = measure_series(1.7, DEFAULT, 1, first_index=2)
+        ns, _ = _segment_moments(_series_points(1.7, DEFAULT, 1, 2), DEFAULT)
         assert ns[0] == pytest.approx(trace_points(1.7, DEFAULT, trace_index=2).mean())
 
     def test_iid_prediction(self):
