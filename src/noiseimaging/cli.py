@@ -20,7 +20,6 @@ import numpy as np
 from . import estimate, scene
 from .config import ConfigError, RunConfig, config_text, load_config, with_overrides
 from .estimate import (
-    AngleCalibration,
     CurvePoint,
     EstimationError,
     angle_enhancement,
@@ -32,6 +31,7 @@ from .noise import (
     NoiseModelError,
     TECH_CLASSICAL,
     TECH_QUANTUM,
+    TECHNIQUES,
     calibrate_r,
     detected_noise_floor,
     quantum_noise,
@@ -43,7 +43,6 @@ from .traces import TraceError, measure_series, seeded_config
 SWEEP_SCHEMA = "noiseimaging.sweep.v1"
 ALPHABET_SCHEMA = "noiseimaging.alphabet.v1"
 
-_TECHNIQUES = (TECH_CLASSICAL, TECH_QUANTUM)
 # the config field every output failure is reported under
 _OUT_FIELD = "output.out_dir"
 
@@ -159,7 +158,7 @@ def _angle_readings(cfg, params):
         lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
         decomp = scene.decompose(lo, mask, cfg.cell_size, weight)
         readings.append((angle, decomp.overlap,
-                         {t: technique_noise(t, decomp, params) for t in _TECHNIQUES}))
+                         {t: technique_noise(t, decomp, params) for t in TECHNIQUES}))
     return readings
 
 
@@ -168,7 +167,7 @@ def cmd_sweep(cfg):
     readings = _angle_readings(cfg, params)
 
     all_rows, curves = [], {}
-    for technique in _TECHNIQUES:
+    for technique in TECHNIQUES:
         rows, points = _measure_curve(cfg, readings, technique)
         all_rows.extend(rows)
         curves[technique] = fit_noise_curve(points)
@@ -179,10 +178,9 @@ def cmd_sweep(cfg):
     overlaps = np.array([o for _, o, _ in readings])
     order = np.argsort(angles)
     try:
-        calibration = AngleCalibration(angles=angles[order], overlaps=overlaps[order])
-        angle_enh = angle_enhancement(calibration, tables[TECH_CLASSICAL],
-                                      tables[TECH_QUANTUM])
-        angle_payload = {"factor": angle_enh.factor, "sigma": angle_enh.sigma}
+        factor, sigma = angle_enhancement(angles[order], overlaps[order],
+                                          tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
+        angle_payload = {"factor": factor, "sigma": sigma}
     except EstimationError as exc:
         angle_payload = {"error": str(exc)}
 
@@ -217,7 +215,7 @@ def cmd_sweep(cfg):
         (_write_json, out / "summary.json", summary),
     )
     print("sweep: %d angles x %d series x %d techniques -> %s"
-          % (len(cfg.angles_deg), cfg.n_series, len(_TECHNIQUES), out))
+          % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), out))
     print("enhancement (O >= %.2g): %.3f +/- %.3f"
           % (estimate.ENHANCEMENT_MIN_OVERLAP, enh.factor, enh.sigma))
     return 0

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .noise import NoiseModelError, TwinBeamParams, calibrate_r
-from .traces import AcquisitionConfig
+from .traces import AcquisitionConfig, TraceError
 
 # fine scan near alignment (overlap 1 down to 0.99) for the high-overlap
 # sensitivity average, coarse tail across the full range for the curve shape
@@ -100,7 +100,7 @@ class RunConfig:
             raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
         try:
             row = self.acquisition().raw_points_per_trace
-        except Exception as exc:
+        except TraceError as exc:
             raise ConfigError("acquisition", str(exc)) from None
         if self.n_series < 1:
             raise ConfigError("acquisition.n_series", "must be >= 1")

@@ -17,6 +17,7 @@ from . import scene
 from .noise import (
     TECH_CLASSICAL,
     TECH_QUANTUM,
+    TECHNIQUES,
     lo_power_check,
     technique_noise,
 )
@@ -63,14 +64,13 @@ class NoiseCurve:
         return float(c[1] + 2.0 * c[2] * o + 3.0 * c[3] * o * o)
 
     def slope_sigma(self, o):
-        grad = np.array([0.0, 1.0, 2.0 * o, 3.0 * o * o])
-        var = float(grad @ self.coeff_cov @ grad)
-        return float(np.sqrt(max(var, 0.0)))
+        return _sigma(np.array([0.0, 1.0, 2.0 * o, 3.0 * o * o]), self.coeff_cov)
 
     def snl_crossing(self):
         """Overlap where the fitted curve crosses the SNL (first crossing on [0, 1])."""
         os = np.linspace(0.0, 1.0, 2001)
-        vals = np.polynomial.polynomial.polyval(os, self.coeffs) - 1.0
+        c = self.coeffs
+        vals = c[0] + os * (c[1] + os * (c[2] + os * c[3])) - 1.0
         sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         if len(sign_change) == 0:
             return None
@@ -86,6 +86,11 @@ def _lstsq_with_cov(design, y, sigmas):
     middle = design.T @ (design * np.asarray(sigmas)[:, None] ** 2)
     cov = gram_inv @ middle @ gram_inv
     return coeffs, cov
+
+
+def _sigma(grad, cov):
+    """Standard error of a linear function of fitted coefficients."""
+    return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
 
 
 def fit_noise_curve(points):
@@ -110,7 +115,7 @@ def fit_noise_curve(points):
     design_lin = np.column_stack([np.ones(high.sum()), o[high]])
     lin, lin_cov = _lstsq_with_cov(design_lin, y[high], sig[high])
     n_at_unity = float(lin[0] + lin[1])
-    sigma_unity = float(np.sqrt(max(np.array([1.0, 1.0]) @ lin_cov @ np.array([1.0, 1.0]), 0.0)))
+    sigma_unity = _sigma(np.array([1.0, 1.0]), lin_cov)
 
     o_aug = np.append(o, 1.0)
     y_aug = np.append(y, n_at_unity)
@@ -168,7 +173,14 @@ class EnhancementResult:
     n_insensitive: int
 
 
-def _ratio_of_means(classical, quantum, n_insensitive):
+def _ratio(num, sigma_num, den, sigma_den):
+    """num/den and its error, the two relative errors added in quadrature."""
+    ratio = num / den
+    sigma = ratio * np.sqrt((sigma_num / num) ** 2 + (sigma_den / den) ** 2)
+    return float(ratio), float(sigma)
+
+
+def _ratio_of_means(classical, quantum):
     """Ratio of mean classical to mean quantum uncertainty, with its error.
 
     The error propagates each side's standard error of the mean; a side with
@@ -176,16 +188,7 @@ def _ratio_of_means(classical, quantum, n_insensitive):
     """
     if len(classical) == 0 or len(quantum) == 0:
         raise EstimationError("no overlap points at or above %g" % ENHANCEMENT_MIN_OVERLAP)
-    mc, sc = _mean_and_sem(classical)
-    mq, sq = _mean_and_sem(quantum)
-    factor = mc / mq
-    sigma = factor * np.sqrt((sc / mc) ** 2 + (sq / mq) ** 2)
-    return EnhancementResult(
-        factor=float(factor),
-        sigma=float(sigma),
-        n_points=len(classical) + len(quantum),
-        n_insensitive=n_insensitive,
-    )
+    return _ratio(*_mean_and_sem(classical), *_mean_and_sem(quantum))
 
 
 def _mean_and_sem(vals):
@@ -198,67 +201,41 @@ def enhancement(classical_records, quantum_records):
     O >= ENHANCEMENT_MIN_OVERLAP."""
     classical = [u for u in classical_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
     quantum = [u for u in quantum_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
-    return _ratio_of_means(
-        np.array([u.delta_o for u in classical]),
-        np.array([u.delta_o for u in quantum]),
-        sum(u.insensitive for u in classical + quantum),
+    return EnhancementResult(
+        *_ratio_of_means(np.array([u.delta_o for u in classical]),
+                         np.array([u.delta_o for u in quantum])),
+        n_points=len(classical) + len(quantum),
+        n_insensitive=sum(u.insensitive for u in classical + quantum),
     )
 
 
-# ---------------------------------------------------------------------------
-# angle calibration
-
-@dataclass(frozen=True)
-class AngleCalibration:
-    """Monotone lookup between LO rotation angle and LO-mask overlap.
-
-    Valid on the small-angle branch: angles ascending from alignment,
-    overlaps strictly decreasing from 1.  Units of angle are whatever the
-    table uses; enhancement ratios are unit-free.
+def angle_enhancement(angles, overlaps, classical_records, quantum_records):
+    """(factor, sigma) of the angle estimate's enhancement, via the measured
+    O(angle) table of the small-angle branch: angles ascending from alignment,
+    overlaps strictly decreasing from 1.  The ratio is unit-free.
     """
-
-    angles: np.ndarray
-    overlaps: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.angles, dtype=float)
-        o = np.array(self.overlaps, dtype=float)
-        if a.shape != o.shape or a.ndim != 1 or len(a) < 2:
-            raise EstimationError("angle calibration needs matching 1-D tables (>= 2 rows)")
-        if np.any(np.diff(a) <= 0) or a[0] < 0:
-            raise EstimationError("calibration angles must be >= 0 and strictly increasing")
-        if np.any(np.diff(o) >= 0):
-            raise EstimationError("calibration must be strictly monotone (overlap decreasing)")
-        a.setflags(write=False)
-        o.setflags(write=False)
-        object.__setattr__(self, "angles", a)
-        object.__setattr__(self, "overlaps", o)
-
-    def _segment(self, delta):
-        k = int(np.searchsorted(self.angles, delta, side="right")) - 1
-        return min(max(k, 0), len(self.angles) - 2)
-
-    def slope_at(self, delta):
-        """dO/d(angle) of the piecewise-linear lookup at this angle."""
-        k = self._segment(delta)
-        return float(
-            (self.overlaps[k + 1] - self.overlaps[k]) / (self.angles[k + 1] - self.angles[k])
-        )
-
-    def angle_for(self, overlap):
-        return float(np.interp(overlap, self.overlaps[::-1], self.angles[::-1]))
+    a = np.asarray(angles, dtype=float)
+    o = np.asarray(overlaps, dtype=float)
+    if a.shape != o.shape or a.ndim != 1 or len(a) < 2:
+        raise EstimationError("angle calibration needs matching 1-D tables (>= 2 rows)")
+    if np.any(np.diff(a) <= 0) or a[0] < 0:
+        raise EstimationError("calibration angles must be >= 0 and strictly increasing")
+    if np.any(np.diff(o) >= 0):
+        raise EstimationError("calibration must be strictly monotone (overlap decreasing)")
+    slopes = np.diff(o) / np.diff(a)
+    return _ratio_of_means(_angle_deltas(o, slopes, classical_records),
+                           _angle_deltas(o, slopes, quantum_records))
 
 
-def angle_enhancement(calibration, classical_records, quantum_records):
-    """Enhancement of the angle estimate, via the O(angle) calibration."""
-
-    def in_angle(records):
-        return np.array([
-            u.delta_o / abs(calibration.slope_at(calibration.angle_for(u.overlap)))
-            for u in records if u.overlap >= ENHANCEMENT_MIN_OVERLAP
-        ])
-
-    return _ratio_of_means(in_angle(classical_records), in_angle(quantum_records), 0)
+def _angle_deltas(overlaps, slopes, records):
+    """Angle uncertainty of each record at O >= ENHANCEMENT_MIN_OVERLAP: its
+    delta_o over |dO/d(angle)| of the table segment k with overlaps[k] >= O >
+    overlaps[k + 1], the end segments extended past the table.
+    """
+    kept = [u for u in records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
+    k = np.searchsorted(-overlaps, [-u.overlap for u in kept], side="right") - 1
+    k = np.clip(k, 0, len(slopes) - 1)
+    return np.array([u.delta_o for u in kept]) / np.abs(slopes[k])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +304,7 @@ def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
     for letter in scene.LETTERS:
         lo = glyphs[letter]
         if not lo_power_check(lo, params, power_per_pixel):
-            for technique in (TECH_CLASSICAL, TECH_QUANTUM):
+            for technique in TECHNIQUES:
                 records.append(DeviationRecord(
                     letter=letter, technique=technique, valid=False, reason=FLOOR_REASON,
                 ))
@@ -335,7 +312,7 @@ def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
         base_decomp = scene.decompose(lo, full, cell_size)
         masked_decomp = scene.decompose(lo, mask, cell_size)
         o = masked_decomp.overlap
-        for technique in (TECH_CLASSICAL, TECH_QUANTUM):
+        for technique in TECHNIQUES:
             nb_true = technique_noise(technique, base_decomp, params)
             nm_true = technique_noise(technique, masked_decomp, params)
             nb, sb = _measured_noise(
@@ -346,16 +323,15 @@ def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
                 nm_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "masked",
             )
-            d = nm / nb
-            sigma_d = d * np.sqrt((sm / nm) ** 2 + (sb / nb) ** 2)
+            d, sigma_d = _ratio(nm, sm, nb, sb)
             records.append(DeviationRecord(
                 letter=letter, technique=technique, valid=True, overlap=o,
                 n_baseline=nb, sigma_baseline=sb, n_masked=nm, sigma_masked=sm,
-                d=float(d), sigma_d=float(sigma_d),
+                d=d, sigma_d=sigma_d,
                 sub_snl=(technique == TECH_QUANTUM and nm < snl_joint),
             ))
     rankings = {}
-    for technique in (TECH_CLASSICAL, TECH_QUANTUM):
+    for technique in TECHNIQUES:
         valid = [r for r in records if r.technique == technique and r.valid]
         if len(valid) < 2:
             raise EstimationError(

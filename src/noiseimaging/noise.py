@@ -26,6 +26,8 @@ import numpy as np
 
 TECH_CLASSICAL = "classical"
 TECH_QUANTUM = "quantum"
+# the order of artifact rows and records
+TECHNIQUES = (TECH_CLASSICAL, TECH_QUANTUM)
 
 
 class NoiseModelError(ValueError):

@@ -353,6 +353,9 @@ def glyph(letter, font_dir=None):
         return load_pbm(path)
     except FileNotFoundError:
         raise SceneError("font file for letter %r not found under %s" % (name, base)) from None
+    except OSError as exc:
+        raise SceneError("font file for letter %r at %s cannot be read: %s"
+                         % (name, path, exc.strerror)) from None
 
 
 def load_font(font_dir=None):

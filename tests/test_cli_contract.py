@@ -98,11 +98,16 @@ def test_calibrate_unusable_depth_fails_cleanly(db, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
+def _font_copy(tmp_path):
     font = tmp_path / "font"
     font.mkdir()
     for path in (Path(noiseimaging.__file__).parent / "font").glob("*.pbm"):
         (font / path.name).write_bytes(path.read_bytes())
+    return font
+
+
+def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
+    font = _font_copy(tmp_path)
     save_pbm(full_bitmap(64, 64), font / "Z.pbm")
     cfgfile = tmp_path / "run.cfg"
     save_config(RunConfig(font_dir=str(font), electronic_floor=3000.0, cell_size=8,
@@ -115,6 +120,28 @@ def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
     payload = json.loads(lines[0])
     assert payload["error"]["command"] == "alphabet"
     assert "two letters" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("letter", ["Z", "B"], ids=["mask", "lo"])
+@pytest.mark.parametrize("kind", ["directory", "symlink-loop"])
+def test_unreadable_glyph_fails_cleanly(kind, letter, tmp_path, capsys):
+    # the mask is Z: a broken Z fails the mask glyph, a broken B the LO font
+    font = _font_copy(tmp_path)
+    broken = font / ("%s.pbm" % letter)
+    broken.unlink()
+    if kind == "directory":
+        broken.mkdir()
+    else:
+        broken.symlink_to(broken)
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(font_dir=str(font), cell_size=8, n_series=2,
+                          samples_per_point=100), cfgfile)
+    code = main(["alphabet", "--mask", "Z", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    message = _one_error_line(capsys, "alphabet")["message"]
+    assert repr(letter) in message and str(broken) in message
+    assert not (tmp_path / "out").exists()
 
 
 def _one_error_line(capsys, command):
@@ -303,6 +330,37 @@ def test_runtime_imports_numpy_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NEW_NUMPY_MODULES = """
+import json, sys
+import noiseimaging.cli
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+before = loaded()
+for argv in json.loads(sys.argv[1]):
+    assert noiseimaging.cli.main(argv) == 0, argv
+print(json.dumps(sorted(loaded() - before)))
+"""
+
+
+def test_commands_load_no_numpy_module_after_import(tmp_path):
+    # a fresh interpreter: scipy on the test side imports numpy submodules here
+    desk = str(_desk_copy(tmp_path, grid_size=128))
+    runs = [
+        ["sweep", "--config", desk, "--out", str(tmp_path / "sweep")],
+        ["alphabet", "--mask", "Z", "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
+         "--out", str(tmp_path / "alphabet")],
+        ["calibrate", "--db", "2.2", "--config", desk, "--out", str(tmp_path / "calibrate")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_NUMPY_MODULES, json.dumps(runs)],
+        env=_child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 _COMMANDS = {

@@ -70,6 +70,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="source.t_probe"):
             RunConfig(t_probe=1.5).validate()
 
+    def test_acquisition_bug_is_not_reported_as_a_config_error(self, monkeypatch):
+        # only an invalid acquisition is a config error; a fault in the code
+        # that builds it surfaces as itself
+        def broken(self):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(RunConfig, "acquisition", broken)
+        with pytest.raises(ZeroDivisionError):
+            RunConfig().validate()
+
     def test_resolve_r_prefers_explicit(self):
         cfg = RunConfig(r=0.4, squeezing_db_detected=2.2)
         assert cfg.resolve_r() == 0.4

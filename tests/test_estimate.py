@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from noiseimaging.estimate import (
-    AngleCalibration,
     CurvePoint,
     EstimationError,
+    OverlapUncertainty,
+    _angle_deltas,
+    _ratio_of_means,
     alphabet_gun,
     angle_enhancement,
     delta_o_table,
@@ -15,6 +17,7 @@ from noiseimaging.estimate import (
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
 from noiseimaging.scene import full_bitmap, glyph
 from noiseimaging.traces import AcquisitionConfig
+from estimate_reference import reference_angle_deltas
 
 ALPHA = np.pi / 8
 
@@ -176,11 +179,10 @@ class TestEnhancement:
             [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
              for o, v in zip(os, nq)])
         angles = np.linspace(0, 2 * ALPHA, 9)
-        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
         tc, tq = delta_o_table(cl), delta_o_table(qu)
         assert len(tc) == len(tq) == 10
         assert enhancement(tc, tq).factor == pytest.approx(
-            angle_enhancement(cal, tc, tq).factor, rel=1e-9)
+            angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0], rel=1e-9)
 
     def test_advantage_regime_always_enhances(self):
         # balanced lossless arms with any squeezing and no lock noise keep
@@ -215,7 +217,6 @@ class TestAngleCalibration:
     def test_ideal_bowtie_equality(self):
         # constant wedge slope cancels in the ratio even with varying delta_n
         angles = np.linspace(0.0, 2 * ALPHA, 20)
-        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
         os = np.linspace(0.0, 1.0, 10)
         kappa = 0.03
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
@@ -224,19 +225,69 @@ class TestAngleCalibration:
         tc = delta_o_table(fit_noise_curve(cl))
         tq = delta_o_table(fit_noise_curve(qu))
         overlap_factor = enhancement(tc, tq).factor
-        angle_factor = angle_enhancement(cal, tc, tq).factor
+        angle_factor = angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0]
         assert angle_factor == pytest.approx(overlap_factor, rel=1e-9)
-
-    def test_zero_angle_is_unit_overlap(self):
-        angles = np.linspace(0, 2 * ALPHA, 5)
-        cal = AngleCalibration(angles=angles, overlaps=1 - angles / (2 * ALPHA))
-        assert float(np.interp(0.0, cal.angles, cal.overlaps)) == 1.0
-        assert cal.angle_for(1.0) == 0.0
 
     def test_rejects_non_monotone(self):
         with pytest.raises(EstimationError):
-            AngleCalibration(angles=np.array([0.0, 0.1, 0.2]),
-                             overlaps=np.array([1.0, 0.7, 0.8]))
+            angle_enhancement(np.array([0.0, 0.1, 0.2]), np.array([1.0, 0.7, 0.8]), [], [])
+
+    @staticmethod
+    def _random_table(rng):
+        n = int(rng.integers(2, 13))
+        # a[0] >= 0; every segment at least 0.002 wide in overlap
+        angles = rng.uniform(0.0, 0.01) + np.cumsum(rng.uniform(0.01, 0.1, n)) - 0.01
+        overlaps = rng.uniform(0.95, 1.0) - np.append(
+            0.0, np.cumsum(rng.uniform(0.002, 0.03, n - 1)))
+        return angles, overlaps
+
+    @staticmethod
+    def _records(rng, overlaps):
+        return [OverlapUncertainty(overlap=float(o), delta_o=float(rng.uniform(0.01, 1.0)),
+                                   slope=0.0, insensitive=False) for o in overlaps]
+
+    def _assert_matches_reference(self, angles, overlaps, classical, quantum):
+        want = [reference_angle_deltas(angles, overlaps, r) for r in (classical, quantum)]
+        slopes = np.diff(overlaps) / np.diff(angles)
+        got = [_angle_deltas(overlaps, slopes, r) for r in (classical, quantum)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert angle_enhancement(angles, overlaps, classical, quantum) == _ratio_of_means(*want)
+
+    def test_on_table_overlaps_matches_the_reference_bit_for_bit(self):
+        # the only overlaps a sweep passes: np.interp returns the knot angle
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            angles, overlaps = self._random_table(rng)
+            self._assert_matches_reference(angles, overlaps,
+                                           self._records(rng, overlaps),
+                                           self._records(rng, rng.permutation(overlaps)))
+
+    def test_between_knots_and_past_the_ends_matches_the_reference(self):
+        # inside a segment, at least 1% of its width (>= 2e-5) from either knot
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            angles, overlaps = self._random_table(rng)
+            inside = overlaps[1:] + rng.uniform(0.01, 0.99, len(angles) - 1) * -np.diff(overlaps)
+            past = [rng.uniform(overlaps[0], 1.0), overlaps[-1] - rng.uniform(0.0, 0.01)]
+            self._assert_matches_reference(angles, overlaps,
+                                           self._records(rng, inside),
+                                           self._records(rng, np.append(inside, past)))
+
+    @pytest.mark.parametrize("angles,overlaps", [
+        ([0.0, 0.1, 0.2], [1.0, 0.95]),
+        ([0.0], [1.0]),
+        ([[0.0, 0.1]], [[1.0, 0.95]]),
+        ([0.0, 0.2, 0.1], [1.0, 0.95, 0.9]),
+        ([-0.1, 0.1, 0.2], [1.0, 0.95, 0.9]),
+        ([0.0, 0.1, 0.2], [1.0, 0.9, 0.95]),
+    ], ids=["shapes", "one-row", "2-d", "angles-unsorted", "angles-negative",
+            "overlaps-rising"])
+    def test_bad_tables_raise_like_the_reference(self, angles, overlaps):
+        with pytest.raises(EstimationError) as want:
+            reference_angle_deltas(angles, overlaps, [])
+        with pytest.raises(EstimationError) as got:
+            angle_enhancement(angles, overlaps, [], [])
+        assert str(got.value) == str(want.value)
 
     @staticmethod
     def _factors_for_weight_map(w):
@@ -247,7 +298,6 @@ class TestAngleCalibration:
         angles = np.linspace(0.0, 2 * ALPHA, 60)
         os = np.array([decompose(bowtie(d, ALPHA, 120, n, n), mask, n, w).overlap
                        for d in angles])
-        cal = AngleCalibration(angles=angles, overlaps=os)
         pts_o = np.sort(os)
         kappa = 0.03
         nc, nq = 1 + 0.2 * pts_o, 1.2 - 0.5 * pts_o
@@ -257,7 +307,7 @@ class TestAngleCalibration:
               for o, v in zip(pts_o, nq)]
         tc = delta_o_table(fit_noise_curve(cl))
         tq = delta_o_table(fit_noise_curve(qu))
-        return enhancement(tc, tq).factor, angle_enhancement(cal, tc, tq).factor
+        return enhancement(tc, tq).factor, angle_enhancement(angles, os, tc, tq)[0]
 
     def test_nonuniform_beam_changes_angle_factor(self):
         # an angular hotspot in the beam profile bends O(angle), so the angle
