@@ -37,7 +37,7 @@ from .noise import (
     quantum_noise,
     technique_noise,
 )
-from .scene import SceneError, single_cell_decomposition
+from .scene import SceneError
 from .traces import TraceError, measure_series, seeded_config
 
 SWEEP_SCHEMA = "noiseimaging.sweep.v1"
@@ -146,8 +146,8 @@ def _measure_curve(cfg, readings, technique):
 def _angle_readings(cfg, params):
     """(angle, overlap, {technique: n_true}) per configured angle, in config order.
 
-    No angle's LO bitmap or cell decomposition outlives the next angle's, so
-    a sweep keeps only these three numbers per angle.
+    No angle's LO bitmap outlives the next angle's, so a sweep keeps only
+    these three numbers per angle.
     """
     weight = cfg.load_weight_map()
     alpha = cfg.bowtie_half_angle()
@@ -156,9 +156,8 @@ def _angle_readings(cfg, params):
     readings = []
     for angle in cfg.angles_deg:
         lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
-        decomp = scene.decompose(lo, mask, cfg.cell_size, weight)
-        readings.append((angle, decomp.overlap,
-                         {t: technique_noise(t, decomp, params) for t in TECHNIQUES}))
+        o, q = scene.overlaps(lo, mask, cfg.cell_size, weight)
+        readings.append((angle, o, {t: technique_noise(t, o, q, params) for t in TECHNIQUES}))
     return readings
 
 
@@ -294,7 +293,7 @@ def cmd_calibrate(cfg, db):
     r = calibrate_r(db, cfg.t_probe, cfg.t_conj, cfg.lock_noise)
     calibrated = replace(cfg, r=r, squeezing_db_detected=float(db))
     params = calibrated.twin_beam_params()
-    n_true = quantum_noise(single_cell_decomposition(1.0), params)
+    n_true = quantum_noise(1.0, 1.0, params)
     acq = seeded_config(cfg.acquisition(), cfg.seed, "calibrate")
     ns, _ = measure_series(n_true, acq, cfg.n_series)
     n_mean = float(np.mean(ns))

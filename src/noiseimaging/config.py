@@ -68,9 +68,10 @@ class RunConfig:
     def validate(self):
         # NaN fails every comparison and inf passes a lower bound, so each
         # bound is also capped at inf: a non-finite value fails here, naming
-        # its field, not in a later stage that blames another one
-        if not (np.isnan(self.r) or 0 <= self.r < np.inf):
-            raise ConfigError("source.r", "must be finite and >= 0 when given")
+        # its field, not in a later stage that blames another one; past r = 12
+        # (calibrate_r's bound) the noise terms cancel to worse than 1e-6
+        if not (np.isnan(self.r) or 0 <= self.r <= 12.0):
+            raise ConfigError("source.r", "must lie in [0, 12] when given")
         if np.isnan(self.r) and self.squeezing_db_detected < 0:
             raise ConfigError("source.squeezing_db_detected", "must be >= 0 (dB below SNL)")
         for name in ("t_probe", "t_conj"):
@@ -170,7 +171,10 @@ class RunConfig:
         if not np.all(np.isfinite(data) & (data >= 0)):
             raise ConfigError("scene.weight_map",
                               "weight map entries must be finite and non-negative")
-        return data
+        # weights are relative: scaled to a largest entry of 1, the overlaps
+        # do not depend on the map's scale, and its sums cannot overflow
+        peak = data.max()
+        return data / peak if peak > 0 else data
 
     def as_dict(self):
         """Resolved config for result files; omits out_dir so artifacts stay

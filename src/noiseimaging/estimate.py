@@ -298,7 +298,6 @@ def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
     letter order, and a TechniqueRanking per technique.
     """
     glyphs = scene.load_font(font_dir)
-    full = scene.full_bitmap(mask.width, mask.height)
     records = []
     snl_joint = 1.0
     for letter in scene.LETTERS:
@@ -309,12 +308,11 @@ def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
                     letter=letter, technique=technique, valid=False, reason=FLOOR_REASON,
                 ))
             continue
-        base_decomp = scene.decompose(lo, full, cell_size)
-        masked_decomp = scene.decompose(lo, mask, cell_size)
-        o = masked_decomp.overlap
+        o, q = scene.overlaps(lo, mask, cell_size)
         for technique in TECHNIQUES:
-            nb_true = technique_noise(technique, base_decomp, params)
-            nm_true = technique_noise(technique, masked_decomp, params)
+            # the baseline has no mask: unit overlap and root overlap
+            nb_true = technique_noise(technique, 1.0, 1.0, params)
+            nm_true = technique_noise(technique, o, q, params)
             nb, sb = _measured_noise(
                 nb_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "baseline",

@@ -2,19 +2,21 @@
 
 Per coherence cell, a squeezed pair is prepared, the probe arm sees the
 detection transmission and the conjugate arm the detection transmission
-times the cell's mask transmission; the cell noises are combined with the
-LO weight fractions.  Quantum = locked joint-difference variance relative
-to the two-beam SNL; classical = single conjugate-arm variance relative to
-the one-beam SNL.
+times the cell's mask transmission T_i; the cell noises are combined with
+the LO weight fractions w_i.  Quantum = locked joint-difference variance
+relative to the two-beam SNL; classical = single conjugate-arm variance
+relative to the one-beam SNL.
 
 Every cell holds a squeezed pair behind loss with an isotropic conjugate
 block, so both variances have closed forms (Weedbrook et al., Rev. Mod.
 Phys. 84, 621 (2012)); the SNLs are 1/2 per vacuum quadrature, one vacuum
-for the single beam and two for the difference signal.  With
-T_c = t_conj * T_cell:
+for the single beam and two for the difference signal.  The quantum cell
+noise is affine in sqrt(T_i) and T_i, the classical one in T_i, and the
+weights sum to 1, so the scene enters only through the overlap
+O = sum(w_i T_i) and the root overlap Q = sum(w_i sqrt(T_i)):
 
-    N_q = 1 + (t_p + T_c) sinh^2 r - sqrt(t_p T_c) sinh 2r + lock_noise
-    N_c = 1 + 2 T_c sinh^2 r
+    N_q = 1 + (t_p + t_c O) sinh^2 r - sqrt(t_p t_c) sinh 2r Q + lock_noise
+    N_c = 1 + 2 t_c O sinh^2 r
 
 The quantum form is the lock's minimum over the conjugate LO phase, reached
 at the same phase in every cell.
@@ -65,26 +67,23 @@ class TwinBeamParams:
             raise NoiseModelError("electronic_floor must be >= 0")
 
 
-def quantum_noise(decomp, params):
-    """Locked twin-beam difference noise for a cell decomposition, SNL units."""
-    t_c = params.t_conj * decomp.transmissions
-    cell = (1.0 + (params.t_probe + t_c) * np.sinh(params.r) ** 2
-            - np.sqrt(params.t_probe * t_c) * np.sinh(2.0 * params.r))
-    return float(np.sum(decomp.weights * cell)) + params.lock_noise
+def quantum_noise(overlap, root_overlap, params):
+    """Locked twin-beam difference noise at overlap O and root overlap Q, SNL units."""
+    n = (1.0 + (params.t_probe + params.t_conj * overlap) * np.sinh(params.r) ** 2
+         - np.sqrt(params.t_probe * params.t_conj) * np.sinh(2.0 * params.r) * root_overlap)
+    return float(n) + params.lock_noise
 
 
-def classical_noise(decomp, params):
-    """Single conjugate-beam excess noise for a cell decomposition, SNL units."""
-    t_c = params.t_conj * decomp.transmissions
-    cell = 1.0 + 2.0 * t_c * np.sinh(params.r) ** 2
-    return float(np.sum(decomp.weights * cell))
+def classical_noise(overlap, params):
+    """Single conjugate-beam excess noise at overlap O, SNL units."""
+    return float(1.0 + 2.0 * params.t_conj * overlap * np.sinh(params.r) ** 2)
 
 
-def technique_noise(technique, decomp, params):
+def technique_noise(technique, overlap, root_overlap, params):
     if technique == TECH_QUANTUM:
-        return quantum_noise(decomp, params)
+        return quantum_noise(overlap, root_overlap, params)
     if technique == TECH_CLASSICAL:
-        return classical_noise(decomp, params)
+        return classical_noise(overlap, params)
     raise NoiseModelError("unknown technique %r" % (technique,))
 
 

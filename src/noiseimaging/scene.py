@@ -1,9 +1,11 @@
 """Binary transverse shapes on a pixel grid and their coherence-cell geometry.
 
 Masks and local-oscillator (LO) shapes are binary bitmaps.  The transverse
-plane is partitioned into square coherence cells; `decompose` reduces an
-(LO, mask) pair to per-cell LO weight fractions w_i and mask transmissions
-T_i with sum(w_i * T_i) equal to the scalar LO-mask overlap.
+plane is partitioned into square coherence cells, each with an LO weight
+fraction w_i and a mask power transmission T_i.  The noise model is affine
+in T_i and in sqrt(T_i), so `overlaps` reduces an (LO, mask) pair to two
+moments: the overlap O = sum(w_i T_i) and the root overlap
+Q = sum(w_i sqrt(T_i)).
 
 Bitmaps load from plain ASCII portable bitmaps (magic "P1").  The
 bundled A-Z font ships as one P1 file per letter.
@@ -12,7 +14,7 @@ bundled A-Z font ships as one P1 file per letter.
 import functools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -62,58 +64,6 @@ class Bitmap:
         if not isinstance(other, Bitmap):
             return NotImplemented
         return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
-
-
-def full_bitmap(width, height):
-    return Bitmap._adopt(np.ones((height, width), dtype=bool))
-
-
-@dataclass(frozen=True)
-class CellDecomposition:
-    """Per-cell LO weight fractions and mask power transmissions.
-
-    Only cells containing LO pixels are kept; weights sum to 1 and
-    sum(w_i * T_i) equals the scalar LO-mask overlap.
-    """
-
-    weights: np.ndarray
-    transmissions: np.ndarray
-    overlap: float = field(init=False)
-
-    def __post_init__(self):
-        # copies: the caller keeps its arrays, writable
-        self._own(np.atleast_1d(np.array(self.weights, dtype=float)),
-                  np.atleast_1d(np.array(self.transmissions, dtype=float)))
-
-    @classmethod
-    def _adopt(cls, weights, transmissions):
-        """Wrap 1-D float arrays the scene layer just built, without copying them."""
-        self = object.__new__(cls)
-        self._own(weights, transmissions)
-        return self
-
-    def _own(self, w, t):
-        if w.shape != t.shape or w.ndim != 1:
-            raise SceneError("weights and transmissions must be 1-D arrays of equal length")
-        if np.any(w < 0):
-            raise SceneError("cell weights must be non-negative")
-        if np.any((t < -1e-12) | (t > 1.0 + 1e-12)):
-            raise SceneError("cell transmissions must lie in [0, 1]")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise SceneError("cell weights must sum to 1")
-        w.setflags(write=False)
-        np.clip(t, 0.0, 1.0, out=t)
-        t.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "transmissions", t)
-        # a fixed-order sum, not a BLAS dot, so the bytes do not depend on the
-        # thread count; it can drift past the boundaries by float rounding
-        object.__setattr__(self, "overlap", float(np.clip(np.sum(w * t), 0.0, 1.0)))
-
-
-def single_cell_decomposition(transmission):
-    """Degenerate one-cell decomposition with the given transmission."""
-    return CellDecomposition(np.array([1.0]), np.array([float(transmission)]))
 
 
 def _check_same_dims(a, b):
@@ -236,21 +186,31 @@ def bowtie(rotation, half_angle, radius, width, height):
     return Bitmap._adopt(bits.reshape(height, width))
 
 
-def decompose(lo, mask, cell_size, weight_map=None):
-    """Per-cell LO weights and mask transmissions on square coherence cells of
-    cell_size pixels a side, tiling the plane from the top-left corner."""
+def overlaps(lo, mask, cell_size, weight_map=None):
+    """(overlap, root overlap) of an LO and a mask on square coherence cells
+    of cell_size pixels a side, tiling the plane from the top-left corner.
+
+    With l_i and p_i the LO and passed power of cell i, O = sum(p_i) / total
+    and Q = sum(l_i sqrt(p_i / l_i)) / total: without a weight map O is the
+    correctly rounded pixel-count ratio, single-pixel cells give Q == O, and
+    the full mask gives O = Q = 1.  Each drifts past 1 only by rounding.
+    """
     if cell_size < 1:
         raise SceneError("cell_size must be >= 1, got %r" % (cell_size,))
     lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weight_map)
-    return CellDecomposition._adopt(lo_sums / total, passed_sums / lo_sums)
+    # fixed-order sums, not thread-dependent BLAS dots; l_i sqrt(p_i / l_i),
+    # not sqrt(p_i l_i), which underflows for subnormal cell powers
+    overlap = float(np.sum(passed_sums)) / total
+    root_overlap = float(np.sum(lo_sums * np.sqrt(passed_sums / lo_sums))) / total
+    return min(overlap, 1.0), min(root_overlap, 1.0)
 
 
 def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     """LO power and passed power of each cell holding LO power, and the total
     LO power.
 
-    A separate function so the full-range per-cell arrays are freed before the
-    decomposition allocates the arrays it keeps: a sweep holds one per angle.
+    A separate function so the full-range per-cell arrays are freed before
+    `overlaps` allocates its per-cell temporaries.
     """
     _check_same_dims(lo, mask)
     # off the LO every term of the per-cell sums is zero, and off the mask

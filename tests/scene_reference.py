@@ -2,17 +2,19 @@
 
 `reference_bowtie` rasterizes a bow-tie from a fresh meshgrid with numpy's
 `%` and `np.where`, and `reference_decompose` sums every pixel of the grid
-into a full-length float `bincount` per cell.  The runtime folds only the
-disk pixels near the wedge axis and counts only LO pixels; the tests require
-the same bits from both.  `reference_load_pbm` tokenizes a P1 file line by
-line as text, where the runtime parses its bytes.
+into a full-length float `bincount` per cell and returns the per-cell LO
+weight fractions and mask transmissions; `cell_moments` turns those into
+the overlap and root overlap.  The runtime folds only the disk pixels near
+the wedge axis and sums only LO pixels; the tests require the same bits, and
+the same moments to within rounding.  `reference_load_pbm` tokenizes a P1
+file line by line as text, where the runtime parses its bytes.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from noiseimaging.scene import Bitmap, CellDecomposition, SceneError
+from noiseimaging.scene import Bitmap, SceneError
 
 
 def reference_bowtie(rotation, half_angle, radius, width, height):
@@ -33,7 +35,8 @@ def reference_bowtie(rotation, half_angle, radius, width, height):
 
 
 def reference_decompose(lo, mask, cell_size, weight_map=None):
-    """Per-cell LO weights and mask transmissions from full-grid sums."""
+    """(weights, transmissions): the LO weight fraction and mask power
+    transmission of each cell holding LO power, from full-grid sums."""
     w = np.ones(lo.bits.shape) if weight_map is None else np.asarray(weight_map, float)
     lo_power = w * lo.bits
     total = float(lo_power.sum())
@@ -49,7 +52,14 @@ def reference_decompose(lo, mask, cell_size, weight_map=None):
     keep = per_cell_lo > 0.0
     weights = per_cell_lo[keep] / total
     transmissions = per_cell_passed[keep] / per_cell_lo[keep]
-    return CellDecomposition(weights, transmissions)
+    return weights, transmissions
+
+
+def cell_moments(weights, transmissions):
+    """(overlap, root overlap) of per-cell LO weight fractions and mask
+    transmissions: sum(w T) and sum(w sqrt(T))."""
+    w, t = np.asarray(weights, dtype=float), np.asarray(transmissions, dtype=float)
+    return float(np.sum(w * t)), float(np.sum(w * np.sqrt(t)))
 
 
 def reference_load_pbm(path):

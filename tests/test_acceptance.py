@@ -30,10 +30,11 @@ from noiseimaging.noise import (
     classical_noise,
     quantum_noise,
 )
-from noiseimaging.scene import CellDecomposition, glyph
+from noiseimaging.scene import glyph
 from noiseimaging.traces import AcquisitionConfig, measure_series, seeded_config
 
 from oracles import mc_classical_noise, mc_quantum_noise
+from scene_reference import cell_moments
 
 # desk-scale lossless calibration: r solving 20 r log10(e) = 2.2
 R_DESK = 2.2 * np.log(10.0) / 20.0
@@ -246,7 +247,7 @@ def test_criterion_6_oracle_equivalence():
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
         transmissions = rng.uniform(0.0, 1.0, size=k)
-        decomp = CellDecomposition(weights, transmissions)
+        o, q = cell_moments(weights, transmissions)
         params = TwinBeamParams(r=r, t_probe=t_p, t_conj=t_c)
 
         # symplectic positivity along the composition chain
@@ -266,8 +267,8 @@ def test_criterion_6_oracle_equivalence():
                                           0.0, n_mc, rng)
             mc_c, se_c = mc_classical_noise(weights, transmissions, r, t_c,
                                             n_mc, rng)
-            dq = abs(quantum_noise(decomp, params) - mc_q) / se_q
-            dc = abs(classical_noise(decomp, params) - mc_c) / se_c
+            dq = abs(quantum_noise(o, q, params) - mc_q) / se_q
+            dc = abs(classical_noise(o, params) - mc_c) / se_c
             worst = max(worst, dq, dc)
             if dq >= 5:
                 failures.append("draw %d: quantum off by %.1f SE" % (draw, dq))
@@ -278,8 +279,9 @@ def test_criterion_6_oracle_equivalence():
 
 
 def _binary_decomposition(o):
-    """Fully transmitted and fully blocked cells mixing to overlap o."""
-    return CellDecomposition(np.array([o, 1.0 - o]), np.array([1.0, 0.0]))
+    """(overlap, root overlap) of fully transmitted and fully blocked cells
+    mixing to overlap o."""
+    return cell_moments(np.array([o, 1.0 - o]), np.array([1.0, 0.0]))
 
 
 def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
@@ -287,11 +289,11 @@ def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
     for technique in (TECH_CLASSICAL, TECH_QUANTUM):
         pts = []
         for k, o in enumerate(angles_overlaps):
-            decomp = _binary_decomposition(o)
+            o_cells, q_cells = _binary_decomposition(o)
             if technique == TECH_QUANTUM:
-                n_true = quantum_noise(decomp, params)
+                n_true = quantum_noise(o_cells, q_cells, params)
             else:
-                n_true = classical_noise(decomp, params)
+                n_true = classical_noise(o_cells, params)
             ns, deltas = measure_series(
                 n_true, seeded_config(acq, master, tag, technique, k), n_series,
             )
@@ -336,9 +338,9 @@ def test_criterion_8_null_case():
     for technique in (TECH_CLASSICAL, TECH_QUANTUM):
         pts = []
         for k, o in enumerate(DESK_OVERLAPS):
-            decomp = _binary_decomposition(o)
-            n_true = (quantum_noise if technique == TECH_QUANTUM else classical_noise)(
-                decomp, params)
+            o_cells, q_cells = _binary_decomposition(o)
+            n_true = (quantum_noise(o_cells, q_cells, params) if technique == TECH_QUANTUM
+                      else classical_noise(o_cells, params))
             ns, deltas = measure_series(
                 n_true, seeded_config(acq, 20260406, "null", technique, k), 10,
             )

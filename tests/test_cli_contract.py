@@ -9,12 +9,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noiseimaging
 from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
-from noiseimaging.scene import full_bitmap
+from noiseimaging.scene import Bitmap
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,7 +109,7 @@ def _font_copy(tmp_path):
 
 def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
     font = _font_copy(tmp_path)
-    save_pbm(full_bitmap(64, 64), font / "Z.pbm")
+    save_pbm(Bitmap(np.ones((64, 64), dtype=bool)), font / "Z.pbm")
     cfgfile = tmp_path / "run.cfg"
     save_config(RunConfig(font_dir=str(font), electronic_floor=3000.0, cell_size=8,
                           n_series=2, samples_per_point=100), cfgfile)
@@ -182,6 +183,34 @@ def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
     error = _one_error_line(capsys, "sweep")
     assert error["field"] == "scene.weight_map"
     assert "weight map" in error["message"].replace("_", " ")
+
+
+def _sweep_artifacts(tmp_path, name, cell_size, weight_map=""):
+    """The sweep artifacts of a 64x64 grid, with config.weight_map dropped
+    from the summary (it names the file)."""
+    cfgfile = tmp_path / ("%s.cfg" % name)
+    save_config(RunConfig(grid_size=64, cell_size=cell_size, weight_map=weight_map,
+                          n_series=2, samples_per_point=100), cfgfile)
+    out = tmp_path / name
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    summary = json.loads(files.pop("summary.json"))
+    del summary["config"]["weight_map"]
+    return files, summary
+
+
+# weights are relative: a uniform map is no map at any scale, overflowing
+# and subnormal ones included
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell_size", [1, 8])
+def test_uniform_weight_map_at_any_scale_gives_the_artifacts_of_no_map(cell_size, tmp_path,
+                                                                        capsys):
+    want = _sweep_artifacts(tmp_path, "plain", cell_size)
+    for k, scale in enumerate(("1e308", "1e300", "1e-300", "1e-310", "5e-324")):
+        wmap = tmp_path / ("w%d.txt" % k)
+        wmap.write_text(("%s\n" % " ".join([scale] * 64)) * 64)
+        assert _sweep_artifacts(tmp_path, "w%d" % k, cell_size, str(wmap)) == want, scale
+    capsys.readouterr()
 
 
 # a PiB-sized request is beyond the user address space, so it fails at once
@@ -292,7 +321,11 @@ def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
     ("lock_noise", float("nan"), "source.lock_noise"),
     ("lock_noise", float("inf"), "source.lock_noise"),
     ("r", float("inf"), "source.r"),
-], ids=["power-nan", "power-inf", "floor-nan", "floor-inf", "lock-nan", "lock-inf", "r-inf"])
+    # past calibrate_r's bound of 12 the noise is not resolved, past 355 it overflows
+    ("r", 13.0, "source.r"),
+    ("r", 400.0, "source.r"),
+], ids=["power-nan", "power-inf", "floor-nan", "floor-inf", "lock-nan", "lock-inf", "r-inf",
+        "r-unresolved", "r-overflow"])
 @pytest.mark.parametrize("args", [["sweep"], ["alphabet", "--mask", "Z"]],
                          ids=["sweep", "alphabet"])
 def test_non_finite_source_value_names_its_field(name, value, field, args, tmp_path, capsys):

@@ -15,7 +15,7 @@ from noiseimaging.estimate import (
     overlap_uncertainty,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
-from noiseimaging.scene import full_bitmap, glyph
+from noiseimaging.scene import Bitmap, glyph
 from noiseimaging.traces import AcquisitionConfig
 from estimate_reference import reference_angle_deltas
 
@@ -69,7 +69,6 @@ class TestFitNoiseCurve:
     def test_recovers_simulated_classical_slope(self):
         # full pipeline points at the desk-scale calibration
         from noiseimaging.noise import classical_noise
-        from noiseimaging.scene import single_cell_decomposition
         from noiseimaging.traces import measure_series, seeded_config
         from noiseimaging.estimate import summarize_series
 
@@ -78,7 +77,7 @@ class TestFitNoiseCurve:
         cfg = AcquisitionConfig()
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 12)):
-            n_true = classical_noise(single_cell_decomposition(o), params)
+            n_true = classical_noise(o, params)
             ns, deltas = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
             n, sem, delta = summarize_series(ns, deltas, cfg.n_segments)
             pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
@@ -291,12 +290,12 @@ class TestAngleCalibration:
 
     @staticmethod
     def _factors_for_weight_map(w):
-        from noiseimaging.scene import bowtie, decompose
+        from noiseimaging.scene import bowtie, overlaps
 
         n = 256
         mask = bowtie(0.0, ALPHA, 120, n, n)
         angles = np.linspace(0.0, 2 * ALPHA, 60)
-        os = np.array([decompose(bowtie(d, ALPHA, 120, n, n), mask, n, w).overlap
+        os = np.array([overlaps(bowtie(d, ALPHA, 120, n, n), mask, n, w)[0]
                        for d in angles])
         pts_o = np.sort(os)
         kappa = 0.03
@@ -331,7 +330,7 @@ class TestAlphabetGun:
     def test_all_ones_mask_gives_unit_deviation(self):
         params = alphabet_profile()
         cfg = AcquisitionConfig()
-        mask = full_bitmap(64, 64)
+        mask = Bitmap(np.ones((64, 64), dtype=bool))
         records, _ = alphabet_gun(mask, params, cfg, 8, n_series=5, master_seed=3)
         sems = []
         for rec in records:

@@ -143,4 +143,4 @@ def test_the_walk_sees_the_package():
     # a keyword default, and the entry point's, which no runtime call passes
     labels = {"%s.%s(%s)" % (*key, name)
               for key, _, name, _ in _defaulted_parameters(_runtime_modules())}
-    assert {"scene.decompose(weight_map)", "cli.main(argv)"} <= labels
+    assert {"scene.overlaps(weight_map)", "cli.main(argv)"} <= labels

@@ -3,15 +3,13 @@ import pytest
 
 from noiseimaging.scene import (
     Bitmap,
-    CellDecomposition,
     LETTERS,
     SceneError,
     bowtie,
-    decompose,
-    full_bitmap,
     glyph,
     load_font,
     load_pbm,
+    overlaps,
 )
 
 from scene_reference import save_pbm
@@ -23,9 +21,13 @@ def random_bitmap(rng, w, h, fill=0.5):
     return Bitmap(rng.random((h, w)) < fill)
 
 
+def full_bitmap(width, height):
+    return Bitmap(np.ones((height, width), dtype=bool))
+
+
 def overlap(lo, mask, weight_map=None):
-    """Scalar LO-mask overlap: the decomposition on one cell spanning the canvas."""
-    return decompose(lo, mask, max(lo.width, lo.height), weight_map).overlap
+    """Scalar LO-mask overlap, on one cell spanning the canvas."""
+    return overlaps(lo, mask, max(lo.width, lo.height), weight_map)[0]
 
 
 def _reference_overlap(lo, mask, weight_map=None):
@@ -53,31 +55,17 @@ class TestBitmap:
 class TestArrayOwnership:
     def test_public_constructors_copy_caller_arrays(self):
         bits = np.zeros((3, 4), dtype=bool)
-        weights, transmissions = np.array([0.25, 0.75]), np.array([1.0, 0.5])
         bm = Bitmap(bits)
-        d = CellDecomposition(weights, transmissions)
-        for caller, kept in ((bits, bm.bits), (weights, d.weights),
-                             (transmissions, d.transmissions)):
-            assert caller.flags.writeable
-            assert not kept.flags.writeable
-            assert not np.shares_memory(caller, kept)
+        assert bits.flags.writeable
+        assert not bm.bits.flags.writeable
+        assert not np.shares_memory(bits, bm.bits)
 
     def test_scene_results_are_read_only(self, tmp_path):
         mask = bowtie(0.0, ALPHA, 14, 32, 32)
         lo = bowtie(0.3, ALPHA, 14, 32, 32)
         save_pbm(lo, tmp_path / "lo.pbm")
-        d = decompose(lo, mask, 1)
-        for arr in (mask.bits, lo.bits, full_bitmap(3, 2).bits,
-                    load_pbm(tmp_path / "lo.pbm").bits, d.weights, d.transmissions):
+        for arr in (mask.bits, lo.bits, load_pbm(tmp_path / "lo.pbm").bits):
             assert not arr.flags.writeable
-
-    def test_construction_checks_the_arrays(self):
-        with pytest.raises(SceneError, match="non-negative"):
-            CellDecomposition(np.array([-0.5, 1.5]), np.array([1.0, 1.0]))
-        with pytest.raises(SceneError, match=r"\[0, 1\]"):
-            CellDecomposition(np.array([0.5, 0.5]), np.array([1.0, 1.5]))
-        with pytest.raises(SceneError, match="sum to 1"):
-            CellDecomposition(np.array([0.5, 0.25]), np.array([1.0, 1.0]))
 
 
 class TestPbmIO:
@@ -214,19 +202,20 @@ class TestOverlap:
 
 class TestDecompose:
     def test_degenerate_single_cell(self):
+        # one cell: O is its transmission and Q its square root
         rng = np.random.default_rng(4)
         lo, mask = random_bitmap(rng, 32, 32), random_bitmap(rng, 32, 32)
-        d = decompose(lo, mask, 32)
-        assert len(d.weights) == 1
-        assert d.weights[0] == 1.0
-        assert d.transmissions[0] == pytest.approx(_reference_overlap(lo, mask), abs=1e-12)
+        o, q = overlaps(lo, mask, 32)
+        assert o == pytest.approx(_reference_overlap(lo, mask), abs=1e-12)
+        assert q == pytest.approx(np.sqrt(_reference_overlap(lo, mask)), abs=1e-12)
 
     def test_single_pixel_cells_are_binary(self):
+        # binary cells have sqrt(T) = T, so Q == O, the pixel-count ratio
         rng = np.random.default_rng(5)
         lo, mask = random_bitmap(rng, 32, 32), random_bitmap(rng, 32, 32)
-        d = decompose(lo, mask, 1)
-        assert set(np.unique(d.transmissions)) <= {0.0, 1.0}
-        assert len(d.weights) == lo.pixel_count
+        o, q = overlaps(lo, mask, 1)
+        assert q == o
+        assert o == (lo.bits & mask.bits).sum() / lo.pixel_count
 
     def test_bowtie_consistency_over_rotations(self):
         rng = np.random.default_rng(6)
@@ -234,9 +223,10 @@ class TestDecompose:
         cell_size = 16
         for delta in rng.uniform(0, 2 * ALPHA, size=50):
             lo = bowtie(delta, ALPHA, 120, 256, 256)
-            d = decompose(lo, mask, cell_size)
-            assert d.weights.sum() == pytest.approx(1.0, abs=1e-9)
-            assert d.overlap == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
+            o, q = overlaps(lo, mask, cell_size)
+            # sqrt(T) >= T in every cell, and the weights sum to 1
+            assert o - 1e-12 <= q <= 1.0
+            assert o == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
 
     def test_fuzzed_consistency(self):
         rng = np.random.default_rng(7)
@@ -248,29 +238,29 @@ class TestDecompose:
                 continue
             mask = random_bitmap(rng, w, h, rng.uniform(0.1, 0.9))
             cell_size = int(rng.integers(1, 12))
-            d = decompose(lo, mask, cell_size)
-            assert d.weights.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all((d.transmissions >= 0) & (d.transmissions <= 1))
-            assert d.overlap == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
+            o, q = overlaps(lo, mask, cell_size)
+            assert 0.0 <= o <= 1.0 and o - 1e-12 <= q <= 1.0
+            assert o == pytest.approx(_reference_overlap(lo, mask), abs=1e-9)
 
     def test_rejects_cell_size_below_one(self):
         lo = full_bitmap(4, 4)
         for cell_size in (0, -1):
             with pytest.raises(SceneError, match="cell_size"):
-                decompose(lo, lo, cell_size)
+                overlaps(lo, lo, cell_size)
 
     def test_cells_without_lo_are_omitted(self):
+        # three of the four cells hold no LO: they add nothing and divide
+        # nothing by zero
         bits = np.zeros((8, 8), dtype=bool)
         bits[0, 0] = True
-        d = decompose(Bitmap(bits), full_bitmap(8, 8), 4)
-        assert len(d.weights) == 1
+        assert overlaps(Bitmap(bits), full_bitmap(8, 8), 4) == (1.0, 1.0)
 
     def test_weighted_decomposition_matches_weighted_overlap(self):
         rng = np.random.default_rng(8)
         lo, mask = random_bitmap(rng, 24, 24), random_bitmap(rng, 24, 24)
         w = rng.uniform(0.1, 2.0, size=(24, 24))
-        d = decompose(lo, mask, 5, w)
-        assert d.overlap == pytest.approx(_reference_overlap(lo, mask, w), abs=1e-9)
+        assert overlaps(lo, mask, 5, w)[0] == pytest.approx(_reference_overlap(lo, mask, w),
+                                                           abs=1e-9)
 
 
 class TestGlyphs:

@@ -1,6 +1,8 @@
-"""The candidate-pixel rasterizer, the LO-pixel decomposition and the byte
-P1 parser against their references: every bit and every float must agree,
-and every rejected input must raise a SceneError."""
+"""The candidate-pixel rasterizer, the LO-pixel overlaps and the byte P1
+parser against their references: every bit must agree, the overlaps must
+agree with the reference cells' moments to within rounding (and bit for bit
+where they are exact), and every rejected input must raise the same
+SceneError."""
 
 import tracemalloc
 from pathlib import Path
@@ -15,10 +17,15 @@ from noiseimaging.scene import (
     SceneError,
     _polar_grid,
     bowtie,
-    decompose,
     load_pbm,
+    overlaps,
 )
-from scene_reference import reference_bowtie, reference_decompose, reference_load_pbm
+from scene_reference import (
+    cell_moments,
+    reference_bowtie,
+    reference_decompose,
+    reference_load_pbm,
+)
 
 DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg")
 
@@ -28,11 +35,40 @@ def assert_same_bitmap(got, want):
     assert np.array_equal(got.bits, want.bits)
 
 
-def assert_same_decomposition(got, want):
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert got.transmissions.tobytes() == want.transmissions.tobytes()
-    assert got.weights.shape == want.weights.shape
-    assert got.overlap.hex() == want.overlap.hex()
+# the runtime divides summed cell powers by the total once, the reference
+# sums weight fractions times transmissions; on moments in [0, 1] the two
+# roundings differ by a few ulps (the largest difference these tests and
+# the property tests meet is 2 eps, on up to 41,680 cells)
+MOMENT_TOL = 16 * np.finfo(float).eps
+
+
+def assert_overlaps_match_reference(lo, mask, cell_size, weights=None):
+    """`overlaps` against the moments of `reference_decompose`.
+
+    A rejected pair must raise the same SceneError on both sides.  Otherwise
+    both moments agree within MOMENT_TOL, and three identities hold bit for
+    bit: without a weight map O is the correctly rounded pixel-count ratio
+    (Python's int division), and O = Q = 1 against the full mask; with
+    single-pixel cells Q == O.  Returns whether the pair was accepted.
+    """
+    try:
+        want = cell_moments(*reference_decompose(lo, mask, cell_size, weights))
+    except SceneError as exc:
+        with pytest.raises(SceneError) as got:
+            overlaps(lo, mask, cell_size, weights)
+        assert str(got.value) == str(exc)
+        return False
+    o, q = overlaps(lo, mask, cell_size, weights)
+    assert abs(o - want[0]) <= MOMENT_TOL
+    assert abs(q - want[1]) <= MOMENT_TOL
+    if weights is None:
+        assert o.hex() == (int(np.count_nonzero(lo.bits & mask.bits))
+                           / int(np.count_nonzero(lo.bits))).hex()
+        if mask.bits.all():
+            assert (o, q) == (1.0, 1.0)
+    if cell_size == 1:
+        assert q.hex() == o.hex()
+    return True
 
 
 def test_desk_sweep_bitmaps_and_decompositions():
@@ -44,8 +80,7 @@ def test_desk_sweep_bitmaps_and_decompositions():
         rotation = np.deg2rad(angle)
         lo = bowtie(rotation, alpha, radius, n, n)
         assert_same_bitmap(lo, reference_bowtie(rotation, alpha, radius, n, n))
-        assert_same_decomposition(decompose(lo, mask, cell_size),
-                                  reference_decompose(lo, mask, cell_size))
+        assert_overlaps_match_reference(lo, mask, cell_size)
 
 
 def test_random_rotations_on_non_square_grids():
@@ -82,15 +117,9 @@ def test_random_masks_with_weight_maps_and_coarse_cells():
         weights[rng.random((height, width)) < 0.1] = 0.0
         weights[rng.random((height, width)) < 0.05] = -0.0
         cell_size = int(rng.integers(2, 12))
-        try:
-            want = reference_decompose(lo, mask, cell_size, weights)
-        except SceneError:
-            with pytest.raises(SceneError):
-                decompose(lo, mask, cell_size, weights)
+        if not assert_overlaps_match_reference(lo, mask, cell_size, weights):
             continue
-        assert_same_decomposition(decompose(lo, mask, cell_size, weights), want)
-        assert_same_decomposition(decompose(lo, mask, cell_size),
-                                  reference_decompose(lo, mask, cell_size))
+        assert_overlaps_match_reference(lo, mask, cell_size)
         checked += 1
 
 
@@ -106,12 +135,11 @@ def test_random_masks_without_weight_maps():
         cell_size = int(rng.integers(1, 12))
         if not lo.bits.any():
             empty += 1
-            for fn in (reference_decompose, decompose):
+            for fn in (reference_decompose, overlaps):
                 with pytest.raises(SceneError, match="empty LO"):
                     fn(lo, mask, cell_size)
             continue
-        assert_same_decomposition(decompose(lo, mask, cell_size),
-                                  reference_decompose(lo, mask, cell_size))
+        assert_overlaps_match_reference(lo, mask, cell_size)
     assert 240 - empty >= 200
 
 
@@ -123,8 +151,7 @@ def test_bowtie_decompositions_on_coarse_cells():
         cell_size = int(rng.integers(2, 20))
         lo = bowtie(float(rng.uniform(-7.0, 7.0)), alpha, 60, 128, 128)
         weights = rng.uniform(0.1, 2.0, size=(128, 128))
-        assert_same_decomposition(decompose(lo, mask, cell_size, weights),
-                                  reference_decompose(lo, mask, cell_size, weights))
+        assert assert_overlaps_match_reference(lo, mask, cell_size, weights)
 
 
 def assert_same_bowtie(rotation, alpha, radius, width, height):
@@ -242,8 +269,8 @@ def test_single_pixel_cell_decomposition_peak_memory():
     mask = bowtie(0.0, alpha, radius, n, n)
     lo = bowtie(np.deg2rad(45.0), alpha, radius, n, n)
     cell_size = 1
-    # no full-range per-cell arrays and no second copy of the ones kept
-    assert _traced_peak_mib(lambda: decompose(lo, mask, cell_size)) < 2.5
+    # no full-range per-cell arrays
+    assert _traced_peak_mib(lambda: overlaps(lo, mask, cell_size)) < 2.5
 
 
 def _signed_zero_weights(rng, height, width):
@@ -267,16 +294,10 @@ def test_single_pixel_cells_with_weight_maps():
         lo = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
         mask = Bitmap(rng.random((height, width)) < rng.uniform(0.0, 1.0))
         weights = _signed_zero_weights(rng, height, width)
-        try:
-            want = reference_decompose(lo, mask, cell_size, weights)
-        except SceneError:
+        if not assert_overlaps_match_reference(lo, mask, cell_size, weights):
             rejected += 1
-            with pytest.raises(SceneError, match="empty LO"):
-                decompose(lo, mask, cell_size, weights)
             continue
-        assert_same_decomposition(decompose(lo, mask, cell_size, weights), want)
-        assert_same_decomposition(decompose(lo, mask, cell_size),
-                                  reference_decompose(lo, mask, cell_size))
+        assert_overlaps_match_reference(lo, mask, cell_size)
     assert 0 < rejected < 60
 
 
@@ -287,7 +308,7 @@ def test_single_pixel_cells_reject_an_lo_without_weight(zero):
     mask = Bitmap(rng.random((12, 9)) < 0.5)
     # power only off the LO
     weights = np.where(lo.bits, zero, 2.0)
-    for fn in (reference_decompose, decompose):
+    for fn in (reference_decompose, overlaps):
         with pytest.raises(SceneError, match="empty LO"):
             fn(lo, mask, 1, weights)
 
@@ -299,8 +320,50 @@ def test_single_pixel_cells_on_the_desk_bowtie_with_a_weight_map():
     mask = bowtie(0.0, alpha, radius, n, n)
     lo = bowtie(np.deg2rad(13.5), alpha, radius, n, n)
     cell_size = 1
-    assert_same_decomposition(decompose(lo, mask, cell_size, weights),
-                              reference_decompose(lo, mask, cell_size, weights))
+    assert assert_overlaps_match_reference(lo, mask, cell_size, weights)
+
+
+def test_full_mask_gives_unit_moments_on_every_cell_size():
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        width, height = (int(v) for v in rng.integers(1, 40, size=2))
+        lo = Bitmap(rng.random((height, width)) < rng.uniform(0.05, 1.0))
+        if not lo.bits.any():
+            continue
+        full = Bitmap(np.ones((height, width), dtype=bool))
+        for cell_size in (1, 2, 3, 8, 40):
+            assert overlaps(lo, full, cell_size) == (1.0, 1.0)
+
+
+def test_power_of_two_weight_scaling_on_the_desk_bowtie():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    rng = np.random.default_rng(44)
+    weights = rng.uniform(0.1, 3.0, size=(n, n))
+    mask = bowtie(0.0, alpha, radius, n, n)
+    lo = bowtie(np.deg2rad(9.0), alpha, radius, n, n)
+    for cell_size in (1, 8):
+        want = [x.hex() for x in overlaps(lo, mask, cell_size, weights)]
+        # entries and sums stay normal and finite from 2^-1000 to 2^900
+        for exponent in (-1000, -60, 1, 900):
+            got = overlaps(lo, mask, cell_size, np.ldexp(weights, exponent))
+            assert [x.hex() for x in got] == want
+
+
+def test_scene_error_messages():
+    lo = Bitmap(np.ones((4, 4), dtype=bool))
+    cases = [
+        ((lo, lo, 0), "cell_size must be >= 1, got 0"),
+        ((lo, Bitmap(np.ones((4, 5), dtype=bool)), 1), "bitmap dimensions differ: 4x4 vs 5x4"),
+        ((Bitmap(np.zeros((4, 4), dtype=bool)), lo, 2), "LO bitmap carries no power (empty LO)"),
+        ((lo, lo, 1, np.ones((3, 4))), "weight map shape (3, 4) does not match bitmap (4, 4)"),
+        ((lo, lo, 1, np.full((4, 4), np.nan)),
+         "weight map entries must be finite and non-negative"),
+        ((lo, lo, 1, np.zeros((4, 4))), "LO bitmap carries no power (empty LO)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(SceneError) as got:
+            overlaps(*args)
+        assert str(got.value) == message
 
 
 def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():
