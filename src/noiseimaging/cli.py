@@ -20,7 +20,6 @@ import numpy as np
 from . import estimate, scene
 from .config import ConfigError, RunConfig, config_text, load_config, with_overrides
 from .estimate import (
-    CurvePoint,
     EstimationError,
     angle_enhancement,
     delta_o_table,
@@ -135,9 +134,8 @@ def _measure_curve(cfg, readings, technique):
         seeded = seeded_config(acq, cfg.seed, "sweep", technique, k)
         ns, deltas = measure_series(n_true[technique], seeded, cfg.n_series)
         n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, acq.n_segments)
-        points.append(CurvePoint(
-            overlap=overlap, n=n_mean, sigma_n=sem, delta_n=delta_mean,
-        ))
+        points.append({"overlap": overlap, "n": n_mean, "sigma_n": sem,
+                       "delta_n": delta_mean})
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
             rows.append((angle, overlap, technique, s, n, 10.0 * np.log10(n), delta))
     return rows, points
@@ -186,24 +184,12 @@ def cmd_sweep(cfg):
     fits = {technique: _curve_payload(curve) for technique, curve in curves.items()}
     summary = {
         "config": cfg.as_dict(),
-        "enhancement": {"factor": enh.factor, "sigma": enh.sigma,
-                        "n_points": enh.n_points, "n_insensitive": enh.n_insensitive},
+        "enhancement": enh,
         "angle_enhancement": angle_payload,
         "snl_crossing_overlap": curves[TECH_QUANTUM].snl_crossing(),
-        "techniques": {},
+        "techniques": {technique: {"points": curve.points, "delta_o": tables[technique]}
+                       for technique, curve in curves.items()},
     }
-    for technique, curve in curves.items():
-        summary["techniques"][technique] = {
-            "points": [
-                {"overlap": p.overlap, "n": p.n, "sigma_n": p.sigma_n,
-                 "delta_n": p.delta_n} for p in curve.points
-            ],
-            "delta_o": [
-                {"overlap": u.overlap, "delta_o_est": u.delta_o,
-                 "slope": u.slope, "insensitive": u.insensitive}
-                for u in tables[technique]
-            ],
-        }
     out = _out_dir(cfg)
     _write_artifacts(
         (_write_csv, out / "sweep.csv", SWEEP_SCHEMA,
@@ -216,7 +202,7 @@ def cmd_sweep(cfg):
     print("sweep: %d angles x %d series x %d techniques -> %s"
           % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), out))
     print("enhancement (O >= %.2g): %.3f +/- %.3f"
-          % (estimate.ENHANCEMENT_MIN_OVERLAP, enh.factor, enh.sigma))
+          % (estimate.ENHANCEMENT_MIN_OVERLAP, enh["factor"], enh["sigma"]))
     return 0
 
 
@@ -239,49 +225,35 @@ def _curve_payload(curve):
 
 def cmd_alphabet(cfg, mask_letter):
     params = cfg.twin_beam_params()
-    font_dir = cfg.font_dir or None
-    mask = scene.glyph(mask_letter, font_dir)
+    glyphs = scene.load_font(cfg.font_dir or None)
+    if mask_letter not in glyphs:
+        raise SceneError("unknown letter %r: font covers A-Z" % (mask_letter,))
     records, rankings = estimate.alphabet_gun(
-        mask, params, cfg.acquisition(), cfg.cell_size, font_dir=font_dir,
+        glyphs, glyphs[mask_letter], params, cfg.acquisition(), cfg.cell_size,
         n_series=cfg.n_series, power_per_pixel=cfg.power_per_pixel,
         master_seed=cfg.seed,
     )
-    rows = []
-    for rec in records:
-        rows.append((
-            rec.letter, rec.technique, int(rec.valid), rec.overlap,
-            rec.n_baseline, 10.0 * np.log10(rec.n_baseline), rec.sigma_baseline,
-            rec.n_masked, 10.0 * np.log10(rec.n_masked), rec.sigma_masked,
-            rec.d, rec.sigma_d, int(rec.sub_snl), rec.reason,
-        ))
     payload = {
         "config": cfg.as_dict(),
         "mask_letter": mask_letter,
-        "excluded": [{"letter": rec.letter, "reason": rec.reason}
-                     for rec in records if not rec.valid and rec.technique == TECH_CLASSICAL],
-        "rankings": {},
+        "excluded": [{"letter": rec["letter"], "reason": rec["reason"]}
+                     for rec in records
+                     if not rec["valid"] and rec["technique"] == TECH_CLASSICAL],
+        "rankings": rankings,
     }
-    for technique, ranking in rankings.items():
-        payload["rankings"][technique] = {
-            "ranking": list(ranking.ranking),
-            "best": ranking.ranking[0],
-            "runner_up": ranking.ranking[1],
-            "sigma_separation": ranking.sigma_separation,
-            "sub_snl_letters": list(ranking.sub_snl_letters),
-        }
+    header = ("letter", "technique", "valid", "overlap",
+              "n_baseline", "n_baseline_db", "sigma_baseline",
+              "n_masked", "n_masked_db", "sigma_masked",
+              "deviation", "sigma_deviation", "sub_snl", "reason")
     out = _out_dir(cfg)
     _write_artifacts(
-        (_write_csv, out / "alphabet.csv", ALPHABET_SCHEMA,
-         ("letter", "technique", "valid", "overlap",
-          "n_baseline", "n_baseline_db", "sigma_baseline",
-          "n_masked", "n_masked_db", "sigma_masked",
-          "deviation", "sigma_deviation", "sub_snl", "reason"),
-         rows),
+        (_write_csv, out / "alphabet.csv", ALPHABET_SCHEMA, header,
+         [[rec[column] for column in header] for rec in records]),
         (_write_json, out / "ranking.json", payload),
     )
     q = rankings[TECH_QUANTUM]
     print("alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
-          % (mask_letter, q.ranking[0], q.ranking[1], q.sigma_separation,
+          % (mask_letter, q["best"], q["runner_up"], q["sigma_separation"],
              len(payload["excluded"])))
     return 0
 

@@ -7,6 +7,12 @@ sensitivity at a given overlap is delta_n divided by the magnitude of the
 fitted slope; slopes that are too small or statistically unresolved are
 flagged insensitive and evaluated at a slope floor instead of silently
 diverging.
+
+Results come back in the form their artifact holds them: curve points,
+overlap uncertainties and the enhancement as the dicts summary.json writes,
+each alphabet record as an alphabet.csv row keyed by column name, and each
+technique's ranking as its ranking.json dict.  Only the fitted curve is an
+object (NoiseCurve), for the slope and SNL crossing it evaluates.
 """
 
 from dataclasses import dataclass
@@ -36,23 +42,8 @@ class EstimationError(ValueError):
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """One overlap sample of a noise curve.
-
-    n is the mean noise over the repeated series, sigma_n its standard
-    error, and delta_n the typical single-measurement standard deviation
-    (the "noise on the noise" entering the sensitivity figure of merit).
-    """
-
-    overlap: float
-    n: float
-    sigma_n: float
-    delta_n: float
-
-
-@dataclass(frozen=True)
 class NoiseCurve:
-    points: tuple
+    points: list
     coeffs: np.ndarray
     coeff_cov: np.ndarray
     linear_coeffs: tuple
@@ -94,17 +85,23 @@ def _sigma(grad, cov):
 
 
 def fit_noise_curve(points):
-    """Two-stage fit: line on O > 0.8 extrapolated to O = 1, then a cubic."""
-    pts = sorted(points, key=lambda p: p.overlap)
+    """Two-stage fit: line on O > 0.8 extrapolated to O = 1, then a cubic.
+
+    Each point is a dict {"overlap", "n", "sigma_n", "delta_n"}: the mean
+    noise over a repeated series, its standard error, and the typical
+    single-measurement standard deviation (the "noise on the noise" entering
+    the sensitivity figure of merit).
+    """
+    pts = sorted(points, key=lambda p: p["overlap"])
     if len(pts) < 5:
         raise EstimationError("need at least 5 overlap points, got %d" % len(pts))
-    o = np.array([p.overlap for p in pts])
+    o = np.array([p["overlap"] for p in pts])
     if np.any(np.diff(o) <= 0):
         raise EstimationError("overlap values must be strictly increasing")
     if np.any((o < 0) | (o > 1)):
         raise EstimationError("overlap values must lie in [0, 1]")
-    y = np.array([p.n for p in pts])
-    sig = np.array([p.sigma_n for p in pts])
+    y = np.array([p["n"] for p in pts])
+    sig = np.array([p["sigma_n"] for p in pts])
 
     high = o > LINEAR_STAGE_MIN_OVERLAP
     if np.count_nonzero(high) < 2:
@@ -124,7 +121,7 @@ def fit_noise_curve(points):
     coeffs, cov = _lstsq_with_cov(design, y_aug, sig_aug)
     residuals = y_aug - design @ coeffs
     return NoiseCurve(
-        points=tuple(pts),
+        points=pts,
         coeffs=coeffs,
         coeff_cov=cov,
         linear_coeffs=(float(lin[0]), float(lin[1])),
@@ -133,44 +130,24 @@ def fit_noise_curve(points):
     )
 
 
-@dataclass(frozen=True)
-class OverlapUncertainty:
-    """Sensitivity delta_n / |dN/dO| at one overlap, with its slope context.
+def overlap_uncertainty(curve, o, delta_n):
+    """Sensitivity delta_n / |dN/dO| at one overlap, with its slope context,
+    as the dict {"overlap", "delta_o_est", "slope", "insensitive"}.
 
     When the fitted slope is below the floor or not statistically resolved,
     the point is flagged insensitive and the figure is evaluated at the
     slope floor so downstream ratios stay finite and comparable.
     """
-
-    overlap: float
-    delta_o: float
-    slope: float
-    insensitive: bool
-
-
-def overlap_uncertainty(curve, o, delta_n):
     slope = curve.slope(o)
     resolved = abs(slope) >= max(SLOPE_FLOOR, SLOPE_SIGNIFICANCE * curve.slope_sigma(o))
     effective = abs(slope) if resolved else SLOPE_FLOOR
-    return OverlapUncertainty(
-        overlap=float(o),
-        delta_o=float(delta_n) / effective,
-        slope=slope,
-        insensitive=not resolved,
-    )
+    return {"overlap": float(o), "delta_o_est": float(delta_n) / effective,
+            "slope": slope, "insensitive": not resolved}
 
 
 def delta_o_table(curve):
-    """Overlap-uncertainty records at every measured point of a curve."""
-    return [overlap_uncertainty(curve, p.overlap, p.delta_n) for p in curve.points]
-
-
-@dataclass(frozen=True)
-class EnhancementResult:
-    factor: float
-    sigma: float
-    n_points: int
-    n_insensitive: int
+    """Overlap-uncertainty dicts at every measured point of a curve."""
+    return [overlap_uncertainty(curve, p["overlap"], p["delta_n"]) for p in curve.points]
 
 
 def _ratio(num, sigma_num, den, sigma_den):
@@ -198,15 +175,14 @@ def _mean_and_sem(vals):
 
 def enhancement(classical_records, quantum_records):
     """Ratio of mean classical to mean quantum overlap uncertainty, at
-    O >= ENHANCEMENT_MIN_OVERLAP."""
-    classical = [u for u in classical_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
-    quantum = [u for u in quantum_records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
-    return EnhancementResult(
-        *_ratio_of_means(np.array([u.delta_o for u in classical]),
-                         np.array([u.delta_o for u in quantum])),
-        n_points=len(classical) + len(quantum),
-        n_insensitive=sum(u.insensitive for u in classical + quantum),
-    )
+    O >= ENHANCEMENT_MIN_OVERLAP, as the dict {"factor", "sigma", "n_points",
+    "n_insensitive"}."""
+    classical = [u for u in classical_records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    quantum = [u for u in quantum_records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    factor, sigma = _ratio_of_means(np.array([u["delta_o_est"] for u in classical]),
+                                    np.array([u["delta_o_est"] for u in quantum]))
+    return {"factor": factor, "sigma": sigma, "n_points": len(classical) + len(quantum),
+            "n_insensitive": sum(u["insensitive"] for u in classical + quantum)}
 
 
 def angle_enhancement(angles, overlaps, classical_records, quantum_records):
@@ -232,41 +208,14 @@ def _angle_deltas(overlaps, slopes, records):
     delta_o over |dO/d(angle)| of the table segment k with overlaps[k] >= O >
     overlaps[k + 1], the end segments extended past the table.
     """
-    kept = [u for u in records if u.overlap >= ENHANCEMENT_MIN_OVERLAP]
-    k = np.searchsorted(-overlaps, [-u.overlap for u in kept], side="right") - 1
+    kept = [u for u in records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    k = np.searchsorted(-overlaps, [-u["overlap"] for u in kept], side="right") - 1
     k = np.clip(k, 0, len(slopes) - 1)
-    return np.array([u.delta_o for u in kept]) / np.abs(slopes[k])
+    return np.array([u["delta_o_est"] for u in kept]) / np.abs(slopes[k])
 
 
 # ---------------------------------------------------------------------------
 # alphabet gun
-
-@dataclass(frozen=True)
-class DeviationRecord:
-    """Masked-to-baseline noise deviation for one LO letter and technique."""
-
-    letter: str
-    technique: str
-    valid: bool
-    overlap: float = np.nan
-    n_baseline: float = np.nan
-    sigma_baseline: float = np.nan
-    n_masked: float = np.nan
-    sigma_masked: float = np.nan
-    d: float = np.nan
-    sigma_d: float = np.nan
-    sub_snl: bool = False
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class TechniqueRanking:
-    """Letters ordered best first, and how far the best stands from the runner-up."""
-
-    ranking: tuple
-    sigma_separation: float
-    sub_snl_letters: tuple
-
 
 def summarize_series(ns, deltas, n_segments):
     """Mean noise, its standard error, and the mean per-trace delta_n of a
@@ -286,63 +235,75 @@ def _measured_noise(n_true, cfg, n_series, master, *tags):
     return n_mean, sem
 
 
-def alphabet_gun(mask, params, acq_cfg, cell_size, font_dir=None, n_series=10,
+def _row(letter, technique, overlap, baseline, masked, deviation, sub_snl, reason):
+    """One alphabet.csv row as a dict keyed by its column names; baseline,
+    masked and deviation are (value, standard error) pairs, and a row that
+    gives a reason is an excluded one."""
+    (nb, sb), (nm, sm), (d, sigma_d) = baseline, masked, deviation
+    return {
+        "letter": letter, "technique": technique, "valid": int(not reason),
+        "overlap": overlap,
+        "n_baseline": nb, "n_baseline_db": float(10.0 * np.log10(nb)), "sigma_baseline": sb,
+        "n_masked": nm, "n_masked_db": float(10.0 * np.log10(nm)), "sigma_masked": sm,
+        "deviation": d, "sigma_deviation": sigma_d, "sub_snl": int(sub_snl), "reason": reason,
+    }
+
+
+def alphabet_gun(glyphs, mask, params, acq_cfg, cell_size, n_series=10,
                  power_per_pixel=1.0, master_seed=0):
-    """Rank every LO letter by its masked-to-baseline noise deviation.
+    """Rank every LO letter of a loaded font by its masked-to-baseline noise
+    deviation.
 
     Runs baseline (no mask) and masked measurements for both techniques for
     each letter; letters whose LO cannot clear the electronic floor are
     excluded from the rankings.  Quantum ranking is by smallest deviation
     with a sub-SNL flag on the masked noise; classical by largest retained
-    deviation.  Returns (records, rankings): the per-letter records in
-    letter order, and a TechniqueRanking per technique.
+    deviation.  Returns (records, rankings): the alphabet.csv rows in letter
+    order, and the ranking.json dict of each technique.
     """
-    glyphs = scene.load_font(font_dir)
+    unmeasured = (np.nan, np.nan)
     records = []
     snl_joint = 1.0
-    for letter in scene.LETTERS:
-        lo = glyphs[letter]
+    for letter, lo in glyphs.items():
         if not lo_power_check(lo, params, power_per_pixel):
-            for technique in TECHNIQUES:
-                records.append(DeviationRecord(
-                    letter=letter, technique=technique, valid=False, reason=FLOOR_REASON,
-                ))
+            records += [_row(letter, technique, np.nan, unmeasured, unmeasured, unmeasured,
+                             False, FLOOR_REASON) for technique in TECHNIQUES]
             continue
         o, q = scene.overlaps(lo, mask, cell_size)
         for technique in TECHNIQUES:
             # the baseline has no mask: unit overlap and root overlap
             nb_true = technique_noise(technique, 1.0, 1.0, params)
             nm_true = technique_noise(technique, o, q, params)
-            nb, sb = _measured_noise(
+            baseline = _measured_noise(
                 nb_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "baseline",
             )
-            nm, sm = _measured_noise(
+            masked = _measured_noise(
                 nm_true, acq_cfg, n_series, master_seed,
                 "alphabet", letter, technique, "masked",
             )
-            d, sigma_d = _ratio(nm, sm, nb, sb)
-            records.append(DeviationRecord(
-                letter=letter, technique=technique, valid=True, overlap=o,
-                n_baseline=nb, sigma_baseline=sb, n_masked=nm, sigma_masked=sm,
-                d=d, sigma_d=sigma_d,
-                sub_snl=(technique == TECH_QUANTUM and nm < snl_joint),
+            records.append(_row(
+                letter, technique, o, baseline, masked, _ratio(*masked, *baseline),
+                technique == TECH_QUANTUM and masked[0] < snl_joint, "",
             ))
     rankings = {}
     for technique in TECHNIQUES:
-        valid = [r for r in records if r.technique == technique and r.valid]
+        valid = [r for r in records if r["technique"] == technique and r["valid"]]
         if len(valid) < 2:
             raise EstimationError(
                 "ranking needs two letters above the electronic floor, %d passed"
                 % len(valid)
             )
         reverse = technique == TECH_CLASSICAL
-        ordered = sorted(valid, key=lambda r: r.d, reverse=reverse)
+        ordered = sorted(valid, key=lambda r: r["deviation"], reverse=reverse)
         best, runner = ordered[0], ordered[1]
-        sep = abs(best.d - runner.d) / np.sqrt(best.sigma_d**2 + runner.sigma_d**2)
-        rankings[technique] = TechniqueRanking(
-            ranking=tuple(r.letter for r in ordered),
-            sigma_separation=float(sep),
-            sub_snl_letters=tuple(r.letter for r in ordered if r.sub_snl),
-        )
+        sep = abs(best["deviation"] - runner["deviation"]) / np.sqrt(
+            best["sigma_deviation"]**2 + runner["sigma_deviation"]**2)
+        rankings[technique] = {
+            "ranking": [r["letter"] for r in ordered],
+            "best": best["letter"],
+            "runner_up": runner["letter"],
+            "sigma_separation": float(sep),
+            "sub_snl_letters": [r["letter"] for r in ordered if r["sub_snl"]],
+        }
     return records, rankings

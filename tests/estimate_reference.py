@@ -28,6 +28,6 @@ def reference_angle_deltas(angles, overlaps, records):
         return float((o[k + 1] - o[k]) / (a[k + 1] - a[k]))
 
     return np.array([
-        u.delta_o / abs(slope_at(float(np.interp(u.overlap, o[::-1], a[::-1]))))
-        for u in records if u.overlap >= ENHANCEMENT_MIN_OVERLAP
+        u["delta_o_est"] / abs(slope_at(float(np.interp(u["overlap"], o[::-1], a[::-1]))))
+        for u in records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP
     ])

@@ -15,7 +15,6 @@ import pytest
 from noiseimaging.cli import main
 from noiseimaging.config import RunConfig, save_config
 from noiseimaging.estimate import (
-    CurvePoint,
     alphabet_gun,
     delta_o_table,
     enhancement,
@@ -30,7 +29,7 @@ from noiseimaging.noise import (
     classical_noise,
     quantum_noise,
 )
-from noiseimaging.scene import glyph
+from noiseimaging.scene import load_font
 from noiseimaging.traces import AcquisitionConfig, measure_series, seeded_config
 
 from oracles import mc_classical_noise, mc_quantum_noise
@@ -298,7 +297,7 @@ def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
                 n_true, seeded_config(acq, master, tag, technique, k), n_series,
             )
             n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
-            pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
+            pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
         curve = fit_noise_curve(pts)
         tables[technique] = delta_o_table(curve)
     return enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
@@ -317,7 +316,7 @@ def test_criterion_7_unbalanced_loss_degradation():
         params = TwinBeamParams(r=0.6, t_probe=t_probe, t_conj=0.96)
         result = _pipeline_enhancement(params, DESK_OVERLAPS, acq, 20,
                                        20260405, "imbalance-%s" % t_probe)
-        factors.append(result.factor)
+        factors.append(result["factor"])
 
     failures = []
     if not all(b < a for a, b in zip(factors, factors[1:])):
@@ -347,26 +346,29 @@ def test_criterion_8_null_case():
             n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
-            pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
+            pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
         curve = fit_noise_curve(pts)
         tables[technique] = delta_o_table(curve)
 
     result = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
-    if abs(result.factor - 1.0) > 0.1:
-        failures.append("null enhancement %.3f, expected 1 +/- 0.1" % result.factor)
-    if result.n_insensitive == 0:
+    if abs(result["factor"] - 1.0) > 0.1:
+        failures.append("null enhancement %.3f, expected 1 +/- 0.1" % result["factor"])
+    if result["n_insensitive"] == 0:
         failures.append("flat curves were not flagged insensitive")
 
     # alphabet deviations all consistent with 1
+    font = load_font()
     records, _ = alphabet_gun(
-        glyph("Z"),
+        font, font["Z"],
         TwinBeamParams(r=0.0, electronic_floor=1400.0),
         AcquisitionConfig(), 8,
         n_series=5, master_seed=20260407,
     )
     for rec in records:
-        if rec.valid and abs(rec.d - 1.0) > 5 * rec.sigma_d:
+        if rec["valid"] and abs(rec["deviation"] - 1.0) > 5 * rec["sigma_deviation"]:
             failures.append("letter %s %s deviation %.4f +/- %.4f"
-                            % (rec.letter, rec.technique, rec.d, rec.sigma_d))
+                            % (rec["letter"], rec["technique"], rec["deviation"],
+                               rec["sigma_deviation"]))
     _finish(8, "null case", failures,
-            "enhancement %.3f with %d insensitive points" % (result.factor, result.n_insensitive))
+            "enhancement %.3f with %d insensitive points"
+            % (result["factor"], result["n_insensitive"]))

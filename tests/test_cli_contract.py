@@ -4,6 +4,8 @@ import contextlib
 import gc
 import json
 import os
+import re
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import noiseimaging
+from noiseimaging import scene
 from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
 from noiseimaging.scene import Bitmap
@@ -143,6 +146,59 @@ def test_unreadable_glyph_fails_cleanly(kind, letter, tmp_path, capsys):
     message = _one_error_line(capsys, "alphabet")["message"]
     assert repr(letter) in message and str(broken) in message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mask", ["1", "AB", ""], ids=["digit", "two-letters", "empty"])
+def test_unknown_mask_letter_fails_cleanly(mask, tmp_path, capsys):
+    code = main(["alphabet", "--mask", mask,
+                 "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    message = _one_error_line(capsys, "alphabet")["message"]
+    assert message == "unknown letter %r: font covers A-Z" % (mask,)
+    assert not (tmp_path / "out").exists()
+
+
+def test_alphabet_reads_each_glyph_once(tmp_path, capsys, monkeypatch):
+    # the mask comes from the loaded font, not from a second read of its file
+    reads = []
+    load_pbm = scene.load_pbm
+
+    def counting_load_pbm(path):
+        reads.append(path.name)
+        return load_pbm(path)
+
+    monkeypatch.setattr(scene, "load_pbm", counting_load_pbm)
+    assert main(["alphabet", "--mask", "Z",
+                 "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(reads) == 26
+    assert sorted(reads) == ["%s.pbm" % letter for letter in string.ascii_uppercase]
+
+
+_STDOUT = {
+    "sweep": (["sweep", "--config", "desk_sweep.cfg"],
+              r"sweep: 15 angles x 10 series x 2 techniques -> {out}\n"
+              r"enhancement \(O >= 0\.9\): \d+\.\d{{3}} \+/- \d+\.\d{{3}}\n"),
+    "alphabet": (["alphabet", "--mask", "Z", "--config", "alphabet_recognition.cfg"],
+                 r"alphabet: mask 'Z', quantum best 'Z' \(runner-up '[A-Y]', "
+                 r"\d+\.\d sigma\), \d+ excluded\n"),
+    "calibrate": (["calibrate", "--db", "2.2", "--config", "desk_sweep.cfg"],
+                  r"calibrate: r = \d+\.\d{{6}} for -2\.2 dB detected "
+                  r"\(measured -?\d+\.\d{{3}} dB over 10 series\)\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STDOUT))
+def test_stdout_is_one_summary_per_command(command, tmp_path, capsys):
+    args, pattern = _STDOUT[command]
+    args = [str(ROOT / "configs" / a) if a.endswith(".cfg") else a for a in args]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.fullmatch(pattern.format(out=re.escape(str(out))), captured.out), captured.out
 
 
 def _one_error_line(capsys, command):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from noiseimaging.estimate import (
-    CurvePoint,
     EstimationError,
-    OverlapUncertainty,
     _angle_deltas,
     _ratio_of_means,
     alphabet_gun,
@@ -15,16 +13,19 @@ from noiseimaging.estimate import (
     overlap_uncertainty,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
-from noiseimaging.scene import Bitmap, glyph
+from noiseimaging.scene import Bitmap, load_font
 from noiseimaging.traces import AcquisitionConfig
 from estimate_reference import reference_angle_deltas
 
 ALPHA = np.pi / 8
 
 
+def point(overlap, n, sigma_n, delta_n):
+    return {"overlap": overlap, "n": n, "sigma_n": sigma_n, "delta_n": delta_n}
+
+
 def make_points(os, ns, sigma=1e-3, delta=0.02):
-    return [CurvePoint(overlap=o, n=n, sigma_n=sigma, delta_n=delta)
-            for o, n in zip(os, ns)]
+    return [point(o, n, sigma, delta) for o, n in zip(os, ns)]
 
 
 def alphabet_profile():
@@ -80,7 +81,7 @@ class TestFitNoiseCurve:
             n_true = classical_noise(o, params)
             ns, deltas = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
             n, sem, delta = summarize_series(ns, deltas, cfg.n_segments)
-            pts.append(CurvePoint(overlap=float(o), n=n, sigma_n=sem, delta_n=delta))
+            pts.append(point(float(o), n, sem, delta))
         curve = fit_noise_curve(pts)
         true_slope = np.cosh(2 * r) - 1
         assert curve.slope(1.0) == pytest.approx(true_slope, abs=2 * 3 * curve.slope_sigma(1.0))
@@ -95,23 +96,23 @@ class TestOverlapUncertainty:
         curve = self.curve()
         a = overlap_uncertainty(curve, 0.9, 0.02)
         b = overlap_uncertainty(curve, 0.9, 0.04)
-        assert b.delta_o == pytest.approx(2 * a.delta_o, rel=1e-12)
-        assert not a.insensitive
+        assert b["delta_o_est"] == pytest.approx(2 * a["delta_o_est"], rel=1e-12)
+        assert not a["insensitive"]
 
     def test_flat_curve_flagged_insensitive(self):
         os = np.linspace(0.0, 1.0, 12)
         curve = fit_noise_curve(make_points(os, np.ones(12), sigma=1e-6))
         u = overlap_uncertainty(curve, 0.95, 0.02)
-        assert u.insensitive
+        assert u["insensitive"]
         # evaluated at the slope floor instead of diverging
-        assert u.delta_o == pytest.approx(0.02 / 1e-3)
+        assert u["delta_o_est"] == pytest.approx(0.02 / 1e-3)
 
     def test_unresolved_slope_flagged(self):
         rng = np.random.default_rng(1)
         os = np.linspace(0.0, 1.0, 16)
         ns = 1.0 + rng.normal(0, 0.002, size=16)
         curve = fit_noise_curve(make_points(os, ns, sigma=0.002))
-        flags = [overlap_uncertainty(curve, o, 0.02).insensitive for o in (0.9, 0.95, 1.0)]
+        flags = [overlap_uncertainty(curve, o, 0.02)["insensitive"] for o in (0.9, 0.95, 1.0)]
         assert all(flags)
 
 
@@ -120,7 +121,7 @@ class TestEnhancement:
         curve = fit_noise_curve(make_points(np.linspace(0, 1, 12), 1 + 0.3 * np.linspace(0, 1, 12)))
         table = delta_o_table(curve)
         result = enhancement(table, table)
-        assert result.factor == 1.0
+        assert result["factor"] == 1.0
 
     def test_empty_subset_rejected(self):
         curve = fit_noise_curve(
@@ -139,14 +140,14 @@ class TestEnhancement:
         kappa = 0.02
         cl = make_points(os, 1 + (c - 1) * os, sigma=1e-9)
         qu = make_points(os, c2 - (c2 - e) * os, sigma=1e-9)
-        cl = [CurvePoint(p.overlap, p.n, p.sigma_n, kappa * p.n) for p in cl]
-        qu = [CurvePoint(p.overlap, p.n, p.sigma_n, kappa * p.n) for p in qu]
+        cl = [dict(p, delta_n=kappa * p["n"]) for p in cl]
+        qu = [dict(p, delta_n=kappa * p["n"]) for p in qu]
         result = enhancement(delta_o_table(fit_noise_curve(cl)),
                              delta_o_table(fit_noise_curve(qu)))
         obar = os[os >= 0.9].mean()
         nc, nq = 1 + (c - 1) * obar, c2 - (c2 - e) * obar
         expected = (nc / (c - 1)) / (nq / (c2 - e))
-        assert result.factor == pytest.approx(expected, rel=1e-6)
+        assert result["factor"] == pytest.approx(expected, rel=1e-6)
 
     def test_pipeline_recovers_analytic_delta_o(self):
         # synthetic cubic with known per-point delta_n: the estimated
@@ -164,7 +165,7 @@ class TestEnhancement:
             for o in (0.3, 0.6, 0.9):
                 slope_true = coeffs[1] + 2 * coeffs[2] * o + 3 * coeffs[3] * o**2
                 u = overlap_uncertainty(curve, o, 0.04)
-                errs.append(u.delta_o / (0.04 / abs(slope_true)) - 1.0)
+                errs.append(u["delta_o_est"] / (0.04 / abs(slope_true)) - 1.0)
         assert abs(np.mean(errs)) < 0.1
 
     def test_estimate_sensitivity_bundle(self):
@@ -172,15 +173,15 @@ class TestEnhancement:
         kappa = 0.02
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
         cl = fit_noise_curve(
-            [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
+            [point(float(o), float(v), 1e-6, kappa * float(v))
              for o, v in zip(os, nc)])
         qu = fit_noise_curve(
-            [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
+            [point(float(o), float(v), 1e-6, kappa * float(v))
              for o, v in zip(os, nq)])
         angles = np.linspace(0, 2 * ALPHA, 9)
         tc, tq = delta_o_table(cl), delta_o_table(qu)
         assert len(tc) == len(tq) == 10
-        assert enhancement(tc, tq).factor == pytest.approx(
+        assert enhancement(tc, tq)["factor"] == pytest.approx(
             angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0], rel=1e-9)
 
     def test_advantage_regime_always_enhances(self):
@@ -190,25 +191,27 @@ class TestEnhancement:
         kappa = 0.02
         for r in (0.1, 0.3, 0.6, 1.0):
             e, c, c2 = np.exp(-2 * r), np.cosh(2 * r), np.cosh(r) ** 2
-            cl = [CurvePoint(float(o), 1 + (c - 1) * o, 1e-9, kappa * (1 + (c - 1) * o))
+            cl = [point(float(o), 1 + (c - 1) * o, 1e-9, kappa * (1 + (c - 1) * o))
                   for o in os]
-            qu = [CurvePoint(float(o), c2 - (c2 - e) * o, 1e-9, kappa * (c2 - (c2 - e) * o))
+            qu = [point(float(o), c2 - (c2 - e) * o, 1e-9, kappa * (c2 - (c2 - e) * o))
                   for o in os]
             result = enhancement(delta_o_table(fit_noise_curve(cl)),
                                  delta_o_table(fit_noise_curve(qu)))
-            assert result.factor > 1.0
+            assert result["factor"] > 1.0
 
     def test_common_gain_leaves_enhancement_unchanged(self):
         os = np.linspace(0.0, 1.0, 10)
         cl = make_points(os, 1 + 0.2 * os, delta=0.02)
         qu = make_points(os, 1.2 - 0.5 * os, delta=0.015)
         base = enhancement(delta_o_table(fit_noise_curve(cl)),
-                           delta_o_table(fit_noise_curve(qu))).factor
+                           delta_o_table(fit_noise_curve(qu)))["factor"]
         gain = 3.7
-        cl2 = [CurvePoint(p.overlap, gain * p.n, gain * p.sigma_n, gain * p.delta_n) for p in cl]
-        qu2 = [CurvePoint(p.overlap, gain * p.n, gain * p.sigma_n, gain * p.delta_n) for p in qu]
+        cl2 = [point(p["overlap"], gain * p["n"], gain * p["sigma_n"], gain * p["delta_n"])
+               for p in cl]
+        qu2 = [point(p["overlap"], gain * p["n"], gain * p["sigma_n"], gain * p["delta_n"])
+               for p in qu]
         scaled = enhancement(delta_o_table(fit_noise_curve(cl2)),
-                             delta_o_table(fit_noise_curve(qu2))).factor
+                             delta_o_table(fit_noise_curve(qu2)))["factor"]
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -219,11 +222,11 @@ class TestAngleCalibration:
         os = np.linspace(0.0, 1.0, 10)
         kappa = 0.03
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
-        cl = [CurvePoint(o, v, 1e-6, kappa * v) for o, v in zip(os, nc)]
-        qu = [CurvePoint(o, v, 1e-6, kappa * v) for o, v in zip(os, nq)]
+        cl = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nc)]
+        qu = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nq)]
         tc = delta_o_table(fit_noise_curve(cl))
         tq = delta_o_table(fit_noise_curve(qu))
-        overlap_factor = enhancement(tc, tq).factor
+        overlap_factor = enhancement(tc, tq)["factor"]
         angle_factor = angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0]
         assert angle_factor == pytest.approx(overlap_factor, rel=1e-9)
 
@@ -242,8 +245,8 @@ class TestAngleCalibration:
 
     @staticmethod
     def _records(rng, overlaps):
-        return [OverlapUncertainty(overlap=float(o), delta_o=float(rng.uniform(0.01, 1.0)),
-                                   slope=0.0, insensitive=False) for o in overlaps]
+        return [{"overlap": float(o), "delta_o_est": float(rng.uniform(0.01, 1.0)),
+                 "slope": 0.0, "insensitive": False} for o in overlaps]
 
     def _assert_matches_reference(self, angles, overlaps, classical, quantum):
         want = [reference_angle_deltas(angles, overlaps, r) for r in (classical, quantum)]
@@ -300,13 +303,13 @@ class TestAngleCalibration:
         pts_o = np.sort(os)
         kappa = 0.03
         nc, nq = 1 + 0.2 * pts_o, 1.2 - 0.5 * pts_o
-        cl = [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
+        cl = [point(float(o), float(v), 1e-6, kappa * float(v))
               for o, v in zip(pts_o, nc)]
-        qu = [CurvePoint(float(o), float(v), 1e-6, kappa * float(v))
+        qu = [point(float(o), float(v), 1e-6, kappa * float(v))
               for o, v in zip(pts_o, nq)]
         tc = delta_o_table(fit_noise_curve(cl))
         tq = delta_o_table(fit_noise_curve(qu))
-        return enhancement(tc, tq).factor, angle_enhancement(angles, os, tc, tq)[0]
+        return enhancement(tc, tq)["factor"], angle_enhancement(angles, os, tc, tq)[0]
 
     def test_nonuniform_beam_changes_angle_factor(self):
         # an angular hotspot in the beam profile bends O(angle), so the angle
@@ -326,38 +329,78 @@ class TestAngleCalibration:
         assert abs(af_h - of_h) / of_h > 1e-3
 
 
+def _assert_json_ready(value, path="result"):
+    """Every leaf a float, int, bool or str by exact type, in lists and str-keyed dicts."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, "%s has a %r key" % (path, type(key))
+            _assert_json_ready(item, "%s.%s" % (path, key))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _assert_json_ready(item, "%s.%d" % (path, i))
+    else:
+        assert type(value) in (float, int, bool, str), "%s is %r" % (path, type(value))
+
+
+def test_results_are_json_ready():
+    # the CLI writes these as they are; a numpy scalar would fail json.dumps
+    from noiseimaging.traces import measure_series, seeded_config
+    from noiseimaging.estimate import summarize_series
+
+    cfg = AcquisitionConfig(samples_per_point=100)
+    curves = []
+    for technique, slope in ((TECH_CLASSICAL, 0.2), (TECH_QUANTUM, -0.5)):
+        pts = []
+        for k, o in enumerate(np.linspace(0.0, 1.0, 8).tolist()):
+            ns, deltas = measure_series(1.2 + slope * o, seeded_config(cfg, 6, technique, k), 2)
+            pts.append(point(o, *summarize_series(ns, deltas, cfg.n_segments)))
+        curves.append(fit_noise_curve(pts))
+    tables = [delta_o_table(curve) for curve in curves]
+    font = load_font()
+    records, rankings = alphabet_gun(font, font["Z"], alphabet_profile(), cfg, 8,
+                                     n_series=2, master_seed=6)
+    for name, result in [("points", [curve.points for curve in curves]),
+                         ("delta_o_table", tables),
+                         ("enhancement", enhancement(*tables)),
+                         ("records", records), ("rankings", rankings)]:
+        _assert_json_ready(result, name)
+
+
 class TestAlphabetGun:
     def test_all_ones_mask_gives_unit_deviation(self):
         params = alphabet_profile()
         cfg = AcquisitionConfig()
         mask = Bitmap(np.ones((64, 64), dtype=bool))
-        records, _ = alphabet_gun(mask, params, cfg, 8, n_series=5, master_seed=3)
+        records, _ = alphabet_gun(load_font(), mask, params, cfg, 8, n_series=5,
+                                  master_seed=3)
         sems = []
         for rec in records:
-            if not rec.valid:
+            if not rec["valid"]:
                 continue
-            assert rec.d == pytest.approx(1.0, abs=6 * rec.sigma_d)
-            sems.append(rec.sigma_d)
+            assert rec["deviation"] == pytest.approx(1.0, abs=6 * rec["sigma_deviation"])
+            sems.append(rec["sigma_deviation"])
         assert len(sems) == 50  # 25 valid letters x 2 techniques
 
     def test_z_mask_structure(self):
         params = alphabet_profile()
         cfg = AcquisitionConfig()
-        records, rankings = alphabet_gun(glyph("Z"), params, cfg, 8, n_series=5,
+        font = load_font()
+        records, rankings = alphabet_gun(font, font["Z"], params, cfg, 8, n_series=5,
                                          master_seed=4)
         q = rankings[TECH_QUANTUM]
         c = rankings[TECH_CLASSICAL]
-        assert q.ranking[0] == "Z"
-        assert q.sub_snl_letters == ("Z",)
-        assert c.ranking[0] == "Z"
-        assert q.sigma_separation > c.sigma_separation
-        assert sorted({r.letter for r in records if not r.valid}) == ["I"]
+        assert q["best"] == "Z"
+        assert q["sub_snl_letters"] == ["Z"]
+        assert c["best"] == "Z"
+        assert q["sigma_separation"] > c["sigma_separation"]
+        assert sorted({r["letter"] for r in records if not r["valid"]}) == ["I"]
 
     def test_all_letters_reported_with_flags(self):
         params = alphabet_profile()
-        records, _ = alphabet_gun(glyph("Z"), params, AcquisitionConfig(), 8,
+        font = load_font()
+        records, _ = alphabet_gun(font, font["Z"], params, AcquisitionConfig(), 8,
                                   n_series=2, master_seed=5)
         assert len(records) == 52
-        invalid = [r for r in records if not r.valid]
-        assert {r.letter for r in invalid} == {"I"}
-        assert all(r.reason for r in invalid)
+        invalid = [r for r in records if not r["valid"]]
+        assert {r["letter"] for r in invalid} == {"I"}
+        assert all(r["reason"] for r in invalid)
