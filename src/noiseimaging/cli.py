@@ -160,6 +160,10 @@ def _angle_readings(cfg, params):
 
 
 def cmd_sweep(cfg):
+    # each angle is one point of the fitted noise curves: fail before any work
+    if len(cfg.angles_deg) < estimate.CURVE_MIN_POINTS:
+        raise ConfigError("acquisition.angles_deg", "a sweep needs at least %d angles, got %d"
+                          % (estimate.CURVE_MIN_POINTS, len(cfg.angles_deg)))
     params = cfg.twin_beam_params()
     readings = _angle_readings(cfg, params)
 

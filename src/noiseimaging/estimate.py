@@ -29,6 +29,7 @@ from .noise import (
 )
 from .traces import measure_series, seeded_config
 
+CURVE_MIN_POINTS = 5
 LINEAR_STAGE_MIN_OVERLAP = 0.8
 ENHANCEMENT_MIN_OVERLAP = 0.9
 SLOPE_FLOOR = 1e-3
@@ -93,8 +94,9 @@ def fit_noise_curve(points):
     the sensitivity figure of merit).
     """
     pts = sorted(points, key=lambda p: p["overlap"])
-    if len(pts) < 5:
-        raise EstimationError("need at least 5 overlap points, got %d" % len(pts))
+    if len(pts) < CURVE_MIN_POINTS:
+        raise EstimationError("need at least %d overlap points, got %d"
+                              % (CURVE_MIN_POINTS, len(pts)))
     o = np.array([p["overlap"] for p in pts])
     if np.any(np.diff(o) <= 0):
         raise EstimationError("overlap values must be strictly increasing")

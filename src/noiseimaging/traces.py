@@ -7,13 +7,17 @@ video-bandwidth filter correlates neighbouring points.  A trace reduces to
 one noise measurement: the mean of all points, with the standard deviation
 of the segment means as its uncertainty.
 
+A series of traces draws its rows in turn from one seeded stream and smooths
+them as one block with a prefix scan of the running average, in elementwise
+IEEE arithmetic only, so its bits do not depend on the BLAS kernel or on
+numpy's CPU dispatch.
+
 The generator is exactly scale-equivariant: for a fixed seed the whole trace
 is proportional to the true noise power, so delta_n/n does not depend on it.
 """
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -75,11 +79,11 @@ def derive_seed(master, *tags):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _series_points(n_true, cfg, n_series, first_index):
-    """Points of the traces first_index .. first_index + n_series - 1, one per row.
+def _series_points(n_true, cfg, n_series):
+    """Points of n_series traces, one per row.
 
-    Row i draws from its own stream (cfg.rng_seed, first_index + i), so a row
-    does not depend on which series or block it is drawn in.
+    The rows are drawn in turn from the one stream cfg.rng_seed, as a single
+    (n_series, raw points) block, and smoothed by `_running_sums`.
     """
     n_true = float(n_true)
     if not n_true > 0:
@@ -87,18 +91,14 @@ def _series_points(n_true, cfg, n_series, first_index):
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
-    kernel = _smoothing_kernel(cfg.point_correlation)
-    raw = np.empty((n_series, cfg.raw_points_per_trace))
-    for i in range(n_series):
-        rng = default_rng([cfg.rng_seed, int(first_index) + i])
-        raw[i] = rng.chisquare(df, size=raw.shape[1])
+    raw = default_rng(cfg.rng_seed).chisquare(df, size=(n_series, cfg.raw_points_per_trace))
     raw /= df
-    # one convolution per row: laid end to end, the rows would also be
-    # convolved across their seams, about burn_in wasted windows per row
-    vals = np.empty((n_series, cfg.points_per_trace))
-    for i in range(n_series):
-        vals[i] = np.correlate(raw[i], kernel, mode="valid")
-    vals *= n_true
+    # exponentially weighted running average: an AR(1) with lag correlation
+    # phi^d that keeps power samples positive by construction, its kernel
+    # (1 - phi) phi^k cut where the weights fall below the burn-in bound
+    phi = float(cfg.point_correlation)
+    vals = _running_sums(raw, phi, _burn_in(phi) + 1)
+    vals *= (1.0 - phi) * n_true
     if np.any(vals <= 0):
         raise TraceError(
             "trace contains non-positive noise power; increase samples_per_point"
@@ -106,19 +106,28 @@ def _series_points(n_true, cfg, n_series, first_index):
     return vals
 
 
-@lru_cache(maxsize=8)
-def _smoothing_kernel(phi):
-    """The kernel of the running average, shared read-only per phi.
+def _running_sums(x, phi, taps):
+    """sum_{k < taps} phi^k x[:, n + taps - 1 - k] for each row, right-aligned.
 
-    An exponentially weighted running average: an AR(1) with lag correlation
-    phi^d that keeps power samples positive by construction, its kernel cut
-    where the weights fall below the burn-in bound.  The kernel is stored
-    reversed, newest weight last, so `np.correlate` with it is the
-    convolution, without `np.convolve`'s per-call reversal.
+    A binary prefix scan of the linear recurrence (Blelloch, "Prefix sums and
+    their applications", 1990): s holds the sums over h taps, h a power of
+    two, and doubles as s[:, h:] + phi^h s[:, :-h]; acc holds the sums over
+    the set bits of taps taken so far from the low bit up, a taps in all, and
+    takes in the older block h as acc[:, h:] + phi^a s.  Log-depth in taps,
+    with the powers of phi squared as Python floats.  At one tap the result
+    is x itself.
     """
-    kernel = ((1.0 - phi) * phi ** np.arange(_burn_in(phi) + 1))[::-1].copy()
-    kernel.setflags(write=False)
-    return kernel
+    acc, phi_a = None, 1.0
+    s, h, phi_h = x, 1, phi
+    while True:
+        if taps & h:
+            acc = s if acc is None else acc[:, h:] + phi_a * s[:, :acc.shape[1] - h]
+            phi_a *= phi_h
+        if 2 * h > taps:
+            return acc
+        s = s[:, h:] + phi_h * s[:, :-h]
+        phi_h *= phi_h
+        h *= 2
 
 
 def _burn_in(phi):
@@ -140,11 +149,11 @@ def measure_series(n_true, cfg, n_series):
     """(ns, deltas) of independent seeded traces: each trace's mean and the
     sample standard deviation of its segment means, as float arrays.
 
-    The traces 0 .. n_series - 1 are drawn and reduced as one block.
+    The traces are drawn and reduced as one block.
     """
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
-    values = _series_points(n_true, cfg, int(n_series), 0)
+    values = _series_points(n_true, cfg, int(n_series))
     return _segment_moments(values, cfg)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import os
+import platform
 import re
 import string
 import subprocess
@@ -52,6 +53,64 @@ def test_artifacts_do_not_depend_on_blas_threads(args, tmp_path):
     assert sorted(one) == sorted(two)
     differ = [name for name in one if one[name] != two[name]]
     assert not differ, "artifacts differ between 1 and 2 BLAS threads: %s" % differ
+
+
+# the trace points of four smoothing depths, hashed in a fresh interpreter
+_SERIES_POINTS_DIGEST = """
+import hashlib
+from noiseimaging.traces import AcquisitionConfig, _series_points, seeded_config
+
+digest = hashlib.sha256()
+for phi in (0.0, 0.5, 0.9, 0.99):
+    cfg = seeded_config(AcquisitionConfig(point_correlation=phi), 12345, "cpu", phi)
+    digest.update(_series_points(1.7, cfg, 10).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _cpu_legs():
+    """{leg: environment settings} for the CPU paths this host can run.
+
+    OpenBLAS is forced only down to a core the host has (a core above it can
+    SIGILL); numpy's dispatch drops the AVX512 groups the host reports.
+    """
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    legs = {}
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        legs["openblas-prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+        if __cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"):
+            legs["openblas-haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    avx512 = [name for name, on in __cpu_features__.items()
+              if on and (name.startswith("AVX512_") or name == "X86_V4")]
+    if avx512:
+        legs["numpy-no-avx512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    return legs
+
+
+def _series_points_digest(settings):
+    env = _child_env()
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(name, None)
+    env.update(settings)
+    proc = subprocess.run([sys.executable, "-c", _SERIES_POINTS_DIGEST],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def default_series_points_digest():
+    return _series_points_digest({})
+
+
+@pytest.mark.parametrize("leg", ["openblas-prescott", "openblas-haswell", "numpy-no-avx512"])
+def test_trace_points_do_not_depend_on_the_cpu_path(leg, default_series_points_digest):
+    legs = _cpu_legs()
+    if leg not in legs:
+        pytest.skip("this host cannot run the %s leg" % leg)
+    assert _series_points_digest(legs[leg]) == default_series_points_digest, (
+        "trace points differ under %s" % legs[leg])
 
 
 def _reject_constant(token):
@@ -364,6 +423,28 @@ def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     assert _one_error_line(capsys, "sweep")["field"] == "acquisition.angles_deg"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", ["shipped-alphabet", "four-angles"])
+def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch):
+    # every angle is one point of the fitted noise curves, which need five
+    if config == "shipped-alphabet":
+        cfgfile = ROOT / "configs" / "alphabet_recognition.cfg"
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                              angles_deg=(0.0, 9.0, 27.0, 45.0)), cfgfile)
+
+    def no_scene(*args, **kwargs):
+        raise AssertionError("the sweep rasterized a bow-tie")
+
+    monkeypatch.setattr(scene, "bowtie", no_scene)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = _one_error_line(capsys, "sweep")
+    assert error["field"] == "acquisition.angles_deg"
+    assert "at least 5 angles" in error["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,13 @@
 """The block trace synthesis and reduction against the trace-by-trace
-reference: every measurement and every trace point must agree bit for bit,
-and every rejected input must raise the same exception type."""
+reference.
+
+The runtime smooths with a prefix scan and the reference with a direct
+convolution, so their points and trace means agree within REL_BOUND, not
+bit for bit; at one tap (phi = 0) both are the drawn values and must agree
+bit for bit, which pins the stream layout.  The block reduction must give
+the trace-by-trace reduction's bits on the same points, and every rejected
+input must raise the same exception type.
+"""
 
 from pathlib import Path
 
@@ -11,15 +18,23 @@ from noiseimaging.config import load_config
 from noiseimaging.traces import (
     AcquisitionConfig,
     TraceError,
-    _segment_moments,
+    _burn_in,
     _series_points,
     derive_seed,
     measure_series,
     seeded_config,
 )
-from trace_reference import reference_measure_series, reference_simulate_trace
+from trace_reference import (
+    REL_BOUND,
+    reference_measure_series,
+    reference_segment_stats,
+    reference_series_traces,
+    relative_difference,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+EPS = np.finfo(float).eps
 
 
 def _outcome(fn, *args, **kwargs):
@@ -30,26 +45,44 @@ def _outcome(fn, *args, **kwargs):
         return "raise", type(exc)
 
 
-def _measured(n_true, cfg, n_series, first_index):
-    """measure_series, which draws the traces 0 .. n_series - 1; a later first
-    trace goes through the per-row stream seam it reduces."""
-    if first_index == 0:
-        return measure_series(n_true, cfg, n_series)
-    return _segment_moments(_series_points(n_true, cfg, n_series, first_index), cfg)
+def assert_close_to_reference(got, want, exact):
+    """Require got == want bit for bit when exact, else within REL_BOUND, and
+    return the worst relative difference."""
+    worst = relative_difference(got, want)
+    if exact:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert worst <= REL_BOUND, "worst relative difference %.3g (%.1f eps)" % (worst, worst / EPS)
+    return worst
 
 
-def assert_same_series(n_true, cfg, n_series, first_index=0):
-    got = _outcome(_measured, n_true, cfg, n_series, first_index)
-    want = _outcome(reference_measure_series, n_true, cfg, n_series,
-                    first_index=first_index)
+def _report(worst):
+    print("worst relative difference %.3g (%.1f eps)" % (worst, worst / EPS))
+
+
+def assert_same_series(n_true, cfg, n_series):
+    """Check measure_series and the block's points against the reference and
+    return the worst relative difference seen (0 when the inputs raise)."""
+    got = _outcome(measure_series, n_true, cfg, n_series)
+    want = _outcome(reference_measure_series, n_true, cfg, n_series)
     assert got[0] == want[0]
     if want[0] == "raise":
         assert got[1] is want[1]
-        return
+        return 0.0
     ns, deltas = got[1]
     assert ns.shape == deltas.shape == (n_series,)
     assert len(want[1]) == n_series
-    assert np.column_stack([ns, deltas]).tobytes() == np.array(want[1]).tobytes()
+    # the block reduction is the trace-by-trace one, bit for bit, on the same
+    # points; a segment scatter is far smaller than the points, so it is
+    # compared through them rather than at the points' relative bound
+    block = _series_points(n_true, cfg, n_series)
+    reduced = [reference_segment_stats(row, cfg) for row in block]
+    assert np.column_stack([ns, deltas]).tobytes() == np.array(reduced).tobytes()
+    exact = cfg.point_correlation == 0.0
+    return max(
+        assert_close_to_reference(block, np.array(reference_series_traces(n_true, cfg, n_series)),
+                                  exact),
+        assert_close_to_reference(ns, np.array(want[1])[:, 0], exact),
+    )
 
 
 def _random_config(rng):
@@ -67,37 +100,38 @@ def _random_config(rng):
 
 def test_random_acquisitions_match_the_reference():
     rng = np.random.default_rng(41)
-    seen = {"phi0": 0, "seg1": 0, "series1": 0, "offset": 0}
+    seen = {"phi0": 0, "seg1": 0, "series1": 0}
+    worst = 0.0
     for _ in range(420):
         cfg = _random_config(rng)
         n_series = 1 if rng.random() < 0.15 else int(rng.integers(1, 13))
-        first_index = int(rng.integers(0, 6))
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
-        assert_same_series(level, cfg, n_series, first_index)
+        worst = max(worst, assert_same_series(level, cfg, n_series))
         seen["phi0"] += cfg.point_correlation == 0.0
         seen["seg1"] += cfg.segment_length == 1
         seen["series1"] += n_series == 1
-        seen["offset"] += first_index > 0
     assert min(seen.values()) >= 10, seen
+    _report(worst)
 
 
 @pytest.mark.parametrize("name", ["desk_sweep.cfg", "alphabet_recognition.cfg"])
 def test_shipped_profiles_match_the_reference(name):
     run = load_config(CONFIGS / name)
+    worst = 0.0
     for k, level in enumerate((0.45, 0.6026, 1.0, 1.7, 4.4)):
         for technique in ("classical", "quantum"):
             cfg = seeded_config(run.acquisition(), run.seed, "sweep", technique, k)
-            assert_same_series(level, cfg, run.n_series)
+            worst = max(worst, assert_same_series(level, cfg, run.n_series))
+    _report(worst)
 
 
 @pytest.mark.parametrize("n_true", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
 def test_nonpositive_levels_raise_like_the_reference(n_true):
     cfg = AcquisitionConfig(rng_seed=5)
-    for fn in (measure_series, reference_measure_series, reference_simulate_trace):
+    for fn in (measure_series, reference_measure_series, reference_series_traces,
+               _series_points):
         with pytest.raises(TraceError, match="must be positive"):
             fn(n_true, cfg, 3)
-    with pytest.raises(TraceError, match="must be positive"):
-        _series_points(n_true, cfg, 1, 3)
 
 
 def test_empty_series_raises_like_the_reference():
@@ -105,27 +139,68 @@ def test_empty_series_raises_like_the_reference():
 
 
 def test_simulated_trace_points_match_the_reference():
+    # the last row of a block is the trace drawn last from its stream
     rng = np.random.default_rng(42)
+    worst = 0.0
     for _ in range(100):
         cfg = _random_config(rng)
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
-        index = int(rng.integers(0, 50))
-        got = _series_points(level, cfg, 1, index)[0]
-        want = reference_simulate_trace(level, cfg, trace_index=index)
-        assert got.tobytes() == want.tobytes()
+        row = int(rng.integers(0, 50))
+        got = _series_points(level, cfg, row + 1)[row]
+        want = reference_series_traces(level, cfg, row + 1)[row]
+        worst = max(worst, assert_close_to_reference(got, want, cfg.point_correlation == 0.0))
+    _report(worst)
 
 
 def test_block_rows_match_the_reference_trace_by_trace():
-    # a row's points do not depend on the block it is drawn in, so a series
+    # row i of a block is the i-th trace drawn from its stream, so a series
     # can stand for its traces one by one
     rng = np.random.default_rng(43)
+    worst = 0.0
     for _ in range(150):
         cfg = _random_config(rng)
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
         n_series = int(rng.integers(1, 13))
-        first_index = int(rng.integers(0, 6))
-        block = _series_points(level, cfg, n_series, first_index)
+        block = _series_points(level, cfg, n_series)
         assert block.shape == (n_series, cfg.points_per_trace)
-        for i, row in enumerate(block):
-            want = reference_simulate_trace(level, cfg, trace_index=first_index + i)
-            assert row.tobytes() == want.tobytes()
+        for row, want in zip(block, reference_series_traces(level, cfg, n_series)):
+            worst = max(worst, assert_close_to_reference(row, want,
+                                                         cfg.point_correlation == 0.0))
+    _report(worst)
+
+
+def _phi_with_taps(taps):
+    """A phi in (0, 1) whose running average keeps exactly `taps` taps."""
+    # _burn_in(phi) = ceil(log(1e-12) / log(phi)): aim at the middle of the step
+    phi = float(np.exp(np.log(1e-12) / (taps - 1.5)))
+    assert _burn_in(phi) + 1 == taps
+    return phi
+
+
+@pytest.mark.parametrize("taps", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                  127, 128, 129])
+@pytest.mark.parametrize("n_series", [1, 3])
+def test_scan_tap_counts_match_the_reference(taps, n_series):
+    # L = 2^k - 1 sets every low bit, 2^k only the top one, 2^k + 1 the two ends
+    cfg = AcquisitionConfig(points_per_trace=60, segment_length=6, samples_per_point=40,
+                            point_correlation=_phi_with_taps(taps), rng_seed=derive_seed(3, taps))
+    assert_same_series(1.3, cfg, n_series)
+
+
+@pytest.mark.parametrize("n_series", [1, 2])
+def test_one_tap_is_the_drawn_stream_bit_for_bit(n_series):
+    cfg = AcquisitionConfig(points_per_trace=40, segment_length=4, samples_per_point=25,
+                            point_correlation=0.0, rng_seed=derive_seed(4, n_series))
+    assert _burn_in(cfg.point_correlation) + 1 == 1
+    assert_same_series(2.7, cfg, n_series)
+
+
+@pytest.mark.parametrize("n_series", [1, 2])
+def test_long_memory_matches_the_reference(n_series):
+    # phi = 0.999 keeps 27,619 taps (15 doublings), where the scan's order of
+    # summation differs most from the convolution's
+    cfg = AcquisitionConfig(points_per_trace=460, segment_length=10, samples_per_point=300,
+                            point_correlation=0.999, rng_seed=derive_seed(5, n_series))
+    assert _burn_in(cfg.point_correlation) + 1 == 27619
+    worst = assert_same_series(0.8, cfg, n_series)
+    _report(worst)

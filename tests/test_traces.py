@@ -4,19 +4,21 @@ import pytest
 from noiseimaging.traces import (
     AcquisitionConfig,
     TraceError,
+    _running_sums,
     _segment_moments,
     _series_points,
     derive_seed,
     measure_series,
     seeded_config,
 )
+from trace_reference import REL_BOUND, relative_difference
 
 DEFAULT = AcquisitionConfig()
 
 
-def trace_points(n_true, cfg, trace_index=0):
-    """The points of one trace: row 0 of a one-row block."""
-    return _series_points(n_true, cfg, 1, trace_index)[0]
+def trace_points(n_true, cfg, row=0):
+    """The points of one trace: the last row of a block of row + 1 traces."""
+    return _series_points(n_true, cfg, row + 1)[row]
 
 
 def ar1_segment_mean_std(cfg, n_true=1.0):
@@ -58,23 +60,28 @@ class TestSimulateTrace:
                 trace_points(n, DEFAULT)
 
     def test_deterministic_under_seed(self):
-        a = trace_points(1.3, DEFAULT, trace_index=7)
-        b = trace_points(1.3, DEFAULT, trace_index=7)
+        a = trace_points(1.3, DEFAULT, row=7)
+        b = trace_points(1.3, DEFAULT, row=7)
         assert np.array_equal(a, b)
 
-    def test_trace_index_changes_stream(self):
-        a = trace_points(1.3, DEFAULT, trace_index=0)
-        b = trace_points(1.3, DEFAULT, trace_index=1)
-        assert not np.array_equal(a, b)
+    def test_rows_of_a_block_differ(self):
+        block = _series_points(1.3, DEFAULT, 2)
+        assert not np.array_equal(block[0], block[1])
+
+    def test_a_block_is_its_leading_rows_drawn_alone(self):
+        # the rows are drawn in turn from one stream, so a shorter block of
+        # the same seed is a prefix of a longer one
+        longer = _series_points(1.3, DEFAULT, 5)
+        assert np.array_equal(_series_points(1.3, DEFAULT, 2), longer[:2])
 
     def test_exact_scale_equivariance(self):
-        a = trace_points(1.0, DEFAULT, trace_index=3)
-        b = trace_points(2.5, DEFAULT, trace_index=3)
+        a = trace_points(1.0, DEFAULT, row=3)
+        b = trace_points(2.5, DEFAULT, row=3)
         assert np.allclose(b, 2.5 * a, rtol=1e-14)
 
     def test_large_sample_limit_pins_points(self):
         cfg = AcquisitionConfig(samples_per_point=200000, point_correlation=0.0)
-        points = trace_points(1.0, cfg, trace_index=0)
+        points = trace_points(1.0, cfg)
         # per-point sd is sqrt(2/200000) ~ 0.0032; 460 points stay within 6 sd
         assert np.max(np.abs(points - 1.0)) < 6 * np.sqrt(2 / 200000)
 
@@ -88,9 +95,37 @@ class TestSimulateTrace:
         assert hits / 300 >= 0.99
 
 
+class TestRunningSums:
+    """The prefix scan against the direct sums sum_k phi^k x[n + taps - 1 - k],
+    at the reference's relative bound."""
+
+    def test_every_tap_count_matches_the_direct_sums(self):
+        rng = np.random.default_rng(44)
+        worst = 0.0
+        for taps in range(1, 135):
+            phi = float(rng.uniform(0.05, 0.995))
+            x = rng.chisquare(30, size=(2, 40 + taps - 1)) / 30
+            want = np.array([np.convolve(row, phi ** np.arange(taps), mode="valid")
+                             for row in x])
+            worst = max(worst, relative_difference(_running_sums(x, phi, taps), want))
+        assert worst <= REL_BOUND, "worst relative difference %.3g" % worst
+        print("worst relative difference %.3g (%.1f eps)" % (worst, worst / np.finfo(float).eps))
+
+    def test_rows_do_not_mix(self):
+        x = np.zeros((3, 50))
+        x[1, 7] = 1.0
+        sums = _running_sums(x, 0.5, 9)
+        assert sums.shape == (3, 42)
+        assert not sums[0].any() and not sums[2].any()
+        # output n sums raw n .. n + 8, so an impulse at raw 7 enters outputs
+        # 0 .. 7 as tap k = n + 1, with weight 0.5^(n + 1)
+        assert np.array_equal(sums[1, :8], 0.5 ** np.arange(1, 9))
+        assert not sums[1, 8:].any()
+
+
 class TestSegmentStats:
-    # each population is drawn as one block: a row does not depend on the
-    # block it is drawn in, so these are the traces 0 .. N-1 one by one
+    # each population is drawn as one block, whose rows are the traces drawn
+    # in turn from one stream
     def test_constant_trace_zero_delta(self):
         cfg = AcquisitionConfig()
         ns, deltas = _segment_moments(np.ones((1, cfg.points_per_trace)), cfg)
@@ -98,8 +133,9 @@ class TestSegmentStats:
         assert deltas[0] == 0.0
 
     def test_mean_is_trace_mean(self):
-        ns, _ = _segment_moments(_series_points(1.7, DEFAULT, 1, 2), DEFAULT)
-        assert ns[0] == pytest.approx(trace_points(1.7, DEFAULT, trace_index=2).mean())
+        block = _series_points(1.7, DEFAULT, 3)
+        ns, _ = _segment_moments(block, DEFAULT)
+        assert ns[2] == pytest.approx(block[2].mean())
 
     def test_iid_prediction(self):
         cfg = AcquisitionConfig(point_correlation=0.0)
@@ -115,7 +151,7 @@ class TestSegmentStats:
     def test_segment_means_nearly_independent(self):
         # lag >= 1 autocorrelation of segment means stays below 0.1
         acc = []
-        for points in _series_points(1.0, DEFAULT, 400, 0):
+        for points in _series_points(1.0, DEFAULT, 400):
             seg = points.reshape(46, 10).mean(axis=1)
             seg = seg - seg.mean()
             denom = float(seg @ seg)
@@ -136,7 +172,7 @@ class TestMeasureSeries:
     def test_singleton(self):
         ns, deltas = measure_series(1.0, DEFAULT, 1)
         assert ns.shape == deltas.shape == (1,)
-        assert ns[0] == trace_points(1.0, DEFAULT, trace_index=0).mean()
+        assert ns[0] == trace_points(1.0, DEFAULT).mean()
 
     def test_scaling_matched_seeds(self):
         a = measure_series(1.0, DEFAULT, 5)
