@@ -171,10 +171,7 @@ class RunConfig:
         if not np.all(np.isfinite(data) & (data >= 0)):
             raise ConfigError("scene.weight_map",
                               "weight map entries must be finite and non-negative")
-        # weights are relative: scaled to a largest entry of 1, the overlaps
-        # do not depend on the map's scale, and its sums cannot overflow
-        peak = data.max()
-        return data / peak if peak > 0 else data
+        return data
 
     def as_dict(self):
         """Resolved config for result files; omits out_dir so artifacts stay
@@ -258,7 +255,7 @@ def load_config(path):
         contents = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise ConfigError("config", "file %r is not ASCII text: %s" % (str(path), exc)) from None
-    values = {}
+    values, key_lines = {}, {}
     section = None
     for lineno, line in enumerate(contents.splitlines(), 1):
         text = line.split("#", 1)[0].strip()
@@ -276,6 +273,9 @@ def load_config(path):
             raise ConfigError("line %d" % lineno, "key %r appears before any section" % key)
         if key not in _SECTIONS[section]:
             raise ConfigError("%s.%s" % (section, key), "unknown key")
+        if key_lines.setdefault(key, lineno) != lineno:
+            raise ConfigError("%s.%s" % (section, key),
+                              "given twice, on lines %d and %d" % (key_lines[key], lineno))
         values[key] = _parse_value(key, raw, "%s.%s" % (section, key))
     return RunConfig(**values)
 

@@ -64,6 +64,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="acquisition.n_series"):
             load_config(path)
 
+    def test_key_given_twice_names_field_and_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("[scene]\ngrid_size = 64\ngrid_size = 32\n")
+        with pytest.raises(ConfigError, match="given twice, on lines 2 and 3") as exc:
+            load_config(path)
+        assert exc.value.field == "scene.grid_size"
+        # a second [scene] header does not start the count over
+        path.write_text("[scene]\ncell_size = 2\n[source]\nr = 0.1\n[scene]\ncell_size = 4\n")
+        with pytest.raises(ConfigError, match="scene.cell_size: given twice, on lines 2 and 6"):
+            load_config(path)
+
     def test_validation_reports_field(self):
         with pytest.raises(ConfigError, match="scene.cell_size"):
             RunConfig(cell_size=0).validate()
@@ -142,6 +153,20 @@ class TestCalibrateCommand:
         payload = json.loads((out / "calibration.json").read_text())
         expected = -0.5 * np.log((10**-0.22 - (1 - 0.912)) / 0.912)
         assert payload["r"] == pytest.approx(expected, abs=1e-9)
+
+    def test_key_given_twice_fails_with_field(self, tmp_path, capsys):
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text("[scene]\ngrid_size = 64\ngrid_size = 32\n")
+        out = tmp_path / "x"
+        code = run_cli(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"]["command"] == "calibrate"
+        assert payload["error"]["field"] == "scene.grid_size"
+        assert "lines 2 and 3" in payload["error"]["message"]
+        assert not out.exists()
 
     def test_unachievable_target_fails_with_bound(self, tmp_path, capsys):
         cfgfile = tmp_path / "deep.cfg"

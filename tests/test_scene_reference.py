@@ -4,6 +4,7 @@ agree with the reference cells' moments to within rounding (and bit for bit
 where they are exact), and every rejected input must raise the same
 SceneError."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -13,9 +14,11 @@ import pytest
 import noiseimaging
 from noiseimaging.config import load_config
 from noiseimaging.scene import (
+    _REACH_ULPS,
     Bitmap,
     SceneError,
     _polar_grid,
+    _sector,
     bowtie,
     load_pbm,
     overlaps,
@@ -207,6 +210,78 @@ def test_one_pixel_wide_grids():
         assert_same_bowtie(rotation, alpha, radius, width, height)
 
 
+def _sector_bound(k):
+    """The least angle that the sector key puts in sector k."""
+    angle = k / 40.0 - np.pi
+    while _sector(angle) >= k:
+        angle = np.nextafter(angle, -np.inf)
+    while _sector(angle) < k:
+        angle = np.nextafter(angle, np.inf)
+    return float(angle)
+
+
+def _window_ends(rotation, half_angle):
+    """(lo - reach, lo + reach, hi - reach, hi + reach) for the wedge window
+    [lo, hi] about rotation in (-pi, pi) and the rounding reach, with the
+    rasterizer's arithmetic: pixels between the inner two are set without
+    folding, and only those between the outer two are candidates."""
+    err = _REACH_ULPS * (np.pi + abs(rotation))
+    axis = math.fmod(rotation, np.pi)
+    return (axis - (half_angle + err), axis - (half_angle - err),
+            axis + (half_angle - err), axis + (half_angle + err))
+
+
+def _landing_half_angle(rotation, end, target):
+    """The half-angle that puts _window_ends(rotation, .)[end] exactly on
+    target, found by ulp steps from the estimate (None if it skips it)."""
+    err = _REACH_ULPS * (np.pi + abs(rotation))
+    half = abs(target - rotation) + (-err, err, err, -err)[end]
+    # the two lower ends fall as the half-angle grows, the upper two rise
+    rising = end >= 2
+    for _ in range(256):
+        got = _window_ends(rotation, half)[end]
+        if got == target:
+            return half
+        half = float(np.nextafter(half, np.inf if (got < target) == rising else -np.inf))
+    return None
+
+
+def test_window_edges_on_sector_bounds():
+    # every end of the window lands exactly on a sector bound and one ulp
+    # either side; the targets sit farther from 0 than the half-angle, so
+    # ulp steps of the half-angle reach each of them
+    checked = 0
+    for end, ks in ((0, (5, 18, 31, 44)), (1, (6, 19, 30, 43)),
+                    (2, (207, 220, 233, 246)), (3, (208, 219, 232, 245))):
+        for k in ks:
+            bound = _sector_bound(k)
+            rotation = bound + 0.61 if end < 2 else bound - 0.61
+            for target in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+                half = _landing_half_angle(rotation, end, float(target))
+                assert half is not None, (end, k, target)
+                assert_same_bowtie(rotation, half, 120.0, 256, 256)
+                checked += 1
+    assert checked == 48
+
+
+def test_desk_bowties_fold_only_their_edge_sectors(monkeypatch):
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    fmod, folded = np.fmod, []
+
+    def counting_fmod(x, *args, **kwargs):
+        folded.append(np.size(x))
+        return fmod(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fmod", counting_fmod)
+    for angle in DESK.angles_deg:
+        bowtie(np.deg2rad(angle), alpha, radius, n, n)
+    # one fold per bow-tie, over 39,818 pixels in all: the two edge sectors
+    # of each wedge, about 660 pixels a sector at this radius; folding every
+    # candidate sector took 645,203, and one more sector per angle ~10,000
+    assert len(folded) == len(DESK.angles_deg)
+    assert sum(folded) <= 45_000
+
+
 def _grid_centers(width, height):
     x = (np.arange(width) + 0.5) - width / 2.0
     y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
@@ -347,6 +422,22 @@ def test_power_of_two_weight_scaling_on_the_desk_bowtie():
         for exponent in (-1000, -60, 1, 900):
             got = overlaps(lo, mask, cell_size, np.ldexp(weights, exponent))
             assert [x.hex() for x in got] == want
+
+
+def test_subnormal_uniform_weight_maps_give_the_moments_of_no_map():
+    # weights are scaled to a largest LO entry of 1 before any sum, so cell
+    # powers of 5e-324 lose no digits of Q on coarse cells
+    rng = np.random.default_rng(45)
+    cell_size, checked = 2, 0
+    while checked < 40:
+        lo = Bitmap(rng.random((4, 4)) < 0.7)
+        mask = Bitmap(rng.random((4, 4)) < 0.5)
+        if not lo.bits.any():
+            continue
+        want = [x.hex() for x in overlaps(lo, mask, cell_size)]
+        got = overlaps(lo, mask, cell_size, np.full((4, 4), 5e-324))
+        assert [x.hex() for x in got] == want
+        checked += 1
 
 
 def test_scene_error_messages():
