@@ -10,10 +10,20 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
+
+# numpy's bundled OpenBLAS starts a worker thread on load, which spins
+# waiting for work and so costs each short CLI process CPU time on a second
+# core. No call here gives it any: the largest is the <=16x4 least-squares
+# fit, far below OpenBLAS's threading threshold. Set before numpy loads; an
+# explicit thread setting, or a numpy loaded before this module, is left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -89,22 +99,38 @@ def _write_text(path, text):
         raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
 
 
-def _write_artifacts(*writes):
-    """Write a command's artifacts in order, each given as (writer, path, *args).
+def _write_artifacts(summary, *writes):
+    """Write a command's artifacts in order, each given as (writer, path, *args),
+    then print its summary text on stdout.
 
     On a failure every file reached is removed, the failing one too (it may
     hold part of its text), so a failed run leaves no set that looks finished.
+    A summary that cannot be printed, say to a closed pipe, fails the run too.
     """
     reached = []
     try:
         for writer, path, *args in writes:
             reached.append(path)
             writer(path, *args)
+        _print_summary(summary)
     except ConfigError:
         for path in reached:
             with suppress(OSError):
                 path.unlink(missing_ok=True)
         raise
+
+
+def _print_summary(text):
+    try:
+        print(text)
+        # a buffered stdout fails here, not in the flush at interpreter exit
+        sys.stdout.flush()
+    except OSError as exc:
+        # the text left in the buffer then goes nowhere at exit, without a
+        # second error (Python's SIGPIPE note)
+        with suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ConfigError("stdout", "cannot print the summary: %s" % exc) from None
 
 
 def _load_cfg(args):
@@ -196,6 +222,10 @@ def cmd_sweep(cfg):
     }
     out = _out_dir(cfg)
     _write_artifacts(
+        "sweep: %d angles x %d series x %d techniques -> %s\n"
+        "enhancement (O >= %.2g): %.3f +/- %.3f"
+        % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), out,
+           estimate.ENHANCEMENT_MIN_OVERLAP, enh["factor"], enh["sigma"]),
         (_write_csv, out / "sweep.csv", SWEEP_SCHEMA,
          ("angle_deg", "overlap", "technique", "series", "noise_snl", "noise_db",
           "delta_noise_snl"),
@@ -203,10 +233,6 @@ def cmd_sweep(cfg):
         (_write_json, out / "fits.json", fits),
         (_write_json, out / "summary.json", summary),
     )
-    print("sweep: %d angles x %d series x %d techniques -> %s"
-          % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), out))
-    print("enhancement (O >= %.2g): %.3f +/- %.3f"
-          % (estimate.ENHANCEMENT_MIN_OVERLAP, enh["factor"], enh["sigma"]))
     return 0
 
 
@@ -249,16 +275,16 @@ def cmd_alphabet(cfg, mask_letter):
               "n_baseline", "n_baseline_db", "sigma_baseline",
               "n_masked", "n_masked_db", "sigma_masked",
               "deviation", "sigma_deviation", "sub_snl", "reason")
+    q = rankings[TECH_QUANTUM]
     out = _out_dir(cfg)
     _write_artifacts(
+        "alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
+        % (mask_letter, q["best"], q["runner_up"], q["sigma_separation"],
+           len(payload["excluded"])),
         (_write_csv, out / "alphabet.csv", ALPHABET_SCHEMA, header,
          [[rec[column] for column in header] for rec in records]),
         (_write_json, out / "ranking.json", payload),
     )
-    q = rankings[TECH_QUANTUM]
-    print("alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
-          % (mask_letter, q["best"], q["runner_up"], q["sigma_separation"],
-             len(payload["excluded"])))
     return 0
 
 
@@ -288,26 +314,37 @@ def cmd_calibrate(cfg, db):
     }
     out = _out_dir(cfg)
     _write_artifacts(
+        "calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"
+        % (r, db, payload["measured_db_over_series"], cfg.n_series),
         (_write_text, out / "calibrated.cfg", cfg_text),
         (_write_json, out / "calibration.json", payload),
     )
-    print("calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"
-          % (r, db, payload["measured_db_over_series"], cfg.n_series))
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _error_line(command, exc):
-    field = getattr(exc, "field", None)
-    payload = {"error": {"command": command, "message": str(exc)}}
+def _error_line(command, message, field):
+    payload = {"error": {"command": command, "message": message}}
     if field:
         payload["error"]["field"] = field
     return json.dumps(payload, sort_keys=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep the CLI contract: one JSON line on stderr, exit 2."""
+
+    def error(self, message):
+        # argparse calls this from its handler of the ArgumentError that names
+        # the option at fault, where there is one; a command's own parser has
+        # the prog "noiseimaging COMMAND"
+        field = getattr(sys.exc_info()[1], "argument_name", None)
+        command = self.prog.partition(" ")[2] or None
+        self.exit(2, _error_line(command, message, field) + "\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noiseimaging",
         description="Twin-beam noise imaging simulator: sweeps, letter tests, calibration.",
     )
@@ -351,7 +388,8 @@ def _run(args):
         return cmd_calibrate(cfg, args.db)
     except (ConfigError, SceneError, NoiseModelError, TraceError,
             EstimationError, MemoryError) as exc:
-        print(_error_line(args.command, exc), file=sys.stderr)
+        print(_error_line(args.command, str(exc), getattr(exc, "field", None)),
+              file=sys.stderr)
         return 2
 
 

@@ -55,6 +55,46 @@ def test_artifacts_do_not_depend_on_blas_threads(args, tmp_path):
     assert not differ, "artifacts differ between 1 and 2 BLAS threads: %s" % differ
 
 
+# the interpreter's threads and the environment it changed on importing the CLI
+_THREADS_AFTER_IMPORT = """
+import json, os, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+before = dict(os.environ)
+import noiseimaging.cli
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "changed": {k: v for k, v in os.environ.items() if before.get(k) != v}}))
+"""
+
+
+def _threads_after_import(settings, *argv):
+    env = _child_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env.update(settings)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_IMPORT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("settings, argv, expected", [
+    # OpenBLAS's worker thread would only spin: no call here is large enough to use it
+    ({}, (), {"tasks": 1, "changed": {"OPENBLAS_NUM_THREADS": "1"}}),
+    # an explicit setting wins
+    ({"OPENBLAS_NUM_THREADS": "2"}, (), {"tasks": 2, "changed": {}}),
+    ({"OMP_NUM_THREADS": "1"}, (), {"changed": {}}),
+    # a numpy loaded first already has its threads
+    ({}, ("numpy-first",), {"changed": {}}),
+], ids=["default", "openblas-2", "omp-only", "numpy-first"])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expected):
+    if expected.get("tasks", 1) > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS starts no more threads than there are cores")
+    seen = _threads_after_import(settings, *argv)
+    assert {key: seen[key] for key in expected} == expected
+
+
 # the trace points of four smoothing depths, hashed in a fresh interpreter
 _SERIES_POINTS_DIGEST = """
 import hashlib
@@ -602,6 +642,32 @@ def test_partly_written_artifact_is_removed(tmp_path, capsys, monkeypatch):
     error = _one_error_line(capsys, "calibrate")
     assert error["field"] == "output.out_dir"
     assert "No space left" in error["message"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_closed_stdout_fails_cleanly(command, buffered, tmp_path):
+    # a pipe whose reader has gone, as in `noiseimaging ... | true`
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *([] if buffered else ["-u"]), "-m", "noiseimaging.cli", *args,
+             "--config", str(_small_config(tmp_path)), "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])["error"]
+    assert (error["command"], error["field"]) == (command, "stdout")
     assert list(out.iterdir()) == []
 
 

@@ -280,3 +280,41 @@ class TestAlphabetCommand:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert "'5'" in payload["error"]["message"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, command, field, message", [
+        (["sweep", "--seed", "abc"], "sweep", "--seed", "invalid int value: 'abc'"),
+        (["calibrate", "--db", "deep"], "calibrate", "--db", "invalid float value: 'deep'"),
+        (["calibrate", "--db"], "calibrate", "--db", "expected one argument"),
+        (["sweep", "--bogus", "1"], None, None, "unrecognized arguments: --bogus 1"),
+        (["alphabet"], "alphabet", None, "required: --mask"),
+        (["calibrate"], "calibrate", None, "required: --db"),
+        (["survey"], None, "command", "invalid choice: 'survey'"),
+        ([], None, None, "required: command"),
+    ], ids=["seed", "db", "db-value-missing", "unknown-option", "mask-missing",
+            "db-missing", "unknown-command", "command-missing"])
+    def test_usage_error_is_one_json_line(self, argv, command, field, message, tmp_path,
+                                          capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["command"] == command
+        assert error.get("field") == field
+        assert message in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "--help"]], ids=["top", "sweep"])
+    def test_help_keeps_its_text(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: noiseimaging")
+        assert captured.err == ""
