@@ -144,7 +144,7 @@ def _out_dir(cfg):
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ConfigError(_OUT_FIELD, "cannot create the output directory: %s" % exc) from None
     return out
 

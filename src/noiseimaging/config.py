@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .noise import NoiseModelError, TwinBeamParams, calibrate_r
+from .scene import SceneError, check_weight_map
 from .traces import AcquisitionConfig, TraceError
 
 # fine scan near alignment (overlap 1 down to 0.99) for the high-overlap
@@ -168,9 +169,10 @@ class RunConfig:
                 "scene.weight_map",
                 "expected a %dx%d matrix, got %s" % (self.grid_size, self.grid_size, data.shape),
             )
-        if not np.all(np.isfinite(data) & (data >= 0)):
-            raise ConfigError("scene.weight_map",
-                              "weight map entries must be finite and non-negative")
+        try:
+            check_weight_map(data)
+        except SceneError as exc:
+            raise ConfigError("scene.weight_map", str(exc)) from None
         return data
 
     def as_dict(self):

@@ -267,7 +267,7 @@ def alphabet_gun(glyphs, mask, params, acq_cfg, cell_size, n_series=10,
     records = []
     snl_joint = 1.0
     for letter, lo in glyphs.items():
-        if not lo_power_check(lo, params, power_per_pixel):
+        if not lo_power_check(np.count_nonzero(lo), params, power_per_pixel):
             records += [_row(letter, technique, np.nan, unmeasured, unmeasured, unmeasured,
                              False, FLOOR_REASON) for technique in TECHNIQUES]
             continue

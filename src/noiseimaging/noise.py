@@ -87,16 +87,16 @@ def technique_noise(technique, overlap, root_overlap, params):
     raise NoiseModelError("unknown technique %r" % (technique,))
 
 
-def lo_power_check(lo, params, power_per_pixel):
-    """Whether an LO is bright enough to clear the electronic noise floor.
+def lo_power_check(pixel_count, params, power_per_pixel):
+    """Whether an LO of pixel_count lit pixels is bright enough to clear the
+    electronic noise floor.
 
     An empty LO is always invalid; otherwise the LO power (pixel count times
     power per pixel) must reach the configured floor.
     """
-    count = lo.pixel_count
-    if count == 0:
+    if pixel_count == 0:
         return False
-    return count * float(power_per_pixel) >= params.electronic_floor
+    return pixel_count * float(power_per_pixel) >= params.electronic_floor
 
 
 def detected_noise_floor(params):

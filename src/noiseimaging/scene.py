@@ -1,20 +1,20 @@
 """Binary transverse shapes on a pixel grid and their coherence-cell geometry.
 
-Masks and local-oscillator (LO) shapes are binary bitmaps.  The transverse
+Masks and local-oscillator (LO) shapes are bitmaps: 2-D bool arrays of
+height x width pixels, read-only when the scene builds them.  The transverse
 plane is partitioned into square coherence cells, each with an LO weight
 fraction w_i and a mask power transmission T_i.  The noise model is affine
 in T_i and in sqrt(T_i), so `overlaps` reduces an (LO, mask) pair to two
 moments: the overlap O = sum(w_i T_i) and the root overlap
 Q = sum(w_i sqrt(T_i)).
 
-Bitmaps load from plain ASCII portable bitmaps (magic "P1").  The
+Shapes also load from plain ASCII portable bitmaps (magic "P1").  The
 bundled A-Z font ships as one P1 file per letter.
 """
 
 import functools
 import math
 import string
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -25,53 +25,13 @@ class SceneError(ValueError):
     """Raised for invalid shapes, grids or file contents."""
 
 
-@dataclass(frozen=True)
-class Bitmap:
-    """Binary occupancy on a width x height pixel grid (row-major)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        # a copy: the caller keeps its array, writable
-        self._own(np.array(self.bits, dtype=bool))
-
-    @classmethod
-    def _adopt(cls, bits):
-        """Wrap a bool array the scene layer just built, without copying it."""
-        self = object.__new__(cls)
-        self._own(bits)
-        return self
-
-    def _own(self, arr):
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise SceneError("bitmap must be a 2-D array with width, height >= 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    @property
-    def height(self):
-        return self.bits.shape[0]
-
-    @property
-    def width(self):
-        return self.bits.shape[1]
-
-    @property
-    def pixel_count(self):
-        return int(self.bits.sum())
-
-    def __eq__(self, other):
-        if not isinstance(other, Bitmap):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
-
-
 def _check_same_dims(a, b):
-    if a.bits.shape != b.bits.shape:
-        raise SceneError(
-            "bitmap dimensions differ: %dx%d vs %dx%d"
-            % (a.width, a.height, b.width, b.height)
-        )
+    for bits in (a, b):
+        if getattr(bits, "dtype", None) != bool or bits.ndim != 2 or 0 in bits.shape:
+            raise SceneError("bitmap must be a 2-D bool array with width, height >= 1")
+    if a.shape != b.shape:
+        raise SceneError("bitmap dimensions differ: %dx%d vs %dx%d"
+                         % (a.shape[1], a.shape[0], b.shape[1], b.shape[0]))
 
 
 # pixel angles are grouped into sectors of 1/40 rad, which the uint8 sector
@@ -189,12 +149,14 @@ def bowtie(rotation, half_angle, radius, width, height):
     psi -= np.pi
     hit |= psi >= -half_angle
     bits[pixels[edge[hit]]] = True
-    return Bitmap._adopt(bits.reshape(height, width))
+    bits.setflags(write=False)
+    return bits.reshape(height, width)
 
 
 def overlaps(lo, mask, cell_size, weight_map=None):
-    """(overlap, root overlap) of an LO and a mask on square coherence cells
-    of cell_size pixels a side, tiling the plane from the top-left corner.
+    """(overlap, root overlap) of an LO and a mask, same-shape 2-D bool arrays,
+    on square coherence cells of cell_size pixels a side, tiling the plane
+    from the top-left corner.
 
     With l_i and p_i the LO and passed power of cell i, O = sum(p_i) / total
     and Q = sum(l_i sqrt(p_i / l_i)) / total: without a weight map O is the
@@ -207,10 +169,10 @@ def overlaps(lo, mask, cell_size, weight_map=None):
         # unit cells: l_i sqrt(p_i / l_i) = p_i in {0, 1}, so both sums count
         # the LO pixels the mask passes
         _check_same_dims(lo, mask)
-        total = np.count_nonzero(lo.bits)
+        total = np.count_nonzero(lo)
         if not total:
             raise SceneError("LO bitmap carries no power (empty LO)")
-        overlap = np.count_nonzero(lo.bits & mask.bits) / total
+        overlap = np.count_nonzero(lo & mask) / total
         return overlap, overlap
     lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weight_map)
     # fixed-order sums, not thread-dependent BLAS dots; l_i sqrt(p_i / l_i),
@@ -232,7 +194,7 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     # every term of the passed sums is; a zero term leaves a partial sum
     # (which starts at +0.0 and so is never -0.0) unchanged, so summing only
     # the other pixels, in pixel order, gives the same sums
-    pixels = np.flatnonzero(lo.bits)
+    pixels = np.flatnonzero(lo)
     if weight_map is None:
         power = None
         total = float(len(pixels))
@@ -242,11 +204,12 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
         total = float(lo_power.sum())
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
-    passed = mask.bits.ravel()[pixels]
+    passed = mask.ravel()[pixels]
     # cells are numbered row by row, so ids increase with the cell's
     # (row, column) position on the plane
-    ys, xs = np.divmod(pixels, lo.width)
-    cells = ys // cell_size * ((lo.width - 1) // cell_size + 1) + xs // cell_size
+    width = lo.shape[1]
+    ys, xs = np.divmod(pixels, width)
+    cells = ys // cell_size * ((width - 1) // cell_size + 1) + xs // cell_size
     # unit weights: integer counts, which are exact, so they divide to the
     # same floats as float sums
     per_cell_lo = np.bincount(cells, weights=power)
@@ -256,16 +219,21 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     return per_cell_lo[keep], per_cell_passed[keep], total
 
 
+def check_weight_map(weights):
+    """Raise a SceneError unless every entry of a float weight map is finite
+    and non-negative."""
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise SceneError("weight map entries must be finite and non-negative")
+
+
 def _lo_power(lo, weight_map):
     w = np.asarray(weight_map, dtype=float)
-    if w.shape != lo.bits.shape:
-        raise SceneError("weight map shape %s does not match bitmap %s"
-                         % (w.shape, lo.bits.shape))
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise SceneError("weight map entries must be finite and non-negative")
+    if w.shape != lo.shape:
+        raise SceneError("weight map shape %s does not match bitmap %s" % (w.shape, lo.shape))
+    check_weight_map(w)
     # weights are relative: scaled to a largest LO entry of 1, no sum
     # overflows or loses digits to subnormal cell powers
-    power = w * lo.bits
+    power = w * lo
     peak = power.max()
     return np.divide(power, peak, out=power) if peak > 0 else power
 
@@ -297,11 +265,12 @@ def load_pbm(path):
     digits = fields[3].translate(None, _WHITESPACE) if len(fields) > 3 else b""
     if len(digits) != width * height or digits.translate(None, b"01"):
         raise SceneError("%s: expected %d binary digits" % (path, width * height))
-    # two negative sizes can match the digit count
-    if width < 0 or height < 0:
-        raise SceneError("%s: malformed P1 header" % (path,))
+    # a zero size, or two negative sizes, can match the digit count
+    if width < 1 or height < 1:
+        raise SceneError("%s: P1 width and height must be >= 1" % (path,))
     bits = np.frombuffer(digits, dtype=np.uint8) == ord("1")
-    return Bitmap._adopt(bits.reshape(height, width))
+    bits.setflags(write=False)
+    return bits.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +309,11 @@ def load_font(font_dir=None):
     for letter in LETTERS:
         g = glyph(letter, font_dir)
         if dims is None:
-            dims = g.bits.shape
-        elif g.bits.shape != dims:
+            dims = g.shape
+        elif g.shape != dims:
             raise SceneError(
                 "font glyphs do not share a common bounding box: %r is %s, expected %s"
-                % (letter, g.bits.shape, dims)
+                % (letter, g.shape, dims)
             )
         glyphs[letter] = g
     return glyphs

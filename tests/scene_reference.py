@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from noiseimaging.scene import Bitmap, SceneError
+from noiseimaging.scene import SceneError
 
 
 def reference_bowtie(rotation, half_angle, radius, width, height):
@@ -30,24 +30,23 @@ def reference_bowtie(rotation, half_angle, radius, width, height):
     rr = np.hypot(xx, yy)
     psi = (np.arctan2(yy, xx) - rotation) % np.pi
     psi = np.where(psi > np.pi / 2, psi - np.pi, psi)
-    bits = (rr <= radius) & (np.abs(psi) <= half_angle)
-    return Bitmap(bits)
+    return (rr <= radius) & (np.abs(psi) <= half_angle)
 
 
 def reference_decompose(lo, mask, cell_size, weight_map=None):
     """(weights, transmissions): the LO weight fraction and mask power
     transmission of each cell holding LO power, from full-grid sums."""
-    w = np.ones(lo.bits.shape) if weight_map is None else np.asarray(weight_map, float)
-    lo_power = w * lo.bits
+    w = np.ones(lo.shape) if weight_map is None else np.asarray(weight_map, float)
+    lo_power = w * lo
     total = float(lo_power.sum())
     if total <= 0.0:
         raise SceneError("LO bitmap carries no power (empty LO)")
-    xs = np.arange(lo.width) // cell_size
-    ys = np.arange(lo.height) // cell_size
+    ys = np.arange(lo.shape[0]) // cell_size
+    xs = np.arange(lo.shape[1]) // cell_size
     cells = ys[:, None] * (int(xs[-1]) + 1) + xs[None, :]
     ncells = int(cells.max()) + 1
     per_cell_lo = np.bincount(cells.ravel(), weights=lo_power.ravel(), minlength=ncells)
-    passed = lo_power * mask.bits
+    passed = lo_power * mask
     per_cell_passed = np.bincount(cells.ravel(), weights=passed.ravel(), minlength=ncells)
     keep = per_cell_lo > 0.0
     weights = per_cell_lo[keep] / total
@@ -80,13 +79,16 @@ def reference_load_pbm(path):
     digits = "".join(tokens[3:])
     if len(digits) != width * height or set(digits) - {"0", "1"}:
         raise SceneError("%s: expected %d binary digits" % (path, width * height))
+    if min(width, height) < 1:
+        raise SceneError("%s: P1 width and height must be >= 1" % (path,))
     bits = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-    return Bitmap(bits.reshape(height, width).astype(bool))
+    return bits.reshape(height, width).astype(bool)
 
 
-def save_pbm(bitmap, path):
-    """Write a bitmap as a plain P1 portable bitmap file."""
-    lines = ["P1", "%d %d" % (bitmap.width, bitmap.height)]
-    for row in bitmap.bits:
+def save_pbm(bits, path):
+    """Write a 2-D bool array as a plain P1 portable bitmap file."""
+    height, width = bits.shape
+    lines = ["P1", "%d %d" % (width, height)]
+    for row in bits:
         lines.append(" ".join("1" if v else "0" for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -19,7 +19,6 @@ import noiseimaging
 from noiseimaging import scene
 from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
-from noiseimaging.scene import Bitmap
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -211,7 +210,7 @@ def _font_copy(tmp_path):
 
 def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
     font = _font_copy(tmp_path)
-    save_pbm(Bitmap(np.ones((64, 64), dtype=bool)), font / "Z.pbm")
+    save_pbm(np.ones((64, 64), dtype=bool), font / "Z.pbm")
     cfgfile = tmp_path / "run.cfg"
     save_config(RunConfig(font_dir=str(font), electronic_floor=3000.0, cell_size=8,
                           n_series=2, samples_per_point=100), cfgfile)
@@ -597,6 +596,20 @@ def test_unusable_output_directory_fails_cleanly(command, tmp_path, capsys):
                         "--out", str(blocker / "out")])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_output_directory_with_a_nul_byte_fails_cleanly(command, tmp_path, capsys):
+    # a config file may hold a NUL byte, which no path can
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_small_config(tmp_path).read_text().replace(
+        "out_dir = out", "out_dir = %s" % (tmp_path / "o\0x")))
+    before = set(tmp_path.rglob("*"))
+    args, _ = _COMMANDS[command]
+    code = main(args + ["--config", str(cfgfile)])
+    assert code == 2
+    assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+    assert set(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))

@@ -9,6 +9,11 @@ A failing run writes exactly one JSON line on stderr and no artifact; a
 passing run writes nothing on stderr, and its JSON artifacts parse with
 NaN and Infinity rejected.
 
+A second test draws the config *text*: a small run's lines with unknown
+keys, bad or empty section headers, a key given twice or before any
+section, empty values, `1_000`-style numerals and control characters (NUL
+included, most often in a path value), under the same contract.
+
 Sizes stay small: grids up to 48 pixels a side, at most 3 series of at
 most 120 displayed points, and point correlations up to 0.9, so no draw
 allocates more than a few MiB.  Sizes past numpy's addressable limit are
@@ -18,6 +23,7 @@ drawn too; they fail in validation before any allocation.
 import contextlib
 import io
 import json
+import os
 import string
 import tempfile
 import warnings
@@ -180,3 +186,103 @@ def test_cli_keeps_its_contract(run):
         for path in written:
             if path.suffix == ".json":
                 json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# a small usable run as config lines; no edit below makes a size larger: a
+# numeral gains only underscores, a line a control character breaks loses
+# its tail, and a repeated key is an error
+_BASE_LINES = (
+    "[source]",
+    "squeezing_db_detected = 2.0",
+    "t_probe = 0.95",
+    "t_conj = 0.95",
+    "[scene]",
+    "grid_size = 32",
+    "cell_size = 4",
+    "bowtie_half_angle_deg = 22.5",
+    "font_dir =",
+    "weight_map =",
+    "[acquisition]",
+    "points_per_trace = 40",
+    "segment_length = 10",
+    "samples_per_point = 100",
+    "n_series = 2",
+    "angles_deg = 0.0, 3.0, 6.0, 12.0, 20.0, 30.0",
+    "seed = 5",
+    "[output]",
+    "out_dir = out",
+)
+_PATH_KEYS = ("font_dir", "weight_map", "out_dir")
+# NUL most often: no path can hold it
+_CONTROL = st.one_of(st.just("\0"),
+                     st.sampled_from([chr(c) for c in range(1, 32)] + ["\x7f"]))
+_PATH_TAIL = st.text(st.one_of(_CONTROL, st.sampled_from("a_1")), min_size=1, max_size=3)
+_UNKNOWN_KEYS = ("grid", "Grid_size", "n-series", "x", "seed2", "source", "")
+_BAD_HEADERS = ("[]", "[ ]", "[sources]", "[Scene]", "[scene", "scene]", "[[output]]",
+                "[output] x")
+# control characters most often, and on a path value, which reaches the file system
+_EDITS = ["path"] * 3 + ["control"] * 2 + ["underscore", "empty-value", "twice",
+                                           "before-section", "unknown-key", "bad-header"]
+
+
+@st.composite
+def _config_lines(draw):
+    """A small run's config lines after one or two edits: an unknown key, a
+    bad or empty [section] header, a key given twice or before any section,
+    an empty value, a `1_000`-style numeral, or control characters."""
+    lines = list(_BASE_LINES)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(_EDITS))
+        paths = [i for i, line in enumerate(lines) if line.startswith(_PATH_KEYS)]
+        if kind == "path" and paths:
+            k = draw(st.sampled_from(paths))
+            lines[k] += draw(_PATH_TAIL)
+            continue
+        k = draw(st.integers(0, len(lines) - 1))
+        key, sep, value = lines[k].partition("=")
+        if kind == "control":
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + draw(_CONTROL) + lines[k][at:]
+        elif kind == "underscore":
+            at = draw(st.integers(0, len(value)))
+            lines[k] = key + sep + value[:at] + "_" + value[at:]
+        elif kind == "empty-value":
+            lines[k] = key + "="
+        elif kind == "twice":
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+        elif kind == "before-section":
+            lines.insert(0, lines[k])
+        elif kind == "unknown-key":
+            lines.insert(k, "%s = 1" % draw(st.sampled_from(_UNKNOWN_KEYS)))
+        elif kind == "bad-header":
+            lines[k] = draw(st.sampled_from(_BAD_HEADERS))
+    return lines
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_config_lines(), st.sampled_from([["sweep"], ["alphabet", "--mask", "Z"],
+                                         ["calibrate", "--db", "2.2"]]))
+def test_cli_keeps_its_contract_on_any_config_text(lines, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "run.cfg").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        before = set(root.rglob("*"))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # out_dir is relative: to the temporary directory
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv + ["--config", "run.cfg"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2)
+        if code == 2:
+            errors = stderr.getvalue().splitlines()
+            assert len(errors) == 1, errors
+            assert json.loads(errors[0])["error"]["command"] == argv[0]
+            assert not [p for p in root.rglob("*") if p not in before and p.is_file()]
+        else:
+            assert stderr.getvalue() == ""

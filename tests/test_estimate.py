@@ -13,7 +13,7 @@ from noiseimaging.estimate import (
     overlap_uncertainty,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
-from noiseimaging.scene import Bitmap, load_font
+from noiseimaging.scene import load_font
 from noiseimaging.traces import AcquisitionConfig
 from estimate_reference import reference_angle_deltas
 
@@ -370,7 +370,7 @@ class TestAlphabetGun:
     def test_all_ones_mask_gives_unit_deviation(self):
         params = alphabet_profile()
         cfg = AcquisitionConfig()
-        mask = Bitmap(np.ones((64, 64), dtype=bool))
+        mask = np.ones((64, 64), dtype=bool)
         records, _ = alphabet_gun(load_font(), mask, params, cfg, 8, n_series=5,
                                   master_seed=3)
         sems = []

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noiseimaging.scene import Bitmap, overlaps
+from noiseimaging.scene import overlaps
 from test_scene_reference import assert_overlaps_match_reference
 
 _WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -27,7 +27,7 @@ def _scenes(draw, max_cell_size):
     lo = draw(arrays(bool, (height, width)))
     mask = draw(arrays(bool, (height, width)))
     weights = draw(st.none() | arrays(float, (height, width), elements=_WEIGHTS))
-    return Bitmap(lo), Bitmap(mask), draw(st.integers(1, max_cell_size)), weights
+    return lo, mask, draw(st.integers(1, max_cell_size)), weights
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -40,14 +40,14 @@ def test_single_pixel_cells_match_the_reference(scene):
 @given(_scenes(max_cell_size=6))
 def test_coarse_cells_match_the_reference(scene):
     lo, mask, cell_size, weights = scene
-    peak = 0.0 if weights is None else weights.max(where=lo.bits, initial=0.0)
+    peak = 0.0 if weights is None else weights.max(where=lo, initial=0.0)
     if peak == 0.0:
         assert_overlaps_match_reference(lo, mask, cell_size, weights)
         return
     # overlaps scales a map to a largest LO entry of 1 before any sum, so
     # subnormal entries lose no digits: the reference sees the scaled map,
     # and the map as drawn gives the same bits
-    scaled = weights * lo.bits / peak
+    scaled = weights * lo / peak
     if assert_overlaps_match_reference(lo, mask, cell_size, scaled):
         assert [x.hex() for x in overlaps(lo, mask, cell_size, weights)] == \
             [x.hex() for x in overlaps(lo, mask, cell_size, scaled)]
@@ -57,7 +57,7 @@ def test_coarse_cells_match_the_reference(scene):
 @given(_scenes(max_cell_size=6), st.integers(-900, 900))
 def test_power_of_two_weight_scaling_leaves_the_overlaps_unchanged(scene, exponent):
     lo, mask, cell_size, weights = scene
-    if weights is None or not np.any(lo.bits & (weights > 0)):
+    if weights is None or not np.any(lo & (weights > 0)):
         return
     scaled = np.ldexp(weights, exponent)
     live = weights != 0
