@@ -47,7 +47,7 @@ from .noise import (
     technique_noise,
 )
 from .scene import SceneError
-from .traces import TraceError, measure_series, seeded_config
+from .traces import TraceError, derive_seed, measure_series
 
 SWEEP_SCHEMA = "noiseimaging.sweep.v1"
 ALPHABET_SCHEMA = "noiseimaging.alphabet.v1"
@@ -154,12 +154,11 @@ def _out_dir(cfg):
 
 def _measure_curve(cfg, readings, technique):
     """Rows and fit points of one technique from (angle, overlap, n_true) readings."""
-    acq = cfg.acquisition()
     rows, points = [], []
     for k, (angle, overlap, n_true) in enumerate(readings):
-        seeded = seeded_config(acq, cfg.seed, "sweep", technique, k)
-        ns, deltas = measure_series(n_true[technique], seeded, cfg.n_series)
-        n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, acq.n_segments)
+        seed = derive_seed(cfg.seed, "sweep", technique, k)
+        ns, deltas = measure_series(n_true[technique], cfg, cfg.n_series, seed)
+        n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, cfg)
         points.append({"overlap": overlap, "n": n_mean, "sigma_n": sem,
                        "delta_n": delta_mean})
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
@@ -258,11 +257,7 @@ def cmd_alphabet(cfg, mask_letter):
     glyphs = scene.load_font(cfg.font_dir or None)
     if mask_letter not in glyphs:
         raise SceneError("unknown letter %r: font covers A-Z" % (mask_letter,))
-    records, rankings = estimate.alphabet_gun(
-        glyphs, glyphs[mask_letter], params, cfg.acquisition(), cfg.cell_size,
-        n_series=cfg.n_series, power_per_pixel=cfg.power_per_pixel,
-        master_seed=cfg.seed,
-    )
+    records, rankings = estimate.alphabet_gun(glyphs, glyphs[mask_letter], params, cfg)
     payload = {
         "config": cfg.as_dict(),
         "mask_letter": mask_letter,
@@ -296,8 +291,7 @@ def cmd_calibrate(cfg, db):
     calibrated = replace(cfg, r=r, squeezing_db_detected=float(db))
     params = calibrated.twin_beam_params()
     n_true = quantum_noise(1.0, 1.0, params)
-    acq = seeded_config(cfg.acquisition(), cfg.seed, "calibrate")
-    ns, _ = measure_series(n_true, acq, cfg.n_series)
+    ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
     n_mean = float(np.mean(ns))
     # before any file: the one artifact that records out_dir must encode it
     cfg_text = config_text(calibrated)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .noise import NoiseModelError, TwinBeamParams, calibrate_r
 from .scene import SceneError, check_weight_map
-from .traces import AcquisitionConfig, TraceError
+from .traces import TraceError, check_acquisition
 
 # fine scan near alignment (overlap 1 down to 0.99) for the high-overlap
 # sensitivity average, coarse tail across the full range for the curve shape
@@ -101,7 +101,7 @@ class RunConfig:
         if self.weight_map and not Path(self.weight_map).is_file():
             raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
         try:
-            row = self.acquisition().raw_points_per_trace
+            row = check_acquisition(self)
         except TraceError as exc:
             raise ConfigError("acquisition", str(exc)) from None
         if self.n_series < 1:
@@ -120,6 +120,9 @@ class RunConfig:
             raise ConfigError("acquisition.angles_deg", "angles must be finite")
         if len(set(self.angles_deg)) != len(self.angles_deg):
             raise ConfigError("acquisition.angles_deg", "angles must be distinct")
+        # an empty path would put the artifacts in the working directory
+        if not self.out_dir:
+            raise ConfigError("output.out_dir", "must not be empty")
         return self
 
     # ---- derived objects -------------------------------------------------
@@ -137,15 +140,6 @@ class RunConfig:
         return TwinBeamParams(
             r=self.resolve_r(), t_probe=self.t_probe, t_conj=self.t_conj,
             lock_noise=self.lock_noise, electronic_floor=self.electronic_floor,
-        )
-
-    def acquisition(self):
-        return AcquisitionConfig(
-            points_per_trace=self.points_per_trace,
-            segment_length=self.segment_length,
-            samples_per_point=self.samples_per_point,
-            point_correlation=self.point_correlation,
-            rng_seed=self.seed,
         )
 
     def bowtie_half_angle(self):
@@ -259,7 +253,9 @@ def load_config(path):
         raise ConfigError("config", "file %r is not ASCII text: %s" % (str(path), exc)) from None
     values, key_lines = {}, {}
     section = None
-    for lineno, line in enumerate(contents.splitlines(), 1):
+    # read_text has turned every line end into "\n"; splitlines would also
+    # break at \x0b, \x0c and \x1c-\x1e and so miscount the lines
+    for lineno, line in enumerate(contents.split("\n"), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

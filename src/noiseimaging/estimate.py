@@ -27,7 +27,7 @@ from .noise import (
     lo_power_check,
     technique_noise,
 )
-from .traces import measure_series, seeded_config
+from .traces import derive_seed, measure_series
 
 CURVE_MIN_POINTS = 5
 LINEAR_STAGE_MIN_OVERLAP = 0.8
@@ -219,21 +219,23 @@ def _angle_deltas(overlaps, slopes, records):
 # ---------------------------------------------------------------------------
 # alphabet gun
 
-def summarize_series(ns, deltas, n_segments):
+def summarize_series(ns, deltas, cfg):
     """Mean noise, its standard error, and the mean per-trace delta_n of a
-    series, from the per-trace arrays that `measure_series` returns.
+    series, from the per-trace arrays that `measure_series` returns under
+    the acquisition fields of cfg.
 
     Segment means are near-independent, so one trace mean carries a standard
     deviation of about delta_n/sqrt(segments); averaging the series divides
     by sqrt(series count) again.
     """
+    n_segments = cfg.points_per_trace // cfg.segment_length
     sem = deltas.mean() / np.sqrt(n_segments * len(ns))
     return float(ns.mean()), float(sem), float(deltas.mean())
 
 
-def _measured_noise(n_true, cfg, n_series, master, *tags):
-    ns, deltas = measure_series(n_true, seeded_config(cfg, master, *tags), n_series)
-    n_mean, sem, _ = summarize_series(ns, deltas, cfg.n_segments)
+def _measured_noise(n_true, cfg, *tags):
+    ns, deltas = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, *tags))
+    n_mean, sem, _ = summarize_series(ns, deltas, cfg)
     return n_mean, sem
 
 
@@ -251,10 +253,10 @@ def _row(letter, technique, overlap, baseline, masked, deviation, sub_snl, reaso
     }
 
 
-def alphabet_gun(glyphs, mask, params, acq_cfg, cell_size, n_series=10,
-                 power_per_pixel=1.0, master_seed=0):
+def alphabet_gun(glyphs, mask, params, cfg):
     """Rank every LO letter of a loaded font by its masked-to-baseline noise
-    deviation.
+    deviation, with the cell size, series length, power per pixel, seed and
+    acquisition fields of the run config cfg.
 
     Runs baseline (no mask) and masked measurements for both techniques for
     each letter; letters whose LO cannot clear the electronic floor are
@@ -267,23 +269,17 @@ def alphabet_gun(glyphs, mask, params, acq_cfg, cell_size, n_series=10,
     records = []
     snl_joint = 1.0
     for letter, lo in glyphs.items():
-        if not lo_power_check(np.count_nonzero(lo), params, power_per_pixel):
+        if not lo_power_check(np.count_nonzero(lo), params, cfg.power_per_pixel):
             records += [_row(letter, technique, np.nan, unmeasured, unmeasured, unmeasured,
                              False, FLOOR_REASON) for technique in TECHNIQUES]
             continue
-        o, q = scene.overlaps(lo, mask, cell_size)
+        o, q = scene.overlaps(lo, mask, cfg.cell_size)
         for technique in TECHNIQUES:
             # the baseline has no mask: unit overlap and root overlap
             nb_true = technique_noise(technique, 1.0, 1.0, params)
             nm_true = technique_noise(technique, o, q, params)
-            baseline = _measured_noise(
-                nb_true, acq_cfg, n_series, master_seed,
-                "alphabet", letter, technique, "baseline",
-            )
-            masked = _measured_noise(
-                nm_true, acq_cfg, n_series, master_seed,
-                "alphabet", letter, technique, "masked",
-            )
+            baseline = _measured_noise(nb_true, cfg, "alphabet", letter, technique, "baseline")
+            masked = _measured_noise(nm_true, cfg, "alphabet", letter, technique, "masked")
             records.append(_row(
                 letter, technique, o, baseline, masked, _ratio(*masked, *baseline),
                 technique == TECH_QUANTUM and masked[0] < snl_joint, "",

@@ -7,6 +7,11 @@ video-bandwidth filter correlates neighbouring points.  A trace reduces to
 one noise measurement: the mean of all points, with the standard deviation
 of the segment means as its uncertainty.
 
+The acquisition geometry is read from the run config, whose fields
+`check_acquisition` describes and validates.  Each series takes its own
+seed, which callers derive from the master seed and a tag per series with
+`derive_seed`.
+
 A series of traces draws its rows in turn from one seeded stream and smooths
 them as one block with a prefix scan of the running average, in elementwise
 IEEE arithmetic only, so its bits do not depend on the BLAS kernel or on
@@ -17,7 +22,6 @@ is proportional to the true noise power, so delta_n/n does not depend on it.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import default_rng
@@ -27,49 +31,33 @@ class TraceError(ValueError):
     """Raised for invalid acquisition settings."""
 
 
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """Zero-span acquisition geometry and statistics.
+def check_acquisition(cfg):
+    """Raise a TraceError unless cfg's zero-span acquisition geometry and
+    statistics are valid; return the raw points drawn per trace, the
+    displayed points and the burn-in.
 
-    points_per_trace displayed points, reduced in segments of segment_length;
-    each point averages samples_per_point underlying power samples;
-    point_correlation is the AR(1) coefficient between successive displayed
-    points (lag-d autocorrelation point_correlation**d).
+    points_per_trace displayed points are reduced in segments of
+    segment_length; each point averages samples_per_point underlying power
+    samples; point_correlation is the AR(1) coefficient between successive
+    displayed points (lag-d autocorrelation point_correlation**d).
     """
-
-    points_per_trace: int = 460
-    segment_length: int = 10
-    samples_per_point: int = 300
-    point_correlation: float = 0.5
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.points_per_trace < 1 or self.segment_length < 1:
-            raise TraceError("points_per_trace and segment_length must be >= 1")
-        if self.points_per_trace % self.segment_length != 0:
-            raise TraceError(
-                "points_per_trace (%d) must be divisible by segment_length (%d)"
-                % (self.points_per_trace, self.segment_length)
-            )
-        if self.points_per_trace == self.segment_length:
-            raise TraceError(
-                "points_per_trace (%d) must span at least two segments of segment_length"
-                " (%d): the segment scatter needs two segment means"
-                % (self.points_per_trace, self.segment_length)
-            )
-        if self.samples_per_point < 1:
-            raise TraceError("samples_per_point must be >= 1")
-        if not 0.0 <= self.point_correlation < 1.0:
-            raise TraceError("point_correlation must lie in [0, 1)")
-
-    @property
-    def n_segments(self):
-        return self.points_per_trace // self.segment_length
-
-    @property
-    def raw_points_per_trace(self):
-        """Raw points drawn per trace: the displayed points and the burn-in."""
-        return self.points_per_trace + _burn_in(self.point_correlation)
+    points, seg = cfg.points_per_trace, cfg.segment_length
+    if points < 1 or seg < 1:
+        raise TraceError("points_per_trace and segment_length must be >= 1")
+    if points % seg != 0:
+        raise TraceError(
+            "points_per_trace (%d) must be divisible by segment_length (%d)" % (points, seg)
+        )
+    if points == seg:
+        raise TraceError(
+            "points_per_trace (%d) must span at least two segments of segment_length"
+            " (%d): the segment scatter needs two segment means" % (points, seg)
+        )
+    if cfg.samples_per_point < 1:
+        raise TraceError("samples_per_point must be >= 1")
+    if not 0.0 <= cfg.point_correlation < 1.0:
+        raise TraceError("point_correlation must lie in [0, 1)")
+    return points + _burn_in(cfg.point_correlation)
 
 
 def derive_seed(master, *tags):
@@ -79,25 +67,27 @@ def derive_seed(master, *tags):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _series_points(n_true, cfg, n_series):
+def _series_points(n_true, cfg, n_series, seed):
     """Points of n_series traces, one per row.
 
-    The rows are drawn in turn from the one stream cfg.rng_seed, as a single
+    The rows are drawn in turn from the one stream `seed`, as a single
     (n_series, raw points) block, and smoothed by `_running_sums`.
     """
+    raw_points = check_acquisition(cfg)
     n_true = float(n_true)
     if not n_true > 0:
         raise TraceError("true noise power must be positive, got %r" % (n_true,))
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
-    raw = default_rng(cfg.rng_seed).chisquare(df, size=(n_series, cfg.raw_points_per_trace))
+    raw = default_rng(seed).chisquare(df, size=(n_series, raw_points))
     raw /= df
     # exponentially weighted running average: an AR(1) with lag correlation
     # phi^d that keeps power samples positive by construction, its kernel
-    # (1 - phi) phi^k cut where the weights fall below the burn-in bound
+    # (1 - phi) phi^k cut where the weights fall below the burn-in bound: a
+    # tap for the point itself and one for each burn-in point
     phi = float(cfg.point_correlation)
-    vals = _running_sums(raw, phi, _burn_in(phi) + 1)
+    vals = _running_sums(raw, phi, raw_points - cfg.points_per_trace + 1)
     vals *= (1.0 - phi) * n_true
     if np.any(vals <= 0):
         raise TraceError(
@@ -141,22 +131,18 @@ def _segment_moments(values, cfg):
     """Per-row mean and sample standard deviation of the segment means."""
     n = values.shape[0]
     ns = values.mean(axis=1)
-    seg = values.reshape(n, cfg.n_segments, cfg.segment_length).mean(axis=2)
+    seg = values.reshape(n, -1, cfg.segment_length).mean(axis=2)
     return ns, seg.std(axis=1, ddof=1)
 
 
-def measure_series(n_true, cfg, n_series):
-    """(ns, deltas) of independent seeded traces: each trace's mean and the
-    sample standard deviation of its segment means, as float arrays.
+def measure_series(n_true, cfg, n_series, seed):
+    """(ns, deltas) of n_series independent traces drawn from the stream
+    `seed` under cfg's acquisition fields: each trace's mean and the sample
+    standard deviation of its segment means, as float arrays.
 
     The traces are drawn and reduced as one block.
     """
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
-    values = _series_points(n_true, cfg, int(n_series))
+    values = _series_points(n_true, cfg, int(n_series), seed)
     return _segment_moments(values, cfg)
-
-
-def seeded_config(cfg, master, *tags):
-    """Copy an acquisition config with a sub-seed derived from tags."""
-    return replace(cfg, rng_seed=derive_seed(master, *tags))

@@ -30,7 +30,7 @@ from noiseimaging.noise import (
     quantum_noise,
 )
 from noiseimaging.scene import load_font
-from noiseimaging.traces import AcquisitionConfig, measure_series, seeded_config
+from noiseimaging.traces import derive_seed, measure_series
 
 from oracles import mc_classical_noise, mc_quantum_noise
 from scene_reference import cell_moments
@@ -204,13 +204,12 @@ def test_criterion_4_alphabet_gun(tmp_path):
 
 def test_criterion_5_delta_n_scales_with_n():
     levels = np.array([0.6, 1.0, 1.6, 2.5])
-    base = AcquisitionConfig()
+    cfg = RunConfig()
     mean_n, mean_delta, sem_delta = [], [], []
     for li, level in enumerate(levels):
         ns, deltas = [], []
         for seed in range(100):
-            cfg = seeded_config(base, 20260403, "scaling", li, seed)
-            n, delta = measure_series(level, cfg, 1)
+            n, delta = measure_series(level, cfg, 1, derive_seed(20260403, "scaling", li, seed))
             ns.append(n[0])
             deltas.append(delta[0])
         mean_n.append(np.mean(ns))
@@ -294,9 +293,9 @@ def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
             else:
                 n_true = classical_noise(o_cells, params)
             ns, deltas = measure_series(
-                n_true, seeded_config(acq, master, tag, technique, k), n_series,
+                n_true, acq, n_series, derive_seed(master, tag, technique, k),
             )
-            n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
+            n, sem, delta = summarize_series(ns, deltas, acq)
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
         curve = fit_noise_curve(pts)
         tables[technique] = delta_o_table(curve)
@@ -310,7 +309,7 @@ DESK_OVERLAPS = (1.0, 0.998, 0.996, 0.994, 0.992, 0.99,
 def test_criterion_7_unbalanced_loss_degradation():
     # binary-cell pipeline at a deeper squeezing point where the stated
     # imbalance range actually wipes out the advantage
-    acq = AcquisitionConfig(samples_per_point=4800)
+    acq = RunConfig(samples_per_point=4800)
     factors = []
     for t_probe in (1.0, 0.8, 0.6, 0.4, 0.2):
         params = TwinBeamParams(r=0.6, t_probe=t_probe, t_conj=0.96)
@@ -329,7 +328,7 @@ def test_criterion_7_unbalanced_loss_degradation():
 
 def test_criterion_8_null_case():
     params = TwinBeamParams(r=0.0)
-    acq = AcquisitionConfig()
+    acq = RunConfig()
     failures = []
 
     # both curves flat at the SNL
@@ -341,9 +340,9 @@ def test_criterion_8_null_case():
             n_true = (quantum_noise(o_cells, q_cells, params) if technique == TECH_QUANTUM
                       else classical_noise(o_cells, params))
             ns, deltas = measure_series(
-                n_true, seeded_config(acq, 20260406, "null", technique, k), 10,
+                n_true, acq, 10, derive_seed(20260406, "null", technique, k),
             )
-            n, sem, delta = summarize_series(ns, deltas, acq.n_segments)
+            n, sem, delta = summarize_series(ns, deltas, acq)
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
@@ -361,8 +360,7 @@ def test_criterion_8_null_case():
     records, _ = alphabet_gun(
         font, font["Z"],
         TwinBeamParams(r=0.0, electronic_floor=1400.0),
-        AcquisitionConfig(), 8,
-        n_series=5, master_seed=20260407,
+        RunConfig(cell_size=8, n_series=5, seed=20260407),
     )
     for rec in records:
         if rec["valid"] and abs(rec["deviation"] - 1.0) > 5 * rec["sigma_deviation"]:

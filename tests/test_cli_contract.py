@@ -97,12 +97,13 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expec
 # the trace points of four smoothing depths, hashed in a fresh interpreter
 _SERIES_POINTS_DIGEST = """
 import hashlib
-from noiseimaging.traces import AcquisitionConfig, _series_points, seeded_config
+from noiseimaging.config import RunConfig
+from noiseimaging.traces import _series_points, derive_seed
 
 digest = hashlib.sha256()
 for phi in (0.0, 0.5, 0.9, 0.99):
-    cfg = seeded_config(AcquisitionConfig(point_correlation=phi), 12345, "cpu", phi)
-    digest.update(_series_points(1.7, cfg, 10).tobytes())
+    cfg = RunConfig(point_correlation=phi)
+    digest.update(_series_points(1.7, cfg, 10, derive_seed(12345, "cpu", phi)).tobytes())
 print(digest.hexdigest())
 """
 
@@ -609,6 +610,29 @@ def test_output_directory_with_a_nul_byte_fails_cleanly(command, tmp_path, capsy
     code = main(args + ["--config", str(cfgfile)])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("given_by", ["config", "flag"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_empty_output_directory_fails_cleanly(command, given_by, tmp_path, capsys,
+                                              monkeypatch):
+    # an empty path would put the artifacts in the working directory
+    cfgfile = tmp_path / "run.cfg"
+    text = _small_config(tmp_path).read_text()
+    if given_by == "config":
+        cfgfile.write_text(text.replace("out_dir = out", "out_dir ="))
+        extra = []
+    else:
+        extra = ["--out", ""]
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    args, _ = _COMMANDS[command]
+    code = main(args + ["--config", str(cfgfile)] + extra)
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["field"] == "output.out_dir"
+    assert "must not be empty" in error["message"]
     assert set(tmp_path.rglob("*")) == before
 
 

@@ -75,6 +75,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="scene.cell_size: given twice, on lines 2 and 6"):
             load_config(path)
 
+    @pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+                             ids=["vt", "ff", "fs", "gs", "rs"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_error_names_the_line_an_editor_shows(self, tmp_path, blank, eol):
+        # inside a line, a separator that str.splitlines() breaks at is no
+        # line end: the bad header is on line 3 of 3
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(("[source]%sr = 0.5%s%s[bad]%s" % (eol, blank, eol, eol)).encode())
+        with pytest.raises(ConfigError, match="unknown section 'bad'") as exc:
+            load_config(path)
+        assert exc.value.field == "line 3"
+
     def test_validation_reports_field(self):
         with pytest.raises(ConfigError, match="scene.cell_size"):
             RunConfig(cell_size=0).validate()
@@ -83,11 +95,11 @@ class TestConfigFile:
 
     def test_acquisition_bug_is_not_reported_as_a_config_error(self, monkeypatch):
         # only an invalid acquisition is a config error; a fault in the code
-        # that builds it surfaces as itself
-        def broken(self):
+        # that checks it surfaces as itself
+        def broken(cfg):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(RunConfig, "acquisition", broken)
+        monkeypatch.setattr("noiseimaging.config.check_acquisition", broken)
         with pytest.raises(ZeroDivisionError):
             RunConfig().validate()
 

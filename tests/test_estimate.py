@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noiseimaging.config import RunConfig
 from noiseimaging.estimate import (
     EstimationError,
     _angle_deltas,
@@ -14,7 +15,6 @@ from noiseimaging.estimate import (
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
 from noiseimaging.scene import load_font
-from noiseimaging.traces import AcquisitionConfig
 from estimate_reference import reference_angle_deltas
 
 ALPHA = np.pi / 8
@@ -70,17 +70,17 @@ class TestFitNoiseCurve:
     def test_recovers_simulated_classical_slope(self):
         # full pipeline points at the desk-scale calibration
         from noiseimaging.noise import classical_noise
-        from noiseimaging.traces import measure_series, seeded_config
+        from noiseimaging.traces import derive_seed, measure_series
         from noiseimaging.estimate import summarize_series
 
         r = 0.2532843602293450
         params = TwinBeamParams(r=r)
-        cfg = AcquisitionConfig()
+        cfg = RunConfig()
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 12)):
             n_true = classical_noise(o, params)
-            ns, deltas = measure_series(n_true, seeded_config(cfg, 5, "slope", k), 10)
-            n, sem, delta = summarize_series(ns, deltas, cfg.n_segments)
+            ns, deltas = measure_series(n_true, cfg, 10, derive_seed(5, "slope", k))
+            n, sem, delta = summarize_series(ns, deltas, cfg)
             pts.append(point(float(o), n, sem, delta))
         curve = fit_noise_curve(pts)
         true_slope = np.cosh(2 * r) - 1
@@ -344,21 +344,20 @@ def _assert_json_ready(value, path="result"):
 
 def test_results_are_json_ready():
     # the CLI writes these as they are; a numpy scalar would fail json.dumps
-    from noiseimaging.traces import measure_series, seeded_config
+    from noiseimaging.traces import derive_seed, measure_series
     from noiseimaging.estimate import summarize_series
 
-    cfg = AcquisitionConfig(samples_per_point=100)
+    cfg = RunConfig(samples_per_point=100, cell_size=8, n_series=2, seed=6)
     curves = []
     for technique, slope in ((TECH_CLASSICAL, 0.2), (TECH_QUANTUM, -0.5)):
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 8).tolist()):
-            ns, deltas = measure_series(1.2 + slope * o, seeded_config(cfg, 6, technique, k), 2)
-            pts.append(point(o, *summarize_series(ns, deltas, cfg.n_segments)))
+            ns, deltas = measure_series(1.2 + slope * o, cfg, 2, derive_seed(6, technique, k))
+            pts.append(point(o, *summarize_series(ns, deltas, cfg)))
         curves.append(fit_noise_curve(pts))
     tables = [delta_o_table(curve) for curve in curves]
     font = load_font()
-    records, rankings = alphabet_gun(font, font["Z"], alphabet_profile(), cfg, 8,
-                                     n_series=2, master_seed=6)
+    records, rankings = alphabet_gun(font, font["Z"], alphabet_profile(), cfg)
     for name, result in [("points", [curve.points for curve in curves]),
                          ("delta_o_table", tables),
                          ("enhancement", enhancement(*tables)),
@@ -369,10 +368,9 @@ def test_results_are_json_ready():
 class TestAlphabetGun:
     def test_all_ones_mask_gives_unit_deviation(self):
         params = alphabet_profile()
-        cfg = AcquisitionConfig()
+        cfg = RunConfig(cell_size=8, n_series=5, seed=3)
         mask = np.ones((64, 64), dtype=bool)
-        records, _ = alphabet_gun(load_font(), mask, params, cfg, 8, n_series=5,
-                                  master_seed=3)
+        records, _ = alphabet_gun(load_font(), mask, params, cfg)
         sems = []
         for rec in records:
             if not rec["valid"]:
@@ -383,10 +381,9 @@ class TestAlphabetGun:
 
     def test_z_mask_structure(self):
         params = alphabet_profile()
-        cfg = AcquisitionConfig()
+        cfg = RunConfig(cell_size=8, n_series=5, seed=4)
         font = load_font()
-        records, rankings = alphabet_gun(font, font["Z"], params, cfg, 8, n_series=5,
-                                         master_seed=4)
+        records, rankings = alphabet_gun(font, font["Z"], params, cfg)
         q = rankings[TECH_QUANTUM]
         c = rankings[TECH_CLASSICAL]
         assert q["best"] == "Z"
@@ -398,8 +395,8 @@ class TestAlphabetGun:
     def test_all_letters_reported_with_flags(self):
         params = alphabet_profile()
         font = load_font()
-        records, _ = alphabet_gun(font, font["Z"], params, AcquisitionConfig(), 8,
-                                  n_series=2, master_seed=5)
+        records, _ = alphabet_gun(font, font["Z"], params,
+                                  RunConfig(cell_size=8, n_series=2, seed=5))
         assert len(records) == 52
         invalid = [r for r in records if not r["valid"]]
         assert {r["letter"] for r in invalid} == {"I"}

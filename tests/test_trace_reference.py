@@ -14,15 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noiseimaging.config import load_config
+from noiseimaging.config import RunConfig, load_config
 from noiseimaging.traces import (
-    AcquisitionConfig,
     TraceError,
     _burn_in,
     _series_points,
     derive_seed,
     measure_series,
-    seeded_config,
 )
 from trace_reference import (
     REL_BOUND,
@@ -59,11 +57,11 @@ def _report(worst):
     print("worst relative difference %.3g (%.1f eps)" % (worst, worst / EPS))
 
 
-def assert_same_series(n_true, cfg, n_series):
+def assert_same_series(n_true, cfg, n_series, seed):
     """Check measure_series and the block's points against the reference and
     return the worst relative difference seen (0 when the inputs raise)."""
-    got = _outcome(measure_series, n_true, cfg, n_series)
-    want = _outcome(reference_measure_series, n_true, cfg, n_series)
+    got = _outcome(measure_series, n_true, cfg, n_series, seed)
+    want = _outcome(reference_measure_series, n_true, cfg, n_series, seed)
     assert got[0] == want[0]
     if want[0] == "raise":
         assert got[1] is want[1]
@@ -74,28 +72,29 @@ def assert_same_series(n_true, cfg, n_series):
     # the block reduction is the trace-by-trace one, bit for bit, on the same
     # points; a segment scatter is far smaller than the points, so it is
     # compared through them rather than at the points' relative bound
-    block = _series_points(n_true, cfg, n_series)
+    block = _series_points(n_true, cfg, n_series, seed)
     reduced = [reference_segment_stats(row, cfg) for row in block]
     assert np.column_stack([ns, deltas]).tobytes() == np.array(reduced).tobytes()
     exact = cfg.point_correlation == 0.0
     return max(
-        assert_close_to_reference(block, np.array(reference_series_traces(n_true, cfg, n_series)),
-                                  exact),
+        assert_close_to_reference(
+            block, np.array(reference_series_traces(n_true, cfg, n_series, seed)), exact),
         assert_close_to_reference(ns, np.array(want[1])[:, 0], exact),
     )
 
 
 def _random_config(rng):
+    """A random acquisition and the seed of its series."""
     segment_length = int(rng.integers(1, 17))
     n_segments = int(rng.integers(2, 31))
     phi = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 0.97))
-    return AcquisitionConfig(
+    cfg = RunConfig(
         points_per_trace=segment_length * n_segments,
         segment_length=segment_length,
         samples_per_point=int(rng.integers(1, 1001)),
         point_correlation=phi,
-        rng_seed=derive_seed(int(rng.integers(0, 2**31)), "trace-reference"),
     )
+    return cfg, derive_seed(int(rng.integers(0, 2**31)), "trace-reference")
 
 
 def test_random_acquisitions_match_the_reference():
@@ -103,10 +102,10 @@ def test_random_acquisitions_match_the_reference():
     seen = {"phi0": 0, "seg1": 0, "series1": 0}
     worst = 0.0
     for _ in range(420):
-        cfg = _random_config(rng)
+        cfg, seed = _random_config(rng)
         n_series = 1 if rng.random() < 0.15 else int(rng.integers(1, 13))
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
-        worst = max(worst, assert_same_series(level, cfg, n_series))
+        worst = max(worst, assert_same_series(level, cfg, n_series, seed))
         seen["phi0"] += cfg.point_correlation == 0.0
         seen["seg1"] += cfg.segment_length == 1
         seen["series1"] += n_series == 1
@@ -120,22 +119,21 @@ def test_shipped_profiles_match_the_reference(name):
     worst = 0.0
     for k, level in enumerate((0.45, 0.6026, 1.0, 1.7, 4.4)):
         for technique in ("classical", "quantum"):
-            cfg = seeded_config(run.acquisition(), run.seed, "sweep", technique, k)
-            worst = max(worst, assert_same_series(level, cfg, run.n_series))
+            seed = derive_seed(run.seed, "sweep", technique, k)
+            worst = max(worst, assert_same_series(level, run, run.n_series, seed))
     _report(worst)
 
 
 @pytest.mark.parametrize("n_true", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
 def test_nonpositive_levels_raise_like_the_reference(n_true):
-    cfg = AcquisitionConfig(rng_seed=5)
     for fn in (measure_series, reference_measure_series, reference_series_traces,
                _series_points):
         with pytest.raises(TraceError, match="must be positive"):
-            fn(n_true, cfg, 3)
+            fn(n_true, RunConfig(), 3, 5)
 
 
 def test_empty_series_raises_like_the_reference():
-    assert_same_series(1.0, AcquisitionConfig(), 0)
+    assert_same_series(1.0, RunConfig(), 0, 0)
 
 
 def test_simulated_trace_points_match_the_reference():
@@ -143,11 +141,11 @@ def test_simulated_trace_points_match_the_reference():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
-        cfg = _random_config(rng)
+        cfg, seed = _random_config(rng)
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
         row = int(rng.integers(0, 50))
-        got = _series_points(level, cfg, row + 1)[row]
-        want = reference_series_traces(level, cfg, row + 1)[row]
+        got = _series_points(level, cfg, row + 1, seed)[row]
+        want = reference_series_traces(level, cfg, row + 1, seed)[row]
         worst = max(worst, assert_close_to_reference(got, want, cfg.point_correlation == 0.0))
     _report(worst)
 
@@ -158,12 +156,12 @@ def test_block_rows_match_the_reference_trace_by_trace():
     rng = np.random.default_rng(43)
     worst = 0.0
     for _ in range(150):
-        cfg = _random_config(rng)
+        cfg, seed = _random_config(rng)
         level = float(10.0 ** rng.uniform(-3.0, 1.0))
         n_series = int(rng.integers(1, 13))
-        block = _series_points(level, cfg, n_series)
+        block = _series_points(level, cfg, n_series, seed)
         assert block.shape == (n_series, cfg.points_per_trace)
-        for row, want in zip(block, reference_series_traces(level, cfg, n_series)):
+        for row, want in zip(block, reference_series_traces(level, cfg, n_series, seed)):
             worst = max(worst, assert_close_to_reference(row, want,
                                                          cfg.point_correlation == 0.0))
     _report(worst)
@@ -182,25 +180,25 @@ def _phi_with_taps(taps):
 @pytest.mark.parametrize("n_series", [1, 3])
 def test_scan_tap_counts_match_the_reference(taps, n_series):
     # L = 2^k - 1 sets every low bit, 2^k only the top one, 2^k + 1 the two ends
-    cfg = AcquisitionConfig(points_per_trace=60, segment_length=6, samples_per_point=40,
-                            point_correlation=_phi_with_taps(taps), rng_seed=derive_seed(3, taps))
-    assert_same_series(1.3, cfg, n_series)
+    cfg = RunConfig(points_per_trace=60, segment_length=6, samples_per_point=40,
+                    point_correlation=_phi_with_taps(taps))
+    assert_same_series(1.3, cfg, n_series, derive_seed(3, taps))
 
 
 @pytest.mark.parametrize("n_series", [1, 2])
 def test_one_tap_is_the_drawn_stream_bit_for_bit(n_series):
-    cfg = AcquisitionConfig(points_per_trace=40, segment_length=4, samples_per_point=25,
-                            point_correlation=0.0, rng_seed=derive_seed(4, n_series))
+    cfg = RunConfig(points_per_trace=40, segment_length=4, samples_per_point=25,
+                    point_correlation=0.0)
     assert _burn_in(cfg.point_correlation) + 1 == 1
-    assert_same_series(2.7, cfg, n_series)
+    assert_same_series(2.7, cfg, n_series, derive_seed(4, n_series))
 
 
 @pytest.mark.parametrize("n_series", [1, 2])
 def test_long_memory_matches_the_reference(n_series):
     # phi = 0.999 keeps 27,619 taps (15 doublings), where the scan's order of
     # summation differs most from the convolution's
-    cfg = AcquisitionConfig(points_per_trace=460, segment_length=10, samples_per_point=300,
-                            point_correlation=0.999, rng_seed=derive_seed(5, n_series))
+    cfg = RunConfig(points_per_trace=460, segment_length=10, samples_per_point=300,
+                    point_correlation=0.999)
     assert _burn_in(cfg.point_correlation) + 1 == 27619
-    worst = assert_same_series(0.8, cfg, n_series)
+    worst = assert_same_series(0.8, cfg, n_series, derive_seed(5, n_series))
     _report(worst)

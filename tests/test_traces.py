@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
+from noiseimaging.config import RunConfig
 from noiseimaging.traces import (
-    AcquisitionConfig,
     TraceError,
     _running_sums,
     _segment_moments,
     _series_points,
+    check_acquisition,
     derive_seed,
     measure_series,
-    seeded_config,
 )
 from trace_reference import REL_BOUND, relative_difference
 
-DEFAULT = AcquisitionConfig()
+DEFAULT = RunConfig()
+SEED = 0
 
 
-def trace_points(n_true, cfg, row=0):
+def trace_points(n_true, cfg, row=0, seed=SEED):
     """The points of one trace: the last row of a block of row + 1 traces."""
-    return _series_points(n_true, cfg, row + 1)[row]
+    return _series_points(n_true, cfg, row + 1, seed)[row]
 
 
 def ar1_segment_mean_std(cfg, n_true=1.0):
@@ -34,23 +35,32 @@ def ar1_segment_mean_std(cfg, n_true=1.0):
     return np.sqrt(var_pt * acc) / seg
 
 
+def assert_rejected(cfg, message):
+    """Both the check and the library boundary that runs it before drawing
+    reject cfg with exactly this message."""
+    for check in (check_acquisition, lambda cfg: measure_series(1.0, cfg, 1, SEED)):
+        with pytest.raises(TraceError) as info:
+            check(cfg)
+        assert str(info.value) == message
+
+
 class TestConfigValidation:
     def test_divisibility(self):
-        with pytest.raises(TraceError):
-            AcquisitionConfig(points_per_trace=101, segment_length=10)
+        assert_rejected(RunConfig(points_per_trace=101, segment_length=10),
+                        "points_per_trace (101) must be divisible by segment_length (10)")
 
     def test_single_segment_rejected(self):
-        with pytest.raises(TraceError, match="two segments"):
-            AcquisitionConfig(points_per_trace=10, segment_length=10)
+        assert_rejected(RunConfig(points_per_trace=10, segment_length=10),
+                        "points_per_trace (10) must span at least two segments of"
+                        " segment_length (10): the segment scatter needs two segment means")
 
     def test_bad_correlation(self):
         for phi in (-0.1, 1.0):
-            with pytest.raises(TraceError):
-                AcquisitionConfig(point_correlation=phi)
+            assert_rejected(RunConfig(point_correlation=phi),
+                            "point_correlation must lie in [0, 1)")
 
     def test_bad_samples(self):
-        with pytest.raises(TraceError):
-            AcquisitionConfig(samples_per_point=0)
+        assert_rejected(RunConfig(samples_per_point=0), "samples_per_point must be >= 1")
 
 
 class TestSimulateTrace:
@@ -65,14 +75,14 @@ class TestSimulateTrace:
         assert np.array_equal(a, b)
 
     def test_rows_of_a_block_differ(self):
-        block = _series_points(1.3, DEFAULT, 2)
+        block = _series_points(1.3, DEFAULT, 2, SEED)
         assert not np.array_equal(block[0], block[1])
 
     def test_a_block_is_its_leading_rows_drawn_alone(self):
         # the rows are drawn in turn from one stream, so a shorter block of
         # the same seed is a prefix of a longer one
-        longer = _series_points(1.3, DEFAULT, 5)
-        assert np.array_equal(_series_points(1.3, DEFAULT, 2), longer[:2])
+        longer = _series_points(1.3, DEFAULT, 5, SEED)
+        assert np.array_equal(_series_points(1.3, DEFAULT, 2, SEED), longer[:2])
 
     def test_exact_scale_equivariance(self):
         a = trace_points(1.0, DEFAULT, row=3)
@@ -80,7 +90,7 @@ class TestSimulateTrace:
         assert np.allclose(b, 2.5 * a, rtol=1e-14)
 
     def test_large_sample_limit_pins_points(self):
-        cfg = AcquisitionConfig(samples_per_point=200000, point_correlation=0.0)
+        cfg = RunConfig(samples_per_point=200000, point_correlation=0.0)
         points = trace_points(1.0, cfg)
         # per-point sd is sqrt(2/200000) ~ 0.0032; 460 points stay within 6 sd
         assert np.max(np.abs(points - 1.0)) < 6 * np.sqrt(2 / 200000)
@@ -89,8 +99,7 @@ class TestSimulateTrace:
         bound = 3 * np.sqrt(2.0 / (460 * 300))
         hits = 0
         for seed in range(300):
-            points = trace_points(1.0, AcquisitionConfig(point_correlation=0.0,
-                                                         rng_seed=seed))
+            points = trace_points(1.0, RunConfig(point_correlation=0.0), seed=seed)
             hits += abs(points.mean() - 1.0) <= bound
         assert hits / 300 >= 0.99
 
@@ -127,31 +136,31 @@ class TestSegmentStats:
     # each population is drawn as one block, whose rows are the traces drawn
     # in turn from one stream
     def test_constant_trace_zero_delta(self):
-        cfg = AcquisitionConfig()
+        cfg = RunConfig()
         ns, deltas = _segment_moments(np.ones((1, cfg.points_per_trace)), cfg)
         assert ns[0] == 1.0
         assert deltas[0] == 0.0
 
     def test_mean_is_trace_mean(self):
-        block = _series_points(1.7, DEFAULT, 3)
+        block = _series_points(1.7, DEFAULT, 3, SEED)
         ns, _ = _segment_moments(block, DEFAULT)
         assert ns[2] == pytest.approx(block[2].mean())
 
     def test_iid_prediction(self):
-        cfg = AcquisitionConfig(point_correlation=0.0)
-        _, deltas = measure_series(1.0, cfg, 1000)
+        cfg = RunConfig(point_correlation=0.0)
+        _, deltas = measure_series(1.0, cfg, 1000, SEED)
         predicted = ar1_segment_mean_std(cfg)
         assert predicted == pytest.approx(np.sqrt(2 / 300 / 10), abs=1e-12)
         assert np.mean(deltas) == pytest.approx(predicted, rel=0.05)
 
     def test_ar1_prediction_within_15_percent(self):
-        _, deltas = measure_series(1.0, DEFAULT, 1000)
+        _, deltas = measure_series(1.0, DEFAULT, 1000, SEED)
         assert np.mean(deltas) == pytest.approx(ar1_segment_mean_std(DEFAULT), rel=0.15)
 
     def test_segment_means_nearly_independent(self):
         # lag >= 1 autocorrelation of segment means stays below 0.1
         acc = []
-        for points in _series_points(1.0, DEFAULT, 400):
+        for points in _series_points(1.0, DEFAULT, 400, SEED):
             seg = points.reshape(46, 10).mean(axis=1)
             seg = seg - seg.mean()
             denom = float(seg @ seg)
@@ -161,8 +170,8 @@ class TestSegmentStats:
         assert np.all(np.abs(by_lag) < 0.1)
 
     def test_unbiased_estimator_of_true_power(self):
-        cfg = AcquisitionConfig(samples_per_point=20)
-        means, _ = measure_series(2.0, cfg, 10**4)
+        cfg = RunConfig(samples_per_point=20)
+        means, _ = measure_series(2.0, cfg, 10**4, SEED)
         grand = np.mean(means)
         se = np.std(means) / np.sqrt(len(means))
         assert abs(grand - 2.0) < 3 * se
@@ -170,28 +179,28 @@ class TestSegmentStats:
 
 class TestMeasureSeries:
     def test_singleton(self):
-        ns, deltas = measure_series(1.0, DEFAULT, 1)
+        ns, deltas = measure_series(1.0, DEFAULT, 1, SEED)
         assert ns.shape == deltas.shape == (1,)
         assert ns[0] == trace_points(1.0, DEFAULT).mean()
 
     def test_scaling_matched_seeds(self):
-        a = measure_series(1.0, DEFAULT, 5)
-        b = measure_series(3.0, DEFAULT, 5)
+        a = measure_series(1.0, DEFAULT, 5, SEED)
+        b = measure_series(3.0, DEFAULT, 5, SEED)
         for na, da, nb, db in zip(*a, *b):
             assert nb == pytest.approx(3.0 * na, rel=1e-14)
             assert db == pytest.approx(3.0 * da, rel=1e-12)
 
     def test_delta_over_n_seed_invariant_across_levels(self):
         for level in (0.6, 1.0, 1.6, 2.5):
-            ns, deltas = measure_series(level, DEFAULT, 3)
-            ref_ns, ref_deltas = measure_series(1.0, DEFAULT, 3)
+            ns, deltas = measure_series(level, DEFAULT, 3, SEED)
+            ref_ns, ref_deltas = measure_series(1.0, DEFAULT, 3, SEED)
             for n, d, ref_n, ref_d in zip(ns, deltas, ref_ns, ref_deltas):
                 assert d / n == pytest.approx(ref_d / ref_n, abs=1e-12)
 
     def test_series_spread_consistent_with_delta(self):
         # chi-square test of the 10 series means against their per-trace
         # uncertainties (delta_n / sqrt(segments))
-        ns, deltas = measure_series(1.0, DEFAULT, 10)
+        ns, deltas = measure_series(1.0, DEFAULT, 10, SEED)
         sems = deltas / np.sqrt(46)
         stat = float(np.sum((ns - ns.mean()) ** 2 / sems**2))
         from scipy.stats import chi2
@@ -201,7 +210,7 @@ class TestMeasureSeries:
 
     def test_rejects_zero_series(self):
         with pytest.raises(TraceError):
-            measure_series(1.0, DEFAULT, 0)
+            measure_series(1.0, DEFAULT, 0, SEED)
 
 
 class TestSeeding:
@@ -210,9 +219,4 @@ class TestSeeding:
         assert a == derive_seed(12345, "sweep", "quantum", 3)
         assert a != derive_seed(12345, "sweep", "quantum", 4)
         assert a != derive_seed(12345, "sweep", "classical", 3)
-
-    def test_seeded_config_copies(self):
-        cfg = seeded_config(DEFAULT, 99, "x")
-        assert cfg.rng_seed == derive_seed(99, "x")
-        assert DEFAULT.rng_seed == 0
 

@@ -27,16 +27,16 @@ def relative_difference(got, want):
     return float(np.max(np.abs(got - want) / np.abs(want), initial=0.0))
 
 
-def reference_series_traces(n_true, cfg, n_series):
+def reference_series_traces(n_true, cfg, n_series, seed):
     """The points of n_series traces of chi-square noise power, read-only.
 
-    The traces are drawn in turn from the one stream cfg.rng_seed, so trace i
-    is deterministic for a fixed (cfg.rng_seed, i) pair.
+    The traces are drawn in turn from the one stream `seed`, so trace i is
+    deterministic for a fixed (seed, i) pair.
     """
     n_true = float(n_true)
     if not n_true > 0:
         raise TraceError("true noise power must be positive, got %r" % (n_true,))
-    rng = default_rng(cfg.rng_seed)
+    rng = default_rng(seed)
     # average of samples_per_point squared standard Gaussians per raw point,
     # drawn directly as chi-square(samples) / samples
     df = cfg.samples_per_point
@@ -73,13 +73,14 @@ def reference_segment_stats(points, cfg):
     """
     if len(points) % cfg.segment_length != 0:
         raise TraceError("trace length is not divisible by the segment length")
-    seg_means = points.reshape(cfg.n_segments, cfg.segment_length).mean(axis=1)
+    n_segments = cfg.points_per_trace // cfg.segment_length
+    seg_means = points.reshape(n_segments, cfg.segment_length).mean(axis=1)
     return float(points.mean()), float(seg_means.std(ddof=1))
 
 
-def reference_measure_series(n_true, cfg, n_series):
+def reference_measure_series(n_true, cfg, n_series, seed):
     """(n, delta_n) of independent seeded traces, one pair per trace."""
     if n_series < 1:
         raise TraceError("n_series must be >= 1")
     return [reference_segment_stats(points, cfg)
-            for points in reference_series_traces(n_true, cfg, n_series)]
+            for points in reference_series_traces(n_true, cfg, n_series, seed)]
