@@ -166,7 +166,7 @@ def _measure_curve(cfg, readings, technique):
     return rows, points
 
 
-def _angle_readings(cfg, params):
+def _angle_readings(cfg, r):
     """(angle, overlap, {technique: n_true}) per configured angle, in config order.
 
     No angle's LO bitmap outlives the next angle's, so a sweep keeps only
@@ -180,7 +180,7 @@ def _angle_readings(cfg, params):
     for angle in cfg.angles_deg:
         lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
         o, q = scene.overlaps(lo, mask, cfg.cell_size, weight)
-        readings.append((angle, o, {t: technique_noise(t, o, q, params) for t in TECHNIQUES}))
+        readings.append((angle, o, {t: technique_noise(t, o, q, r, cfg) for t in TECHNIQUES}))
     return readings
 
 
@@ -189,8 +189,14 @@ def cmd_sweep(cfg):
     if len(cfg.angles_deg) < estimate.CURVE_MIN_POINTS:
         raise ConfigError("acquisition.angles_deg", "a sweep needs at least %d angles, got %d"
                           % (estimate.CURVE_MIN_POINTS, len(cfg.angles_deg)))
-    params = cfg.twin_beam_params()
-    readings = _angle_readings(cfg, params)
+    readings = _angle_readings(cfg, cfg.resolve_r())
+    # fit_noise_curve needs one overlap per point: fail before any trace is drawn
+    by_overlap = sorted(readings, key=lambda reading: reading[1])
+    for (angle, overlap, _), (other, next_overlap, _) in zip(by_overlap, by_overlap[1:]):
+        if overlap == next_overlap:
+            raise ConfigError("acquisition.angles_deg",
+                              "angles %r and %r give the same overlap %.12g; a sweep "
+                              "needs one overlap per angle" % (angle, other, overlap))
 
     all_rows, curves = [], {}
     for technique in TECHNIQUES:
@@ -252,12 +258,11 @@ def _curve_payload(curve):
 # ---------------------------------------------------------------------------
 # alphabet
 
-def cmd_alphabet(cfg, mask_letter):
-    params = cfg.twin_beam_params()
+def cmd_alphabet(cfg, mask):
+    mask_letter = scene.font_letter(mask)
+    r = cfg.resolve_r()
     glyphs = scene.load_font(cfg.font_dir or None)
-    if mask_letter not in glyphs:
-        raise SceneError("unknown letter %r: font covers A-Z" % (mask_letter,))
-    records, rankings = estimate.alphabet_gun(glyphs, glyphs[mask_letter], params, cfg)
+    records, rankings = estimate.alphabet_gun(glyphs, glyphs[mask_letter], r, cfg)
     payload = {
         "config": cfg.as_dict(),
         "mask_letter": mask_letter,
@@ -287,15 +292,14 @@ def cmd_alphabet(cfg, mask_letter):
 # calibrate
 
 def cmd_calibrate(cfg, db):
-    r = calibrate_r(db, cfg.t_probe, cfg.t_conj, cfg.lock_noise)
+    r = calibrate_r(db, cfg)
     calibrated = replace(cfg, r=r, squeezing_db_detected=float(db))
-    params = calibrated.twin_beam_params()
-    n_true = quantum_noise(1.0, 1.0, params)
+    n_true = quantum_noise(1.0, 1.0, r, cfg)
     ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
     n_mean = float(np.mean(ns))
     # before any file: the one artifact that records out_dir must encode it
     cfg_text = config_text(calibrated)
-    floor = detected_noise_floor(params)
+    floor = detected_noise_floor(cfg)
     payload = {
         "target_db": float(db),
         "r": r,
@@ -378,7 +382,7 @@ def _run(args):
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "alphabet":
-            return cmd_alphabet(cfg, args.mask.upper())
+            return cmd_alphabet(cfg, args.mask)
         return cmd_calibrate(cfg, args.db)
     except (ConfigError, SceneError, NoiseModelError, TraceError,
             EstimationError, MemoryError) as exc:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import NoiseModelError, TwinBeamParams, calibrate_r
+from .noise import R_MAX, NoiseModelError, calibrate_r
 from .scene import SceneError, check_weight_map
 from .traces import TraceError, check_acquisition
 
@@ -43,9 +43,14 @@ class RunConfig:
     # source / detection chain
     squeezing_db_detected: float = 2.2
     r: float = float("nan")            # NaN: derive from squeezing_db_detected
+    # total power transmission per arm (efficiency x path)
     t_probe: float = 1.0
     t_conj: float = 1.0
+    # additive technical noise on the quantum difference signal only, in
+    # two-beam SNL units
     lock_noise: float = 0.0
+    # LO power (pixel count x power_per_pixel) below which a measurement
+    # cannot clear the detector's electronic noise
     electronic_floor: float = 0.0
     power_per_pixel: float = 1.0
     # scene
@@ -69,10 +74,10 @@ class RunConfig:
     def validate(self):
         # NaN fails every comparison and inf passes a lower bound, so each
         # bound is also capped at inf: a non-finite value fails here, naming
-        # its field, not in a later stage that blames another one; past r = 12
-        # (calibrate_r's bound) the noise terms cancel to worse than 1e-6
-        if not (np.isnan(self.r) or 0 <= self.r <= 12.0):
-            raise ConfigError("source.r", "must lie in [0, 12] when given")
+        # its field, not in a later stage that blames another one; R_MAX is
+        # calibrate_r's bound on r
+        if not (np.isnan(self.r) or 0 <= self.r <= R_MAX):
+            raise ConfigError("source.r", "must lie in [0, %g] when given" % R_MAX)
         if np.isnan(self.r) and self.squeezing_db_detected < 0:
             raise ConfigError("source.squeezing_db_detected", "must be >= 0 (dB below SNL)")
         for name in ("t_probe", "t_conj"):
@@ -131,16 +136,9 @@ class RunConfig:
         if not np.isnan(self.r):
             return float(self.r)
         try:
-            return calibrate_r(self.squeezing_db_detected, self.t_probe,
-                               self.t_conj, self.lock_noise)
+            return calibrate_r(self.squeezing_db_detected, self)
         except NoiseModelError as exc:
             raise ConfigError("source.squeezing_db_detected", str(exc)) from None
-
-    def twin_beam_params(self):
-        return TwinBeamParams(
-            r=self.resolve_r(), t_probe=self.t_probe, t_conj=self.t_conj,
-            lock_noise=self.lock_noise, electronic_floor=self.electronic_floor,
-        )
 
     def bowtie_half_angle(self):
         return float(np.deg2rad(self.bowtie_half_angle_deg))

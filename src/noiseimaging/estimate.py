@@ -253,10 +253,10 @@ def _row(letter, technique, overlap, baseline, masked, deviation, sub_snl, reaso
     }
 
 
-def alphabet_gun(glyphs, mask, params, cfg):
+def alphabet_gun(glyphs, mask, r, cfg):
     """Rank every LO letter of a loaded font by its masked-to-baseline noise
-    deviation, with the cell size, series length, power per pixel, seed and
-    acquisition fields of the run config cfg.
+    deviation at squeezing r, with the source, cell size, series length, seed
+    and acquisition fields of the run config cfg.
 
     Runs baseline (no mask) and masked measurements for both techniques for
     each letter; letters whose LO cannot clear the electronic floor are
@@ -269,15 +269,15 @@ def alphabet_gun(glyphs, mask, params, cfg):
     records = []
     snl_joint = 1.0
     for letter, lo in glyphs.items():
-        if not lo_power_check(np.count_nonzero(lo), params, cfg.power_per_pixel):
+        if not lo_power_check(np.count_nonzero(lo), cfg):
             records += [_row(letter, technique, np.nan, unmeasured, unmeasured, unmeasured,
                              False, FLOOR_REASON) for technique in TECHNIQUES]
             continue
         o, q = scene.overlaps(lo, mask, cfg.cell_size)
         for technique in TECHNIQUES:
             # the baseline has no mask: unit overlap and root overlap
-            nb_true = technique_noise(technique, 1.0, 1.0, params)
-            nm_true = technique_noise(technique, o, q, params)
+            nb_true = technique_noise(technique, 1.0, 1.0, r, cfg)
+            nm_true = technique_noise(technique, o, q, r, cfg)
             baseline = _measured_noise(nb_true, cfg, "alphabet", letter, technique, "baseline")
             masked = _measured_noise(nm_true, cfg, "alphabet", letter, technique, "masked")
             records.append(_row(

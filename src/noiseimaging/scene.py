@@ -202,8 +202,11 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
         lo_power = _lo_power(lo, weight_map)
         power = lo_power.ravel()[pixels]
         total = float(lo_power.sum())
-    if total <= 0.0:
+    if not len(pixels):
         raise SceneError("LO bitmap carries no power (empty LO)")
+    if total <= 0.0:
+        raise SceneError("LO bitmap carries no power: the weight map is zero on "
+                         "all %d of its pixels" % len(pixels))
     passed = mask.ravel()[pixels]
     # cells are numbered row by row, so ids increase with the cell's
     # (row, column) position on the plane
@@ -283,14 +286,24 @@ def _bundled_font_dir():
     return resources.files("noiseimaging") / "font"
 
 
+def font_letter(letter):
+    """The font letter a name selects: one ASCII letter, in either case.
+
+    Checked before upper-casing, which maps some non-ASCII letters (dotless
+    i, long s) to ASCII ones.
+    """
+    if not (isinstance(letter, str) and len(letter) == 1 and letter.isascii()
+            and letter.isalpha()):
+        raise SceneError("unknown letter %r: font covers A-Z" % (letter,))
+    return letter.upper()
+
+
 def glyph(letter, font_dir=None):
     """Load one letter's bitmap from a font of per-letter P1 files.
 
     All glyphs of a font share one canvas so their boxes exactly overlap.
     """
-    name = str(letter).upper()
-    if len(name) != 1 or name not in LETTERS:
-        raise SceneError("unknown letter %r: font covers A-Z" % (letter,))
+    name = font_letter(letter)
     base = Path(font_dir) if font_dir is not None else _bundled_font_dir()
     path = base / ("%s.pbm" % name)
     try:

@@ -39,8 +39,11 @@ def reference_decompose(lo, mask, cell_size, weight_map=None):
     w = np.ones(lo.shape) if weight_map is None else np.asarray(weight_map, float)
     lo_power = w * lo
     total = float(lo_power.sum())
-    if total <= 0.0:
+    if not lo.any():
         raise SceneError("LO bitmap carries no power (empty LO)")
+    if total <= 0.0:
+        raise SceneError("LO bitmap carries no power: the weight map is zero on "
+                         "all %d of its pixels" % np.count_nonzero(lo))
     ys = np.arange(lo.shape[0]) // cell_size
     xs = np.arange(lo.shape[1]) // cell_size
     cells = ys[:, None] * (int(xs[-1]) + 1) + xs[None, :]

@@ -25,7 +25,6 @@ from gaussian_reference import two_mode_squeezed_cov, apply_loss, phase_rotate
 from noiseimaging.noise import (
     TECH_CLASSICAL,
     TECH_QUANTUM,
-    TwinBeamParams,
     classical_noise,
     quantum_noise,
 )
@@ -246,7 +245,7 @@ def test_criterion_6_oracle_equivalence():
         weights = rng.dirichlet(np.ones(k))
         transmissions = rng.uniform(0.0, 1.0, size=k)
         o, q = cell_moments(weights, transmissions)
-        params = TwinBeamParams(r=r, t_probe=t_p, t_conj=t_c)
+        source = RunConfig(t_probe=t_p, t_conj=t_c)
 
         # symplectic positivity along the composition chain
         cov = two_mode_squeezed_cov(r)
@@ -265,8 +264,8 @@ def test_criterion_6_oracle_equivalence():
                                           0.0, n_mc, rng)
             mc_c, se_c = mc_classical_noise(weights, transmissions, r, t_c,
                                             n_mc, rng)
-            dq = abs(quantum_noise(o, q, params) - mc_q) / se_q
-            dc = abs(classical_noise(o, params) - mc_c) / se_c
+            dq = abs(quantum_noise(o, q, r, source) - mc_q) / se_q
+            dc = abs(classical_noise(o, r, source) - mc_c) / se_c
             worst = max(worst, dq, dc)
             if dq >= 5:
                 failures.append("draw %d: quantum off by %.1f SE" % (draw, dq))
@@ -282,16 +281,16 @@ def _binary_decomposition(o):
     return cell_moments(np.array([o, 1.0 - o]), np.array([1.0, 0.0]))
 
 
-def _pipeline_enhancement(params, angles_overlaps, acq, n_series, master, tag):
+def _pipeline_enhancement(r, source, angles_overlaps, acq, n_series, master, tag):
     tables = {}
     for technique in (TECH_CLASSICAL, TECH_QUANTUM):
         pts = []
         for k, o in enumerate(angles_overlaps):
             o_cells, q_cells = _binary_decomposition(o)
             if technique == TECH_QUANTUM:
-                n_true = quantum_noise(o_cells, q_cells, params)
+                n_true = quantum_noise(o_cells, q_cells, r, source)
             else:
-                n_true = classical_noise(o_cells, params)
+                n_true = classical_noise(o_cells, r, source)
             ns, deltas = measure_series(
                 n_true, acq, n_series, derive_seed(master, tag, technique, k),
             )
@@ -312,8 +311,8 @@ def test_criterion_7_unbalanced_loss_degradation():
     acq = RunConfig(samples_per_point=4800)
     factors = []
     for t_probe in (1.0, 0.8, 0.6, 0.4, 0.2):
-        params = TwinBeamParams(r=0.6, t_probe=t_probe, t_conj=0.96)
-        result = _pipeline_enhancement(params, DESK_OVERLAPS, acq, 20,
+        source = RunConfig(t_probe=t_probe, t_conj=0.96)
+        result = _pipeline_enhancement(0.6, source, DESK_OVERLAPS, acq, 20,
                                        20260405, "imbalance-%s" % t_probe)
         factors.append(result["factor"])
 
@@ -327,7 +326,6 @@ def test_criterion_7_unbalanced_loss_degradation():
 
 
 def test_criterion_8_null_case():
-    params = TwinBeamParams(r=0.0)
     acq = RunConfig()
     failures = []
 
@@ -337,8 +335,8 @@ def test_criterion_8_null_case():
         pts = []
         for k, o in enumerate(DESK_OVERLAPS):
             o_cells, q_cells = _binary_decomposition(o)
-            n_true = (quantum_noise(o_cells, q_cells, params) if technique == TECH_QUANTUM
-                      else classical_noise(o_cells, params))
+            n_true = (quantum_noise(o_cells, q_cells, 0.0, acq) if technique == TECH_QUANTUM
+                      else classical_noise(o_cells, 0.0, acq))
             ns, deltas = measure_series(
                 n_true, acq, 10, derive_seed(20260406, "null", technique, k),
             )
@@ -358,9 +356,8 @@ def test_criterion_8_null_case():
     # alphabet deviations all consistent with 1
     font = load_font()
     records, _ = alphabet_gun(
-        font, font["Z"],
-        TwinBeamParams(r=0.0, electronic_floor=1400.0),
-        RunConfig(cell_size=8, n_series=5, seed=20260407),
+        font, font["Z"], 0.0,
+        RunConfig(electronic_floor=1400.0, cell_size=8, n_series=5, seed=20260407),
     )
     for rec in records:
         if rec["valid"] and abs(rec["deviation"] - 1.0) > 5 * rec["sigma_deviation"]:

@@ -247,7 +247,9 @@ def test_unreadable_glyph_fails_cleanly(kind, letter, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("mask", ["1", "AB", ""], ids=["digit", "two-letters", "empty"])
+# dotless i and long s upper-case to the ASCII letters I and S
+@pytest.mark.parametrize("mask", ["1", "AB", "", "\u0131", "\u017f"],
+                         ids=["digit", "two-letters", "empty", "dotless-i", "long-s"])
 def test_unknown_mask_letter_fails_cleanly(mask, tmp_path, capsys):
     code = main(["alphabet", "--mask", mask,
                  "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
@@ -463,6 +465,26 @@ def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     assert _one_error_line(capsys, "sweep")["field"] == "acquisition.angles_deg"
+    assert not (tmp_path / "out").exists()
+
+
+# mirror angles, and angles half a turn apart, rasterize the same bow-tie
+@pytest.mark.parametrize("pair", [(10.0, -10.0), (0.0, 180.0)], ids=["mirror", "half-turn"])
+def test_angles_with_one_overlap_fail_before_any_trace(pair, tmp_path, capsys, monkeypatch):
+    angles = tuple(dict.fromkeys(pair + (0.0, 10.0, 20.0, 30.0, 40.0)))
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                          angles_deg=angles), cfgfile)
+
+    def no_traces(*args, **kwargs):
+        raise AssertionError("the sweep drew a trace")
+
+    monkeypatch.setattr("noiseimaging.cli.measure_series", no_traces)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = _one_error_line(capsys, "sweep")
+    assert error["field"] == "acquisition.angles_deg"
+    assert "angles %r and %r give the same overlap" % pair in error["message"]
     assert not (tmp_path / "out").exists()
 
 

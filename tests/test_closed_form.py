@@ -11,9 +11,9 @@ cell by cell.
 import numpy as np
 import pytest
 
+from noiseimaging.config import RunConfig
 from noiseimaging.noise import (
     NoiseModelError,
-    TwinBeamParams,
     calibrate_r,
     classical_noise,
     detected_noise_floor,
@@ -36,18 +36,18 @@ N_DRAWS = 1000
 TOL = 1e-12
 
 
-def reference_noises(weights, transmissions, params):
+def reference_noises(weights, transmissions, r, cfg):
     """(quantum, classical) noise from per-cell covariance matrices."""
     snl_joint = joint_quad_variance(vacuum_cov(2), 0.0, np.pi)
     snl_single = quad_variance(vacuum_cov(1), QuadratureSpec(0, 0.0))
     quantum, classical = 0.0, 0.0
     for w, t in zip(weights, transmissions):
-        pair = two_mode_squeezed_cov(params.r)
-        conj_only = apply_loss(pair, CONJUGATE, params.t_conj * t)
-        both = apply_loss(conj_only, PROBE, params.t_probe)
+        pair = two_mode_squeezed_cov(r)
+        conj_only = apply_loss(pair, CONJUGATE, cfg.t_conj * t)
+        both = apply_loss(conj_only, PROBE, cfg.t_probe)
         quantum += w * locked_joint_minimum(both)[0] / snl_joint
         classical += w * quad_variance(conj_only, QuadratureSpec(CONJUGATE, 0.0)) / snl_single
-    return quantum + params.lock_noise, classical
+    return quantum + cfg.lock_noise, classical
 
 
 def draw_transmission(rng):
@@ -60,14 +60,14 @@ def draw_transmission(rng):
     return float(rng.uniform(0.0, 1.0))
 
 
-def cell_sum_noises(weights, transmissions, params):
+def cell_sum_noises(weights, transmissions, r, cfg):
     """(quantum, classical) noise as the weighted sum of each cell's closed form."""
-    t_c = params.t_conj * np.asarray(transmissions, dtype=float)
-    s2 = np.sinh(params.r) ** 2
-    quantum = (1.0 + (params.t_probe + t_c) * s2
-               - np.sqrt(params.t_probe * t_c) * np.sinh(2.0 * params.r))
+    t_c = cfg.t_conj * np.asarray(transmissions, dtype=float)
+    s2 = np.sinh(r) ** 2
+    quantum = (1.0 + (cfg.t_probe + t_c) * s2
+               - np.sqrt(cfg.t_probe * t_c) * np.sinh(2.0 * r))
     classical = 1.0 + 2.0 * t_c * s2
-    return (float(np.sum(weights * quantum)) + params.lock_noise,
+    return (float(np.sum(weights * quantum)) + cfg.lock_noise,
             float(np.sum(weights * classical)))
 
 
@@ -80,26 +80,26 @@ def draw_cells(rng, max_cells=4):
     return w, t.astype(float)
 
 
-def draw_params(rng):
+def draw_source(rng):
+    """(r, config) of a random source and detection chain."""
     t_probe = draw_transmission(rng)
     # unbalanced arms in most draws, balanced in the rest
     t_conj = t_probe if rng.random() < 0.2 else draw_transmission(rng)
-    return TwinBeamParams(
-        r=float(rng.uniform(0.0, 2.0)), t_probe=t_probe, t_conj=t_conj,
-        lock_noise=float(rng.choice([0.0, rng.uniform(0.0, 0.05)])),
-    )
+    r = float(rng.uniform(0.0, 2.0))
+    return r, RunConfig(t_probe=t_probe, t_conj=t_conj,
+                        lock_noise=float(rng.choice([0.0, rng.uniform(0.0, 0.05)])))
 
 
 def test_cell_noise_matches_covariance_reference():
     rng = np.random.default_rng(20261017)
     worst_q, worst_c = 0.0, 0.0
     for _ in range(N_DRAWS):
-        params = draw_params(rng)
+        r, cfg = draw_source(rng)
         w, t = draw_cells(rng)
-        ref_q, ref_c = reference_noises(w, t, params)
+        ref_q, ref_c = reference_noises(w, t, r, cfg)
         o, q = cell_moments(w, t)
-        worst_q = max(worst_q, abs(quantum_noise(o, q, params) - ref_q))
-        worst_c = max(worst_c, abs(classical_noise(o, params) - ref_c))
+        worst_q = max(worst_q, abs(quantum_noise(o, q, r, cfg) - ref_q))
+        worst_c = max(worst_c, abs(classical_noise(o, r, cfg) - ref_c))
     assert worst_q <= TOL
     assert worst_c <= TOL
 
@@ -114,20 +114,14 @@ def test_moment_forms_match_per_cell_sums():
     rng = np.random.default_rng(20261018)
     worst_q, worst_c = 0.0, 0.0
     for _ in range(N_DRAWS):
-        params = draw_params(rng)
+        r, cfg = draw_source(rng)
         w, t = draw_cells(rng, max_cells=int(rng.choice([1, 4, 64, 4096])))
-        sum_q, sum_c = cell_sum_noises(w, t, params)
+        sum_q, sum_c = cell_sum_noises(w, t, r, cfg)
         o, q = cell_moments(w, t)
-        worst_q = max(worst_q, abs(quantum_noise(o, q, params) - sum_q))
-        worst_c = max(worst_c, abs(classical_noise(o, params) - sum_c))
+        worst_q = max(worst_q, abs(quantum_noise(o, q, r, cfg) - sum_q))
+        worst_c = max(worst_c, abs(classical_noise(o, r, cfg) - sum_c))
     assert worst_q <= CELL_SUM_TOL
     assert worst_c <= CELL_SUM_TOL
-
-
-def _floor(t_probe, t_conj, lock_noise):
-    return detected_noise_floor(
-        TwinBeamParams(r=0.0, t_probe=t_probe, t_conj=t_conj, lock_noise=lock_noise)
-    )
 
 
 def test_calibrated_r_reaches_target():
@@ -138,11 +132,12 @@ def test_calibrated_r_reaches_target():
         kind = i % 4
         t_conj = t_probe if kind == 0 else draw_transmission(rng)
         lock = 0.0 if kind == 1 else float(rng.uniform(0.0, 0.05))
-        floor = _floor(t_probe, t_conj, lock)
+        cfg = RunConfig(t_probe=t_probe, t_conj=t_conj, lock_noise=lock)
+        floor = detected_noise_floor(cfg)
         if floor > 1.0:
             # lock noise outweighs what the arms keep of the squeezing
             with pytest.raises(NoiseModelError):
-                calibrate_r(0.0, t_probe, t_conj, lock)
+                calibrate_r(0.0, cfg)
             continue
         if kind == 2 and t_probe != t_conj:
             target = floor
@@ -153,9 +148,8 @@ def test_calibrated_r_reaches_target():
             # keep r moderate: near a balanced floor r grows without bound
             target = floor + rng.uniform(0.05, 1.0) * (1.0 - floor)
         db = -10.0 * np.log10(target)
-        r = calibrate_r(db, t_probe, t_conj, lock)
-        params = TwinBeamParams(r=r, t_probe=t_probe, t_conj=t_conj, lock_noise=lock)
-        worst = max(worst, abs(quantum_noise(1.0, 1.0, params) - 10.0 ** (-db / 10.0)))
+        r = calibrate_r(db, cfg)
+        worst = max(worst, abs(quantum_noise(1.0, 1.0, r, cfg) - 10.0 ** (-db / 10.0)))
         solved += 1
     assert solved > N_DRAWS // 2 and at_floor > 50
     assert worst <= TOL
@@ -165,7 +159,7 @@ def test_calibrated_r_reaches_target():
     (1.0, 1.0), (0.44, 0.44), (0.9, 0.5), (1.0, 0.0), (0.0, 0.0),
 ])
 def test_zero_db_without_lock_noise_needs_no_squeezing(t_probe, t_conj):
-    assert calibrate_r(0.0, t_probe, t_conj) == 0.0
+    assert calibrate_r(0.0, RunConfig(t_probe=t_probe, t_conj=t_conj)) == 0.0
 
 
 def test_unreachable_targets_raise():
@@ -173,16 +167,17 @@ def test_unreachable_targets_raise():
     for _ in range(200):
         t_probe, t_conj = draw_transmission(rng), draw_transmission(rng)
         lock = float(rng.uniform(0.001, 0.05))
-        floor = _floor(t_probe, t_conj, lock)
+        cfg = RunConfig(t_probe=t_probe, t_conj=t_conj, lock_noise=lock)
+        floor = detected_noise_floor(cfg)
         target = floor * rng.uniform(0.1, 0.999)
         if target >= 1.0:
             target = rng.uniform(0.1, 0.999)
         with pytest.raises(NoiseModelError, match="unreachable"):
-            calibrate_r(-10.0 * np.log10(target), t_probe, t_conj, lock)
+            calibrate_r(-10.0 * np.log10(target), cfg)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.44, 0.9])
 def test_balanced_floor_is_not_reached_at_finite_r(t):
     db = -10.0 * np.log10(1.0 - t)
     with pytest.raises(NoiseModelError, match="unreachable"):
-        calibrate_r(db, t, t)
+        calibrate_r(db, RunConfig(t_probe=t, t_conj=t))

@@ -87,11 +87,21 @@ class TestConfigFile:
             load_config(path)
         assert exc.value.field == "line 3"
 
-    def test_validation_reports_field(self):
-        with pytest.raises(ConfigError, match="scene.cell_size"):
-            RunConfig(cell_size=0).validate()
-        with pytest.raises(ConfigError, match="source.t_probe"):
-            RunConfig(t_probe=1.5).validate()
+    # finite values out of range, each named by its own field
+    @pytest.mark.parametrize("name,value,field", [
+        ("cell_size", 0, "scene.cell_size"),
+        ("t_probe", 1.5, "source.t_probe"),
+        ("r", -0.1, "source.r"),
+        ("t_probe", 1.2, "source.t_probe"),
+        ("t_conj", -0.1, "source.t_conj"),
+        ("lock_noise", -0.01, "source.lock_noise"),
+        ("electronic_floor", -1.0, "source.electronic_floor"),
+        ("power_per_pixel", 0.0, "source.power_per_pixel"),
+    ])
+    def test_validation_reports_field(self, name, value, field):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{name: value}).validate()
+        assert exc.value.field == field
 
     def test_acquisition_bug_is_not_reported_as_a_config_error(self, monkeypatch):
         # only an invalid acquisition is a config error; a fault in the code

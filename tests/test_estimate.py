@@ -13,7 +13,7 @@ from noiseimaging.estimate import (
     fit_noise_curve,
     overlap_uncertainty,
 )
-from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TwinBeamParams, calibrate_r
+from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, calibrate_r
 from noiseimaging.scene import load_font
 from estimate_reference import reference_angle_deltas
 
@@ -28,13 +28,14 @@ def make_points(os, ns, sigma=1e-3, delta=0.02):
     return [point(o, n, sigma, delta) for o, n in zip(os, ns)]
 
 
-def alphabet_profile():
-    """Recognition-contrast calibration: deep pair squeezing with lossy arms,
-    detected baseline still at -2.2 dB."""
+def alphabet_profile(**acquisition):
+    """(r, config) of the recognition-contrast calibration: deep pair squeezing
+    with lossy arms, detected baseline still at -2.2 dB, and the given
+    acquisition fields."""
     t = 0.44
-    r = calibrate_r(2.2, t_probe=t, t_conj=t, lock_noise=0.02)
-    return TwinBeamParams(r=r, t_probe=t, t_conj=t, lock_noise=0.02,
-                          electronic_floor=1400.0)
+    cfg = RunConfig(t_probe=t, t_conj=t, lock_noise=0.02, electronic_floor=1400.0,
+                    **acquisition)
+    return calibrate_r(2.2, cfg), cfg
 
 
 class TestFitNoiseCurve:
@@ -74,11 +75,10 @@ class TestFitNoiseCurve:
         from noiseimaging.estimate import summarize_series
 
         r = 0.2532843602293450
-        params = TwinBeamParams(r=r)
         cfg = RunConfig()
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 12)):
-            n_true = classical_noise(o, params)
+            n_true = classical_noise(o, r, cfg)
             ns, deltas = measure_series(n_true, cfg, 10, derive_seed(5, "slope", k))
             n, sem, delta = summarize_series(ns, deltas, cfg)
             pts.append(point(float(o), n, sem, delta))
@@ -347,7 +347,7 @@ def test_results_are_json_ready():
     from noiseimaging.traces import derive_seed, measure_series
     from noiseimaging.estimate import summarize_series
 
-    cfg = RunConfig(samples_per_point=100, cell_size=8, n_series=2, seed=6)
+    r, cfg = alphabet_profile(samples_per_point=100, cell_size=8, n_series=2, seed=6)
     curves = []
     for technique, slope in ((TECH_CLASSICAL, 0.2), (TECH_QUANTUM, -0.5)):
         pts = []
@@ -357,7 +357,7 @@ def test_results_are_json_ready():
         curves.append(fit_noise_curve(pts))
     tables = [delta_o_table(curve) for curve in curves]
     font = load_font()
-    records, rankings = alphabet_gun(font, font["Z"], alphabet_profile(), cfg)
+    records, rankings = alphabet_gun(font, font["Z"], r, cfg)
     for name, result in [("points", [curve.points for curve in curves]),
                          ("delta_o_table", tables),
                          ("enhancement", enhancement(*tables)),
@@ -367,10 +367,9 @@ def test_results_are_json_ready():
 
 class TestAlphabetGun:
     def test_all_ones_mask_gives_unit_deviation(self):
-        params = alphabet_profile()
-        cfg = RunConfig(cell_size=8, n_series=5, seed=3)
+        r, cfg = alphabet_profile(cell_size=8, n_series=5, seed=3)
         mask = np.ones((64, 64), dtype=bool)
-        records, _ = alphabet_gun(load_font(), mask, params, cfg)
+        records, _ = alphabet_gun(load_font(), mask, r, cfg)
         sems = []
         for rec in records:
             if not rec["valid"]:
@@ -380,10 +379,9 @@ class TestAlphabetGun:
         assert len(sems) == 50  # 25 valid letters x 2 techniques
 
     def test_z_mask_structure(self):
-        params = alphabet_profile()
-        cfg = RunConfig(cell_size=8, n_series=5, seed=4)
+        r, cfg = alphabet_profile(cell_size=8, n_series=5, seed=4)
         font = load_font()
-        records, rankings = alphabet_gun(font, font["Z"], params, cfg)
+        records, rankings = alphabet_gun(font, font["Z"], r, cfg)
         q = rankings[TECH_QUANTUM]
         c = rankings[TECH_CLASSICAL]
         assert q["best"] == "Z"
@@ -393,10 +391,9 @@ class TestAlphabetGun:
         assert sorted({r["letter"] for r in records if not r["valid"]}) == ["I"]
 
     def test_all_letters_reported_with_flags(self):
-        params = alphabet_profile()
         font = load_font()
-        records, _ = alphabet_gun(font, font["Z"], params,
-                                  RunConfig(cell_size=8, n_series=2, seed=5))
+        records, _ = alphabet_gun(font, font["Z"],
+                                  *alphabet_profile(cell_size=8, n_series=2, seed=5))
         assert len(records) == 52
         invalid = [r for r in records if not r["valid"]]
         assert {r["letter"] for r in invalid} == {"I"}

@@ -298,6 +298,12 @@ class TestGlyphs:
     def test_lowercase_accepted(self):
         assert np.array_equal(glyph("q"), glyph("Q"))
 
+    # each upper-cases to an ASCII letter, which is not the letter it names
+    @pytest.mark.parametrize("letter", ["\u0131", "\u017f"], ids=["dotless-i", "long-s"])
+    def test_non_ascii_letter_rejected(self, letter):
+        with pytest.raises(SceneError, match="unknown letter %r" % letter):
+            glyph(letter)
+
     def test_missing_font_dir(self, tmp_path):
         with pytest.raises(SceneError, match="'A'"):
             glyph("A", tmp_path)
