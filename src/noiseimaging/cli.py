@@ -189,7 +189,8 @@ def cmd_sweep(cfg):
     if len(cfg.angles_deg) < estimate.CURVE_MIN_POINTS:
         raise ConfigError("acquisition.angles_deg", "a sweep needs at least %d angles, got %d"
                           % (estimate.CURVE_MIN_POINTS, len(cfg.angles_deg)))
-    readings = _angle_readings(cfg, cfg.resolve_r())
+    r = cfg.resolve_r()
+    readings = _angle_readings(cfg, r)
     # fit_noise_curve needs one overlap per point: fail before any trace is drawn
     by_overlap = sorted(readings, key=lambda reading: reading[1])
     for (angle, overlap, _), (other, next_overlap, _) in zip(by_overlap, by_overlap[1:]):
@@ -218,7 +219,7 @@ def cmd_sweep(cfg):
 
     fits = {technique: _curve_payload(curve) for technique, curve in curves.items()}
     summary = {
-        "config": cfg.as_dict(),
+        "config": cfg.as_dict(r),
         "enhancement": enh,
         "angle_enhancement": angle_payload,
         "snl_crossing_overlap": curves[TECH_QUANTUM].snl_crossing(),
@@ -264,7 +265,7 @@ def cmd_alphabet(cfg, mask):
     glyphs = scene.load_font(cfg.font_dir or None)
     records, rankings = estimate.alphabet_gun(glyphs, glyphs[mask_letter], r, cfg)
     payload = {
-        "config": cfg.as_dict(),
+        "config": cfg.as_dict(r),
         "mask_letter": mask_letter,
         "excluded": [{"letter": rec["letter"], "reason": rec["reason"]}
                      for rec in records
@@ -308,7 +309,7 @@ def cmd_calibrate(cfg, db):
         "measured_db_over_series": 10.0 * np.log10(n_mean),
         "n_series": cfg.n_series,
         "loss_bound_db": 10.0 * np.log10(floor) if floor > 0 else None,
-        "config": calibrated.as_dict(),
+        "config": calibrated.as_dict(r),
     }
     out = _out_dir(cfg)
     _write_artifacts(

@@ -167,9 +167,10 @@ class RunConfig:
             raise ConfigError("scene.weight_map", str(exc)) from None
         return data
 
-    def as_dict(self):
-        """Resolved config for result files; omits out_dir so artifacts stay
-        byte-identical wherever they are written."""
+    def as_dict(self, r_resolved):
+        """Resolved config for result files, with the command's resolved r;
+        omits out_dir so artifacts stay byte-identical wherever they are
+        written."""
         out = {}
         for f in fields(self):
             if f.name == "out_dir":
@@ -179,7 +180,7 @@ class RunConfig:
         # JSON has no NaN: an unset r is null, and r_resolved carries the value
         if np.isnan(self.r):
             out["r"] = None
-        out["r_resolved"] = self.resolve_r()
+        out["r_resolved"] = r_resolved
         return out
 
 

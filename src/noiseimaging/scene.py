@@ -47,6 +47,9 @@ _REACH_ULPS = 8.0 * np.finfo(float).eps
 # relative half-width of the squared-radius band where the disk test defers to
 # hypot: far above the rounding of hypot and of radius**2
 _EDGE_BAND = 1e-12
+# pixels per row strip of the polar grid's build, so its float temporaries
+# stay near 256 KiB whatever the grid size
+_STRIP_PIXELS = 1 << 15
 
 
 def _sector(angle):
@@ -54,43 +57,71 @@ def _sector(angle):
     return int((angle + np.pi) * _SECTORS_PER_RADIAN)
 
 
+def _pixel_angles(pixels, width, height):
+    """Polar angles of the centers of the given row-major flat pixel indices.
+
+    A 1-D arctan2 of the gathered coordinates: bit for bit the full-grid
+    arctan2 of the broadcast center rows and columns, under numpy's default
+    dispatch and with its AVX512 groups off, and it reads only the pixels
+    asked for.
+    """
+    # indices are non-negative: a floor division and a product, about a third
+    # of the time of numpy's divmod
+    ys = pixels // width
+    xs = pixels - ys * width
+    return np.arctan2((ys + 0.5) - height / 2.0, (xs + 0.5) - width / 2.0)
+
+
 @functools.lru_cache(maxsize=1)
 def _polar_grid(width, height, radius):
-    """The disk's pixels grouped by angle sector, with their polar angles.
+    """The disk's pixels grouped by angle sector.
 
-    Returns (pixels, theta, starts): the row-major flat indices (int32) of the
-    pixel centers with hypot <= radius about the grid center, their polar
-    angles, both ordered by sector, and each sector's first position in them
-    (starts[s] .. starts[s + 1] is sector s).  None depends on the rotation,
-    so a sweep of rotations on one grid computes them once.  All are
-    read-only: every caller shares them.
+    Returns (pixels, starts): the row-major flat indices (int32) of the pixel
+    centers with hypot <= radius about the grid center, ordered by sector and
+    within a sector by index, and each sector's first position in them
+    (starts[s] .. starts[s + 1] is sector s).  Neither depends on the
+    rotation, so a sweep of rotations on one grid computes them once.  Both
+    are read-only: every caller shares them.
+
+    Built in row strips, so no full-grid float array is ever alive: each
+    strip's disk pixels are sorted by sector, stably, and each strip's run of
+    a sector goes after the earlier strips' runs of it.
     """
     x = (np.arange(width) + 0.5) - width / 2.0
-    y = ((np.arange(height) + 0.5) - height / 2.0)[:, None]
-    # centers are multiples of 1/2, so their squared radius is exact, and only
-    # the centers within rounding of radius**2 need hypot to place them
-    r2 = x * x + y * y
     edge = radius * radius
-    disk = r2 <= edge * (1.0 - _EDGE_BAND)
-    band = r2 > edge * (1.0 - _EDGE_BAND)
-    band &= r2 <= edge * (1.0 + _EDGE_BAND)
-    del r2
-    band = np.flatnonzero(band)
-    ys, xs = np.divmod(band, width)
-    disk.ravel()[band] = np.hypot(x[xs], y[ys, 0]) <= radius
-    pixels = np.flatnonzero(disk).astype(np.int32)
-    del disk
-    # one contiguous full-grid arctan2, then a gather: a gathered arctan2 is slower
-    theta = np.arctan2(y, x).ravel()[pixels]
-    # the same arithmetic as _sector, so window bounds bracket pixel sectors
-    sector = ((theta + np.pi) * _SECTORS_PER_RADIAN).astype(np.uint8)
-    order = np.argsort(sector, kind="stable")
-    starts = np.zeros(_sector(np.pi) + 2, dtype=np.intp)
-    np.cumsum(np.bincount(sector, minlength=len(starts) - 1), out=starts[1:])
-    pixels, theta = pixels[order], theta[order]
-    for arr in (pixels, theta, starts):
+    rows = max(1, _STRIP_PIXELS // width)
+    strips, counts = [], []
+    for top in range(0, height, rows):
+        y = ((np.arange(top, min(top + rows, height)) + 0.5) - height / 2.0)[:, None]
+        # centers are multiples of 1/2, so their squared radius is exact, and
+        # only the centers within rounding of radius**2 need hypot to place them
+        r2 = x * x + y * y
+        disk = r2 <= edge * (1.0 - _EDGE_BAND)
+        band = r2 > edge * (1.0 - _EDGE_BAND)
+        band &= r2 <= edge * (1.0 + _EDGE_BAND)
+        del r2
+        band = np.flatnonzero(band)
+        ys, xs = np.divmod(band, width)
+        disk.ravel()[band] = np.hypot(x[xs], y[ys, 0]) <= radius
+        strip = (np.flatnonzero(disk) + top * width).astype(np.int32)
+        # the same arithmetic as _sector, so window bounds bracket pixel sectors
+        sector = ((_pixel_angles(strip, width, height) + np.pi)
+                  * _SECTORS_PER_RADIAN).astype(np.uint8)
+        strips.append(strip[np.argsort(sector, kind="stable")])
+        counts.append(np.bincount(sector, minlength=_sector(np.pi) + 1))
+    counts = np.array(counts)
+    starts = np.zeros(counts.shape[1] + 1, dtype=np.intp)
+    np.cumsum(counts.sum(axis=0), out=starts[1:])
+    # where each strip's run of each sector starts in the result, less where
+    # it starts in the sorted strip
+    shifts = starts[:-1] + np.cumsum(counts, axis=0) - counts
+    shifts -= np.cumsum(counts, axis=1) - counts
+    pixels = np.empty(starts[-1], dtype=np.int32)
+    for strip, count, shift in zip(strips, counts, shifts):
+        pixels[np.arange(len(strip)) + np.repeat(shift, count)] = strip
+    for arr in (pixels, starts):
         arr.setflags(write=False)
-    return pixels, theta, starts
+    return pixels, starts
 
 
 def _sector_spans(rotation, half_angle):
@@ -129,18 +160,18 @@ def bowtie(rotation, half_angle, radius, width, height):
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):
         raise SceneError("bow-tie radius must be positive and fit inside the grid")
-    pixels, theta, starts = _polar_grid(width, height, radius)
+    pixels, starts = _polar_grid(width, height, radius)
     bits = np.zeros(width * height, dtype=bool)
     edges, inside = _sector_spans(rotation, half_angle)
     for first, stop in inside:
         # numpy scatters through an intp index about twice as fast as through int32
         bits[pixels[starts[first]:starts[stop]].astype(np.intp)] = True
-    # the edge sectors' positions in one array, so the fold runs once
-    edge = np.concatenate([np.arange(starts[first], starts[stop]) for first, stop in edges])
+    # the edge sectors' pixels in one array, so the fold runs once
+    edge = np.concatenate([pixels[starts[first]:starts[stop]] for first, stop in edges])
     # fold the polar angle onto [0, pi), identical for phi and phi + pi:
     # numpy's `%` is this fmod plus pi where it is negative (fmod may leave
     # -0.0 where `%` gives +0.0, which compares the same)
-    psi = np.subtract(theta[edge], rotation)
+    psi = np.subtract(_pixel_angles(edge, width, height), rotation)
     np.fmod(psi, np.pi, out=psi)
     np.add(psi, np.pi, out=psi, where=psi < 0)
     # inside the wedge pair: |psi| <= half_angle for psi <= pi/2, else
@@ -148,7 +179,7 @@ def bowtie(rotation, half_angle, radius, width, height):
     hit = psi <= half_angle
     psi -= np.pi
     hit |= psi >= -half_angle
-    bits[pixels[edge[hit]]] = True
+    bits[edge[hit]] = True
     bits.setflags(write=False)
     return bits.reshape(height, width)
 

@@ -1,6 +1,7 @@
 """CLI artifact contract: bytes independent of BLAS threads, valid JSON, clean failures."""
 
 import contextlib
+import functools
 import gc
 import json
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import noiseimaging
-from noiseimaging import scene
+from noiseimaging import cli, noise, scene
 from noiseimaging.cli import _write_json, main
 from noiseimaging.config import RunConfig, save_config
 from scene_reference import save_pbm
@@ -94,17 +95,26 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expec
     assert {key: seen[key] for key in expected} == expected
 
 
-# the trace points of four smoothing depths, hashed in a fresh interpreter
-_SERIES_POINTS_DIGEST = """
-import hashlib
-from noiseimaging.config import RunConfig
+# the trace points of four smoothing depths and the 16 desk bow-ties (mask and
+# LOs, whose edge-sector angles are arctan2s of gathered centers), each
+# hashed in a fresh interpreter
+_CPU_PATH_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from noiseimaging import scene
+from noiseimaging.config import RunConfig, load_config
 from noiseimaging.traces import _series_points, derive_seed
 
-digest = hashlib.sha256()
+points = hashlib.sha256()
 for phi in (0.0, 0.5, 0.9, 0.99):
     cfg = RunConfig(point_correlation=phi)
-    digest.update(_series_points(1.7, cfg, 10, derive_seed(12345, "cpu", phi)).tobytes())
-print(digest.hexdigest())
+    points.update(_series_points(1.7, cfg, 10, derive_seed(12345, "cpu", phi)).tobytes())
+desk = load_config(sys.argv[1])
+bowties = hashlib.sha256()
+for angle in (0.0,) + desk.angles_deg:
+    bowties.update(scene.bowtie(np.deg2rad(angle), desk.bowtie_half_angle(),
+                                desk.bowtie_radius(), desk.grid_size, desk.grid_size))
+print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest()}))
 """
 
 
@@ -116,7 +126,7 @@ def _cpu_legs():
     """
     from numpy._core._multiarray_umath import __cpu_features__
 
-    legs = {}
+    legs = {"default": {}}
     if platform.machine().lower() in ("x86_64", "amd64"):
         legs["openblas-prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
         if __cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"):
@@ -128,29 +138,42 @@ def _cpu_legs():
     return legs
 
 
-def _series_points_digest(settings):
+@functools.lru_cache(maxsize=None)
+def _cpu_path_digests(leg):
+    """The digests on one leg, or None when this host cannot run it."""
+    legs = _cpu_legs()
+    if leg not in legs:
+        return None
     env = _child_env()
     for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         env.pop(name, None)
-    env.update(settings)
-    proc = subprocess.run([sys.executable, "-c", _SERIES_POINTS_DIGEST],
-                          env=env, capture_output=True, text=True, timeout=120)
+    env.update(legs[leg])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CPU_PATH_DIGESTS, str(ROOT / "configs" / "desk_sweep.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return json.loads(proc.stdout)
 
 
-@pytest.fixture(scope="module")
-def default_series_points_digest():
-    return _series_points_digest({})
-
-
-@pytest.mark.parametrize("leg", ["openblas-prescott", "openblas-haswell", "numpy-no-avx512"])
-def test_trace_points_do_not_depend_on_the_cpu_path(leg, default_series_points_digest):
-    legs = _cpu_legs()
-    if leg not in legs:
+def _assert_same_on_cpu_path(leg, what):
+    digests = _cpu_path_digests(leg)
+    if digests is None:
         pytest.skip("this host cannot run the %s leg" % leg)
-    assert _series_points_digest(legs[leg]) == default_series_points_digest, (
-        "trace points differ under %s" % legs[leg])
+    assert digests[what] == _cpu_path_digests("default")[what], (
+        "%s differ under %s" % (what, _cpu_legs()[leg]))
+
+
+_CPU_PATHS = ["openblas-prescott", "openblas-haswell", "numpy-no-avx512"]
+
+
+@pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_trace_points_do_not_depend_on_the_cpu_path(leg):
+    _assert_same_on_cpu_path(leg, "trace_points")
+
+
+@pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_desk_bowties_do_not_depend_on_the_cpu_path(leg):
+    _assert_same_on_cpu_path(leg, "desk_bowties")
 
 
 def _reject_constant(token):
@@ -276,6 +299,27 @@ def test_alphabet_reads_each_glyph_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert len(reads) == 26
     assert sorted(reads) == ["%s.pbm" % letter for letter in string.ascii_uppercase]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--config", "desk_sweep.cfg"],
+    ["alphabet", "--mask", "Z", "--config", "alphabet_recognition.cfg"],
+], ids=["sweep", "alphabet"])
+def test_command_resolves_r_once(args, tmp_path, capsys, monkeypatch):
+    # r sets the noise forms and the summary's r_resolved: one solve serves both
+    calls = []
+    calibrate_r = noise.calibrate_r
+
+    def counting_calibrate_r(db, cfg):
+        calls.append(db)
+        return calibrate_r(db, cfg)
+
+    for module in (cli, noiseimaging.config):
+        monkeypatch.setattr(module, "calibrate_r", counting_calibrate_r)
+    args = [str(ROOT / "configs" / a) if a.endswith(".cfg") else a for a in args]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == [2.2]
 
 
 _STDOUT = {
@@ -452,6 +496,46 @@ def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= 4 * 2**20, "traced peak %.1f MiB" % (peak / 2**20)
+
+
+# a child's ru_maxrss starts at the high-water mark of the process that
+# spawned it (Linux carries it over the exec), so a small interpreter, not
+# this test process, spawns the CLI and reads it from os.wait4
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(args, out):
+    """The high-water resident set of one CLI run in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS,
+         sys.executable, "-m", "noiseimaging.cli", *args, "--out", str(out)],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss = proc.stdout.split()
+    assert code == "0", args
+    # Linux reports ru_maxrss in KiB
+    return int(maxrss) / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
+    # calibrate on the same config imports the same modules and builds no
+    # bow-tie, so the gap is what the sweep's scene, traces and fit hold at
+    # their peak: 7.7 MiB when the polar grid was built from full-grid float
+    # arrays and kept a float64 angle per disk pixel, about 3.5 MiB with
+    # int32 indices built in row strips. The bound was fixed from those two
+    # numbers alone: 2 MiB above the strip build (page rounding and another
+    # numpy's temporaries) and 2.2 MiB below the full-grid build.
+    desk = str(ROOT / "configs" / "desk_sweep.cfg")
+    sweep = _peak_rss_mib(["sweep", "--config", desk], tmp_path / "sweep")
+    calibrate = _peak_rss_mib(["calibrate", "--db", "2.2", "--config", desk],
+                              tmp_path / "calibrate")
+    assert sweep - calibrate < 5.5, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
 
 
 # a warning would print a second stderr line outside pytest

@@ -301,7 +301,7 @@ def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height
     for radius in sorted(radii):
         if radius <= 0.0:
             continue
-        pixels, _, _ = _polar_grid(width, height, radius)
+        pixels, _ = _polar_grid(width, height, radius)
         want = np.flatnonzero(rr <= radius)
         assert np.array_equal(np.sort(pixels), want), radius
         checked += 1
@@ -316,7 +316,7 @@ def test_polar_grid_disk_on_the_desk_grid_edge():
     assert len(near) >= 20
     for r in near[::4]:
         for radius in (float(r), float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))):
-            pixels, _, _ = _polar_grid(512, 512, radius)
+            pixels, _ = _polar_grid(512, 512, radius)
             assert np.array_equal(np.sort(pixels), np.flatnonzero(rr <= radius)), radius
 
 
@@ -331,11 +331,11 @@ def _traced_peak_mib(fn):
 
 def test_polar_grid_build_peak_memory():
     _polar_grid.cache_clear()
-    # the exact squared radii are freed before the full-grid arctan2: the
-    # build peaks at 5.26 MiB on numpy 2.4, and at 7.51 MiB with the 2 MiB
-    # squared-radius grid kept alive; the bound sits between the two so a
+    # built in row strips, no full-grid float array is alive: the build
+    # peaks at 2.02 MiB on numpy 2.4, against 5.26 MiB for a build from
+    # full-grid squared radii and arctan2; the bound sits between the two so a
     # numpy with other temporaries does not trip it
-    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 6.5
+    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 3.5
 
 
 def test_single_pixel_cell_decomposition_peak_memory():
@@ -463,12 +463,15 @@ def test_scene_error_messages():
 
 
 def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():
-    pixels, theta, starts = _polar_grid(512, 512, 230.4)
+    grid = _polar_grid(512, 512, 230.4)
+    pixels, starts = grid
     assert pixels.dtype == np.int32
-    for arr in (pixels, theta, starts):
+    for arr in grid:
         assert not arr.flags.writeable
-    # no more than a bool disk mask and a float64 angle per grid pixel
-    assert pixels.nbytes + theta.nbytes + starts.nbytes <= 512 * 512 * 9
+    # one int32 index per disk pixel, and the sector starts
+    x, y = _grid_centers(512, 512)
+    disk = np.count_nonzero(np.hypot(x, y) <= 230.4)
+    assert sum(arr.nbytes for arr in grid) <= 4 * disk + starts.nbytes
 
 
 @pytest.mark.parametrize("letter", list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
