@@ -28,7 +28,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 import numpy as np
 
 from . import estimate, scene
-from .config import ConfigError, RunConfig, config_text, load_config, with_overrides
+from .config import ConfigError, RunConfig, config_text, load_config
 from .estimate import (
     EstimationError,
     angle_enhancement,
@@ -62,14 +62,15 @@ def _fmt(x):
     return str(x)
 
 
-def _write_json(path, payload):
-    """Write a JSON object; non-finite floats become null, listed by dotted path
-    under a top-level "non_finite" key that appears only when one was replaced."""
+def _json_text(payload):
+    """JSON text of an object; non-finite floats become null, listed by dotted
+    path under a top-level "non_finite" key that appears only when one was
+    replaced."""
     replaced = []
     payload = _finite(payload, "", replaced)
     if replaced:
         payload["non_finite"] = replaced
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _finite(value, path, replaced):
@@ -86,34 +87,33 @@ def _finite(value, path, replaced):
     return value
 
 
-def _write_csv(path, schema, header, rows):
-    lines = ["# schema: %s" % schema, ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv_text(schema, rows):
+    """CSV text of dict rows under a schema comment; the first row's keys are
+    the header."""
+    lines = ["# schema: %s" % schema, ",".join(rows[0])]
+    lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write_text(path, text):
-    try:
-        Path(path).write_text(text, encoding="ascii")
-    except OSError as exc:
-        raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
+def _write_artifacts(out, summary, files):
+    """Write a command's (name, text) artifacts under out in order, then print
+    its summary text on stdout.
 
-
-def _write_artifacts(summary, *writes):
-    """Write a command's artifacts in order, each given as (writer, path, *args),
-    then print its summary text on stdout.
-
-    On a failure every file reached is removed, the failing one too (it may
+    On any failure every file reached is removed, the failing one too (it may
     hold part of its text), so a failed run leaves no set that looks finished.
     A summary that cannot be printed, say to a closed pipe, fails the run too.
     """
     reached = []
     try:
-        for writer, path, *args in writes:
+        for name, text in files:
+            path = out / name
             reached.append(path)
-            writer(path, *args)
+            try:
+                path.write_text(text, encoding="ascii")
+            except OSError as exc:
+                raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
         _print_summary(summary)
-    except ConfigError:
+    except BaseException:
         for path in reached:
             with suppress(OSError):
                 path.unlink(missing_ok=True)
@@ -135,9 +135,8 @@ def _print_summary(text):
 
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg = with_overrides(cfg, seed=args.seed, out_dir=args.out)
-    cfg.validate()
-    return cfg
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
 
 
 def _out_dir(cfg):
@@ -162,7 +161,9 @@ def _measure_curve(cfg, readings, technique):
         points.append({"overlap": overlap, "n": n_mean, "sigma_n": sem,
                        "delta_n": delta_mean})
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
-            rows.append((angle, overlap, technique, s, n, 10.0 * np.log10(n), delta))
+            rows.append({"angle_deg": angle, "overlap": overlap, "technique": technique,
+                         "series": s, "noise_snl": n, "noise_db": 10.0 * np.log10(n),
+                         "delta_noise_snl": delta})
     return rows, points
 
 
@@ -198,6 +199,13 @@ def cmd_sweep(cfg):
             raise ConfigError("acquisition.angles_deg",
                               "angles %r and %r give the same overlap %.12g; a sweep "
                               "needs one overlap per angle" % (angle, other, overlap))
+    # the fit's linear stage and the enhancement need high overlaps: the same
+    # rules, applied to the overlaps alone, fail before any trace is drawn
+    try:
+        estimate.linear_stage([o for _, o, _ in readings])
+        estimate.high_overlap([{"overlap": o} for _, o, _ in readings])
+    except EstimationError as exc:
+        raise ConfigError("acquisition.angles_deg", str(exc)) from None
 
     all_rows, curves = [], {}
     for technique in TECHNIQUES:
@@ -226,20 +234,13 @@ def cmd_sweep(cfg):
         "techniques": {technique: {"points": curve.points, "delta_o": tables[technique]}
                        for technique, curve in curves.items()},
     }
-    out = _out_dir(cfg)
-    _write_artifacts(
-        "sweep: %d angles x %d series x %d techniques -> %s\n"
-        "enhancement (O >= %.2g): %.3f +/- %.3f"
-        % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), out,
-           estimate.ENHANCEMENT_MIN_OVERLAP, enh["factor"], enh["sigma"]),
-        (_write_csv, out / "sweep.csv", SWEEP_SCHEMA,
-         ("angle_deg", "overlap", "technique", "series", "noise_snl", "noise_db",
-          "delta_noise_snl"),
-         all_rows),
-        (_write_json, out / "fits.json", fits),
-        (_write_json, out / "summary.json", summary),
-    )
-    return 0
+    text = ("sweep: %d angles x %d series x %d techniques -> %s\n"
+            "enhancement (O >= %.2g): %.3f +/- %.3f"
+            % (len(cfg.angles_deg), cfg.n_series, len(TECHNIQUES), Path(cfg.out_dir),
+               estimate.ENHANCEMENT_MIN_OVERLAP, enh["factor"], enh["sigma"]))
+    return text, [("sweep.csv", _csv_text(SWEEP_SCHEMA, all_rows)),
+                  ("fits.json", _json_text(fits)),
+                  ("summary.json", _json_text(summary))]
 
 
 def _curve_payload(curve):
@@ -272,21 +273,12 @@ def cmd_alphabet(cfg, mask):
                      if not rec["valid"] and rec["technique"] == TECH_CLASSICAL],
         "rankings": rankings,
     }
-    header = ("letter", "technique", "valid", "overlap",
-              "n_baseline", "n_baseline_db", "sigma_baseline",
-              "n_masked", "n_masked_db", "sigma_masked",
-              "deviation", "sigma_deviation", "sub_snl", "reason")
     q = rankings[TECH_QUANTUM]
-    out = _out_dir(cfg)
-    _write_artifacts(
-        "alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
-        % (mask_letter, q["best"], q["runner_up"], q["sigma_separation"],
-           len(payload["excluded"])),
-        (_write_csv, out / "alphabet.csv", ALPHABET_SCHEMA, header,
-         [[rec[column] for column in header] for rec in records]),
-        (_write_json, out / "ranking.json", payload),
-    )
-    return 0
+    text = ("alphabet: mask %r, quantum best %r (runner-up %r, %.1f sigma), %d excluded"
+            % (mask_letter, q["best"], q["runner_up"], q["sigma_separation"],
+               len(payload["excluded"])))
+    return text, [("alphabet.csv", _csv_text(ALPHABET_SCHEMA, records)),
+                  ("ranking.json", _json_text(payload))]
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +290,6 @@ def cmd_calibrate(cfg, db):
     n_true = quantum_noise(1.0, 1.0, r, cfg)
     ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
     n_mean = float(np.mean(ns))
-    # before any file: the one artifact that records out_dir must encode it
-    cfg_text = config_text(calibrated)
     floor = detected_noise_floor(cfg)
     payload = {
         "target_db": float(db),
@@ -311,14 +301,10 @@ def cmd_calibrate(cfg, db):
         "loss_bound_db": 10.0 * np.log10(floor) if floor > 0 else None,
         "config": calibrated.as_dict(r),
     }
-    out = _out_dir(cfg)
-    _write_artifacts(
-        "calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"
-        % (r, db, payload["measured_db_over_series"], cfg.n_series),
-        (_write_text, out / "calibrated.cfg", cfg_text),
-        (_write_json, out / "calibration.json", payload),
-    )
-    return 0
+    text = ("calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"
+            % (r, db, payload["measured_db_over_series"], cfg.n_series))
+    return text, [("calibrated.cfg", config_text(calibrated)),
+                  ("calibration.json", _json_text(payload))]
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +367,14 @@ def _run(args):
     try:
         cfg = _load_cfg(args)
         if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "alphabet":
-            return cmd_alphabet(cfg, args.mask)
-        return cmd_calibrate(cfg, args.db)
+            summary, files = cmd_sweep(cfg)
+        elif args.command == "alphabet":
+            summary, files = cmd_alphabet(cfg, args.mask)
+        else:
+            summary, files = cmd_calibrate(cfg, args.db)
+        # every artifact is text by now: a failure before this line leaves no file
+        _write_artifacts(_out_dir(cfg), summary, files)
+        return 0
     except (ConfigError, SceneError, NoiseModelError, TraceError,
             EstimationError, MemoryError) as exc:
         print(_error_line(args.command, str(exc), getattr(exc, "field", None)),

@@ -7,7 +7,7 @@ rejected with field-level messages.
 """
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,9 @@ class RunConfig:
         # calibrate_r's bound on r
         if not (np.isnan(self.r) or 0 <= self.r <= R_MAX):
             raise ConfigError("source.r", "must lie in [0, %g] when given" % R_MAX)
+        # checked when r is given too: the config and the artifacts record it
+        if not np.isfinite(self.squeezing_db_detected):
+            raise ConfigError("source.squeezing_db_detected", "must be finite")
         if np.isnan(self.r) and self.squeezing_db_detected < 0:
             raise ConfigError("source.squeezing_db_detected", "must be >= 0 (dB below SNL)")
         for name in ("t_probe", "t_conj"):
@@ -276,11 +279,3 @@ def load_config(path):
         values[key] = _parse_value(key, raw, "%s.%s" % (section, key))
     return RunConfig(**values)
 
-
-def with_overrides(cfg, seed=None, out_dir=None):
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if out_dir is not None:
-        updates["out_dir"] = str(out_dir)
-    return replace(cfg, **updates) if updates else cfg

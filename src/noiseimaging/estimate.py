@@ -85,6 +85,19 @@ def _sigma(grad, cov):
     return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
 
 
+def linear_stage(overlaps):
+    """Which overlaps the fit's linear stage uses, those above
+    LINEAR_STAGE_MIN_OVERLAP, as a bool array; an EstimationError when fewer
+    than 2 are."""
+    high = np.asarray(overlaps) > LINEAR_STAGE_MIN_OVERLAP
+    if np.count_nonzero(high) < 2:
+        raise EstimationError(
+            "need at least 2 points with overlap > %.1f for the linear stage"
+            % LINEAR_STAGE_MIN_OVERLAP
+        )
+    return high
+
+
 def fit_noise_curve(points):
     """Two-stage fit: line on O > 0.8 extrapolated to O = 1, then a cubic.
 
@@ -105,12 +118,7 @@ def fit_noise_curve(points):
     y = np.array([p["n"] for p in pts])
     sig = np.array([p["sigma_n"] for p in pts])
 
-    high = o > LINEAR_STAGE_MIN_OVERLAP
-    if np.count_nonzero(high) < 2:
-        raise EstimationError(
-            "need at least 2 points with overlap > %.1f for the linear stage"
-            % LINEAR_STAGE_MIN_OVERLAP
-        )
+    high = linear_stage(o)
     design_lin = np.column_stack([np.ones(high.sum()), o[high]])
     lin, lin_cov = _lstsq_with_cov(design_lin, y[high], sig[high])
     n_at_unity = float(lin[0] + lin[1])
@@ -165,8 +173,6 @@ def _ratio_of_means(classical, quantum):
     The error propagates each side's standard error of the mean; a side with
     a single point contributes none.
     """
-    if len(classical) == 0 or len(quantum) == 0:
-        raise EstimationError("no overlap points at or above %g" % ENHANCEMENT_MIN_OVERLAP)
     return _ratio(*_mean_and_sem(classical), *_mean_and_sem(quantum))
 
 
@@ -175,12 +181,21 @@ def _mean_and_sem(vals):
     return float(vals.mean()), float(sem)
 
 
+def high_overlap(points):
+    """The points (dicts with an "overlap") at O >= ENHANCEMENT_MIN_OVERLAP,
+    which the enhancement factors average; an EstimationError when there are
+    none."""
+    kept = [p for p in points if p["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    if not kept:
+        raise EstimationError("no overlap points at or above %g" % ENHANCEMENT_MIN_OVERLAP)
+    return kept
+
+
 def enhancement(classical_records, quantum_records):
     """Ratio of mean classical to mean quantum overlap uncertainty, at
     O >= ENHANCEMENT_MIN_OVERLAP, as the dict {"factor", "sigma", "n_points",
     "n_insensitive"}."""
-    classical = [u for u in classical_records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
-    quantum = [u for u in quantum_records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    classical, quantum = high_overlap(classical_records), high_overlap(quantum_records)
     factor, sigma = _ratio_of_means(np.array([u["delta_o_est"] for u in classical]),
                                     np.array([u["delta_o_est"] for u in quantum]))
     return {"factor": factor, "sigma": sigma, "n_points": len(classical) + len(quantum),
@@ -210,7 +225,7 @@ def _angle_deltas(overlaps, slopes, records):
     delta_o over |dO/d(angle)| of the table segment k with overlaps[k] >= O >
     overlaps[k + 1], the end segments extended past the table.
     """
-    kept = [u for u in records if u["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
+    kept = high_overlap(records)
     k = np.searchsorted(-overlaps, [-u["overlap"] for u in kept], side="right") - 1
     k = np.clip(k, 0, len(slopes) - 1)
     return np.array([u["delta_o_est"] for u in kept]) / np.abs(slopes[k])

@@ -160,6 +160,10 @@ def bowtie(rotation, half_angle, radius, width, height):
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):
         raise SceneError("bow-tie radius must be positive and fit inside the grid")
+    # the polar grid holds flat pixel indices as int32, which would wrap past it
+    if width * height > np.iinfo(np.int32).max:
+        raise SceneError("a %dx%d grid has more pixels than int32 indices can address"
+                         % (width, height))
     pixels, starts = _polar_grid(width, height, radius)
     bits = np.zeros(width * height, dtype=bool)
     edges, inside = _sector_spans(rotation, half_angle)

@@ -18,7 +18,7 @@ import pytest
 
 import noiseimaging
 from noiseimaging import cli, noise, scene
-from noiseimaging.cli import _write_json, main
+from noiseimaging.cli import _json_text, main
 from noiseimaging.config import RunConfig, save_config
 from scene_reference import save_pbm
 
@@ -197,19 +197,15 @@ def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
         assert payload["config"]["r_resolved"] > 0
 
 
-def test_non_finite_floats_are_written_as_null(tmp_path):
+def test_non_finite_floats_are_written_as_null():
     payload = {"a": 1.5, "b": [1.0, float("nan"), {"c": float("-inf")}],
                "d": {"e": float("inf"), "f": (2.0, float("nan"))}, "g": None, "h": "x"}
-    _write_json(tmp_path / "p.json", payload)
-    text = (tmp_path / "p.json").read_text()
-    got = json.loads(text, parse_constant=_reject_constant)
+    got = json.loads(_json_text(payload), parse_constant=_reject_constant)
     assert got == {"a": 1.5, "b": [1.0, None, {"c": None}], "d": {"e": None, "f": [2.0, None]},
                    "g": None, "h": "x", "non_finite": ["b.1", "b.2.c", "d.e", "d.f.1"]}
     # a finite payload keeps the bytes of a plain dump, with no flag key
     finite = {"z": [0.1, 2], "a": {"k": -0.0, "j": 1e308}}
-    _write_json(tmp_path / "q.json", finite)
-    assert (tmp_path / "q.json").read_text() == json.dumps(finite, indent=2,
-                                                           sort_keys=True) + "\n"
+    assert _json_text(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
 # a warning would print a second stderr line outside pytest
@@ -572,6 +568,30 @@ def test_angles_with_one_overlap_fail_before_any_trace(pair, tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+# overlaps 1, 0.56, 0.33, 0.11, 0: one above 0.8; overlaps 0.89, 0.87, 0.56,
+# 0.33, 0.11: none at 0.9
+@pytest.mark.parametrize("angles,message", [
+    ((0.0, 20.0, 30.0, 40.0, 45.0), "need at least 2 points with overlap > 0.8"),
+    ((5.0, 6.0, 20.0, 30.0, 40.0), "no overlap points at or above 0.9"),
+], ids=["linear-stage", "enhancement"])
+def test_angles_without_high_overlaps_fail_before_any_trace(angles, message, tmp_path, capsys,
+                                                            monkeypatch):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=128, cell_size=4, n_series=2, samples_per_point=100,
+                          angles_deg=angles), cfgfile)
+
+    def no_traces(*args, **kwargs):
+        raise AssertionError("the sweep drew a trace")
+
+    monkeypatch.setattr("noiseimaging.cli.measure_series", no_traces)
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = _one_error_line(capsys, "sweep")
+    assert error["field"] == "acquisition.angles_deg"
+    assert message in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", ["shipped-alphabet", "four-angles"])
 def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch):
     # every angle is one point of the fitted noise curves, which need five
@@ -596,25 +616,28 @@ def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch
 
 # NaN compares false and inf passes a lower bound; each must name its own field
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name,value,field", [
-    ("power_per_pixel", float("nan"), "source.power_per_pixel"),
-    ("power_per_pixel", float("inf"), "source.power_per_pixel"),
-    ("electronic_floor", float("nan"), "source.electronic_floor"),
-    ("electronic_floor", float("inf"), "source.electronic_floor"),
-    ("lock_noise", float("nan"), "source.lock_noise"),
-    ("lock_noise", float("inf"), "source.lock_noise"),
-    ("r", float("inf"), "source.r"),
+@pytest.mark.parametrize("values,field", [
+    ({"power_per_pixel": float("nan")}, "source.power_per_pixel"),
+    ({"power_per_pixel": float("inf")}, "source.power_per_pixel"),
+    ({"electronic_floor": float("nan")}, "source.electronic_floor"),
+    ({"electronic_floor": float("inf")}, "source.electronic_floor"),
+    ({"lock_noise": float("nan")}, "source.lock_noise"),
+    ({"lock_noise": float("inf")}, "source.lock_noise"),
+    ({"r": float("inf")}, "source.r"),
     # past calibrate_r's bound of 12 the noise is not resolved, past 355 it overflows
-    ("r", 13.0, "source.r"),
-    ("r", 400.0, "source.r"),
+    ({"r": 13.0}, "source.r"),
+    ({"r": 400.0}, "source.r"),
+    # a given r leaves the dB unused by the noise, but the artifacts record it
+    ({"r": 0.5, "squeezing_db_detected": float("nan")}, "source.squeezing_db_detected"),
+    ({"r": 0.5, "squeezing_db_detected": float("inf")}, "source.squeezing_db_detected"),
 ], ids=["power-nan", "power-inf", "floor-nan", "floor-inf", "lock-nan", "lock-inf", "r-inf",
-        "r-unresolved", "r-overflow"])
+        "r-unresolved", "r-overflow", "db-nan", "db-inf"])
 @pytest.mark.parametrize("args", [["sweep"], ["alphabet", "--mask", "Z"]],
                          ids=["sweep", "alphabet"])
-def test_non_finite_source_value_names_its_field(name, value, field, args, tmp_path, capsys):
+def test_non_finite_source_value_names_its_field(values, field, args, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
-                          **{name: value}), cfgfile)
+                          **values), cfgfile)
     code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     assert _one_error_line(capsys, args[0])["field"] == field
@@ -767,6 +790,48 @@ def test_failed_run_leaves_no_artifact(command, tmp_path, capsys):
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
     assert [p.name for p in out.iterdir()] == [_LAST_ARTIFACT[command]]
     assert (out / _LAST_ARTIFACT[command]).is_dir()
+
+
+def test_failure_while_rendering_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # summary.json is the sweep's last artifact: its text fails after the others'
+    finite = cli._finite
+
+    def exhausted(value, path, replaced):
+        if path == "" and "techniques" in value:
+            raise MemoryError("injected while rendering summary.json")
+        return finite(value, path, replaced)
+
+    monkeypatch.setattr(cli, "_finite", exhausted)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(_small_config(tmp_path)), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, "sweep")["message"] == "injected while rendering summary.json"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_any_failure_while_writing_removes_the_artifacts(command, tmp_path, capsys,
+                                                         monkeypatch):
+    # not an OSError: the second artifact's write runs out of memory
+    cfgfile = _small_config(tmp_path)
+    write_text = Path.write_text
+    writes = []
+
+    def second_write_fails(path, text, encoding):
+        writes.append(path.name)
+        if len(writes) == 2:
+            raise MemoryError("injected while writing %s" % path.name)
+        return write_text(path, text, encoding=encoding)
+
+    monkeypatch.setattr(Path, "write_text", second_write_fails)
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    code = main(args + ["--config", str(cfgfile), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["message"] == "injected while writing %s" % writes[1]
+    assert list(out.iterdir()) == []
 
 
 def test_partly_written_artifact_is_removed(tmp_path, capsys, monkeypatch):

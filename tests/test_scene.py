@@ -120,6 +120,13 @@ class TestBowtie:
         with pytest.raises(SceneError):
             bowtie(0.0, ALPHA, 200, 256, 256)
 
+    @pytest.mark.parametrize("width,height", [(46341, 46341), (2**16, 2**15)],
+                             ids=["square", "2-to-the-31"])
+    def test_rejects_a_grid_past_int32_indices(self, width, height):
+        # the polar grid's int32 indices would wrap: 2**31 reads as -2**31
+        with pytest.raises(SceneError, match="int32"):
+            bowtie(0.0, ALPHA, 100, width, height)
+
     def test_area_fraction_of_disk(self):
         # wedge pair covers 2*alpha/pi of the enclosing disk
         bt = bowtie(0.123, ALPHA, 240, 512, 512)
