@@ -173,7 +173,7 @@ def _angle_readings(cfg, r):
     No angle's LO bitmap outlives the next angle's, so a sweep keeps only
     these three numbers per angle.
     """
-    weight = cfg.load_weight_map()
+    weight = cfg.weights
     alpha = cfg.bowtie_half_angle()
     radius = cfg.bowtie_radius()
     mask = scene.bowtie(0.0, alpha, radius, cfg.grid_size, cfg.grid_size)

@@ -8,6 +8,7 @@ rejected with field-level messages.
 
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,9 @@ class RunConfig:
             raise ConfigError("scene.bowtie_radius_frac", "must lie in (0, 1]")
         if self.font_dir and not Path(self.font_dir).is_dir():
             raise ConfigError("scene.font_dir", "directory %r not found" % self.font_dir)
-        if self.weight_map and not Path(self.weight_map).is_file():
-            raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
+        # parsed and shape-checked for every command, not only the sweep that
+        # reads it, and kept for that sweep
+        _ = self.weights
         try:
             row = check_acquisition(self)
         except TraceError as exc:
@@ -149,9 +151,14 @@ class RunConfig:
     def bowtie_radius(self):
         return self.bowtie_radius_frac * self.grid_size / 2.0
 
-    def load_weight_map(self):
+    @cached_property
+    def weights(self):
+        """The weight map as a read-only grid_size x grid_size float array,
+        None when no map is set; the file is parsed once per config."""
         if not self.weight_map:
             return None
+        if not Path(self.weight_map).is_file():
+            raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
         try:
             with warnings.catch_warnings():
                 # numpy warns on an empty file; the shape check below reports it
@@ -168,6 +175,7 @@ class RunConfig:
             check_weight_map(data)
         except SceneError as exc:
             raise ConfigError("scene.weight_map", str(exc)) from None
+        data.setflags(write=False)
         return data
 
     def as_dict(self, r_resolved):

@@ -16,6 +16,7 @@ object (NoiseCurve), for the slope and SNL crossing it evaluates.
 """
 
 from dataclasses import dataclass
+from math import fsum, sqrt
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class NoiseCurve:
         return float(c[1] + 2.0 * c[2] * o + 3.0 * c[3] * o * o)
 
     def slope_sigma(self, o):
-        return _sigma(np.array([0.0, 1.0, 2.0 * o, 3.0 * o * o]), self.coeff_cov)
+        return _sigma((0.0, 1.0, 2.0 * o, 3.0 * o * o), self.coeff_cov)
 
     def snl_crossing(self):
         """Overlap where the fitted curve crosses the SNL (first crossing on [0, 1])."""
@@ -73,16 +74,53 @@ class NoiseCurve:
 
 
 def _lstsq_with_cov(design, y, sigmas):
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    gram_inv = np.linalg.pinv(design.T @ design)
-    middle = design.T @ (design * np.asarray(sigmas)[:, None] ** 2)
-    cov = gram_inv @ middle @ gram_inv
+    """Least-squares coefficients of y on the rows of design, and their
+    sandwich covariance G^-1 (X^T diag(sigma^2) X) G^-1 with G = X^T X.
+
+    Fixed-order Python-float arithmetic on the normal equations: every sum is
+    a correctly rounded math.fsum, so the fit does not depend on a BLAS core.
+    The error grows with cond(G) u (Higham 2002, ch. 20), about 2e-12 on a
+    desk sweep. A pivot that is not positive, as a rank-deficient design
+    gives, raises an EstimationError.
+    """
+    cols = range(len(design[0]))
+    gram = [[fsum(row[i] * row[j] for row in design) for j in cols] for i in cols]
+    inv = _spd_inverse(gram)
+    xty = [fsum(row[i] * v for row, v in zip(design, y)) for i in cols]
+    coeffs = [fsum(inv[i][k] * xty[k] for k in cols) for i in cols]
+    middle = [[fsum(row[i] * row[j] * s * s for row, s in zip(design, sigmas))
+               for j in cols] for i in cols]
+    cov = [[fsum(inv[i][k] * middle[k][m] * inv[m][j] for k in cols for m in cols)
+            for j in cols] for i in cols]
     return coeffs, cov
+
+
+def _spd_inverse(gram):
+    """Inverse of a small symmetric positive definite matrix, nested lists, by
+    Gauss-Jordan elimination without pivoting.
+
+    Each row is reduced by the unscaled pivot row, so a row equal to an
+    earlier one, which two equal design columns give, reduces to an exact
+    zero pivot.
+    """
+    n = len(gram)
+    a = [list(row) + [float(i == j) for j in range(n)] for i, row in enumerate(gram)]
+    for k in range(n):
+        pivot = a[k][k]
+        if not pivot > 0.0:
+            raise EstimationError("the fit's design is rank deficient (pivot %d is %r)"
+                                  % (k, pivot))
+        for i in range(n):
+            if i != k:
+                f = a[i][k] / pivot
+                a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return [[v / a[i][i] for v in a[i][n:]] for i in range(n)]
 
 
 def _sigma(grad, cov):
     """Standard error of a linear function of fitted coefficients."""
-    return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    variance = fsum(g * c * h for g, row in zip(grad, cov) for h, c in zip(grad, row))
+    return sqrt(max(variance, 0.0))
 
 
 def linear_stage(overlaps):
@@ -110,33 +148,32 @@ def fit_noise_curve(points):
     if len(pts) < CURVE_MIN_POINTS:
         raise EstimationError("need at least %d overlap points, got %d"
                               % (CURVE_MIN_POINTS, len(pts)))
-    o = np.array([p["overlap"] for p in pts])
-    if np.any(np.diff(o) <= 0):
+    o = [p["overlap"] for p in pts]
+    if any(b <= a for a, b in zip(o, o[1:])):
         raise EstimationError("overlap values must be strictly increasing")
-    if np.any((o < 0) | (o > 1)):
+    if any(v < 0 or v > 1 for v in o):
         raise EstimationError("overlap values must lie in [0, 1]")
-    y = np.array([p["n"] for p in pts])
-    sig = np.array([p["sigma_n"] for p in pts])
+    y = [p["n"] for p in pts]
+    sig = [p["sigma_n"] for p in pts]
 
-    high = linear_stage(o)
-    design_lin = np.column_stack([np.ones(high.sum()), o[high]])
-    lin, lin_cov = _lstsq_with_cov(design_lin, y[high], sig[high])
-    n_at_unity = float(lin[0] + lin[1])
-    sigma_unity = _sigma(np.array([1.0, 1.0]), lin_cov)
+    high = [k for k, keep in enumerate(linear_stage(o)) if keep]
+    lin, lin_cov = _lstsq_with_cov([(1.0, o[k]) for k in high], [y[k] for k in high],
+                                   [sig[k] for k in high])
+    n_at_unity = lin[0] + lin[1]
+    sigma_unity = _sigma((1.0, 1.0), lin_cov)
 
-    o_aug = np.append(o, 1.0)
-    y_aug = np.append(y, n_at_unity)
-    sig_aug = np.append(sig, sigma_unity)
-    design = np.vander(o_aug, 4, increasing=True)
-    coeffs, cov = _lstsq_with_cov(design, y_aug, sig_aug)
-    residuals = y_aug - design @ coeffs
+    y.append(n_at_unity)
+    sig.append(sigma_unity)
+    design = [(1.0, v, v * v, v * v * v) for v in o + [1.0]]
+    coeffs, cov = _lstsq_with_cov(design, y, sig)
+    residuals = [v - fsum(x * c for x, c in zip(row, coeffs)) for row, v in zip(design, y)]
     return NoiseCurve(
         points=pts,
-        coeffs=coeffs,
-        coeff_cov=cov,
-        linear_coeffs=(float(lin[0]), float(lin[1])),
+        coeffs=np.array(coeffs),
+        coeff_cov=np.array(cov),
+        linear_coeffs=tuple(lin),
         synthetic_point=(1.0, n_at_unity, sigma_unity),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        residual_rms=sqrt(fsum(v * v for v in residuals) / len(residuals)),
     )
 
 

@@ -10,6 +10,7 @@ import re
 import string
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import noiseimaging
-from noiseimaging import cli, noise, scene
+from noiseimaging import cli, estimate, noise, scene
 from noiseimaging.cli import _json_text, main
 from noiseimaging.config import RunConfig, save_config
 from scene_reference import save_pbm
@@ -95,14 +96,17 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expec
     assert {key: seen[key] for key in expected} == expected
 
 
-# the trace points of four smoothing depths and the 16 desk bow-ties (mask and
-# LOs, whose edge-sector angles are arctan2s of gathered centers), each
-# hashed in a fresh interpreter
+# the trace points of four smoothing depths, the 16 desk bow-ties (mask and
+# LOs, whose edge-sector angles are arctan2s of gathered centers) and the
+# fits.json payload of a fit to 16 points made of Python floats, each hashed
+# in a fresh interpreter
 _CPU_PATH_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
 from noiseimaging import scene
+from noiseimaging.cli import _curve_payload
 from noiseimaging.config import RunConfig, load_config
+from noiseimaging.estimate import fit_noise_curve
 from noiseimaging.traces import _series_points, derive_seed
 
 points = hashlib.sha256()
@@ -114,7 +118,11 @@ bowties = hashlib.sha256()
 for angle in (0.0,) + desk.angles_deg:
     bowties.update(scene.bowtie(np.deg2rad(angle), desk.bowtie_half_angle(),
                                 desk.bowtie_radius(), desk.grid_size, desk.grid_size))
-print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest()}))
+fit_points = [{"overlap": k / 15, "n": 1.0 + 0.3 * k / 15 + ((7 * k) % 11 - 5) * 1e-3,
+               "sigma_n": 1e-3 * (1 + k % 3), "delta_n": 0.02} for k in range(16)]
+fit = json.dumps(_curve_payload(fit_noise_curve(fit_points)), sort_keys=True)
+print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest(),
+                  "fit": hashlib.sha256(fit.encode()).hexdigest()}))
 """
 
 
@@ -138,9 +146,8 @@ def _cpu_legs():
     return legs
 
 
-@functools.lru_cache(maxsize=None)
-def _cpu_path_digests(leg):
-    """The digests on one leg, or None when this host cannot run it."""
+def _leg_env(leg):
+    """The child environment of one leg, or None when this host cannot run it."""
     legs = _cpu_legs()
     if leg not in legs:
         return None
@@ -148,6 +155,15 @@ def _cpu_path_digests(leg):
     for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         env.pop(name, None)
     env.update(legs[leg])
+    return env
+
+
+@functools.lru_cache(maxsize=None)
+def _cpu_path_digests(leg):
+    """The digests on one leg, or None when this host cannot run it."""
+    env = _leg_env(leg)
+    if env is None:
+        return None
     proc = subprocess.run(
         [sys.executable, "-c", _CPU_PATH_DIGESTS, str(ROOT / "configs" / "desk_sweep.cfg")],
         env=env, capture_output=True, text=True, timeout=120)
@@ -174,6 +190,40 @@ def test_trace_points_do_not_depend_on_the_cpu_path(leg):
 @pytest.mark.parametrize("leg", _CPU_PATHS)
 def test_desk_bowties_do_not_depend_on_the_cpu_path(leg):
     _assert_same_on_cpu_path(leg, "desk_bowties")
+
+
+@pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_fit_does_not_depend_on_the_cpu_path(leg):
+    _assert_same_on_cpu_path(leg, "fit")
+
+
+@functools.lru_cache(maxsize=None)
+def _desk_sweep_on_cpu_path(leg):
+    """The desk sweep's artifacts on one leg, or None when this host cannot run it."""
+    env = _leg_env(leg)
+    if env is None:
+        return None
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "noiseimaging.cli", "sweep",
+             "--config", str(ROOT / "configs" / "desk_sweep.cfg"), "--out", out],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+# the fit makes no BLAS or LAPACK call, so OpenBLAS's core cannot move a
+# sweep; the numpy-no-avx512 leg still moves fits.json and summary.json,
+# through the noise model's dispatched np.sinh, and is not checked here
+@pytest.mark.parametrize("leg", ["openblas-prescott", "openblas-haswell"])
+def test_desk_sweep_artifacts_do_not_depend_on_the_openblas_core(leg):
+    got = _desk_sweep_on_cpu_path(leg)
+    if got is None:
+        pytest.skip("this host cannot run the %s leg" % leg)
+    want = _desk_sweep_on_cpu_path("default")
+    assert sorted(got) == sorted(want)
+    differ = [name for name in want if got[name] != want[name]]
+    assert not differ, "desk sweep artifacts differ under %s: %s" % (_cpu_legs()[leg], differ)
 
 
 def _reject_constant(token):
@@ -382,6 +432,25 @@ def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
     assert "weight map" in error["message"].replace("_", " ")
 
 
+# alphabet and calibrate never read the map, but a config that sets one the
+# sweep would reject is rejected by them too, before any artifact is written
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("contents", ["a b\nc d\n", "1 1\n1 1\n"], ids=["letters", "shape"])
+@pytest.mark.parametrize("args", [["alphabet", "--mask", "Z"], ["calibrate", "--db", "2.2"]],
+                         ids=["alphabet", "calibrate"])
+def test_unusable_weight_map_fails_every_command(args, contents, tmp_path, capsys):
+    wmap = tmp_path / "bad.txt"
+    wmap.write_text(contents)
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=4, cell_size=1, weight_map=str(wmap), n_series=2,
+                          samples_per_point=100), cfgfile)
+    out = tmp_path / "out"
+    code = main(args + ["--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, args[0])["field"] == "scene.weight_map"
+    assert not out.exists()
+
+
 def _sweep_artifacts(tmp_path, name, cell_size, weight_map=""):
     """The sweep artifacts of a 64x64 grid, with config.weight_map dropped
     from the summary (it names the file)."""
@@ -522,16 +591,17 @@ def _peak_rss_mib(args, out):
 def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
     # calibrate on the same config imports the same modules and builds no
     # bow-tie, so the gap is what the sweep's scene, traces and fit hold at
-    # their peak: 7.7 MiB when the polar grid was built from full-grid float
-    # arrays and kept a float64 angle per disk pixel, about 3.5 MiB with
-    # int32 indices built in row strips. The bound was fixed from those two
-    # numbers alone: 2 MiB above the strip build (page rounding and another
-    # numpy's temporaries) and 2.2 MiB below the full-grid build.
+    # their peak. With int32 polar indices built in row strips it was 2.8-3.0
+    # MiB while the fit called LAPACK, whose first call raised the high-water
+    # mark past the scene's; with the fit in plain floats it is 1.4-1.7 MiB,
+    # set by the scene and traces. The bound is fixed from those two numbers
+    # alone, about halfway: 0.6 MiB above the plain-float fit (page rounding
+    # and another numpy's temporaries) and 0.5 MiB below the LAPACK fit.
     desk = str(ROOT / "configs" / "desk_sweep.cfg")
     sweep = _peak_rss_mib(["sweep", "--config", desk], tmp_path / "sweep")
     calibrate = _peak_rss_mib(["calibrate", "--db", "2.2", "--config", desk],
                               tmp_path / "calibrate")
-    assert sweep - calibrate < 5.5, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
+    assert sweep - calibrate < 2.3, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
 
 
 # a warning would print a second stderr line outside pytest
@@ -806,6 +876,22 @@ def test_failure_while_rendering_leaves_no_output_directory(tmp_path, capsys, mo
     code = main(["sweep", "--config", str(_small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, "sweep")["message"] == "injected while rendering summary.json"
+    assert not out.exists()
+
+
+def test_non_positive_fit_pivot_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # the Gram of a design whose last two columns are equal: its last pivot is 0
+    inverse = estimate._spd_inverse
+
+    def singular(gram):
+        gram = [row[:-1] + row[-2:-1] for row in gram]
+        return inverse(gram[:-1] + gram[-2:-1])
+
+    monkeypatch.setattr(estimate, "_spd_inverse", singular)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(_small_config(tmp_path)), "--out", str(out)])
+    assert code == 2
+    assert "rank deficient" in _one_error_line(capsys, "sweep")["message"]
     assert not out.exists()
 
 

@@ -134,15 +134,16 @@ class TestConfigFile:
         path = tmp_path / "w.txt"
         np.savetxt(path, np.ones((4, 4)))
         cfg = RunConfig(grid_size=8, cell_size=1, weight_map=str(path))
-        cfg.validate()
         with pytest.raises(ConfigError, match="scene.weight_map"):
-            cfg.load_weight_map()
+            cfg.validate()
 
     def test_weight_map_loads(self, tmp_path):
         path = tmp_path / "w.txt"
         np.savetxt(path, np.full((8, 8), 2.0))
         cfg = RunConfig(grid_size=8, cell_size=1, weight_map=str(path))
-        assert cfg.load_weight_map().shape == (8, 8)
+        assert cfg.validate().weights.shape == (8, 8)
+        # parsed once: validate and the sweep share one array
+        assert cfg.weights is cfg.weights
 
     def test_resolve_r_from_db(self):
         assert RunConfig().resolve_r() == pytest.approx(R_REF, abs=1e-10)

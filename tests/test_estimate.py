@@ -1,10 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from noiseimaging.config import RunConfig
+from noiseimaging import cli
+from noiseimaging.config import RunConfig, load_config
 from noiseimaging.estimate import (
     EstimationError,
+    NoiseCurve,
     _angle_deltas,
+    _lstsq_with_cov,
     _ratio_of_means,
     alphabet_gun,
     angle_enhancement,
@@ -13,9 +19,9 @@ from noiseimaging.estimate import (
     fit_noise_curve,
     overlap_uncertainty,
 )
-from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, calibrate_r
+from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r
 from noiseimaging.scene import load_font
-from estimate_reference import reference_angle_deltas
+from estimate_reference import reference_angle_deltas, reference_fit
 
 ALPHA = np.pi / 8
 
@@ -87,6 +93,121 @@ class TestFitNoiseCurve:
         assert curve.slope(1.0) == pytest.approx(true_slope, abs=2 * 3 * curve.slope_sigma(1.0))
 
 
+U = np.finfo(float).eps / 2
+# the fit (normal equations) and its LAPACK reference each err by at most a
+# low-order polynomial in the column count times cond(X^T X) u (Higham 2002,
+# ch. 20); n^2 = 16 for the cubic's four columns bounds that polynomial
+FIT_TOL_FACTOR = 16
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg"
+
+
+def _fit_tol(design):
+    """Relative tolerance of a fit on a design: FIT_TOL_FACTOR cond(X^T X) u."""
+    design = np.asarray(design, dtype=float)
+    return FIT_TOL_FACTOR * np.linalg.cond(design.T @ design) * U
+
+
+def _assert_fit_matches_reference(points):
+    want = reference_fit(points)
+    got = fit_noise_curve(points)
+    norm = np.linalg.norm
+
+    lin_tol, lin = _fit_tol(want["linear_design"]), want["linear_coeffs"]
+    assert norm(np.subtract(got.linear_coeffs, lin)) <= lin_tol * norm(lin)
+    _, n_unity, sigma_unity = got.synthetic_point
+    assert n_unity == got.linear_coeffs[0] + got.linear_coeffs[1]
+    # sigma^2 = g^T cov g with g = (1, 1): off by at most |g|^2 |cov| lin_tol
+    d_var = abs(sigma_unity**2 - want["synthetic_point"][2]**2)
+    assert d_var <= 2 * lin_tol * norm(want["linear_cov"], 2)
+
+    # the cubic's own error, plus the error the synthetic point x1 carries
+    # in: its n moves the coefficients by G^-1 x1 d_n and each residual by at
+    # most d_n, and its variance moves the covariance by
+    # (G^-1 x1)(G^-1 x1)^T d_var
+    x, c = want["design"], want["coeffs"]
+    tol = _fit_tol(x)
+    d_n = abs(n_unity - want["synthetic_point"][1])
+    g1 = norm(np.linalg.solve(x.T @ x, x[-1]))
+    assert norm(got.coeffs - c) <= tol * norm(c) + g1 * d_n
+    assert norm(got.coeff_cov - want["cov"]) <= tol * norm(want["cov"]) + g1**2 * d_var
+    # a residual moves with X times the coefficients' error, and each one
+    # rounds relative to y and Xc
+    y = np.append([p["n"] for p in points], want["synthetic_point"][1])
+    rms_tol = tol * (norm(x, 2) * norm(c) + norm(y)) + d_n
+    assert abs(got.residual_rms - want["residual_rms"]) <= rms_tol / np.sqrt(len(x))
+
+
+class TestFitAgainstLapack:
+    @pytest.mark.parametrize("seed", [12345, 7, 99])
+    def test_desk_sweep_points(self, seed):
+        cfg = replace(load_config(DESK), seed=seed)
+        readings = cli._angle_readings(cfg, cfg.resolve_r())
+        for technique in TECHNIQUES:
+            _assert_fit_matches_reference(cli._measure_curve(cfg, readings, technique)[1])
+
+    def test_random_well_conditioned_designs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n_high = int(rng.integers(2, 7))
+            # at least two overlaps in (0.8, 1] for the linear stage
+            os = np.unique(np.concatenate([rng.uniform(0.0, 0.8, int(rng.integers(3, 11))),
+                                           1.0 - rng.uniform(0.0, 0.2, n_high)]))
+            coeffs = rng.uniform(-1.0, 1.0, 4)
+            sigmas = rng.uniform(1e-4, 1e-2, len(os))
+            ns = np.polynomial.polynomial.polyval(os, coeffs) + rng.normal(0.0, sigmas)
+            points = [point(o, n, s, 0.02) for o, n, s in zip(os.tolist(), ns.tolist(),
+                                                               sigmas.tolist())]
+            _assert_fit_matches_reference(points)
+
+    def test_rank_deficient_design_raises(self):
+        os = [0.1, 0.3, 0.5, 0.85, 0.95]
+        design = [(1.0, o, o) for o in os]
+        with pytest.raises(EstimationError, match="rank deficient"):
+            _lstsq_with_cov(design, [1.0 + o for o in os], [1e-3] * len(os))
+
+
+def _straight_curve(slope, slope_sigma):
+    """A NoiseCurve of constant slope whose slope sigma is slope_sigma everywhere."""
+    cov = np.zeros((4, 4))
+    cov[1, 1] = slope_sigma**2
+    return NoiseCurve(points=[], coeffs=np.array([1.0, slope, 0.0, 0.0]), coeff_cov=cov,
+                      linear_coeffs=(1.0, slope), synthetic_point=(1.0, 1.0 + slope, 0.0),
+                      residual_rms=0.0)
+
+
+class TestSlopeResolution:
+    def test_slope_below_the_significance_is_insensitive(self):
+        # 2.5 sigma: above the floor, resolved at 2 sigma, not at 3
+        curve = _straight_curve(0.025, 0.01)
+        assert curve.slope_sigma(0.95) == pytest.approx(0.01, rel=1e-12)
+        u = overlap_uncertainty(curve, 0.95, 0.02)
+        assert u["insensitive"]
+        assert u["delta_o_est"] == pytest.approx(0.02 / 1e-3)
+
+    def test_slope_above_the_significance_is_resolved(self):
+        u = overlap_uncertainty(_straight_curve(0.035, 0.01), 0.95, 0.02)
+        assert not u["insensitive"]
+        assert u["delta_o_est"] == pytest.approx(0.02 / 0.035)
+
+
+class TestSnlCrossing:
+    def test_lands_on_a_known_root(self):
+        # N(O) - 1 = (O - r)(s + q (O - r) + t (O - r)^2): slope s = 0.5 and
+        # curvature 2q = 2 at the root. Interpolating linearly across a grid
+        # cell of width h misses the root by at most h^2 max|N''| / (8 min|N'|)
+        # = h^2 / 2 here: 1.25e-7 on the 2001-point grid (h = 5e-4) and
+        # 1.25e-5 on a 201-point one, which this root, mid-cell there, nearly
+        # reaches. The bound allows twice the first.
+        r, s, q, t = 0.40237, 0.5, 1.0, 0.5
+        shifted = np.polynomial.polynomial.polymul([-r, 1.0], [s - q * r + t * r * r,
+                                                               q - 2 * t * r, t])
+        coeffs = shifted + np.array([1.0, 0.0, 0.0, 0.0])
+        curve = NoiseCurve(points=[], coeffs=coeffs, coeff_cov=np.zeros((4, 4)),
+                           linear_coeffs=(0.0, 0.0), synthetic_point=(1.0, 1.0, 0.0),
+                           residual_rms=0.0)
+        assert abs(curve.snl_crossing() - r) <= 2.5e-7
+
+
 class TestOverlapUncertainty:
     def curve(self):
         os = np.linspace(0.0, 1.0, 12)
@@ -122,6 +243,17 @@ class TestEnhancement:
         table = delta_o_table(curve)
         result = enhancement(table, table)
         assert result["factor"] == 1.0
+
+    def test_counts_insensitive_points_of_both_techniques(self):
+        def records(flags):
+            return [{"overlap": o, "delta_o_est": 0.01, "slope": 0.5, "insensitive": f}
+                    for o, f in zip((0.5, 0.9, 0.95, 1.0), flags)]
+
+        # the point below ENHANCEMENT_MIN_OVERLAP is not averaged, so not counted
+        result = enhancement(records([True, False, False, False]),
+                             records([True, False, True, False]))
+        assert result["n_points"] == 6
+        assert result["n_insensitive"] == 1
 
     def test_empty_subset_rejected(self):
         curve = fit_noise_curve(
