@@ -18,9 +18,9 @@ from pathlib import Path
 
 # numpy's bundled OpenBLAS starts a worker thread on load, which spins
 # waiting for work and so costs each short CLI process CPU time on a second
-# core. No call here gives it any: the largest is the <=16x4 least-squares
-# fit, far below OpenBLAS's threading threshold. Set before numpy loads; an
-# explicit thread setting, or a numpy loaded before this module, is left alone.
+# core. No command makes a BLAS call, so it never gets any. Set before numpy
+# loads; an explicit thread setting, or a numpy loaded before this module, is
+# left alone.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -35,6 +35,7 @@ from .estimate import (
     delta_o_table,
     enhancement,
     fit_noise_curve,
+    snl_crossing,
 )
 from .noise import (
     NoiseModelError,
@@ -152,7 +153,8 @@ def _out_dir(cfg):
 # sweep
 
 def _measure_curve(cfg, readings, technique):
-    """Rows and fit points of one technique from (angle, overlap, n_true) readings."""
+    """Rows and fit points of one technique from (angle, overlap, n_true)
+    readings: the rows in reading order, the points in increasing overlap."""
     rows, points = [], []
     for k, (angle, overlap, n_true) in enumerate(readings):
         seed = derive_seed(cfg.seed, "sweep", technique, k)
@@ -164,7 +166,7 @@ def _measure_curve(cfg, readings, technique):
             rows.append({"angle_deg": angle, "overlap": overlap, "technique": technique,
                          "series": s, "noise_snl": n, "noise_db": 10.0 * np.log10(n),
                          "delta_noise_snl": delta})
-    return rows, points
+    return rows, sorted(points, key=lambda p: p["overlap"])
 
 
 def _angle_readings(cfg, r):
@@ -207,12 +209,12 @@ def cmd_sweep(cfg):
     except EstimationError as exc:
         raise ConfigError("acquisition.angles_deg", str(exc)) from None
 
-    all_rows, curves = [], {}
+    all_rows, points, fits, tables = [], {}, {}, {}
     for technique in TECHNIQUES:
-        rows, points = _measure_curve(cfg, readings, technique)
+        rows, points[technique] = _measure_curve(cfg, readings, technique)
         all_rows.extend(rows)
-        curves[technique] = fit_noise_curve(points)
-    tables = {technique: delta_o_table(curve) for technique, curve in curves.items()}
+        fits[technique], cov = fit_noise_curve(points[technique])
+        tables[technique] = delta_o_table(points[technique], fits[technique], cov)
     enh = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
     angles = np.array([a for a, _, _ in readings])
@@ -225,14 +227,13 @@ def cmd_sweep(cfg):
     except EstimationError as exc:
         angle_payload = {"error": str(exc)}
 
-    fits = {technique: _curve_payload(curve) for technique, curve in curves.items()}
     summary = {
         "config": cfg.as_dict(r),
         "enhancement": enh,
         "angle_enhancement": angle_payload,
-        "snl_crossing_overlap": curves[TECH_QUANTUM].snl_crossing(),
-        "techniques": {technique: {"points": curve.points, "delta_o": tables[technique]}
-                       for technique, curve in curves.items()},
+        "snl_crossing_overlap": snl_crossing(fits[TECH_QUANTUM]),
+        "techniques": {technique: {"points": points[technique], "delta_o": tables[technique]}
+                       for technique in TECHNIQUES},
     }
     text = ("sweep: %d angles x %d series x %d techniques -> %s\n"
             "enhancement (O >= %.2g): %.3f +/- %.3f"
@@ -243,27 +244,13 @@ def cmd_sweep(cfg):
                   ("summary.json", _json_text(summary))]
 
 
-def _curve_payload(curve):
-    return {
-        "cubic_coeffs": [float(c) for c in curve.coeffs],
-        "coeff_sigmas": [float(np.sqrt(max(v, 0.0))) for v in np.diag(curve.coeff_cov)],
-        "linear_stage": {"intercept": curve.linear_coeffs[0],
-                         "slope": curve.linear_coeffs[1]},
-        "synthetic_point": {"overlap": curve.synthetic_point[0],
-                            "n": curve.synthetic_point[1],
-                            "sigma": curve.synthetic_point[2]},
-        "residual_rms": curve.residual_rms,
-        "n_points": len(curve.points),
-    }
-
-
 # ---------------------------------------------------------------------------
 # alphabet
 
 def cmd_alphabet(cfg, mask):
     mask_letter = scene.font_letter(mask)
     r = cfg.resolve_r()
-    glyphs = scene.load_font(cfg.font_dir or None)
+    glyphs = cfg.glyphs
     records, rankings = estimate.alphabet_gun(glyphs, glyphs[mask_letter], r, cfg)
     payload = {
         "config": cfg.as_dict(r),

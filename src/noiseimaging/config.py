@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import scene
 from .noise import R_MAX, NoiseModelError, calibrate_r
 from .scene import SceneError, check_weight_map
 from .traces import TraceError, check_acquisition
@@ -105,10 +106,15 @@ class RunConfig:
             raise ConfigError("scene.bowtie_half_angle_deg", "must lie in (0, 90)")
         if not 0.0 < self.bowtie_radius_frac <= 1.0:
             raise ConfigError("scene.bowtie_radius_frac", "must lie in (0, 1]")
-        if self.font_dir and not Path(self.font_dir).is_dir():
-            raise ConfigError("scene.font_dir", "directory %r not found" % self.font_dir)
-        # parsed and shape-checked for every command, not only the sweep that
-        # reads it, and kept for that sweep
+        # a set font and weight map are read and checked for every command,
+        # not only the one that uses them, and kept for that command
+        if self.font_dir:
+            if not Path(self.font_dir).is_dir():
+                raise ConfigError("scene.font_dir", "directory %r not found" % self.font_dir)
+            try:
+                _ = self.glyphs
+            except SceneError as exc:
+                raise ConfigError("scene.font_dir", str(exc)) from None
         _ = self.weights
         try:
             row = check_acquisition(self)
@@ -150,6 +156,12 @@ class RunConfig:
 
     def bowtie_radius(self):
         return self.bowtie_radius_frac * self.grid_size / 2.0
+
+    @cached_property
+    def glyphs(self):
+        """The A-Z font, {letter: read-only bool array}, from font_dir when
+        set, else the bundled one; the files are read once per config."""
+        return scene.load_font(self.font_dir or None)
 
     @cached_property
     def weights(self):

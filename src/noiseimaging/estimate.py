@@ -10,12 +10,11 @@ diverging.
 
 Results come back in the form their artifact holds them: curve points,
 overlap uncertainties and the enhancement as the dicts summary.json writes,
-each alphabet record as an alphabet.csv row keyed by column name, and each
-technique's ranking as its ranking.json dict.  Only the fitted curve is an
-object (NoiseCurve), for the slope and SNL crossing it evaluates.
+each fitted curve as its fits.json record, each alphabet record as an
+alphabet.csv row keyed by column name, and each technique's ranking as its
+ranking.json dict.
 """
 
-from dataclasses import dataclass
 from math import fsum, sqrt
 
 import numpy as np
@@ -41,36 +40,6 @@ FLOOR_REASON = "below electronic noise floor"
 
 class EstimationError(ValueError):
     """Raised for degenerate fits or empty estimation subsets."""
-
-
-@dataclass(frozen=True)
-class NoiseCurve:
-    points: list
-    coeffs: np.ndarray
-    coeff_cov: np.ndarray
-    linear_coeffs: tuple
-    synthetic_point: tuple
-    residual_rms: float
-
-    def slope(self, o):
-        c = self.coeffs
-        return float(c[1] + 2.0 * c[2] * o + 3.0 * c[3] * o * o)
-
-    def slope_sigma(self, o):
-        return _sigma((0.0, 1.0, 2.0 * o, 3.0 * o * o), self.coeff_cov)
-
-    def snl_crossing(self):
-        """Overlap where the fitted curve crosses the SNL (first crossing on [0, 1])."""
-        os = np.linspace(0.0, 1.0, 2001)
-        c = self.coeffs
-        vals = c[0] + os * (c[1] + os * (c[2] + os * c[3])) - 1.0
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        if len(sign_change) == 0:
-            return None
-        k = sign_change[0]
-        o0, o1 = os[k], os[k + 1]
-        v0, v1 = vals[k], vals[k + 1]
-        return float(o0 - v0 * (o1 - o0) / (v1 - v0))
 
 
 def _lstsq_with_cov(design, y, sigmas):
@@ -142,19 +111,20 @@ def fit_noise_curve(points):
     Each point is a dict {"overlap", "n", "sigma_n", "delta_n"}: the mean
     noise over a repeated series, its standard error, and the typical
     single-measurement standard deviation (the "noise on the noise" entering
-    the sensitivity figure of merit).
+    the sensitivity figure of merit); the points come in strictly increasing
+    overlap.  Returns (fit, cov): the curve's fits.json record, and the
+    cubic's 4x4 coefficient covariance as nested lists.
     """
-    pts = sorted(points, key=lambda p: p["overlap"])
-    if len(pts) < CURVE_MIN_POINTS:
+    if len(points) < CURVE_MIN_POINTS:
         raise EstimationError("need at least %d overlap points, got %d"
-                              % (CURVE_MIN_POINTS, len(pts)))
-    o = [p["overlap"] for p in pts]
+                              % (CURVE_MIN_POINTS, len(points)))
+    o = [p["overlap"] for p in points]
     if any(b <= a for a, b in zip(o, o[1:])):
         raise EstimationError("overlap values must be strictly increasing")
     if any(v < 0 or v > 1 for v in o):
         raise EstimationError("overlap values must lie in [0, 1]")
-    y = [p["n"] for p in pts]
-    sig = [p["sigma_n"] for p in pts]
+    y = [p["n"] for p in points]
+    sig = [p["sigma_n"] for p in points]
 
     high = [k for k, keep in enumerate(linear_stage(o)) if keep]
     lin, lin_cov = _lstsq_with_cov([(1.0, o[k]) for k in high], [y[k] for k in high],
@@ -167,34 +137,53 @@ def fit_noise_curve(points):
     design = [(1.0, v, v * v, v * v * v) for v in o + [1.0]]
     coeffs, cov = _lstsq_with_cov(design, y, sig)
     residuals = [v - fsum(x * c for x, c in zip(row, coeffs)) for row, v in zip(design, y)]
-    return NoiseCurve(
-        points=pts,
-        coeffs=np.array(coeffs),
-        coeff_cov=np.array(cov),
-        linear_coeffs=tuple(lin),
-        synthetic_point=(1.0, n_at_unity, sigma_unity),
-        residual_rms=sqrt(fsum(v * v for v in residuals) / len(residuals)),
-    )
+    fit = {
+        "cubic_coeffs": coeffs,
+        "coeff_sigmas": [sqrt(max(row[i], 0.0)) for i, row in enumerate(cov)],
+        "linear_stage": {"intercept": lin[0], "slope": lin[1]},
+        "synthetic_point": {"overlap": 1.0, "n": n_at_unity, "sigma": sigma_unity},
+        "residual_rms": sqrt(fsum(v * v for v in residuals) / len(residuals)),
+        "n_points": len(points),
+    }
+    return fit, cov
 
 
-def overlap_uncertainty(curve, o, delta_n):
-    """Sensitivity delta_n / |dN/dO| at one overlap, with its slope context,
+def snl_crossing(fit):
+    """Overlap where a fitted curve crosses the SNL (first crossing on [0, 1]),
+    None when it does not."""
+    os = np.linspace(0.0, 1.0, 2001)
+    c = fit["cubic_coeffs"]
+    vals = c[0] + os * (c[1] + os * (c[2] + os * c[3])) - 1.0
+    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if len(sign_change) == 0:
+        return None
+    k = sign_change[0]
+    o0, o1 = os[k], os[k + 1]
+    v0, v1 = vals[k], vals[k + 1]
+    return float(o0 - v0 * (o1 - o0) / (v1 - v0))
+
+
+def overlap_uncertainty(fit, cov, o, delta_n):
+    """Sensitivity delta_n / |dN/dO| at one overlap of a fitted curve (its
+    fits.json record and coefficient covariance), with its slope context,
     as the dict {"overlap", "delta_o_est", "slope", "insensitive"}.
 
     When the fitted slope is below the floor or not statistically resolved,
     the point is flagged insensitive and the figure is evaluated at the
     slope floor so downstream ratios stay finite and comparable.
     """
-    slope = curve.slope(o)
-    resolved = abs(slope) >= max(SLOPE_FLOOR, SLOPE_SIGNIFICANCE * curve.slope_sigma(o))
+    c = fit["cubic_coeffs"]
+    slope = float(c[1] + 2.0 * c[2] * o + 3.0 * c[3] * o * o)
+    slope_sigma = _sigma((0.0, 1.0, 2.0 * o, 3.0 * o * o), cov)
+    resolved = abs(slope) >= max(SLOPE_FLOOR, SLOPE_SIGNIFICANCE * slope_sigma)
     effective = abs(slope) if resolved else SLOPE_FLOOR
     return {"overlap": float(o), "delta_o_est": float(delta_n) / effective,
             "slope": slope, "insensitive": not resolved}
 
 
-def delta_o_table(curve):
-    """Overlap-uncertainty dicts at every measured point of a curve."""
-    return [overlap_uncertainty(curve, p["overlap"], p["delta_n"]) for p in curve.points]
+def delta_o_table(points, fit, cov):
+    """Overlap-uncertainty dicts at every point a curve was fitted to."""
+    return [overlap_uncertainty(fit, cov, p["overlap"], p["delta_n"]) for p in points]
 
 
 def _ratio(num, sigma_num, den, sigma_den):

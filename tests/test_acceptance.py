@@ -296,8 +296,8 @@ def _pipeline_enhancement(r, source, angles_overlaps, acq, n_series, master, tag
             )
             n, sem, delta = summarize_series(ns, deltas, acq)
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
-        curve = fit_noise_curve(pts)
-        tables[technique] = delta_o_table(curve)
+        pts.sort(key=lambda p: p["overlap"])
+        tables[technique] = delta_o_table(pts, *fit_noise_curve(pts))
     return enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
 
@@ -344,8 +344,8 @@ def test_criterion_8_null_case():
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
-        curve = fit_noise_curve(pts)
-        tables[technique] = delta_o_table(curve)
+        pts.sort(key=lambda p: p["overlap"])
+        tables[technique] = delta_o_table(pts, *fit_noise_curve(pts))
 
     result = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
     if abs(result["factor"] - 1.0) > 0.1:

@@ -104,7 +104,6 @@ _CPU_PATH_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
 from noiseimaging import scene
-from noiseimaging.cli import _curve_payload
 from noiseimaging.config import RunConfig, load_config
 from noiseimaging.estimate import fit_noise_curve
 from noiseimaging.traces import _series_points, derive_seed
@@ -120,7 +119,7 @@ for angle in (0.0,) + desk.angles_deg:
                                 desk.bowtie_radius(), desk.grid_size, desk.grid_size))
 fit_points = [{"overlap": k / 15, "n": 1.0 + 0.3 * k / 15 + ((7 * k) % 11 - 5) * 1e-3,
                "sigma_n": 1e-3 * (1 + k % 3), "delta_n": 0.02} for k in range(16)]
-fit = json.dumps(_curve_payload(fit_noise_curve(fit_points)), sort_keys=True)
+fit = json.dumps(fit_noise_curve(fit_points)[0], sort_keys=True)
 print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest(),
                   "fit": hashlib.sha256(fit.encode()).hexdigest()}))
 """
@@ -448,6 +447,22 @@ def test_unusable_weight_map_fails_every_command(args, contents, tmp_path, capsy
     code = main(args + ["--config", str(cfgfile), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, args[0])["field"] == "scene.weight_map"
+    assert not out.exists()
+
+
+# a set font is read and checked for every command, like a weight map: a
+# directory that holds no font fails each one before any artifact is written
+@pytest.mark.parametrize("args", [["alphabet", "--mask", "Z"], ["calibrate", "--db", "2.2"]],
+                         ids=["alphabet", "calibrate"])
+def test_font_dir_without_a_font_fails_every_command(args, tmp_path, capsys):
+    font = tmp_path / "emptyfont"
+    font.mkdir()
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(font_dir=str(font)), cfgfile)
+    out = tmp_path / "out"
+    code = main(args + ["--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys, args[0])["field"] == "scene.font_dir"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,6 @@ from noiseimaging import cli
 from noiseimaging.config import RunConfig, load_config
 from noiseimaging.estimate import (
     EstimationError,
-    NoiseCurve,
     _angle_deltas,
     _lstsq_with_cov,
     _ratio_of_means,
@@ -18,6 +18,8 @@ from noiseimaging.estimate import (
     enhancement,
     fit_noise_curve,
     overlap_uncertainty,
+    snl_crossing,
+    summarize_series,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r
 from noiseimaging.scene import load_font
@@ -34,6 +36,17 @@ def make_points(os, ns, sigma=1e-3, delta=0.02):
     return [point(o, n, sigma, delta) for o, n in zip(os, ns)]
 
 
+def table(points):
+    """The overlap-uncertainty table of the curve fitted to points."""
+    return delta_o_table(points, *fit_noise_curve(points))
+
+
+def slope_sigma(cov, o):
+    """Standard error of a fitted cubic's slope at overlap o."""
+    grad = np.array([0.0, 1.0, 2.0 * o, 3.0 * o * o])
+    return float(np.sqrt(grad @ np.array(cov) @ grad))
+
+
 def alphabet_profile(**acquisition):
     """(r, config) of the recognition-contrast calibration: deep pair squeezing
     with lossy arms, detected baseline still at -2.2 dB, and the given
@@ -48,19 +61,21 @@ class TestFitNoiseCurve:
     def test_exact_line_reproduced(self):
         os = np.linspace(0.05, 1.0, 12)
         pts = make_points(os, 1.0 + 0.13 * os)
-        curve = fit_noise_curve(pts)
-        assert abs(curve.coeffs[2]) < 1e-9
-        assert abs(curve.coeffs[3]) < 1e-9
-        assert curve.coeffs[1] == pytest.approx(0.13, abs=1e-9)
-        assert curve.residual_rms < 1e-9
+        fit, _ = fit_noise_curve(pts)
+        coeffs = fit["cubic_coeffs"]
+        assert abs(coeffs[2]) < 1e-9
+        assert abs(coeffs[3]) < 1e-9
+        assert coeffs[1] == pytest.approx(0.13, abs=1e-9)
+        assert fit["residual_rms"] < 1e-9
 
     def test_synthetic_point_is_linear_stage_at_unity(self):
         rng = np.random.default_rng(0)
         os = np.linspace(0.1, 0.99, 10)
         ns = 1.0 + 0.2 * os + rng.normal(0, 0.002, size=10)
-        curve = fit_noise_curve(make_points(os, ns))
-        intercept, slope = curve.linear_coeffs
-        assert curve.synthetic_point[1] == pytest.approx(intercept + slope, abs=1e-12)
+        fit, _ = fit_noise_curve(make_points(os, ns))
+        lin = fit["linear_stage"]
+        assert fit["synthetic_point"]["n"] == pytest.approx(lin["intercept"] + lin["slope"],
+                                                            abs=1e-12)
 
     def test_requires_five_points(self):
         with pytest.raises(EstimationError):
@@ -74,11 +89,14 @@ class TestFitNoiseCurve:
         with pytest.raises(EstimationError):
             fit_noise_curve(make_points([0.1, 0.5, 0.85, 0.85, 0.95], [1] * 5))
 
+    def test_rejects_unsorted_overlaps(self):
+        with pytest.raises(EstimationError, match="strictly increasing"):
+            fit_noise_curve(make_points([0.1, 0.5, 0.95, 0.85, 0.9], [1] * 5))
+
     def test_recovers_simulated_classical_slope(self):
         # full pipeline points at the desk-scale calibration
         from noiseimaging.noise import classical_noise
         from noiseimaging.traces import derive_seed, measure_series
-        from noiseimaging.estimate import summarize_series
 
         r = 0.2532843602293450
         cfg = RunConfig()
@@ -88,9 +106,10 @@ class TestFitNoiseCurve:
             ns, deltas = measure_series(n_true, cfg, 10, derive_seed(5, "slope", k))
             n, sem, delta = summarize_series(ns, deltas, cfg)
             pts.append(point(float(o), n, sem, delta))
-        curve = fit_noise_curve(pts)
+        fit, cov = fit_noise_curve(pts)
         true_slope = np.cosh(2 * r) - 1
-        assert curve.slope(1.0) == pytest.approx(true_slope, abs=2 * 3 * curve.slope_sigma(1.0))
+        slope = overlap_uncertainty(fit, cov, 1.0, 0.02)["slope"]
+        assert slope == pytest.approx(true_slope, abs=2 * 3 * slope_sigma(cov, 1.0))
 
 
 U = np.finfo(float).eps / 2
@@ -109,13 +128,14 @@ def _fit_tol(design):
 
 def _assert_fit_matches_reference(points):
     want = reference_fit(points)
-    got = fit_noise_curve(points)
+    got, cov = fit_noise_curve(points)
     norm = np.linalg.norm
 
     lin_tol, lin = _fit_tol(want["linear_design"]), want["linear_coeffs"]
-    assert norm(np.subtract(got.linear_coeffs, lin)) <= lin_tol * norm(lin)
-    _, n_unity, sigma_unity = got.synthetic_point
-    assert n_unity == got.linear_coeffs[0] + got.linear_coeffs[1]
+    got_lin = (got["linear_stage"]["intercept"], got["linear_stage"]["slope"])
+    assert norm(np.subtract(got_lin, lin)) <= lin_tol * norm(lin)
+    n_unity, sigma_unity = got["synthetic_point"]["n"], got["synthetic_point"]["sigma"]
+    assert n_unity == got_lin[0] + got_lin[1]
     # sigma^2 = g^T cov g with g = (1, 1): off by at most |g|^2 |cov| lin_tol
     d_var = abs(sigma_unity**2 - want["synthetic_point"][2]**2)
     assert d_var <= 2 * lin_tol * norm(want["linear_cov"], 2)
@@ -128,13 +148,13 @@ def _assert_fit_matches_reference(points):
     tol = _fit_tol(x)
     d_n = abs(n_unity - want["synthetic_point"][1])
     g1 = norm(np.linalg.solve(x.T @ x, x[-1]))
-    assert norm(got.coeffs - c) <= tol * norm(c) + g1 * d_n
-    assert norm(got.coeff_cov - want["cov"]) <= tol * norm(want["cov"]) + g1**2 * d_var
+    assert norm(np.subtract(got["cubic_coeffs"], c)) <= tol * norm(c) + g1 * d_n
+    assert norm(np.subtract(cov, want["cov"])) <= tol * norm(want["cov"]) + g1**2 * d_var
     # a residual moves with X times the coefficients' error, and each one
     # rounds relative to y and Xc
     y = np.append([p["n"] for p in points], want["synthetic_point"][1])
     rms_tol = tol * (norm(x, 2) * norm(c) + norm(y)) + d_n
-    assert abs(got.residual_rms - want["residual_rms"]) <= rms_tol / np.sqrt(len(x))
+    assert abs(got["residual_rms"] - want["residual_rms"]) <= rms_tol / np.sqrt(len(x))
 
 
 class TestFitAgainstLapack:
@@ -166,26 +186,46 @@ class TestFitAgainstLapack:
             _lstsq_with_cov(design, [1.0 + o for o in os], [1e-3] * len(os))
 
 
-def _straight_curve(slope, slope_sigma):
-    """A NoiseCurve of constant slope whose slope sigma is slope_sigma everywhere."""
-    cov = np.zeros((4, 4))
-    cov[1, 1] = slope_sigma**2
-    return NoiseCurve(points=[], coeffs=np.array([1.0, slope, 0.0, 0.0]), coeff_cov=cov,
-                      linear_coeffs=(1.0, slope), synthetic_point=(1.0, 1.0 + slope, 0.0),
-                      residual_rms=0.0)
+class TestStandardErrors:
+    def test_series_sem_divides_by_segments_times_series(self):
+        # 460 points in segments of 10: 46 near-independent segment means per
+        # trace, and 4 traces, so the series mean's error is the mean delta_n
+        # over sqrt(46 * 4)
+        ns = np.array([1.0, 1.2, 0.9, 1.1])
+        deltas = np.array([0.02, 0.03, 0.025, 0.035])
+        cfg = RunConfig(points_per_trace=460, segment_length=10)
+        n_mean, sem, delta_mean = summarize_series(ns, deltas, cfg)
+        assert n_mean == pytest.approx(1.05, rel=1e-15)
+        assert delta_mean == pytest.approx(0.0275, rel=1e-15)
+        assert sem == pytest.approx(0.0275 / math.sqrt(46 * 4), rel=1e-15)
+
+    def test_ratio_of_means_uses_the_sample_standard_deviation(self):
+        # means 2 and 1; sample (ddof=1) standard deviations 1 and 0.5, so
+        # standard errors 1/sqrt(3) and 0.5/sqrt(3), relative errors of
+        # 1/sqrt(12) each, and a ratio error of 2 sqrt(2/12) = 2/sqrt(6)
+        factor, sigma = _ratio_of_means(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.5]))
+        assert factor == 2.0
+        assert sigma == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-12)
+
+
+def _straight_curve(slope, sigma):
+    """(fit, cov) of a curve of constant slope whose slope sigma is sigma everywhere."""
+    cov = [[0.0] * 4 for _ in range(4)]
+    cov[1][1] = sigma**2
+    return {"cubic_coeffs": [1.0, slope, 0.0, 0.0]}, cov
 
 
 class TestSlopeResolution:
     def test_slope_below_the_significance_is_insensitive(self):
         # 2.5 sigma: above the floor, resolved at 2 sigma, not at 3
         curve = _straight_curve(0.025, 0.01)
-        assert curve.slope_sigma(0.95) == pytest.approx(0.01, rel=1e-12)
-        u = overlap_uncertainty(curve, 0.95, 0.02)
+        assert slope_sigma(curve[1], 0.95) == pytest.approx(0.01, rel=1e-12)
+        u = overlap_uncertainty(*curve, 0.95, 0.02)
         assert u["insensitive"]
         assert u["delta_o_est"] == pytest.approx(0.02 / 1e-3)
 
     def test_slope_above_the_significance_is_resolved(self):
-        u = overlap_uncertainty(_straight_curve(0.035, 0.01), 0.95, 0.02)
+        u = overlap_uncertainty(*_straight_curve(0.035, 0.01), 0.95, 0.02)
         assert not u["insensitive"]
         assert u["delta_o_est"] == pytest.approx(0.02 / 0.035)
 
@@ -202,10 +242,7 @@ class TestSnlCrossing:
         shifted = np.polynomial.polynomial.polymul([-r, 1.0], [s - q * r + t * r * r,
                                                                q - 2 * t * r, t])
         coeffs = shifted + np.array([1.0, 0.0, 0.0, 0.0])
-        curve = NoiseCurve(points=[], coeffs=coeffs, coeff_cov=np.zeros((4, 4)),
-                           linear_coeffs=(0.0, 0.0), synthetic_point=(1.0, 1.0, 0.0),
-                           residual_rms=0.0)
-        assert abs(curve.snl_crossing() - r) <= 2.5e-7
+        assert abs(snl_crossing({"cubic_coeffs": coeffs.tolist()}) - r) <= 2.5e-7
 
 
 class TestOverlapUncertainty:
@@ -215,15 +252,15 @@ class TestOverlapUncertainty:
 
     def test_linear_in_delta_n(self):
         curve = self.curve()
-        a = overlap_uncertainty(curve, 0.9, 0.02)
-        b = overlap_uncertainty(curve, 0.9, 0.04)
+        a = overlap_uncertainty(*curve, 0.9, 0.02)
+        b = overlap_uncertainty(*curve, 0.9, 0.04)
         assert b["delta_o_est"] == pytest.approx(2 * a["delta_o_est"], rel=1e-12)
         assert not a["insensitive"]
 
     def test_flat_curve_flagged_insensitive(self):
         os = np.linspace(0.0, 1.0, 12)
         curve = fit_noise_curve(make_points(os, np.ones(12), sigma=1e-6))
-        u = overlap_uncertainty(curve, 0.95, 0.02)
+        u = overlap_uncertainty(*curve, 0.95, 0.02)
         assert u["insensitive"]
         # evaluated at the slope floor instead of diverging
         assert u["delta_o_est"] == pytest.approx(0.02 / 1e-3)
@@ -233,15 +270,14 @@ class TestOverlapUncertainty:
         os = np.linspace(0.0, 1.0, 16)
         ns = 1.0 + rng.normal(0, 0.002, size=16)
         curve = fit_noise_curve(make_points(os, ns, sigma=0.002))
-        flags = [overlap_uncertainty(curve, o, 0.02)["insensitive"] for o in (0.9, 0.95, 1.0)]
+        flags = [overlap_uncertainty(*curve, o, 0.02)["insensitive"] for o in (0.9, 0.95, 1.0)]
         assert all(flags)
 
 
 class TestEnhancement:
     def test_identical_inputs_give_unity(self):
-        curve = fit_noise_curve(make_points(np.linspace(0, 1, 12), 1 + 0.3 * np.linspace(0, 1, 12)))
-        table = delta_o_table(curve)
-        result = enhancement(table, table)
+        t = table(make_points(np.linspace(0, 1, 12), 1 + 0.3 * np.linspace(0, 1, 12)))
+        result = enhancement(t, t)
         assert result["factor"] == 1.0
 
     def test_counts_insensitive_points_of_both_techniques(self):
@@ -256,12 +292,11 @@ class TestEnhancement:
         assert result["n_insensitive"] == 1
 
     def test_empty_subset_rejected(self):
-        curve = fit_noise_curve(
+        t = table(
             make_points([0.1, 0.2, 0.3, 0.82, 0.85], 1 + 0.3 * np.array([0.1, 0.2, 0.3, 0.82, 0.85]))
         )
-        table = delta_o_table(curve)
         with pytest.raises(EstimationError):
-            enhancement(table, table)
+            enhancement(t, t)
 
     def test_analytic_ratio_for_clean_curves(self):
         # binary-cell desk calibration: the O >= 0.9 enhancement approaches
@@ -274,8 +309,7 @@ class TestEnhancement:
         qu = make_points(os, c2 - (c2 - e) * os, sigma=1e-9)
         cl = [dict(p, delta_n=kappa * p["n"]) for p in cl]
         qu = [dict(p, delta_n=kappa * p["n"]) for p in qu]
-        result = enhancement(delta_o_table(fit_noise_curve(cl)),
-                             delta_o_table(fit_noise_curve(qu)))
+        result = enhancement(table(cl), table(qu))
         obar = os[os >= 0.9].mean()
         nc, nq = 1 + (c - 1) * obar, c2 - (c2 - e) * obar
         expected = (nc / (c - 1)) / (nq / (c2 - e))
@@ -296,7 +330,7 @@ class TestEnhancement:
             curve = fit_noise_curve(pts)
             for o in (0.3, 0.6, 0.9):
                 slope_true = coeffs[1] + 2 * coeffs[2] * o + 3 * coeffs[3] * o**2
-                u = overlap_uncertainty(curve, o, 0.04)
+                u = overlap_uncertainty(*curve, o, 0.04)
                 errs.append(u["delta_o_est"] / (0.04 / abs(slope_true)) - 1.0)
         assert abs(np.mean(errs)) < 0.1
 
@@ -304,14 +338,11 @@ class TestEnhancement:
         os = np.linspace(0.0, 1.0, 10)
         kappa = 0.02
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
-        cl = fit_noise_curve(
-            [point(float(o), float(v), 1e-6, kappa * float(v))
-             for o, v in zip(os, nc)])
-        qu = fit_noise_curve(
-            [point(float(o), float(v), 1e-6, kappa * float(v))
-             for o, v in zip(os, nq)])
+        tc = table([point(float(o), float(v), 1e-6, kappa * float(v))
+                    for o, v in zip(os, nc)])
+        tq = table([point(float(o), float(v), 1e-6, kappa * float(v))
+                    for o, v in zip(os, nq)])
         angles = np.linspace(0, 2 * ALPHA, 9)
-        tc, tq = delta_o_table(cl), delta_o_table(qu)
         assert len(tc) == len(tq) == 10
         assert enhancement(tc, tq)["factor"] == pytest.approx(
             angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0], rel=1e-9)
@@ -327,23 +358,20 @@ class TestEnhancement:
                   for o in os]
             qu = [point(float(o), c2 - (c2 - e) * o, 1e-9, kappa * (c2 - (c2 - e) * o))
                   for o in os]
-            result = enhancement(delta_o_table(fit_noise_curve(cl)),
-                                 delta_o_table(fit_noise_curve(qu)))
+            result = enhancement(table(cl), table(qu))
             assert result["factor"] > 1.0
 
     def test_common_gain_leaves_enhancement_unchanged(self):
         os = np.linspace(0.0, 1.0, 10)
         cl = make_points(os, 1 + 0.2 * os, delta=0.02)
         qu = make_points(os, 1.2 - 0.5 * os, delta=0.015)
-        base = enhancement(delta_o_table(fit_noise_curve(cl)),
-                           delta_o_table(fit_noise_curve(qu)))["factor"]
+        base = enhancement(table(cl), table(qu))["factor"]
         gain = 3.7
         cl2 = [point(p["overlap"], gain * p["n"], gain * p["sigma_n"], gain * p["delta_n"])
                for p in cl]
         qu2 = [point(p["overlap"], gain * p["n"], gain * p["sigma_n"], gain * p["delta_n"])
                for p in qu]
-        scaled = enhancement(delta_o_table(fit_noise_curve(cl2)),
-                             delta_o_table(fit_noise_curve(qu2)))["factor"]
+        scaled = enhancement(table(cl2), table(qu2))["factor"]
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -356,8 +384,7 @@ class TestAngleCalibration:
         nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
         cl = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nc)]
         qu = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nq)]
-        tc = delta_o_table(fit_noise_curve(cl))
-        tq = delta_o_table(fit_noise_curve(qu))
+        tc, tq = table(cl), table(qu)
         overlap_factor = enhancement(tc, tq)["factor"]
         angle_factor = angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0]
         assert angle_factor == pytest.approx(overlap_factor, rel=1e-9)
@@ -439,8 +466,7 @@ class TestAngleCalibration:
               for o, v in zip(pts_o, nc)]
         qu = [point(float(o), float(v), 1e-6, kappa * float(v))
               for o, v in zip(pts_o, nq)]
-        tc = delta_o_table(fit_noise_curve(cl))
-        tq = delta_o_table(fit_noise_curve(qu))
+        tc, tq = table(cl), table(qu)
         return enhancement(tc, tq)["factor"], angle_enhancement(angles, os, tc, tq)[0]
 
     def test_nonuniform_beam_changes_angle_factor(self):
@@ -477,20 +503,21 @@ def _assert_json_ready(value, path="result"):
 def test_results_are_json_ready():
     # the CLI writes these as they are; a numpy scalar would fail json.dumps
     from noiseimaging.traces import derive_seed, measure_series
-    from noiseimaging.estimate import summarize_series
 
     r, cfg = alphabet_profile(samples_per_point=100, cell_size=8, n_series=2, seed=6)
-    curves = []
+    points, fits, tables = [], [], []
     for technique, slope in ((TECH_CLASSICAL, 0.2), (TECH_QUANTUM, -0.5)):
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 8).tolist()):
             ns, deltas = measure_series(1.2 + slope * o, cfg, 2, derive_seed(6, technique, k))
             pts.append(point(o, *summarize_series(ns, deltas, cfg)))
-        curves.append(fit_noise_curve(pts))
-    tables = [delta_o_table(curve) for curve in curves]
+        fit, cov = fit_noise_curve(pts)
+        points.append(pts)
+        fits.append(fit)
+        tables.append(delta_o_table(pts, fit, cov))
     font = load_font()
     records, rankings = alphabet_gun(font, font["Z"], r, cfg)
-    for name, result in [("points", [curve.points for curve in curves]),
+    for name, result in [("points", points), ("fits", fits),
                          ("delta_o_table", tables),
                          ("enhancement", enhancement(*tables)),
                          ("records", records), ("rankings", rankings)]:

@@ -138,8 +138,8 @@ def test_the_walk_sees_the_package():
              for module, tree in _runtime_modules().items()
              for qualname, _, _ in _public_definitions(tree)}
     # a function, a class and a method of each kind the walk must reach
-    assert {"traces.measure_series", "estimate.NoiseCurve",
-            "estimate.NoiseCurve.slope", "cli.main"} <= names
+    assert {"traces.measure_series", "config.RunConfig",
+            "config.RunConfig.validate", "cli.main"} <= names
     # a keyword default, and the entry point's, which no runtime call passes
     labels = {"%s.%s(%s)" % (*key, name)
               for key, _, name, _ in _defaulted_parameters(_runtime_modules())}

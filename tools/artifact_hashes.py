@@ -12,7 +12,8 @@ on where it lives.  Takes no flags:
     python3 tools/artifact_hashes.py
 
 Run it on two checkouts and compare the tables to see which bytes a change
-moved.
+moved.  `tests/artifact_hashes.md` pins the rows that hold on every CPU
+path, and `tests/test_artifact_bytes.py` reruns `table_rows` against it.
 """
 
 import hashlib
@@ -50,17 +51,25 @@ def _run(workdir, config, seed, command):
     return proc.returncode, hashes
 
 
-def main():
-    print("| config | seed | command | exit | file | sha256 |")
-    print("|---|---|---|---|---|---|")
+HEADER = ("| config | seed | command | exit | file | sha256 |", "|---|---|---|---|---|---|")
+
+
+def table_rows():
+    """The table's rows, one markdown line each, in run order."""
+    rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for config in CONFIGS:
             for seed in SEEDS:
                 for command in COMMANDS:
                     code, hashes = _run(workdir, config, seed, command)
-                    for name, digest in hashes:
-                        print("| %s | %d | %s | %d | `%s` | `%s` |"
-                              % (config, seed, " ".join(command), code, name, digest))
+                    rows += ["| %s | %d | %s | %d | `%s` | `%s` |"
+                             % (config, seed, " ".join(command), code, name, digest)
+                             for name, digest in hashes]
+    return rows
+
+
+def main():
+    print("\n".join(HEADER + tuple(table_rows())))
     return 0
 
 
