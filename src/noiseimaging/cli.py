@@ -176,12 +176,12 @@ def _angle_readings(cfg, r):
     these three numbers per angle.
     """
     weight = cfg.weights
-    alpha = cfg.bowtie_half_angle()
-    radius = cfg.bowtie_radius()
-    mask = scene.bowtie(0.0, alpha, radius, cfg.grid_size, cfg.grid_size)
+    shapes = scene.bowties([0.0, *np.deg2rad(cfg.angles_deg)], cfg.bowtie_half_angle(),
+                           cfg.bowtie_radius(), cfg.grid_size, cfg.grid_size)
+    mask = next(shapes)
     readings = []
-    for angle in cfg.angles_deg:
-        lo = scene.bowtie(np.deg2rad(angle), alpha, radius, cfg.grid_size, cfg.grid_size)
+    # the shapes first: zip then runs them to their end, which drops the polar grid
+    for lo, angle in zip(shapes, cfg.angles_deg):
         o, q = scene.overlaps(lo, mask, cfg.cell_size, weight)
         readings.append((angle, o, {t: technique_noise(t, o, q, r, cfg) for t in TECHNIQUES}))
     return readings

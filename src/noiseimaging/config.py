@@ -96,10 +96,10 @@ class RunConfig:
             raise ConfigError("source.power_per_pixel", "must be finite and > 0")
         if self.grid_size < 2:
             raise ConfigError("scene.grid_size", "must be >= 2")
-        if self.grid_size > _MAX_FLOATS:
-            raise ConfigError("scene.grid_size",
-                              "a grid row of %d floats is more than numpy can address"
-                              % self.grid_size)
+        # the bow-ties' polar grid holds flat pixel indices as int32
+        if self.grid_size ** 2 > np.iinfo(np.int32).max:
+            raise ConfigError("scene.grid_size", "a %dx%d grid has more pixels than int32 "
+                              "indices can address" % (self.grid_size, self.grid_size))
         if not 1 <= self.cell_size <= self.grid_size:
             raise ConfigError("scene.cell_size", "must lie in [1, grid_size]")
         if not 0.0 < self.bowtie_half_angle_deg < 90.0:

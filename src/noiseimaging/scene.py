@@ -12,7 +12,6 @@ Shapes also load from plain ASCII portable bitmaps (magic "P1").  The
 bundled A-Z font ships as one P1 file per letter.
 """
 
-import functools
 import math
 import string
 from importlib import resources
@@ -47,9 +46,9 @@ _REACH_ULPS = 8.0 * np.finfo(float).eps
 # relative half-width of the squared-radius band where the disk test defers to
 # hypot: far above the rounding of hypot and of radius**2
 _EDGE_BAND = 1e-12
-# pixels per row strip of the polar grid's build, so its float temporaries
-# stay near 256 KiB whatever the grid size
-_STRIP_PIXELS = 1 << 15
+# pixels per row strip of the polar grid, so the build's float temporaries
+# stay near 64 KiB whatever the grid size
+_STRIP_PIXELS = 1 << 13
 
 
 def _sector(angle):
@@ -72,25 +71,22 @@ def _pixel_angles(pixels, width, height):
     return np.arctan2((ys + 0.5) - height / 2.0, (xs + 0.5) - width / 2.0)
 
 
-@functools.lru_cache(maxsize=1)
 def _polar_grid(width, height, radius):
-    """The disk's pixels grouped by angle sector.
+    """The disk's pixels grouped by angle sector, one group per row strip.
 
-    Returns (pixels, starts): the row-major flat indices (int32) of the pixel
-    centers with hypot <= radius about the grid center, ordered by sector and
-    within a sector by index, and each sector's first position in them
-    (starts[s] .. starts[s + 1] is sector s).  Neither depends on the
-    rotation, so a sweep of rotations on one grid computes them once.  Both
-    are read-only: every caller shares them.
+    Returns a list with one (pixels, starts) pair per strip of rows: the
+    row-major flat indices (int32) of the strip's pixel centers with hypot
+    <= radius about the grid center, ordered by sector and within a sector by
+    index, and each sector's first position in them (starts[s] ..
+    starts[s + 1] is sector s).  Neither depends on the rotation, so a sweep
+    of rotations on one grid computes them once.  All are read-only.
 
-    Built in row strips, so no full-grid float array is ever alive: each
-    strip's disk pixels are sorted by sector, stably, and each strip's run of
-    a sector goes after the earlier strips' runs of it.
+    Built and kept in strips, so no full-grid array is ever alive.
     """
     x = (np.arange(width) + 0.5) - width / 2.0
     edge = radius * radius
     rows = max(1, _STRIP_PIXELS // width)
-    strips, counts = [], []
+    grid = []
     for top in range(0, height, rows):
         y = ((np.arange(top, min(top + rows, height)) + 0.5) - height / 2.0)[:, None]
         # centers are multiples of 1/2, so their squared radius is exact, and
@@ -107,21 +103,13 @@ def _polar_grid(width, height, radius):
         # the same arithmetic as _sector, so window bounds bracket pixel sectors
         sector = ((_pixel_angles(strip, width, height) + np.pi)
                   * _SECTORS_PER_RADIAN).astype(np.uint8)
-        strips.append(strip[np.argsort(sector, kind="stable")])
-        counts.append(np.bincount(sector, minlength=_sector(np.pi) + 1))
-    counts = np.array(counts)
-    starts = np.zeros(counts.shape[1] + 1, dtype=np.intp)
-    np.cumsum(counts.sum(axis=0), out=starts[1:])
-    # where each strip's run of each sector starts in the result, less where
-    # it starts in the sorted strip
-    shifts = starts[:-1] + np.cumsum(counts, axis=0) - counts
-    shifts -= np.cumsum(counts, axis=1) - counts
-    pixels = np.empty(starts[-1], dtype=np.int32)
-    for strip, count, shift in zip(strips, counts, shifts):
-        pixels[np.arange(len(strip)) + np.repeat(shift, count)] = strip
-    for arr in (pixels, starts):
-        arr.setflags(write=False)
-    return pixels, starts
+        pixels = strip[np.argsort(sector, kind="stable")]
+        starts = np.zeros(_sector(np.pi) + 2, dtype=np.intp)
+        np.cumsum(np.bincount(sector, minlength=_sector(np.pi) + 1), out=starts[1:])
+        for arr in (pixels, starts):
+            arr.setflags(write=False)
+        grid.append((pixels, starts))
+    return grid
 
 
 def _sector_spans(rotation, half_angle):
@@ -148,14 +136,14 @@ def _sector_spans(rotation, half_angle):
     return edges, inside
 
 
-def bowtie(rotation, half_angle, radius, width, height):
-    """Two opposing angular wedges of the given half-angle about the grid center.
+def bowties(rotations, half_angle, radius, width, height):
+    """One bow-tie bitmap per rotation: two opposing angular wedges of the
+    given half-angle about the grid center.
 
-    `rotation` orients the wedge axis; the shape is point-symmetric about the
-    center, so rotation and rotation + pi rasterize identically.
+    A rotation orients the wedge axis; the shape is point-symmetric about the
+    center, so rotation and rotation + pi rasterize identically.  The polar
+    grid is built at the first rotation and dropped when the iteration ends.
     """
-    if not math.isfinite(rotation):
-        raise SceneError("bow-tie rotation must be finite, got %r" % (rotation,))
     if not 0.0 < half_angle < np.pi / 2:
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):
@@ -164,14 +152,25 @@ def bowtie(rotation, half_angle, radius, width, height):
     if width * height > np.iinfo(np.int32).max:
         raise SceneError("a %dx%d grid has more pixels than int32 indices can address"
                          % (width, height))
-    pixels, starts = _polar_grid(width, height, radius)
+    grid = None
+    for rotation in rotations:
+        if not math.isfinite(rotation):
+            raise SceneError("bow-tie rotation must be finite, got %r" % (rotation,))
+        if grid is None:
+            grid = _polar_grid(width, height, radius)
+        yield _bowtie(grid, rotation, half_angle, width, height)
+
+
+def _bowtie(grid, rotation, half_angle, width, height):
     bits = np.zeros(width * height, dtype=bool)
     edges, inside = _sector_spans(rotation, half_angle)
-    for first, stop in inside:
-        # numpy scatters through an intp index about twice as fast as through int32
-        bits[pixels[starts[first]:starts[stop]].astype(np.intp)] = True
-    # the edge sectors' pixels in one array, so the fold runs once
-    edge = np.concatenate([pixels[starts[first]:starts[stop]] for first, stop in edges])
+    for pixels, starts in grid:
+        for first, stop in inside:
+            # numpy scatters through an intp index about twice as fast as through int32
+            bits[pixels[starts[first]:starts[stop]].astype(np.intp)] = True
+    # the edge sectors' pixels of every strip in one array, so the fold runs once
+    edge = np.concatenate([pixels[starts[first]:starts[stop]]
+                           for pixels, starts in grid for first, stop in edges])
     # fold the polar angle onto [0, pi), identical for phi and phi + pi:
     # numpy's `%` is this fmod plus pi where it is negative (fmod may leave
     # -0.0 where `%` gives +0.0, which compares the same)

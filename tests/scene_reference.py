@@ -1,5 +1,8 @@
 """Full-grid reference for the scene layer's fast paths.
 
+`bowtie` draws one bow-tie through the runtime's `scene.bowties`, which
+draws a sweep's bow-ties from one polar grid.
+
 `reference_bowtie` rasterizes a bow-tie from a fresh meshgrid with numpy's
 `%` and `np.where`, and `reference_decompose` sums every pixel of the grid
 into a full-length float `bincount` per cell and returns the per-cell LO
@@ -14,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from noiseimaging import scene
 from noiseimaging.scene import SceneError
+
+
+def bowtie(rotation, half_angle, radius, width, height):
+    """The runtime's bow-tie at one rotation, from a polar grid of its own."""
+    return next(scene.bowties([rotation], half_angle, radius, width, height))
 
 
 def reference_bowtie(rotation, half_angle, radius, width, height):

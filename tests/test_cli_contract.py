@@ -20,7 +20,7 @@ import pytest
 import noiseimaging
 from noiseimaging import cli, estimate, noise, scene
 from noiseimaging.cli import _json_text, main
-from noiseimaging.config import RunConfig, save_config
+from noiseimaging.config import RunConfig, load_config, save_config
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,9 +114,9 @@ for phi in (0.0, 0.5, 0.9, 0.99):
     points.update(_series_points(1.7, cfg, 10, derive_seed(12345, "cpu", phi)).tobytes())
 desk = load_config(sys.argv[1])
 bowties = hashlib.sha256()
-for angle in (0.0,) + desk.angles_deg:
-    bowties.update(scene.bowtie(np.deg2rad(angle), desk.bowtie_half_angle(),
-                                desk.bowtie_radius(), desk.grid_size, desk.grid_size))
+for bits in scene.bowties(np.deg2rad((0.0,) + desk.angles_deg), desk.bowtie_half_angle(),
+                          desk.bowtie_radius(), desk.grid_size, desk.grid_size):
+    bowties.update(bits)
 fit_points = [{"overlap": k / 15, "n": 1.0 + 0.3 * k / 15 + ((7 * k) % 11 - 5) * 1e-3,
                "sigma_n": 1e-3 * (1 + k % 3), "delta_n": 0.02} for k in range(16)]
 fit = json.dumps(fit_noise_curve(fit_points)[0], sort_keys=True)
@@ -496,9 +496,8 @@ def test_uniform_weight_map_at_any_scale_gives_the_artifacts_of_no_map(cell_size
 
 # a PiB-sized request is beyond the user address space, so it fails at once
 @pytest.mark.parametrize("args,overrides", [
-    (["sweep"], {"grid_size": 10**15}),
     (["calibrate", "--db", "2.2"], {"points_per_trace": 10**15, "segment_length": 10**14}),
-], ids=["sweep-grid", "calibrate-trace"])
+], ids=["calibrate-trace"])
 def test_failed_allocation_fails_cleanly(args, overrides, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     save_config(RunConfig(cell_size=1, n_series=2, samples_per_point=100, **overrides),
@@ -566,7 +565,6 @@ def test_failed_angle_calibration_is_noted_in_the_summary(tmp_path, capsys):
 def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):
     # 15 angles' cell decompositions would hold about 9.6 MiB at once
     args = ["sweep", "--config", str(ROOT / "configs" / "desk_sweep.cfg")]
-    # the first run caches the polar grid, so the traced run counts only the sweep
     assert main(args + ["--out", str(tmp_path / "first")]) == 0
     tracemalloc.start()
     try:
@@ -576,6 +574,21 @@ def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= 4 * 2**20, "traced peak %.1f MiB" % (peak / 2**20)
+
+
+def test_desk_sweep_holds_no_polar_grid_after_its_bowties():
+    # the grid is 0.70 MiB on the desk grid, and the 15 readings a few KiB
+    cfg = load_config(ROOT / "configs" / "desk_sweep.cfg")
+    r = cfg.resolve_r()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        readings = cli._angle_readings(cfg, r)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(readings) == len(cfg.angles_deg)
+    assert held < 0.1 * 2**20, "held %.2f MiB" % (held / 2**20)
 
 
 # a child's ru_maxrss starts at the high-water mark of the process that
@@ -606,17 +619,18 @@ def _peak_rss_mib(args, out):
 def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
     # calibrate on the same config imports the same modules and builds no
     # bow-tie, so the gap is what the sweep's scene, traces and fit hold at
-    # their peak. With int32 polar indices built in row strips it was 2.8-3.0
-    # MiB while the fit called LAPACK, whose first call raised the high-water
-    # mark past the scene's; with the fit in plain floats it is 1.4-1.7 MiB,
-    # set by the scene and traces. The bound is fixed from those two numbers
-    # alone, about halfway: 0.6 MiB above the plain-float fit (page rounding
-    # and another numpy's temporaries) and 0.5 MiB below the LAPACK fit.
+    # their peak, which the bow-ties set. With one merged polar grid, cached
+    # for the process, it was 1.50-1.75 MiB (6 runs): the 0.64 MiB of sorted
+    # strips and the 0.64 MiB merged copy were alive at once. With the grid
+    # built and kept in 8,192-pixel strips, and dropped after the last LO, it
+    # is 0.95-1.28 MiB (18 runs). The bound sits between the two: 0.12 MiB
+    # above the highest run (page rounding and another numpy's temporaries)
+    # and 0.10 MiB below the lowest run of the merged grid.
     desk = str(ROOT / "configs" / "desk_sweep.cfg")
     sweep = _peak_rss_mib(["sweep", "--config", desk], tmp_path / "sweep")
     calibrate = _peak_rss_mib(["calibrate", "--db", "2.2", "--config", desk],
                               tmp_path / "calibrate")
-    assert sweep - calibrate < 2.3, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
+    assert sweep - calibrate < 1.4, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
 
 
 # a warning would print a second stderr line outside pytest
@@ -690,7 +704,7 @@ def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch
     def no_scene(*args, **kwargs):
         raise AssertionError("the sweep rasterized a bow-tie")
 
-    monkeypatch.setattr(scene, "bowtie", no_scene)
+    monkeypatch.setattr(scene, "bowties", no_scene)
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     error = _one_error_line(capsys, "sweep")
@@ -792,6 +806,29 @@ _COMMANDS = {
     "alphabet": (["alphabet", "--mask", "Z"], "alphabet.csv"),
     "calibrate": (["calibrate", "--db", "2.2"], "calibrated.cfg"),
 }
+
+
+# the bow-ties' polar grid indexes pixels as int32, so every command rejects
+# a grid past 46340^2 pixels as its field, before any allocation
+@pytest.mark.parametrize("grid_size", [46341, 10**15], ids=["46341", "1e15"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_grid_past_int32_indices_fails_every_command(command, grid_size, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    save_config(RunConfig(grid_size=grid_size, cell_size=1, n_series=2,
+                          samples_per_point=100), cfgfile)
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    code = main(args + ["--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["field"] == "scene.grid_size"
+    assert "int32" in error["message"]
+    assert not out.exists()
+
+
+def test_the_largest_grid_int32_indices_address_is_valid():
+    # 46340^2 = 2,147,395,600 pixels, under int32's 2,147,483,647
+    RunConfig(grid_size=46340).validate()
 
 
 def _small_config(tmp_path):

@@ -452,7 +452,8 @@ class TestAngleCalibration:
 
     @staticmethod
     def _factors_for_weight_map(w):
-        from noiseimaging.scene import bowtie, overlaps
+        from noiseimaging.scene import overlaps
+        from scene_reference import bowtie
 
         n = 256
         mask = bowtie(0.0, ALPHA, 120, n, n)

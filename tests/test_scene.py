@@ -4,14 +4,13 @@ import pytest
 from noiseimaging.scene import (
     LETTERS,
     SceneError,
-    bowtie,
     glyph,
     load_font,
     load_pbm,
     overlaps,
 )
 
-from scene_reference import save_pbm
+from scene_reference import bowtie, save_pbm
 
 ALPHA = np.pi / 8
 

@@ -18,11 +18,12 @@ from noiseimaging.scene import (
     SceneError,
     _polar_grid,
     _sector,
-    bowtie,
+    bowties,
     load_pbm,
     overlaps,
 )
 from scene_reference import (
+    bowtie,
     cell_moments,
     reference_bowtie,
     reference_decompose,
@@ -74,15 +75,36 @@ def assert_overlaps_match_reference(lo, mask, cell_size, weights=None):
 
 
 def test_desk_sweep_bitmaps_and_decompositions():
+    # the mask and the 15 LOs from one polar grid, as the sweep draws them
     n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
-    mask = bowtie(0.0, alpha, radius, n, n)
+    rotations = np.deg2rad(DESK.angles_deg)
+    shapes = bowties([0.0, *rotations], alpha, radius, n, n)
+    mask = next(shapes)
     assert_same_bitmap(mask, reference_bowtie(0.0, alpha, radius, n, n))
     cell_size = DESK.cell_size
-    for angle in DESK.angles_deg:
-        rotation = np.deg2rad(angle)
-        lo = bowtie(rotation, alpha, radius, n, n)
+    drawn = 0
+    for rotation, lo in zip(rotations, shapes):
+        assert not lo.flags.writeable
         assert_same_bitmap(lo, reference_bowtie(rotation, alpha, radius, n, n))
         assert_overlaps_match_reference(lo, mask, cell_size)
+        drawn += 1
+    assert drawn == len(DESK.angles_deg)
+
+
+def test_no_rotations_build_no_polar_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built a polar grid")
+
+    monkeypatch.setattr("noiseimaging.scene._polar_grid", no_grid)
+    assert list(bowties([], np.pi / 8, 30.0, 64, 64)) == []
+
+
+@pytest.mark.parametrize("rotation", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_rotation_fails_at_its_own_element(rotation):
+    shapes = bowties([0.3, rotation, 0.6], np.pi / 8, 30.0, 64, 64)
+    assert_same_bitmap(next(shapes), reference_bowtie(0.3, np.pi / 8, 30.0, 64, 64))
+    with pytest.raises(SceneError, match="rotation must be finite"):
+        next(shapes)
 
 
 def test_random_rotations_on_non_square_grids():
@@ -287,6 +309,11 @@ def _grid_centers(width, height):
     return x, y
 
 
+def _grid_pixels(grid):
+    """The polar grid's pixels, every strip's in strip order."""
+    return np.concatenate([pixels for pixels, _ in grid])
+
+
 @pytest.mark.parametrize("width,height", [(9, 9), (16, 16), (33, 20), (12, 41), (1, 7)],
                          ids=["odd", "even", "wide", "tall", "one-column"])
 def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height):
@@ -301,7 +328,7 @@ def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height
     for radius in sorted(radii):
         if radius <= 0.0:
             continue
-        pixels, _ = _polar_grid(width, height, radius)
+        pixels = _grid_pixels(_polar_grid(width, height, radius))
         want = np.flatnonzero(rr <= radius)
         assert np.array_equal(np.sort(pixels), want), radius
         checked += 1
@@ -316,7 +343,7 @@ def test_polar_grid_disk_on_the_desk_grid_edge():
     assert len(near) >= 20
     for r in near[::4]:
         for radius in (float(r), float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))):
-            pixels, _ = _polar_grid(512, 512, radius)
+            pixels = _grid_pixels(_polar_grid(512, 512, radius))
             assert np.array_equal(np.sort(pixels), np.flatnonzero(rr <= radius)), radius
 
 
@@ -330,12 +357,14 @@ def _traced_peak_mib(fn):
 
 
 def test_polar_grid_build_peak_memory():
-    _polar_grid.cache_clear()
-    # built in row strips, no full-grid float array is alive: the build
-    # peaks at 2.02 MiB on numpy 2.4, against 5.26 MiB for a build from
-    # full-grid squared radii and arctan2; the bound sits between the two so a
-    # numpy with other temporaries does not trip it
-    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 3.5
+    # built and kept in row strips of 8,192 pixels, with no merge: the build
+    # peaks at 0.92 MiB on numpy 2.4, the kept grid's 0.70 MiB (4 bytes per
+    # disk pixel and 2 KiB of starts per strip) plus one strip's temporaries.
+    # Merging 32,768-pixel strips into one array peaked at 2.02 MiB: the
+    # sorted strips and the merged copy, each a full 0.64 MiB, were alive at
+    # once.  The bound sits between the two, 0.58 MiB above this build for a
+    # numpy with other temporaries and 0.52 MiB below the merge
+    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 1.5
 
 
 def test_single_pixel_cell_decomposition_peak_memory():
@@ -464,14 +493,16 @@ def test_scene_error_messages():
 
 def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():
     grid = _polar_grid(512, 512, 230.4)
-    pixels, starts = grid
-    assert pixels.dtype == np.int32
-    for arr in grid:
-        assert not arr.flags.writeable
-    # one int32 index per disk pixel, and the sector starts
+    for pixels, starts in grid:
+        assert pixels.dtype == np.int32
+        for arr in (pixels, starts):
+            assert not arr.flags.writeable
+    # one int32 index per disk pixel, and each strip's sector starts
     x, y = _grid_centers(512, 512)
     disk = np.count_nonzero(np.hypot(x, y) <= 230.4)
-    assert sum(arr.nbytes for arr in grid) <= 4 * disk + starts.nbytes
+    assert len(_grid_pixels(grid)) == disk
+    assert (sum(pixels.nbytes + starts.nbytes for pixels, starts in grid)
+            <= 4 * disk + sum(starts.nbytes for _, starts in grid))
 
 
 @pytest.mark.parametrize("letter", list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))

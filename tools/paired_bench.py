@@ -1,0 +1,146 @@
+"""Compare the end-to-end benchmark of this checkout against a parent checkout.
+
+    python3 tools/paired_bench.py PARENT_CHECKOUT [--workload NAME ...]
+        [--pairs N] [--seconds S] [--first-seed K]
+
+Runs `bench/run.py --trace 0` in the parent checkout and in this one,
+alternately, for N pairs per workload.  Pair i runs at seed K + i, the same
+on both sides, and the side that runs first swaps from pair to pair, so an
+order effect cancels.  Without --first-seed the seeds start from the clock,
+so each invocation runs on fresh ones; the seeds are printed.  Each side runs
+its own `bench/` and `BENCHMARK.json`; the metric list, directions and
+bounds are read from this checkout's `BENCHMARK.json`.
+
+For each workload and end-to-end metric it prints both sides' medians and
+quartiles, and the pairs the change won (ties count for neither side).  Two
+verdicts follow:
+- gain: the change won at least 9 of every 10 pairs, and the medians differ,
+  in the metric's better direction, by more than the distance between the
+  parent's quartiles;
+- bound: the change's median is worse than the parent's by no more than the
+  metric's bound, a fraction of the parent's median.
+A run that exits non-zero is printed and its pair left out; a failed check
+is printed, and `bench/run.py` counts it in `ok_frac`.  The exit status is 1
+when a run failed or a metric broke its bound.  Nothing is written to either
+checkout except what `bench/run.py` itself writes and removes.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WIN_SHARE = 0.9
+
+
+def declared_metrics(root):
+    """[(name, unit, better, bound)] of the end-to-end metrics in BENCHMARK.json."""
+    with open(Path(root) / "BENCHMARK.json", encoding="ascii") as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+
+
+def run_bench(checkout, workload, seed, seconds):
+    """{metric: value} of one `bench/run.py --trace 0` run, and its problems."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        return None, ["exit %d: %s" % (proc.returncode, proc.stderr.strip()[-400:])]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    problems = [line for line in proc.stdout.splitlines() if line.startswith("FAILED CHECK")]
+    return {name: m["value"] for name, m in result["metrics"].items()}, problems
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), interpolated within the data."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def compare(parent, change, better, bound):
+    """The verdicts for one metric from paired values (parent[i] and change[i]
+    ran at the same seed): a dict of both sides' quartiles, the change's wins,
+    whether a gain holds, and whether the change stays within its bound."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    gain = wins >= WIN_SHARE * len(parent) and sign * (pm - cm) > p3 - p1
+    # how much worse the change's median is, as a fraction of the parent's
+    worse = sign * (cm - pm) / abs(pm) if pm else (0.0 if cm == pm else float("inf"))
+    return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
+            "pairs": len(parent), "gain": gain, "worse": worse,
+            "within_bound": worse <= bound}
+
+
+def main(argv=None):
+    metrics = declared_metrics(ROOT)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="a checkout of the parent commit")
+    parser.add_argument("--workload", action="append",
+                        help="a workload of BENCHMARK.json (repeatable; default all)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--first-seed", type=int)
+    args = parser.parse_args(argv)
+    if not (args.parent / "bench" / "run.py").is_file():
+        parser.error("%s has no bench/run.py" % args.parent)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    with open(ROOT / "BENCHMARK.json", encoding="ascii") as fh:
+        workloads = args.workload or [w["name"] for w in json.load(fh)["workloads"]]
+    first = args.first_seed if args.first_seed is not None else int(time.time()) % 1_000_000
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+
+    verdicts_met = True
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        failures = []
+        for i in range(args.pairs):
+            seed = first + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                values, problems = run_bench(sides[side], workload, seed, args.seconds)
+                failures += ["%s seed %d: %s" % (side, seed, p) for p in problems]
+                runs[side].append(values)
+        print("%s: %d pairs at seeds %d-%d, %g s each, parent %s"
+              % (workload, args.pairs, first, first + args.pairs - 1, args.seconds,
+                 sides["parent"]))
+        for failure in failures:
+            print("  FAILED: %s" % failure)
+        verdicts_met &= not failures
+        # a pair where either side's bench did not run is left out
+        pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+                 if p is not None and c is not None]
+        if not pairs:
+            verdicts_met = False
+            continue
+        print("  %-12s %-34s %-34s %6s %5s %s" % (
+            "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins", "gain",
+            "bound"))
+        for name, unit, better, bound in metrics:
+            result = compare([p[name] for p, _ in pairs], [c[name] for _, c in pairs],
+                             better, bound)
+            verdicts_met &= result["within_bound"]
+            print("  %-12s %-34s %-34s %6s %5s %s" % (
+                name,
+                "%.5g [%.5g, %.5g] %s" % (result["parent"][1], result["parent"][0],
+                                           result["parent"][2], unit),
+                "%.5g [%.5g, %.5g] %s" % (result["change"][1], result["change"][0],
+                                           result["change"][2], unit),
+                "%d/%d" % (result["wins"], result["pairs"]),
+                "yes" if result["gain"] else "no",
+                "%s (%+.1f%% of %g%%)" % ("ok" if result["within_bound"] else "WORSE",
+                                          100.0 * result["worse"], 100.0 * bound)))
+    return 0 if verdicts_met else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
