@@ -164,7 +164,7 @@ def _measure_curve(cfg, readings, technique):
                        "delta_n": delta_mean})
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
             rows.append({"angle_deg": angle, "overlap": overlap, "technique": technique,
-                         "series": s, "noise_snl": n, "noise_db": 10.0 * np.log10(n),
+                         "series": s, "noise_snl": n, "noise_db": 10.0 * math.log10(n),
                          "delta_noise_snl": delta})
     return rows, sorted(points, key=lambda p: p["overlap"])
 
@@ -282,10 +282,10 @@ def cmd_calibrate(cfg, db):
         "target_db": float(db),
         "r": r,
         "detected_noise_snl": n_true,
-        "detected_db": 10.0 * np.log10(n_true),
-        "measured_db_over_series": 10.0 * np.log10(n_mean),
+        "detected_db": 10.0 * math.log10(n_true),
+        "measured_db_over_series": 10.0 * math.log10(n_mean),
         "n_series": cfg.n_series,
-        "loss_bound_db": 10.0 * np.log10(floor) if floor > 0 else None,
+        "loss_bound_db": 10.0 * math.log10(floor) if floor > 0 else None,
         "config": calibrated.as_dict(r),
     }
     text = ("calibrate: r = %.6f for -%.4g dB detected (measured %.3f dB over %d series)"

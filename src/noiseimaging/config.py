@@ -77,7 +77,7 @@ class RunConfig:
         # NaN fails every comparison and inf passes a lower bound, so each
         # bound is also capped at inf: a non-finite value fails here, naming
         # its field, not in a later stage that blames another one; R_MAX is
-        # calibrate_r's bound on r
+        # the top of the noise model's accepted range of r
         if not (np.isnan(self.r) or 0 <= self.r <= R_MAX):
             raise ConfigError("source.r", "must lie in [0, %g] when given" % R_MAX)
         # checked when r is given too: the config and the artifacts record it

@@ -15,7 +15,7 @@ alphabet.csv row keyed by column name, and each technique's ranking as its
 ranking.json dict.
 """
 
-from math import fsum, sqrt
+from math import fsum, log10, sqrt
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def delta_o_table(points, fit, cov):
 def _ratio(num, sigma_num, den, sigma_den):
     """num/den and its error, the two relative errors added in quadrature."""
     ratio = num / den
-    sigma = ratio * np.sqrt((sigma_num / num) ** 2 + (sigma_den / den) ** 2)
+    sigma = ratio * sqrt((sigma_num / num) ** 2 + (sigma_den / den) ** 2)
     return float(ratio), float(sigma)
 
 
@@ -203,7 +203,7 @@ def _ratio_of_means(classical, quantum):
 
 
 def _mean_and_sem(vals):
-    sem = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    sem = vals.std(ddof=1) / sqrt(len(vals)) if len(vals) > 1 else 0.0
     return float(vals.mean()), float(sem)
 
 
@@ -270,7 +270,7 @@ def summarize_series(ns, deltas, cfg):
     by sqrt(series count) again.
     """
     n_segments = cfg.points_per_trace // cfg.segment_length
-    sem = deltas.mean() / np.sqrt(n_segments * len(ns))
+    sem = deltas.mean() / sqrt(n_segments * len(ns))
     return float(ns.mean()), float(sem), float(deltas.mean())
 
 
@@ -288,8 +288,8 @@ def _row(letter, technique, overlap, baseline, masked, deviation, sub_snl, reaso
     return {
         "letter": letter, "technique": technique, "valid": int(not reason),
         "overlap": overlap,
-        "n_baseline": nb, "n_baseline_db": float(10.0 * np.log10(nb)), "sigma_baseline": sb,
-        "n_masked": nm, "n_masked_db": float(10.0 * np.log10(nm)), "sigma_masked": sm,
+        "n_baseline": nb, "n_baseline_db": 10.0 * log10(nb), "sigma_baseline": sb,
+        "n_masked": nm, "n_masked_db": 10.0 * log10(nm), "sigma_masked": sm,
         "deviation": d, "sigma_deviation": sigma_d, "sub_snl": int(sub_snl), "reason": reason,
     }
 
@@ -336,7 +336,7 @@ def alphabet_gun(glyphs, mask, r, cfg):
         reverse = technique == TECH_CLASSICAL
         ordered = sorted(valid, key=lambda r: r["deviation"], reverse=reverse)
         best, runner = ordered[0], ordered[1]
-        sep = abs(best["deviation"] - runner["deviation"]) / np.sqrt(
+        sep = abs(best["deviation"] - runner["deviation"]) / sqrt(
             best["sigma_deviation"]**2 + runner["sigma_deviation"]**2)
         rankings[technique] = {
             "ranking": [r["letter"] for r in ordered],

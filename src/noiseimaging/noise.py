@@ -13,16 +13,18 @@ Phys. 84, 621 (2012)); the SNLs are 1/2 per vacuum quadrature, one vacuum
 for the single beam and two for the difference signal.  The quantum cell
 noise is affine in sqrt(T_i) and T_i, the classical one in T_i, and the
 weights sum to 1, so the scene enters only through the overlap
-O = sum(w_i T_i) and the root overlap Q = sum(w_i sqrt(T_i)):
+O = sum(w_i T_i) and the root overlap Q = sum(w_i sqrt(T_i)).  With
+x = exp(2r), a = (t_p + t_c O)/2 and b = sqrt(t_p t_c) Q:
 
-    N_q = 1 + (t_p + t_c O) sinh^2 r - sqrt(t_p t_c) sinh 2r Q + lock_noise
-    N_c = 1 + 2 t_c O sinh^2 r
+    N_q = (1 + lock_noise - a) + ((a - b) x + (a + b)/x)/2
+    N_c = 1 + t_c O (x - 1)^2/(2x)
 
 The quantum form is the lock's minimum over the conjugate LO phase, reached
-at the same phase in every cell.
+at the same phase in every cell.  Past its constant, summed first, each
+term is >= 0 (b <= a as Q <= sqrt(O)), so deep squeezing does not cancel.
 """
 
-import numpy as np
+import math
 
 TECH_CLASSICAL = "classical"
 TECH_QUANTUM = "quantum"
@@ -34,21 +36,29 @@ class NoiseModelError(ValueError):
     """Raised for invalid source or detection parameters."""
 
 
-# past r = 12 the sinh terms cancel to worse than 1e-6: the noise is not resolved
+# the model's accepted range of r is [0, R_MAX], 104 dB on lossless arms
 R_MAX = 12.0
+
+
+def _terms(overlap, root_overlap, cfg):
+    """(1 + lock_noise - a, a, b) of the quantum form at O and Q."""
+    a = 0.5 * (cfg.t_probe + cfg.t_conj * overlap)
+    return 1.0 + cfg.lock_noise - a, a, math.sqrt(cfg.t_probe * cfg.t_conj) * root_overlap
 
 
 def quantum_noise(overlap, root_overlap, r, cfg):
     """Locked twin-beam difference noise at overlap O and root overlap Q, SNL
     units, for squeezing r and the arm transmissions and lock noise of cfg."""
-    n = (1.0 + (cfg.t_probe + cfg.t_conj * overlap) * np.sinh(r) ** 2
-         - np.sqrt(cfg.t_probe * cfg.t_conj) * np.sinh(2.0 * r) * root_overlap)
-    return float(n) + cfg.lock_noise
+    constant, a, b = _terms(overlap, root_overlap, cfg)
+    x = math.exp(2.0 * r)
+    # b <= a in exact arithmetic: the max drops a rounding excess of b
+    return constant + (max(a - b, 0.0) * x + (a + b) / x) / 2.0
 
 
 def classical_noise(overlap, r, cfg):
     """Single conjugate-beam excess noise at overlap O, SNL units."""
-    return float(1.0 + 2.0 * cfg.t_conj * overlap * np.sinh(r) ** 2)
+    x = math.exp(2.0 * r)
+    return 1.0 + cfg.t_conj * overlap * (x - 1.0) ** 2 / (2.0 * x)
 
 
 def technique_noise(technique, overlap, root_overlap, r, cfg):
@@ -75,27 +85,10 @@ def detected_noise_floor(cfg):
     """Least detected quantum noise reachable at unit overlap over all r.
 
     For balanced arms this is 1 - t + lock_noise; unbalanced arms bottom out
-    at tanh(2r) = 2*sqrt(t_p*t_c)/(t_p+t_c) and rise again at larger r.
+    at x = sqrt((a + b)/(a - b)) and rise again at larger r.
     """
-    a = 0.5 * (cfg.t_probe + cfg.t_conj)
-    b = np.sqrt(cfg.t_probe * cfg.t_conj)
-    return 1.0 - a + np.sqrt(max(a * a - b * b, 0.0)) + cfg.lock_noise
-
-
-def _unreachable(db, floor):
-    # only called for target < floor, so the floor is positive
-    return NoiseModelError(
-        "detected squeezing of -%.4g dB is unreachable: losses bound the "
-        "noise at %.6g SNL (%.4g dB)" % (db, floor, 10.0 * np.log10(floor))
-    )
-
-
-def _unresolved(db, floor):
-    # the floor may be 0 here (lossless arms), so it is not given in dB
-    return NoiseModelError(
-        "detected squeezing of -%.4g dB is unreachable: it needs r > %g, past "
-        "which the noise is not resolved (the loss bound is %.6g SNL)" % (db, R_MAX, floor)
-    )
+    constant, a, b = _terms(1.0, 1.0, cfg)
+    return constant + math.sqrt(max(a * a - b * b, 0.0))
 
 
 def calibrate_r(db_below_snl, cfg):
@@ -103,28 +96,31 @@ def calibrate_r(db_below_snl, cfg):
     transmissions and lock noise of cfg, is -db dB.
 
     The detected baseline includes the lock noise, matching how squeezing is
-    measured with the lock engaged.  With x = exp(2r), A = (t_p + t_c)/2 and
-    B = sqrt(t_p t_c), that noise is 1 + lock_noise - A + ((A-B) x + (A+B)/x)/2,
-    so r comes from the smaller root of a quadratic in x, written in the form
-    that does not cancel.  Raises if the target is deeper than the
-    loss-limited bound.
+    measured with the lock engaged.  In the module's form at O = Q = 1 the
+    target minus the constant is ((a - b) x + (a + b)/x)/2, so r comes from
+    the smaller root of a quadratic in x, written in the form that does not
+    cancel.  Raises if the target is deeper than the loss-limited bound.
     """
     db = float(db_below_snl)
-    if not (np.isfinite(db) and db >= 0):
+    if not (math.isfinite(db) and db >= 0):
         raise NoiseModelError("squeezing depth in dB must be finite and >= 0, got %r" % db)
     target = 10.0 ** (-db / 10.0)
     floor = detected_noise_floor(cfg)
     if target < floor - 1e-12:
-        raise _unreachable(db, floor)
+        # the floor is positive here
+        raise NoiseModelError(
+            "detected squeezing of -%.4g dB is unreachable: losses bound the noise at "
+            "%.6g SNL (%.4g dB)" % (db, floor, 10.0 * math.log10(floor)))
     if 1.0 + cfg.lock_noise - target <= 1e-14:
         return 0.0
-    a, b = 0.5 * (cfg.t_probe + cfg.t_conj), np.sqrt(cfg.t_probe * cfg.t_conj)
-    c = target - cfg.lock_noise - 1.0 + a
+    constant, a, b = _terms(1.0, 1.0, cfg)
+    c = target - constant
     # c <= 0: balanced arms at their floor, reached only as r -> infinity
-    if c <= 0.0:
-        raise _unresolved(db, floor)
-    x = (a + b) / (c + np.sqrt(max(c * c - (a - b) * (a + b), 0.0)))
-    r = 0.5 * float(np.log(x))
+    x = (a + b) / (c + math.sqrt(max(c * c - (a - b) * (a + b), 0.0))) if c > 0.0 else math.inf
+    r = 0.5 * math.log(x)
     if r > R_MAX:
-        raise _unresolved(db, floor)
+        # the floor may be 0 here (lossless arms), so it is not given in dB
+        raise NoiseModelError(
+            "detected squeezing of -%.4g dB is unreachable: it needs r > %g, past the "
+            "model's accepted range (the loss bound is %.6g SNL)" % (db, R_MAX, floor))
     return r

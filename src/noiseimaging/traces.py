@@ -22,6 +22,7 @@ is proportional to the true noise power, so delta_n/n does not depend on it.
 """
 
 import hashlib
+import math
 
 import numpy as np
 from numpy.random import default_rng
@@ -124,7 +125,7 @@ def _burn_in(phi):
     """Raw points to discard so the running average starts stationary."""
     if phi <= 0.0:
         return 0
-    return int(np.ceil(np.log(1e-12) / np.log(phi)))
+    return math.ceil(math.log(1e-12) / math.log(phi))
 
 
 def _segment_moments(values, cfg):

@@ -3,8 +3,8 @@
 `tools/artifact_hashes.py` runs `sweep`, `alphabet --mask Z` and
 `calibrate --db 2.2` on both shipped configs at seeds 12345, 7 and 99, each
 in a fresh process, and hashes what each run writes. `artifact_hashes.md`
-next to this file pins the rows that hold on every CPU path; this test
-reruns the same runner and names every pinned row that moved.
+next to this file pins every row, each the same on every CPU path; this
+test reruns the same runner and names every pinned row that moved.
 """
 
 import importlib.util

@@ -129,7 +129,10 @@ def _cpu_legs():
     """{leg: environment settings} for the CPU paths this host can run.
 
     OpenBLAS is forced only down to a core the host has (a core above it can
-    SIGILL); numpy's dispatch drops the AVX512 groups the host reports.
+    SIGILL); numpy's dispatch drops the AVX512 groups the host reports; on
+    hosts with FMA3, glibc masks AVX2 and FMA, so libm runs its plain exp, log
+    and pow, a second path for the package's `math` calls (a glibc that does
+    not know these names ignores them, and the leg repeats the default).
     """
     from numpy._core._multiarray_umath import __cpu_features__
 
@@ -142,6 +145,8 @@ def _cpu_legs():
               if on and (name.startswith("AVX512_") or name == "X86_V4")]
     if avx512:
         legs["numpy-no-avx512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    if platform.libc_ver()[0] == "glibc" and __cpu_features__.get("FMA3"):
+        legs["glibc-no-fma"] = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
     return legs
 
 
@@ -151,7 +156,7 @@ def _leg_env(leg):
     if leg not in legs:
         return None
     env = _child_env()
-    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES"):
         env.pop(name, None)
     env.update(legs[leg])
     return env
@@ -178,7 +183,7 @@ def _assert_same_on_cpu_path(leg, what):
         "%s differ under %s" % (what, _cpu_legs()[leg]))
 
 
-_CPU_PATHS = ["openblas-prescott", "openblas-haswell", "numpy-no-avx512"]
+_CPU_PATHS = ["openblas-prescott", "openblas-haswell", "numpy-no-avx512", "glibc-no-fma"]
 
 
 @pytest.mark.parametrize("leg", _CPU_PATHS)
@@ -197,32 +202,55 @@ def test_fit_does_not_depend_on_the_cpu_path(leg):
 
 
 @functools.lru_cache(maxsize=None)
-def _desk_sweep_on_cpu_path(leg):
-    """The desk sweep's artifacts on one leg, or None when this host cannot run it."""
+def _commands_on_cpu_path(leg, config, commands):
+    """{name: bytes} of what commands run on one leg write and print, each in
+    a fresh process with the same --out; None when this host cannot run the
+    leg."""
     env = _leg_env(leg)
     if env is None:
         return None
-    with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run(
-            [sys.executable, "-m", "noiseimaging.cli", "sweep",
-             "--config", str(ROOT / "configs" / "desk_sweep.cfg"), "--out", out],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+    got = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "noiseimaging.cli", *command,
+                 "--config", str(config), "--out", "out"],
+                cwd=workdir, env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            got[command[0] + " stdout"], got[command[0] + " stderr"] = proc.stdout, proc.stderr
+        got.update((path.name, path.read_bytes())
+                   for path in sorted(Path(workdir, "out").iterdir()))
+    return got
 
 
-# the fit makes no BLAS or LAPACK call, so OpenBLAS's core cannot move a
-# sweep; the numpy-no-avx512 leg still moves fits.json and summary.json,
-# through the noise model's dispatched np.sinh, and is not checked here
-@pytest.mark.parametrize("leg", ["openblas-prescott", "openblas-haswell"])
-def test_desk_sweep_artifacts_do_not_depend_on_the_openblas_core(leg):
-    got = _desk_sweep_on_cpu_path(leg)
+def _assert_same_commands_on_cpu_path(leg, config, commands):
+    got = _commands_on_cpu_path(leg, config, commands)
     if got is None:
         pytest.skip("this host cannot run the %s leg" % leg)
-    want = _desk_sweep_on_cpu_path("default")
+    want = _commands_on_cpu_path("default", config, commands)
     assert sorted(got) == sorted(want)
     differ = [name for name in want if got[name] != want[name]]
-    assert not differ, "desk sweep artifacts differ under %s: %s" % (_cpu_legs()[leg], differ)
+    assert not differ, "bytes differ under %s: %s" % (_cpu_legs()[leg], differ)
+
+
+_DESK_COMMANDS = (("sweep",), ("alphabet", "--mask", "Z"), ("calibrate", "--db", "2.2"))
+
+
+# the fits make no BLAS or LAPACK call and the noise model calls only `math`,
+# so no leg moves a byte of what the three commands write or print
+@pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_desk_artifacts_do_not_depend_on_the_cpu_path(leg):
+    _assert_same_commands_on_cpu_path(leg, ROOT / "configs" / "desk_sweep.cfg", _DESK_COMMANDS)
+
+
+# r = 12, the top of the accepted range: lossless arms detect e^-24 = 3.8e-11
+# SNL at unit overlap, which the noise model resolves on every CPU path
+@pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_alphabet_at_the_largest_r_does_not_depend_on_the_cpu_path(leg, tmp_path):
+    cfgfile = tmp_path / "deep.cfg"
+    save_config(RunConfig(r=noise.R_MAX, grid_size=64, cell_size=8, n_series=2,
+                          samples_per_point=100), cfgfile)
+    _assert_same_commands_on_cpu_path(leg, cfgfile, (("alphabet", "--mask", "Z"),))
 
 
 def _reject_constant(token):
@@ -267,6 +295,15 @@ def test_calibrate_unusable_depth_fails_cleanly(db, tmp_path, capsys):
     message = _one_error_line(capsys, "calibrate")["message"]
     assert "inf dB" not in message and "r must be finite" not in message
     assert not (tmp_path / "out").exists()
+
+
+# 80 dB on lossless arms needs r = 9.2: the noise model resolves the 1e-8 SNL
+def test_calibrate_reaches_deep_squeezing(tmp_path, capsys):
+    code = main(["calibrate", "--db", "80", "--config", str(ROOT / "configs" / "desk_sweep.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    payload = json.loads((tmp_path / "out" / "calibration.json").read_text())
+    assert abs(payload["detected_db"] + 80.0) <= 1e-9
 
 
 def _font_copy(tmp_path):
@@ -723,7 +760,7 @@ def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch
     ({"lock_noise": float("nan")}, "source.lock_noise"),
     ({"lock_noise": float("inf")}, "source.lock_noise"),
     ({"r": float("inf")}, "source.r"),
-    # past calibrate_r's bound of 12 the noise is not resolved, past 355 it overflows
+    # past the model's accepted range of r, [0, 12]; past 355, e^{2r} overflows
     ({"r": 13.0}, "source.r"),
     ({"r": 400.0}, "source.r"),
     # a given r leaves the dB unused by the noise, but the artifacts record it

@@ -181,3 +181,51 @@ def test_balanced_floor_is_not_reached_at_finite_r(t):
     db = -10.0 * np.log10(1.0 - t)
     with pytest.raises(NoiseModelError, match="unreachable"):
         calibrate_r(db, RunConfig(t_probe=t, t_conj=t))
+
+
+# Error budget of the round trip quantum_noise(1, 1, calibrate_r(db)) against
+# the target t = 10^(-db/10), in units of eps = 2^-52.  With K = 1 + lock - a
+# and f(x) = ((a - b) x + (a + b)/x)/2, calibrate_r solves K + f(x) = t for x
+# and quantum_noise evaluates K + f(exp(2r)).  Both terms are >= 0, so a
+# relative error d in x moves the noise by at most f d <= t d: x's error
+# enters the noise at most once, however deep the squeezing.
+# - r = log(x)/2 is within one ulp of its exact value, an absolute error of
+#   at most r eps, which exp(2r) turns into a relative error of 2r eps:
+#   r's rounding carried through e^{2r}, the only term that grows with r.
+# - exp adds one ulp (eps), the root formula's four roundings (the
+#   subtraction, sqrt, the sum and the quotient) about 2 eps, and the
+#   noise's own sum of three non-negative terms about 2 eps.
+# That is about (2r + 5) eps; the bound allows (2r + 8) eps.
+DEEP_DB = [k / 10 for k in range(1, 1001)]
+
+
+def _deep_squeezing_arms():
+    """(t_probe, t_conj, lock_noise) of the shipped configs, an unbalanced
+    pair and seeded random arms."""
+    arms = [(1.0, 1.0, 0.0), (0.44, 0.44, 0.02), (0.9, 0.5, 0.0)]
+    rng = np.random.default_rng(2441)
+    for _ in range(40):
+        t_probe = draw_transmission(rng)
+        t_conj = t_probe if rng.random() < 0.3 else draw_transmission(rng)
+        arms.append((t_probe, t_conj, float(rng.choice([0.0, rng.uniform(0.0, 0.05)]))))
+    return arms
+
+
+def test_deep_squeezing_round_trip_is_accurate():
+    eps = np.finfo(float).eps
+    worst, solved, deepest = 0.0, 0, 0.0
+    for t_probe, t_conj, lock in _deep_squeezing_arms():
+        cfg = RunConfig(t_probe=t_probe, t_conj=t_conj, lock_noise=lock)
+        for db in DEEP_DB:
+            try:
+                r = calibrate_r(db, cfg)
+            except NoiseModelError:
+                continue
+            target = 10.0 ** (-db / 10.0)
+            error = abs(quantum_noise(1.0, 1.0, r, cfg) - target) / target
+            worst = max(worst, error / ((2.0 * r + 8.0) * eps))
+            solved += 1
+            deepest = max(deepest, db)
+    # the lossless arms reach 100 dB (r = 11.5), inside R_MAX
+    assert deepest == 100.0 and solved > 2000
+    assert worst <= 1.0

@@ -3,6 +3,7 @@ import pytest
 
 from noiseimaging.config import RunConfig
 from noiseimaging.noise import (
+    R_MAX,
     NoiseModelError,
     calibrate_r,
     classical_noise,
@@ -136,6 +137,14 @@ class TestProperties:
         base = classical_noise(cell_moments(w, t)[0], 0.8, cfg)
         t[2] += 0.2
         assert classical_noise(cell_moments(w, t)[0], 0.8, cfg) >= base
+
+    def test_quantum_stays_positive_when_rounding_lifts_q_past_sqrt_o(self):
+        # Q <= sqrt(O) <= (1 + O)/2, but moments rounded to O = 1 - 2 eps and
+        # Q = 1 give b > a; at the top of the accepted range the excess times
+        # e^24 would outweigh the squeezed noise
+        o = 1.0 - 2.0 * np.finfo(float).eps
+        n = quantum_noise(o, 1.0, R_MAX, RunConfig())
+        assert n == pytest.approx((1.0 - 0.5 * (1.0 + o)) + np.exp(-2.0 * R_MAX), rel=1e-12)
 
     def test_balanced_loss_degrades_squeezing_toward_snl(self):
         previous = 0.0

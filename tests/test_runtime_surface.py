@@ -9,6 +9,13 @@ dead method that shares its name with a live attribute, never the reverse.
 Likewise every defaulted parameter of those functions and methods must be
 passed by some runtime call: a default nothing overrides is a setting no
 command sets, and belongs in the body as a constant.
+
+And no runtime code reaches numpy's transcendental ufuncs, whose bits
+depend on numpy's CPU dispatch: scalars go through `math`.  The exceptions
+are the bow-tie's pixel angles (`np.arctan2`) and disk edge (`np.hypot`),
+which the CPU-path tests of `test_cli_contract.py` pin by the desk bow-ties'
+digest.  This check also
+holds on hosts where those tests skip their legs.
 """
 
 import ast
@@ -144,3 +151,40 @@ def test_the_walk_sees_the_package():
     labels = {"%s.%s(%s)" % (*key, name)
               for key, _, name, _ in _defaulted_parameters(_runtime_modules())}
     assert {"scene.overlaps(weight_map)", "cli.main(argv)"} <= labels
+
+
+# numpy's exponential, logarithmic, power and trigonometric ufuncs with their
+# aliases; sqrt, the arithmetic and deg2rad (one multiply) are correctly
+# rounded on every path
+TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2",
+    "power", "pow", "float_power", "cbrt", "hypot",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+    "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh",
+    "arcsinh", "arccosh", "arctanh", "asinh", "acosh", "atanh",
+}
+ALLOWED_TRANSCENDENTALS = {("scene", "arctan2"), ("scene", "hypot")}
+
+
+def _numpy_transcendentals(tree):
+    """(name, line) of each numpy transcendental a module names."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTALS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            yield from ((alias.name, node.lineno) for alias in node.names
+                        if alias.name in TRANSCENDENTALS)
+
+
+def test_runtime_calls_no_numpy_transcendental():
+    found = ["%s.py:%d np.%s" % (module, line, name)
+             for module, tree in _runtime_modules().items()
+             for name, line in _numpy_transcendentals(tree)
+             if (module, name) not in ALLOWED_TRANSCENDENTALS]
+    assert found == []
+
+
+def test_the_transcendental_walk_sees_the_bowtie():
+    assert {(module, name) for module, tree in _runtime_modules().items()
+            for name, _ in _numpy_transcendentals(tree)} == ALLOWED_TRANSCENDENTALS

@@ -12,8 +12,9 @@ on where it lives.  Takes no flags:
     python3 tools/artifact_hashes.py
 
 Run it on two checkouts and compare the tables to see which bytes a change
-moved.  `tests/artifact_hashes.md` pins the rows that hold on every CPU
-path, and `tests/test_artifact_bytes.py` reruns `table_rows` against it.
+moved.  `tests/artifact_hashes.md` pins every row, each the same on every
+CPU path the contract tests run, and `tests/test_artifact_bytes.py` reruns
+`table_rows` against it.
 """
 
 import hashlib
