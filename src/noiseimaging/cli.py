@@ -170,21 +170,12 @@ def _measure_curve(cfg, readings, technique):
 
 
 def _angle_readings(cfg, r):
-    """(angle, overlap, {technique: n_true}) per configured angle, in config order.
-
-    No angle's LO bitmap outlives the next angle's, so a sweep keeps only
-    these three numbers per angle.
-    """
-    weight = cfg.weights
-    shapes = scene.bowties([0.0, *np.deg2rad(cfg.angles_deg)], cfg.bowtie_half_angle(),
-                           cfg.bowtie_radius(), cfg.grid_size, cfg.grid_size)
-    mask = next(shapes)
-    readings = []
-    # the shapes first: zip then runs them to their end, which drops the polar grid
-    for lo, angle in zip(shapes, cfg.angles_deg):
-        o, q = scene.overlaps(lo, mask, cfg.cell_size, weight)
-        readings.append((angle, o, {t: technique_noise(t, o, q, r, cfg) for t in TECHNIQUES}))
-    return readings
+    """(angle, overlap, {technique: n_true}) per configured angle, in config order."""
+    moments = scene.bowtie_overlaps(np.deg2rad(cfg.angles_deg), cfg.bowtie_half_angle(),
+                                    cfg.bowtie_radius(), cfg.grid_size, cfg.grid_size,
+                                    cfg.cell_size, cfg.weights)
+    return [(angle, o, {t: technique_noise(t, o, q, r, cfg) for t in TECHNIQUES})
+            for (o, q), angle in zip(moments, cfg.angles_deg)]
 
 
 def cmd_sweep(cfg):

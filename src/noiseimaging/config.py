@@ -96,7 +96,7 @@ class RunConfig:
             raise ConfigError("source.power_per_pixel", "must be finite and > 0")
         if self.grid_size < 2:
             raise ConfigError("scene.grid_size", "must be >= 2")
-        # the bow-ties' polar grid holds flat pixel indices as int32
+        # a bow-tie bitmap takes a byte per pixel: 2 GiB at int32's pixel count
         if self.grid_size ** 2 > np.iinfo(np.int32).max:
             raise ConfigError("scene.grid_size", "a %dx%d grid has more pixels than int32 "
                               "indices can address" % (self.grid_size, self.grid_size))
@@ -259,10 +259,6 @@ def config_text(cfg):
                                   "%r is not ASCII; config files are ASCII" % value)
             lines.append("%s = %s" % (name, value))
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg, path):
-    Path(path).write_text(config_text(cfg), encoding="ascii")
 
 
 def load_config(path):

@@ -33,158 +33,170 @@ def _check_same_dims(a, b):
                          % (a.shape[1], a.shape[0], b.shape[1], b.shape[0]))
 
 
-# pixel angles are grouped into sectors of 1/40 rad, which the uint8 sector
-# key holds: (pi + pi) * 40 < 252
-_SECTORS_PER_RADIAN = 40.0
 # how far past half_angle a folded pixel can still pass the wedge test: the
-# difference theta - rotation rounds by half an ulp of pi + |rotation|, and the
-# fold's +-pi and the window ends by a few ulps of pi; 8 eps times
+# difference theta - rotation rounds by half an ulp of pi + |rotation|, and
+# arctan2 and the fold's +-pi by a few ulps of pi; 8 eps times
 # (pi + |rotation|) covers them with room
 _REACH_ULPS = 8.0 * np.finfo(float).eps
-
 
 # relative half-width of the squared-radius band where the disk test defers to
 # hypot: far above the rounding of hypot and of radius**2
 _EDGE_BAND = 1e-12
-# pixels per row strip of the polar grid, so the build's float temporaries
-# stay near 64 KiB whatever the grid size
-_STRIP_PIXELS = 1 << 13
 
 
-def _sector(angle):
-    """Sector of an angle in [-pi, pi]: monotone, so it brackets any window."""
-    return int((angle + np.pi) * _SECTORS_PER_RADIAN)
-
-
-def _pixel_angles(pixels, width, height):
-    """Polar angles of the centers of the given row-major flat pixel indices.
-
-    A 1-D arctan2 of the gathered coordinates: bit for bit the full-grid
-    arctan2 of the broadcast center rows and columns, under numpy's default
-    dispatch and with its AVX512 groups off, and it reads only the pixels
-    asked for.
-    """
-    # indices are non-negative: a floor division and a product, about a third
-    # of the time of numpy's divmod
+def _centers(pixels, width, height):
+    """(x, y) of the centers of flat pixel indices: the full grid's floats."""
+    # a floor division and a product, a third of the time of numpy's divmod
     ys = pixels // width
-    xs = pixels - ys * width
-    return np.arctan2((ys + 0.5) - height / 2.0, (xs + 0.5) - width / 2.0)
+    return (pixels - ys * width + 0.5) - width / 2.0, (ys + 0.5) - height / 2.0
 
 
-def _polar_grid(width, height, radius):
-    """The disk's pixels grouped by angle sector, one group per row strip.
-
-    Returns a list with one (pixels, starts) pair per strip of rows: the
-    row-major flat indices (int32) of the strip's pixel centers with hypot
-    <= radius about the grid center, ordered by sector and within a sector by
-    index, and each sector's first position in them (starts[s] ..
-    starts[s + 1] is sector s).  Neither depends on the rotation, so a sweep
-    of rotations on one grid computes them once.  All are read-only.
-
-    Built and kept in strips, so no full-grid array is ever alive.
-    """
-    x = (np.arange(width) + 0.5) - width / 2.0
-    edge = radius * radius
-    rows = max(1, _STRIP_PIXELS // width)
-    grid = []
-    for top in range(0, height, rows):
-        y = ((np.arange(top, min(top + rows, height)) + 0.5) - height / 2.0)[:, None]
-        # centers are multiples of 1/2, so their squared radius is exact, and
-        # only the centers within rounding of radius**2 need hypot to place them
-        r2 = x * x + y * y
-        disk = r2 <= edge * (1.0 - _EDGE_BAND)
-        band = r2 > edge * (1.0 - _EDGE_BAND)
-        band &= r2 <= edge * (1.0 + _EDGE_BAND)
-        del r2
-        band = np.flatnonzero(band)
-        ys, xs = np.divmod(band, width)
-        disk.ravel()[band] = np.hypot(x[xs], y[ys, 0]) <= radius
-        strip = (np.flatnonzero(disk) + top * width).astype(np.int32)
-        # the same arithmetic as _sector, so window bounds bracket pixel sectors
-        sector = ((_pixel_angles(strip, width, height) + np.pi)
-                  * _SECTORS_PER_RADIAN).astype(np.uint8)
-        pixels = strip[np.argsort(sector, kind="stable")]
-        starts = np.zeros(_sector(np.pi) + 2, dtype=np.intp)
-        np.cumsum(np.bincount(sector, minlength=_sector(np.pi) + 1), out=starts[1:])
-        for arr in (pixels, starts):
-            arr.setflags(write=False)
-        grid.append((pixels, starts))
-    return grid
-
-
-def _sector_spans(rotation, half_angle):
-    """(edges, inside): [first, stop) sector ranges holding every pixel within half_angle
-    plus the rounding reach of rotation mod pi; `inside` ones pass without folding."""
-    err = _REACH_ULPS * (np.pi + abs(rotation))
-    reach, inner = half_angle + err, half_angle - err
-    if reach >= np.pi / 2:  # windows pi apart: every angle is a candidate
-        return [(0, _sector(np.pi) + 1)], []
-    # fmod is exact, so the window centres rotation + k pi are exactly
-    # center + m pi with center in (-pi, pi), and only |m| <= 2 meet [-pi, pi]
-    center = math.fmod(rotation, np.pi)
-    edges, inside = [], []
-    for m in (-2, -1, 0, 1, 2):
-        axis = center + m * np.pi
-        if axis + reach < -np.pi or axis - reach > np.pi:
-            continue
-        first, stop = _sector(max(axis - reach, -np.pi)), _sector(min(axis + reach, np.pi)) + 1
-        # _sector is monotone: sectors strictly between those of axis -+ inner lie inside
-        in_first = min(max(_sector(axis - inner) + 1, first), stop)
-        in_stop = max(min(_sector(axis + inner), stop), in_first)
-        inside.append((in_first, in_stop))
-        edges += [(first, in_first), (in_stop, stop)]
-    return edges, inside
-
-
-def bowties(rotations, half_angle, radius, width, height):
-    """One bow-tie bitmap per rotation: two opposing angular wedges of the
-    given half-angle about the grid center.
-
-    A rotation orients the wedge axis; the shape is point-symmetric about the
-    center, so rotation and rotation + pi rasterize identically.  The polar
-    grid is built at the first rotation and dropped when the iteration ends.
-    """
-    if not 0.0 < half_angle < np.pi / 2:
-        raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
-    if radius <= 0 or 2.0 * radius > min(width, height):
-        raise SceneError("bow-tie radius must be positive and fit inside the grid")
-    # the polar grid holds flat pixel indices as int32, which would wrap past it
-    if width * height > np.iinfo(np.int32).max:
-        raise SceneError("a %dx%d grid has more pixels than int32 indices can address"
-                         % (width, height))
-    grid = None
-    for rotation in rotations:
-        if not math.isfinite(rotation):
-            raise SceneError("bow-tie rotation must be finite, got %r" % (rotation,))
-        if grid is None:
-            grid = _polar_grid(width, height, radius)
-        yield _bowtie(grid, rotation, half_angle, width, height)
-
-
-def _bowtie(grid, rotation, half_angle, width, height):
-    bits = np.zeros(width * height, dtype=bool)
-    edges, inside = _sector_spans(rotation, half_angle)
-    for pixels, starts in grid:
-        for first, stop in inside:
-            # numpy scatters through an intp index about twice as fast as through int32
-            bits[pixels[starts[first]:starts[stop]].astype(np.intp)] = True
-    # the edge sectors' pixels of every strip in one array, so the fold runs once
-    edge = np.concatenate([pixels[starts[first]:starts[stop]]
-                           for pixels, starts in grid for first, stop in edges])
+def _wedge_hits(pixels, rotation, half_angle, width, height):
+    """The exact bow-tie test of flat pixel indices: an arctan2 of their
+    gathered centers, bit for bit the full grid's under numpy's default
+    dispatch and with its AVX512 groups off, then the fold."""
     # fold the polar angle onto [0, pi), identical for phi and phi + pi:
     # numpy's `%` is this fmod plus pi where it is negative (fmod may leave
     # -0.0 where `%` gives +0.0, which compares the same)
-    psi = np.subtract(_pixel_angles(edge, width, height), rotation)
+    psi = np.subtract(np.arctan2(*_centers(pixels, width, height)[::-1]), rotation)
     np.fmod(psi, np.pi, out=psi)
     np.add(psi, np.pi, out=psi, where=psi < 0)
     # inside the wedge pair: |psi| <= half_angle for psi <= pi/2, else
     # |psi - pi| <= half_angle; half_angle < pi/2 keeps each test to its half
     hit = psi <= half_angle
     psi -= np.pi
-    hit |= psi >= -half_angle
-    bits[edge[hit]] = True
-    bits.setflags(write=False)
-    return bits.reshape(height, width)
+    return hit | (psi >= -half_angle)
+
+
+def _ranges(starts, stops):
+    """The integers of every range [starts[k], stops[k]), in order."""
+    lengths = np.maximum(stops - starts, 0)
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+def _disk_rows(width, height, radius):
+    """(top, y, first, stop, rim): the rows from top on, their center
+    ordinates, their columns inside the disk clear of the edge band, and the
+    flat indices of the band's pixels that hypot puts inside."""
+    top = max(0, math.floor(height / 2.0 - radius) - 1)
+    y = np.arange(top + 0.5, height - top) - height / 2.0
+    # the runs of columns inside the band's inner and outer edge, up to rounding
+    # far inside the band; the middle column tells an empty run, put at width // 2
+    bound = radius * radius * np.array([[1.0 - _EDGE_BAND], [1.0 + _EDGE_BAND]])
+    middle = (width - 1) // 2
+    first = np.ceil((width / 2.0 - 0.5) - np.sqrt(np.clip(bound - y * y, 0.0, bound)))
+    x = (middle + 0.5) - width / 2.0
+    found = x * x + y * y <= bound
+    first = np.where(found, np.clip(first, 0, middle), width // 2).astype(np.intp)
+    stop = np.where(found, width - first, first)
+    rows = (top + np.arange(len(y))) * width
+    rim = _ranges(np.concatenate([rows + first[1], rows + stop[0]]),
+                  np.concatenate([rows + first[0], rows + stop[1]]))
+    rim = rim[np.hypot(*_centers(rim, width, height)) <= radius]
+    return top, y, first[0], stop[0], rim
+
+
+def _wedge_rows(disk, rotation, half_angle, radius, width, height):
+    """(top, spans, hits): two flat-index spans [a, b) per row from row top
+    on, of pixels whose centers lie inside the bow-tie and farther than the
+    exact test's rounding reach from both its edge lines; and the band hits,
+    the disk's other pixels near an edge line that the exact test passes."""
+    top, y, first, stop, rim = disk
+    # the reach in angle as a distance from a line through the center,
+    # doubled for the rounding here; past |rotation| ~ 3e14 it tops the radius
+    reach = 2.0 * _REACH_ULPS * (np.pi + abs(rotation)) * radius
+    center = math.fmod(rotation, np.pi)
+    cuts, flips = [], 0
+    for phi in (center - half_angle, center + half_angle):
+        # a line's angle is defined mod pi: each half turn that brings it into
+        # (0, pi], where its sine is positive, swaps the line's sides
+        while phi <= 0.0:
+            phi, flips = phi + np.pi, flips + 1
+        while phi > np.pi:
+            phi, flips = phi - np.pi, flips + 1
+        # x sin(phi) - y cos(phi) is the signed distance from the line: the
+        # centers before column lo lie past reach on its negative side, those
+        # from hi on on its positive side, with a pixel of slack.  A row
+        # through the center, at angles 0 and pi exactly, is all band
+        lo, hi = (np.clip((y * math.cos(phi) + d) / math.sin(phi) + (width / 2.0 - 0.5),
+                          -2.0, width + 2.0) for d in (-reach, reach))
+        cuts += [np.where(y == 0.0, 0, np.clip(np.ceil(lo) - 1.0, 0, width)).astype(np.intp),
+                 np.where(y == 0.0, width, np.clip(np.floor(hi) + 2.0, 0, width)).astype(np.intp)]
+    lo1, hi1, lo2, hi2 = cuts
+    # the spans, where the signed distances from the unturned edge lines differ
+    # in sign, then the band's cut ranges, the second less the first
+    ranges = ([(0, np.minimum(lo1, lo2)), (np.maximum(hi1, hi2), width)] if flips % 2
+              else [(hi2, lo1), (hi1, lo2)])
+    ranges += [(lo1, hi1), (lo2, np.minimum(hi2, lo1)), (np.maximum(lo2, hi1), hi2)]
+    rows = (top + np.arange(len(y))) * width
+    ranges = [(rows + np.clip(a, first, stop), rows + np.clip(np.maximum(a, b), first, stop))
+              for a, b in ranges]
+    band = np.concatenate([_ranges(*map(np.concatenate, zip(*ranges[2:]))), rim])
+    return top, ranges[:2], band[_wedge_hits(band, rotation, half_angle, width, height)]
+
+
+def _wedges(rotations, half_angle, radius, width, height):
+    """_wedge_rows of each rotation, on one _disk_rows."""
+    if not 0.0 < half_angle < np.pi / 2:
+        raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
+    if radius <= 0 or 2.0 * radius > min(width, height):
+        raise SceneError("bow-tie radius must be positive and fit inside the grid")
+    # every command rejects such a grid before any allocation: a bow-tie
+    # bitmap takes a byte per pixel, 2 GiB at this limit
+    if width * height > np.iinfo(np.int32).max:
+        raise SceneError("a %dx%d grid has more pixels than int32 indices can address"
+                         % (width, height))
+    disk = None
+    for rotation in rotations:
+        if not math.isfinite(rotation):
+            raise SceneError("bow-tie rotation must be finite, got %r" % (rotation,))
+        disk = disk or _disk_rows(width, height, radius)
+        yield _wedge_rows(disk, rotation, half_angle, radius, width, height)
+
+
+def bowties(rotations, half_angle, radius, width, height):
+    """One bow-tie bitmap per rotation: two opposing angular wedges of the
+    given half-angle about the grid center.  The shape is point-symmetric
+    about the center, so rotation and rotation + pi rasterize identically."""
+    for _, spans, hits in _wedges(rotations, half_angle, radius, width, height):
+        bits = np.zeros(width * height, dtype=bool)
+        for a, b in spans:
+            bits[_ranges(a, b)] = True
+        bits[hits] = True
+        bits.setflags(write=False)
+        yield bits.reshape(height, width)
+        del bits  # not held while the next is drawn
+
+
+def bowtie_overlaps(rotations, half_angle, radius, width, height, cell_size, weight_map):
+    """`overlaps` of the bow-tie LO at each rotation against the bow-tie mask
+    at rotation 0, from one LO bitmap at a time; on single-pixel cells without
+    a weight map, counted from the spans and band hits with no bitmap."""
+    if cell_size != 1 or weight_map is not None:
+        shapes = bowties([0.0, *rotations], half_angle, radius, width, height)
+        mask = next(shapes)
+        # map holds no LO while the next one is drawn
+        yield from map(lambda lo: overlaps(lo, mask, cell_size, weight_map), shapes)
+        return
+    wedges = _wedges([0.0, *rotations], half_angle, radius, width, height)
+    _, mask_spans, mask_hits = next(wedges)
+    for top, spans, hits in wedges:
+        # count(LO) and count(LO and mask) as Python ints: the common span
+        # lengths, LO band hits in the mask, and mask band hits in LO spans
+        total = sum(int(np.sum(b - a)) for a, b in spans) + len(hits)
+        if not total:
+            raise SceneError("LO bitmap carries no power (empty LO)")
+        rows = mask_hits // width - top
+        both = (sum(_common(a, b, c, d) for a, b in spans for c, d in mask_spans)
+                + np.count_nonzero(_wedge_hits(hits, 0.0, half_angle, width, height))
+                + sum(_common(a[rows], b[rows], mask_hits, mask_hits + 1) for a, b in spans))
+        yield both / total, both / total
+
+
+def _common(a, b, c, d):
+    """The summed lengths of the ranges [a, b) & [c, d), elementwise."""
+    return int(np.sum(np.maximum(np.minimum(b, d) - np.maximum(a, c), 0)))
 
 
 def overlaps(lo, mask, cell_size, weight_map=None):

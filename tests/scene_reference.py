@@ -1,14 +1,14 @@
 """Full-grid reference for the scene layer's fast paths.
 
 `bowtie` draws one bow-tie through the runtime's `scene.bowties`, which
-draws a sweep's bow-ties from one polar grid.
+draws a sweep's bow-ties as row spans on one set of disk rows.
 
 `reference_bowtie` rasterizes a bow-tie from a fresh meshgrid with numpy's
 `%` and `np.where`, and `reference_decompose` sums every pixel of the grid
 into a full-length float `bincount` per cell and returns the per-cell LO
 weight fractions and mask transmissions; `cell_moments` turns those into
 the overlap and root overlap.  The runtime folds only the disk pixels near
-the wedge axis and sums only LO pixels; the tests require the same bits, and
+the wedge's edge lines and sums only LO pixels; the tests require the same bits, and
 the same moments to within rounding.  `reference_load_pbm` tokenizes a P1
 file line by line as text, where the runtime parses its bytes.
 """
@@ -22,12 +22,12 @@ from noiseimaging.scene import SceneError
 
 
 def bowtie(rotation, half_angle, radius, width, height):
-    """The runtime's bow-tie at one rotation, from a polar grid of its own."""
+    """The runtime's bow-tie at one rotation, on disk rows of its own."""
     return next(scene.bowties([rotation], half_angle, radius, width, height))
 
 
 def reference_bowtie(rotation, half_angle, radius, width, height):
-    """Two opposing wedges about the grid center, from a fresh polar grid."""
+    """Two opposing wedges about the grid center, from a fresh meshgrid."""
     if not 0.0 < half_angle < np.pi / 2:
         raise SceneError("wedge half-angle must lie in (0, pi/2), got %r" % (half_angle,))
     if radius <= 0 or 2.0 * radius > min(width, height):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from noiseimaging.cli import main
-from noiseimaging.config import RunConfig, save_config
+from noiseimaging.config import RunConfig
 from noiseimaging.estimate import (
     alphabet_gun,
     delta_o_table,
@@ -31,6 +31,7 @@ from noiseimaging.noise import (
 from noiseimaging.scene import load_font
 from noiseimaging.traces import derive_seed, measure_series
 
+from config_files import write_config
 from oracles import mc_classical_noise, mc_quantum_noise
 from scene_reference import cell_moments
 
@@ -63,7 +64,7 @@ def _desk_config(**overrides):
 def _run_sweep(tmp_path, tag, cfg):
     cfg_path = tmp_path / ("%s.cfg" % tag)
     out = tmp_path / tag
-    save_config(cfg, cfg_path)
+    write_config(cfg, cfg_path)
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     fits = json.loads((out / "fits.json").read_text())
     summary = json.loads((out / "summary.json").read_text())
@@ -74,7 +75,7 @@ def test_criterion_1_squeezing_calibration(tmp_path):
     started = time.perf_counter()
     out = tmp_path / "cal"
     cfg_path = tmp_path / "cal.cfg"
-    save_config(_desk_config(), cfg_path)
+    write_config(_desk_config(), cfg_path)
     code = main(["calibrate", "--db", "2.2", "--config", str(cfg_path),
                  "--out", str(out)])
     payload = json.loads((out / "calibration.json").read_text())
@@ -171,7 +172,7 @@ def test_criterion_4_alphabet_gun(tmp_path):
     )
     cfg_path = tmp_path / "alphabet.cfg"
     out = tmp_path / "alphabet"
-    save_config(cfg, cfg_path)
+    write_config(cfg, cfg_path)
     code = main(["alphabet", "--mask", "Z", "--config", str(cfg_path),
                  "--out", str(out)])
     payload = json.loads((out / "ranking.json").read_text())

@@ -20,7 +20,8 @@ import pytest
 import noiseimaging
 from noiseimaging import cli, estimate, noise, scene
 from noiseimaging.cli import _json_text, main
-from noiseimaging.config import RunConfig, load_config, save_config
+from noiseimaging.config import RunConfig, load_config
+from config_files import write_config
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,9 +98,9 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expec
 
 
 # the trace points of four smoothing depths, the 16 desk bow-ties (mask and
-# LOs, whose edge-sector angles are arctan2s of gathered centers) and the
-# fits.json payload of a fit to 16 points made of Python floats, each hashed
-# in a fresh interpreter
+# LOs, whose band pixels' angles are arctan2s of gathered centers), the 15
+# desk overlaps counted from their row spans, and the fits.json payload of a
+# fit to 16 points made of Python floats, each hashed in a fresh interpreter
 _CPU_PATH_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
@@ -113,14 +114,18 @@ for phi in (0.0, 0.5, 0.9, 0.99):
     cfg = RunConfig(point_correlation=phi)
     points.update(_series_points(1.7, cfg, 10, derive_seed(12345, "cpu", phi)).tobytes())
 desk = load_config(sys.argv[1])
+shape = (desk.bowtie_half_angle(), desk.bowtie_radius(), desk.grid_size, desk.grid_size)
 bowties = hashlib.sha256()
-for bits in scene.bowties(np.deg2rad((0.0,) + desk.angles_deg), desk.bowtie_half_angle(),
-                          desk.bowtie_radius(), desk.grid_size, desk.grid_size):
+for bits in scene.bowties(np.deg2rad((0.0,) + desk.angles_deg), *shape):
     bowties.update(bits)
+overlaps = hashlib.sha256()
+for o, q in scene.bowtie_overlaps(np.deg2rad(desk.angles_deg), *shape, 1, None):
+    overlaps.update((o.hex() + q.hex()).encode())
 fit_points = [{"overlap": k / 15, "n": 1.0 + 0.3 * k / 15 + ((7 * k) % 11 - 5) * 1e-3,
                "sigma_n": 1e-3 * (1 + k % 3), "delta_n": 0.02} for k in range(16)]
 fit = json.dumps(fit_noise_curve(fit_points)[0], sort_keys=True)
 print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest(),
+                  "desk_overlaps": overlaps.hexdigest(),
                   "fit": hashlib.sha256(fit.encode()).hexdigest()}))
 """
 
@@ -197,6 +202,11 @@ def test_desk_bowties_do_not_depend_on_the_cpu_path(leg):
 
 
 @pytest.mark.parametrize("leg", _CPU_PATHS)
+def test_desk_overlaps_do_not_depend_on_the_cpu_path(leg):
+    _assert_same_on_cpu_path(leg, "desk_overlaps")
+
+
+@pytest.mark.parametrize("leg", _CPU_PATHS)
 def test_fit_does_not_depend_on_the_cpu_path(leg):
     _assert_same_on_cpu_path(leg, "fit")
 
@@ -248,8 +258,8 @@ def test_desk_artifacts_do_not_depend_on_the_cpu_path(leg):
 @pytest.mark.parametrize("leg", _CPU_PATHS)
 def test_alphabet_at_the_largest_r_does_not_depend_on_the_cpu_path(leg, tmp_path):
     cfgfile = tmp_path / "deep.cfg"
-    save_config(RunConfig(r=noise.R_MAX, grid_size=64, cell_size=8, n_series=2,
-                          samples_per_point=100), cfgfile)
+    write_config(RunConfig(r=noise.R_MAX, grid_size=64, cell_size=8, n_series=2,
+                           samples_per_point=100), cfgfile)
     _assert_same_commands_on_cpu_path(leg, cfgfile, (("alphabet", "--mask", "Z"),))
 
 
@@ -260,8 +270,8 @@ def _reject_constant(token):
 def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     # r unset: derived from the detected squeezing depth
-    save_config(RunConfig(grid_size=128, cell_size=1, n_series=2,
-                          samples_per_point=100, seed=3), cfgfile)
+    write_config(RunConfig(grid_size=128, cell_size=1, n_series=2,
+                           samples_per_point=100, seed=3), cfgfile)
     runs = {
         "summary.json": ["sweep"],
         "ranking.json": ["alphabet", "--mask", "Z"],
@@ -318,8 +328,8 @@ def test_alphabet_with_one_letter_above_floor_fails_cleanly(tmp_path, capsys):
     font = _font_copy(tmp_path)
     save_pbm(np.ones((64, 64), dtype=bool), font / "Z.pbm")
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(font_dir=str(font), electronic_floor=3000.0, cell_size=8,
-                          n_series=2, samples_per_point=100), cfgfile)
+    write_config(RunConfig(font_dir=str(font), electronic_floor=3000.0, cell_size=8,
+                           n_series=2, samples_per_point=100), cfgfile)
     code = main(["alphabet", "--mask", "Z", "--config", str(cfgfile),
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -342,8 +352,8 @@ def test_unreadable_glyph_fails_cleanly(kind, letter, tmp_path, capsys):
     else:
         broken.symlink_to(broken)
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(font_dir=str(font), cell_size=8, n_series=2,
-                          samples_per_point=100), cfgfile)
+    write_config(RunConfig(font_dir=str(font), cell_size=8, n_series=2,
+                           samples_per_point=100), cfgfile)
     code = main(["alphabet", "--mask", "Z", "--config", str(cfgfile),
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -441,8 +451,8 @@ def _one_error_line(capsys, command):
 def test_single_segment_acquisition_fails_cleanly(args, tmp_path, capsys):
     # one segment mean per trace leaves no segment scatter to measure
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=64, cell_size=8, points_per_trace=10,
-                          segment_length=10, n_series=2, samples_per_point=100), cfgfile)
+    write_config(RunConfig(grid_size=64, cell_size=8, points_per_trace=10,
+                           segment_length=10, n_series=2, samples_per_point=100), cfgfile)
     code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     error = _one_error_line(capsys, args[0])
@@ -459,8 +469,8 @@ def test_unusable_weight_map_fails_cleanly(contents, tmp_path, capsys):
     wmap = tmp_path / "w.txt"
     wmap.write_text(contents)
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=2, cell_size=1, weight_map=str(wmap), n_series=2,
-                          samples_per_point=100), cfgfile)
+    write_config(RunConfig(grid_size=2, cell_size=1, weight_map=str(wmap), n_series=2,
+                           samples_per_point=100), cfgfile)
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     error = _one_error_line(capsys, "sweep")
@@ -478,8 +488,8 @@ def test_unusable_weight_map_fails_every_command(args, contents, tmp_path, capsy
     wmap = tmp_path / "bad.txt"
     wmap.write_text(contents)
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=4, cell_size=1, weight_map=str(wmap), n_series=2,
-                          samples_per_point=100), cfgfile)
+    write_config(RunConfig(grid_size=4, cell_size=1, weight_map=str(wmap), n_series=2,
+                           samples_per_point=100), cfgfile)
     out = tmp_path / "out"
     code = main(args + ["--config", str(cfgfile), "--out", str(out)])
     assert code == 2
@@ -495,7 +505,7 @@ def test_font_dir_without_a_font_fails_every_command(args, tmp_path, capsys):
     font = tmp_path / "emptyfont"
     font.mkdir()
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(font_dir=str(font)), cfgfile)
+    write_config(RunConfig(font_dir=str(font)), cfgfile)
     out = tmp_path / "out"
     code = main(args + ["--config", str(cfgfile), "--out", str(out)])
     assert code == 2
@@ -507,8 +517,8 @@ def _sweep_artifacts(tmp_path, name, cell_size, weight_map=""):
     """The sweep artifacts of a 64x64 grid, with config.weight_map dropped
     from the summary (it names the file)."""
     cfgfile = tmp_path / ("%s.cfg" % name)
-    save_config(RunConfig(grid_size=64, cell_size=cell_size, weight_map=weight_map,
-                          n_series=2, samples_per_point=100), cfgfile)
+    write_config(RunConfig(grid_size=64, cell_size=cell_size, weight_map=weight_map,
+                           n_series=2, samples_per_point=100), cfgfile)
     out = tmp_path / name
     assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -537,8 +547,8 @@ def test_uniform_weight_map_at_any_scale_gives_the_artifacts_of_no_map(cell_size
 ], ids=["calibrate-trace"])
 def test_failed_allocation_fails_cleanly(args, overrides, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(cell_size=1, n_series=2, samples_per_point=100, **overrides),
-                cfgfile)
+    write_config(RunConfig(cell_size=1, n_series=2, samples_per_point=100, **overrides),
+                 cfgfile)
     code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     error = _one_error_line(capsys, args[0])
@@ -613,8 +623,9 @@ def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):
     assert peak <= 4 * 2**20, "traced peak %.1f MiB" % (peak / 2**20)
 
 
-def test_desk_sweep_holds_no_polar_grid_after_its_bowties():
-    # the grid is 0.70 MiB on the desk grid, and the 15 readings a few KiB
+def test_desk_sweep_holds_only_its_readings_after_the_overlaps():
+    # the 15 readings are a few KiB; a kept bow-tie bitmap would be 0.25 MiB,
+    # and the polar grid the row spans replaced was 0.70 MiB
     cfg = load_config(ROOT / "configs" / "desk_sweep.cfg")
     r = cfg.resolve_r()
     tracemalloc.start()
@@ -626,6 +637,23 @@ def test_desk_sweep_holds_no_polar_grid_after_its_bowties():
         tracemalloc.stop()
     assert len(readings) == len(cfg.angles_deg)
     assert held < 0.1 * 2**20, "held %.2f MiB" % (held / 2**20)
+
+
+def test_desk_overlaps_draw_no_bitmap():
+    # the desk's 16 bow-ties as row spans and band hits, a few KiB each and
+    # about 0.2 MiB at the traced peak on numpy 2.4, where drawing them as
+    # 256 KiB bitmaps over a 0.70 MiB polar grid peaked at 1.55 MiB.  The
+    # bound admits no second bitmap beside one
+    cfg = load_config(ROOT / "configs" / "desk_sweep.cfg")
+    r = cfg.resolve_r()
+    cli._angle_readings(cfg, r)
+    tracemalloc.start()
+    try:
+        cli._angle_readings(cfg, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20, "traced peak %.2f MiB" % (peak / 2**20)
 
 
 # a child's ru_maxrss starts at the high-water mark of the process that
@@ -654,20 +682,21 @@ def _peak_rss_mib(args, out):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
-    # calibrate on the same config imports the same modules and builds no
-    # bow-tie, so the gap is what the sweep's scene, traces and fit hold at
-    # their peak, which the bow-ties set. With one merged polar grid, cached
-    # for the process, it was 1.50-1.75 MiB (6 runs): the 0.64 MiB of sorted
-    # strips and the 0.64 MiB merged copy were alive at once. With the grid
-    # built and kept in 8,192-pixel strips, and dropped after the last LO, it
-    # is 0.95-1.28 MiB (18 runs). The bound sits between the two: 0.12 MiB
-    # above the highest run (page rounding and another numpy's temporaries)
-    # and 0.10 MiB below the lowest run of the merged grid.
+    # calibrate on the same config imports the same modules and draws no
+    # bow-tie, so the gap is what the sweep's scene, traces, fit and
+    # rendering add at their peak: their data, and the code pages of the
+    # library functions only the sweep calls.  With the bow-ties drawn as
+    # bitmaps over a polar grid it was 1.07-1.44 MiB (34 runs), the grid and
+    # bitmaps setting the peak; with the overlaps counted from row spans the
+    # peak falls to the end of the run, and the gap is 0.67-0.95 MiB (36
+    # runs).  The bound sits between the two: 0.10 MiB above the highest run
+    # of the spans, for page rounding and another numpy's temporaries, and
+    # 0.02 MiB below the lowest run of the grid
     desk = str(ROOT / "configs" / "desk_sweep.cfg")
     sweep = _peak_rss_mib(["sweep", "--config", desk], tmp_path / "sweep")
     calibrate = _peak_rss_mib(["calibrate", "--db", "2.2", "--config", desk],
                               tmp_path / "calibrate")
-    assert sweep - calibrate < 1.4, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
+    assert sweep - calibrate < 1.05, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
 
 
 # a warning would print a second stderr line outside pytest
@@ -676,8 +705,8 @@ def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
                          ids=["inf", "-inf", "nan"])
 def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
-                          angles_deg=(0.0, angle, 9.0)), cfgfile)
+    write_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                           angles_deg=(0.0, angle, 9.0)), cfgfile)
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     assert _one_error_line(capsys, "sweep")["field"] == "acquisition.angles_deg"
@@ -689,8 +718,8 @@ def test_non_finite_sweep_angle_fails_cleanly(angle, tmp_path, capsys):
 def test_angles_with_one_overlap_fail_before_any_trace(pair, tmp_path, capsys, monkeypatch):
     angles = tuple(dict.fromkeys(pair + (0.0, 10.0, 20.0, 30.0, 40.0)))
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
-                          angles_deg=angles), cfgfile)
+    write_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                           angles_deg=angles), cfgfile)
 
     def no_traces(*args, **kwargs):
         raise AssertionError("the sweep drew a trace")
@@ -713,8 +742,8 @@ def test_angles_with_one_overlap_fail_before_any_trace(pair, tmp_path, capsys, m
 def test_angles_without_high_overlaps_fail_before_any_trace(angles, message, tmp_path, capsys,
                                                             monkeypatch):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=128, cell_size=4, n_series=2, samples_per_point=100,
-                          angles_deg=angles), cfgfile)
+    write_config(RunConfig(grid_size=128, cell_size=4, n_series=2, samples_per_point=100,
+                           angles_deg=angles), cfgfile)
 
     def no_traces(*args, **kwargs):
         raise AssertionError("the sweep drew a trace")
@@ -735,8 +764,8 @@ def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch
         cfgfile = ROOT / "configs" / "alphabet_recognition.cfg"
     else:
         cfgfile = tmp_path / "run.cfg"
-        save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
-                              angles_deg=(0.0, 9.0, 27.0, 45.0)), cfgfile)
+        write_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                               angles_deg=(0.0, 9.0, 27.0, 45.0)), cfgfile)
 
     def no_scene(*args, **kwargs):
         raise AssertionError("the sweep rasterized a bow-tie")
@@ -772,8 +801,8 @@ def test_short_sweep_fails_before_any_work(config, tmp_path, capsys, monkeypatch
                          ids=["sweep", "alphabet"])
 def test_non_finite_source_value_names_its_field(values, field, args, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
-                          **values), cfgfile)
+    write_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100,
+                           **values), cfgfile)
     code = main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
     assert _one_error_line(capsys, args[0])["field"] == field
@@ -783,8 +812,8 @@ def test_non_finite_source_value_names_its_field(values, field, args, tmp_path, 
 @pytest.mark.parametrize("where", ["comment", "value"])
 def test_non_ascii_config_fails_cleanly(where, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100),
-                cfgfile)
+    write_config(RunConfig(grid_size=32, cell_size=4, n_series=2, samples_per_point=100),
+                 cfgfile)
     text = cfgfile.read_bytes()
     if where == "comment":
         text = "# r\u00e9glage\n".encode("utf-8") + text
@@ -845,21 +874,25 @@ _COMMANDS = {
 }
 
 
-# the bow-ties' polar grid indexes pixels as int32, so every command rejects
-# a grid past 46340^2 pixels as its field, before any allocation
-@pytest.mark.parametrize("grid_size", [46341, 10**15], ids=["46341", "1e15"])
+# every command rejects, as its field and before any allocation, a grid past
+# 46340^2 pixels, whose flat indices pass int32 and whose bow-tie bitmap is
+# 2 GiB, and a grid of one pixel, where a bow-tie holds no pixel
+@pytest.mark.parametrize("grid_size,message", [(46341, "int32"), (10**15, "int32"),
+                                               (1, "must be >= 2")],
+                         ids=["46341", "1e15", "1"])
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_grid_past_int32_indices_fails_every_command(command, grid_size, tmp_path, capsys):
+def test_grid_past_int32_indices_fails_every_command(command, grid_size, message, tmp_path,
+                                                     capsys):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=grid_size, cell_size=1, n_series=2,
-                          samples_per_point=100), cfgfile)
+    write_config(RunConfig(grid_size=grid_size, cell_size=1, n_series=2,
+                           samples_per_point=100), cfgfile)
     args, _ = _COMMANDS[command]
     out = tmp_path / "out"
     code = main(args + ["--config", str(cfgfile), "--out", str(out)])
     assert code == 2
     error = _one_error_line(capsys, command)
     assert error["field"] == "scene.grid_size"
-    assert "int32" in error["message"]
+    assert message in error["message"]
     assert not out.exists()
 
 
@@ -870,8 +903,8 @@ def test_the_largest_grid_int32_indices_address_is_valid():
 
 def _small_config(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    save_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
-                cfgfile)
+    write_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
+                 cfgfile)
     return cfgfile
 
 

@@ -32,7 +32,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from noiseimaging.cli import main
-from noiseimaging.config import RunConfig, save_config
+from noiseimaging.config import RunConfig
+
+from config_files import write_config
 
 UNADDRESSABLE = 10**20
 
@@ -165,7 +167,7 @@ def test_cli_keeps_its_contract(run):
         if weight_map is not None:
             (root / "w.txt").write_text(weight_map)
             values = dict(values, weight_map=str(root / "w.txt"))
-        save_config(RunConfig(**values), root / "run.cfg")
+        write_config(RunConfig(**values), root / "run.cfg")
         out = _out_dir(root, out_kind)
         before = set(root.rglob("*"))
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from noiseimaging.cli import main
-from noiseimaging.config import (
-    ConfigError,
-    RunConfig,
-    load_config,
-    save_config,
-)
+from noiseimaging.config import ConfigError, RunConfig, load_config
+
+from config_files import write_config
 
 R_REF = 0.2532843602293450
 
@@ -24,7 +21,7 @@ class TestConfigFile:
         cfg = RunConfig(seed=777, angles_deg=(0.0, 1.25, 3.5), lock_noise=0.015,
                         out_dir="results", font_dir="", weight_map="")
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
+        write_config(cfg, path)
         loaded = load_config(path)
         for name in cfg.__dataclass_fields__:
             a, b = getattr(cfg, name), getattr(loaded, name)
@@ -36,14 +33,14 @@ class TestConfigFile:
     def test_round_trip_with_explicit_r(self, tmp_path):
         cfg = RunConfig(r=0.31415926535)
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
+        write_config(cfg, path)
         assert load_config(path) == cfg
 
     def test_saved_file_is_stable_bytes(self, tmp_path):
         cfg = RunConfig()
         a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        save_config(cfg, a)
-        save_config(load_config(a), b)
+        write_config(cfg, a)
+        write_config(load_config(a), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_key_names_field(self, tmp_path):
@@ -169,7 +166,7 @@ class TestCalibrateCommand:
 
     def test_lossy_balanced(self, tmp_path):
         cfgfile = tmp_path / "lossy.cfg"
-        save_config(RunConfig(t_probe=0.912, t_conj=0.912), cfgfile)
+        write_config(RunConfig(t_probe=0.912, t_conj=0.912), cfgfile)
         out = tmp_path / "cal2"
         assert run_cli(["calibrate", "--db", "2.2", "--config", str(cfgfile),
                         "--out", str(out)]) == 0
@@ -193,7 +190,7 @@ class TestCalibrateCommand:
 
     def test_unachievable_target_fails_with_bound(self, tmp_path, capsys):
         cfgfile = tmp_path / "deep.cfg"
-        save_config(RunConfig(t_probe=0.5, t_conj=0.5), cfgfile)
+        write_config(RunConfig(t_probe=0.5, t_conj=0.5), cfgfile)
         code = run_cli(["calibrate", "--db", "10", "--config", str(cfgfile),
                         "--out", str(tmp_path / "x")])
         assert code == 2
@@ -207,8 +204,8 @@ class TestCalibrateCommand:
 def sweep_out(tmp_path_factory):
     base = tmp_path_factory.mktemp("sweep")
     cfgfile = base / "run.cfg"
-    save_config(RunConfig(grid_size=256, cell_size=1, n_series=3,
-                          samples_per_point=100, seed=9), cfgfile)
+    write_config(RunConfig(grid_size=256, cell_size=1, n_series=3,
+                           samples_per_point=100, seed=9), cfgfile)
     out = base / "out"
     assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
     return cfgfile, out
@@ -218,7 +215,7 @@ def sweep_out(tmp_path_factory):
 def alphabet_out(tmp_path_factory):
     base = tmp_path_factory.mktemp("alphabet")
     cfgfile = base / "run.cfg"
-    save_config(RunConfig(
+    write_config(RunConfig(
         squeezing_db_detected=2.2, t_probe=0.44, t_conj=0.44, lock_noise=0.02,
         electronic_floor=1400.0, cell_size=8, n_series=3,
         samples_per_point=100, seed=11,

@@ -441,8 +441,10 @@ class TestAngleCalibration:
         ([0.0, 0.2, 0.1], [1.0, 0.95, 0.9]),
         ([-0.1, 0.1, 0.2], [1.0, 0.95, 0.9]),
         ([0.0, 0.1, 0.2], [1.0, 0.9, 0.95]),
+        # a flat segment has no slope to turn an overlap error into an angle
+        ([0.0, 0.1, 0.2], [1.0, 0.9, 0.9]),
     ], ids=["shapes", "one-row", "2-d", "angles-unsorted", "angles-negative",
-            "overlaps-rising"])
+            "overlaps-rising", "overlaps-equal"])
     def test_bad_tables_raise_like_the_reference(self, angles, overlaps):
         with pytest.raises(EstimationError) as want:
             reference_angle_deltas(angles, overlaps, [])

@@ -1,8 +1,11 @@
 """The verdicts of `tools/paired_bench.py` on made-up pairs: a gain needs
 nine of every ten pairs and a median gap wider than the parent's quartiles,
-and the bound is a fraction of the parent's median in the worse direction."""
+and the bound is a fraction of the parent's median in the worse direction.
+Each side's environment is read from its run, and a difference is warned
+about."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,41 @@ def test_the_bound_is_a_fraction_of_the_parent_median():
     slower = [p * 1.04 for p in PARENT]
     assert compare(PARENT, slower, "lower", 0.05)["within_bound"] is True
     assert compare(PARENT, slower, "lower", 0.03)["within_bound"] is False
+
+
+def _stdout(env, ok=True):
+    """A `bench/run.py` stdout: metric lines, its environment line, then the
+    result line."""
+    result = {"correct": ok, "attempted": 3, "failed": 0,
+              "metrics": {"peak_rss_mb": {"value": 36.2, "unit": "MB"}}}
+    lines = [] if ok else ["FAILED CHECK: artifacts differ"]
+    lines += ["peak_rss_mb                                    36.2 MB",
+              json.dumps({"environment": env}, sort_keys=True), json.dumps(result)]
+    return "\n".join(lines) + "\n"
+
+
+ENV = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "OPENBLAS_NUM_THREADS": "unset",
+       "workload": "sweep-desk", "cache_bytes": {"L2": 2097152}}
+
+
+def test_a_run_records_its_cores_versions_and_blas_threads():
+    values, problems, env = _tool().parse_run(_stdout(ENV, ok=False))
+    assert values == {"peak_rss_mb": 36.2}
+    assert problems == ["FAILED CHECK: artifacts differ"]
+    assert env == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
+                   "OPENBLAS_NUM_THREADS": "unset"}
+    assert (_tool().environment_text(env)
+            == "nproc=2 python=3.11.7 numpy=2.4.6 OPENBLAS_NUM_THREADS=unset")
+    # a run that printed no environment line records none
+    assert _tool().parse_run(json.dumps({"metrics": {}}))[2] == dict.fromkeys(env)
+
+
+def test_sides_in_different_environments_are_warned_about():
+    tool = _tool()
+    env = tool.parse_run(_stdout(ENV))[2]
+    assert tool.environment_warning(env, dict(env)) is None
+    other = dict(env, nproc=4, OPENBLAS_NUM_THREADS="1")
+    warning = tool.environment_warning(env, other)
+    assert warning.startswith("WARNING")
+    assert "nproc" in warning and "OPENBLAS_NUM_THREADS" in warning
+    assert "numpy" not in warning

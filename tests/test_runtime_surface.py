@@ -25,9 +25,8 @@ import noiseimaging
 
 PACKAGE = Path(noiseimaging.__file__).resolve().parent
 
-# the entry point, and the config writer that pairs with load_config as the
-# file format
-EXEMPT = {("cli", "main"), ("config", "save_config")}
+# the entry point
+EXEMPT = {("cli", "main")}
 
 
 def _runtime_modules():

@@ -1,7 +1,8 @@
-"""The candidate-pixel rasterizer, the LO-pixel overlaps and the byte P1
-parser against their references: every bit must agree, the overlaps must
-agree with the reference cells' moments to within rounding (and bit for bit
-where they are exact), and every rejected input must raise the same
+"""The row-span rasterizer, the LO-pixel overlaps and the byte P1 parser
+against their references: every bit must agree, the overlaps must agree with
+the reference cells' moments to within rounding (and bit for bit where they
+are exact), the counted bow-tie overlaps must equal the overlaps of the
+reference bitmaps bit for bit, and every rejected input must raise the same
 SceneError."""
 
 import math
@@ -14,10 +15,10 @@ import pytest
 import noiseimaging
 from noiseimaging.config import load_config
 from noiseimaging.scene import (
-    _REACH_ULPS,
     SceneError,
-    _polar_grid,
-    _sector,
+    _disk_rows,
+    _wedge_rows,
+    bowtie_overlaps,
     bowties,
     load_pbm,
     overlaps,
@@ -75,7 +76,7 @@ def assert_overlaps_match_reference(lo, mask, cell_size, weights=None):
 
 
 def test_desk_sweep_bitmaps_and_decompositions():
-    # the mask and the 15 LOs from one polar grid, as the sweep draws them
+    # the mask and the 15 LOs on one set of disk rows, as a sweep draws them
     n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
     rotations = np.deg2rad(DESK.angles_deg)
     shapes = bowties([0.0, *rotations], alpha, radius, n, n)
@@ -91,12 +92,83 @@ def test_desk_sweep_bitmaps_and_decompositions():
     assert drawn == len(DESK.angles_deg)
 
 
-def test_no_rotations_build_no_polar_grid(monkeypatch):
-    def no_grid(*args):
-        raise AssertionError("built a polar grid")
+def _hex_moments(moments):
+    return [x.hex() for pair in moments for x in pair]
 
-    monkeypatch.setattr("noiseimaging.scene._polar_grid", no_grid)
+
+def _reference_pixel_overlap(rotation, alpha, radius, width, height):
+    """overlaps of the reference bitmaps on single-pixel cells, or the
+    SceneError it raises."""
+    mask = reference_bowtie(0.0, alpha, radius, width, height)
+    try:
+        return overlaps(reference_bowtie(rotation, alpha, radius, width, height), mask, 1)
+    except SceneError as exc:
+        return str(exc)
+
+
+def test_counted_overlaps_match_the_reference_bitmaps():
+    # the row-span counts against overlaps of the reference bitmaps, bit for
+    # bit, on odd, even and one-pixel-wide grids up to 120, radii below a
+    # pixel, half-angles up to a nanoradian short of a quarter turn, and
+    # rotations up to 1e300, where the reach covers every angle
+    rng = np.random.default_rng(47)
+    counted = rejected = k = 0
+    while counted < 2000:
+        k += 1
+        # sizes from 1 to 120, most of them small
+        width, height = (1 + int(120 * v * v) for v in rng.random(2))
+        if k % 10 == 0:
+            width, height = (1, height) if k % 20 else (width, 1)
+        limit = min(width, height) / 2.0
+        radius = float(rng.uniform(0.01, min(1.0, limit) if k % 8 == 0 else limit))
+        alpha = (np.pi / 2 - 1e-9 if k % 50 == 0
+                 else float(rng.uniform(1e-6, np.pi / 2 - 1e-9)))
+        rotation = float(rng.uniform(-7.0, 7.0) if k % 3 else
+                         rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 300.0))
+        want = _reference_pixel_overlap(rotation, alpha, radius, width, height)
+        if isinstance(want, str):
+            with pytest.raises(SceneError) as got:
+                list(bowtie_overlaps([rotation], alpha, radius, width, height, 1, None))
+            assert str(got.value) == want
+            rejected += 1
+            continue
+        got = list(bowtie_overlaps([rotation], alpha, radius, width, height, 1, None))
+        assert _hex_moments(got) == _hex_moments([want]), (rotation, alpha, radius, width, height)
+        counted += 1
+    # an LO of no pixel, on the small disks, is met too
+    assert rejected >= 50
+
+
+def test_counted_desk_overlaps_match_the_reference_bitmaps():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    rotations = np.deg2rad(DESK.angles_deg)
+    want = [_reference_pixel_overlap(rotation, alpha, radius, n, n) for rotation in rotations]
+    got = list(bowtie_overlaps(rotations, alpha, radius, n, n, 1, None))
+    assert _hex_moments(got) == _hex_moments(want)
+
+
+@pytest.mark.parametrize("cell_size,weighted", [(8, False), (1, True), (8, True)],
+                         ids=["cells-8", "weights", "cells-8-weights"])
+def test_overlaps_on_coarse_cells_or_weights_are_those_of_the_bitmaps(cell_size, weighted):
+    n, alpha, radius = 128, DESK.bowtie_half_angle(), 57.6
+    weights = np.random.default_rng(48).uniform(0.1, 3.0, size=(n, n)) if weighted else None
+    rotations = np.deg2rad(DESK.angles_deg)
+    mask = reference_bowtie(0.0, alpha, radius, n, n)
+    want = [overlaps(reference_bowtie(rotation, alpha, radius, n, n), mask, cell_size, weights)
+            for rotation in rotations]
+    got = list(bowtie_overlaps(rotations, alpha, radius, n, n, cell_size, weights))
+    assert _hex_moments(got) == _hex_moments(want)
+
+
+def test_no_rotations_build_no_disk_rows(monkeypatch):
+    def no_disk(*args):
+        raise AssertionError("built the disk rows")
+
+    monkeypatch.setattr("noiseimaging.scene._disk_rows", no_disk)
     assert list(bowties([], np.pi / 8, 30.0, 64, 64)) == []
+    # the arguments are still checked
+    with pytest.raises(SceneError, match="half-angle"):
+        list(bowties([], np.pi / 2, 30.0, 64, 64))
 
 
 @pytest.mark.parametrize("rotation", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -231,58 +303,27 @@ def test_one_pixel_wide_grids():
         assert_same_bowtie(rotation, alpha, radius, width, height)
 
 
-def _sector_bound(k):
-    """The least angle that the sector key puts in sector k."""
-    angle = k / 40.0 - np.pi
-    while _sector(angle) >= k:
-        angle = np.nextafter(angle, -np.inf)
-    while _sector(angle) < k:
-        angle = np.nextafter(angle, np.inf)
-    return float(angle)
-
-
-def _window_ends(rotation, half_angle):
-    """(lo - reach, lo + reach, hi - reach, hi + reach) for the wedge window
-    [lo, hi] about rotation in (-pi, pi) and the rounding reach, with the
-    rasterizer's arithmetic: pixels between the inner two are set without
-    folding, and only those between the outer two are candidates."""
-    err = _REACH_ULPS * (np.pi + abs(rotation))
-    axis = math.fmod(rotation, np.pi)
-    return (axis - (half_angle + err), axis - (half_angle - err),
-            axis + (half_angle - err), axis + (half_angle + err))
-
-
-def _landing_half_angle(rotation, end, target):
-    """The half-angle that puts _window_ends(rotation, .)[end] exactly on
-    target, found by ulp steps from the estimate (None if it skips it)."""
-    err = _REACH_ULPS * (np.pi + abs(rotation))
-    half = abs(target - rotation) + (-err, err, err, -err)[end]
-    # the two lower ends fall as the half-angle grows, the upper two rise
-    rising = end >= 2
-    for _ in range(256):
-        got = _window_ends(rotation, half)[end]
-        if got == target:
-            return half
-        half = float(np.nextafter(half, np.inf if (got < target) == rising else -np.inf))
-    return None
-
-
-def test_window_edges_on_sector_bounds():
-    # every end of the window lands exactly on a sector bound and one ulp
-    # either side; the targets sit farther from 0 than the half-angle, so
-    # ulp steps of the half-angle reach each of them
+def test_window_edges_through_pixel_centers():
+    # rotations that put an edge line of the wedge pair through a pixel
+    # center, to the float, and an ulp either side, also a few half turns
+    # away: the center then lies within rounding of the edge, so it and its
+    # neighbors across the row's cut must take the exact test
+    rng = np.random.default_rng(46)
+    size, radius = 256, 120.0
     checked = 0
-    for end, ks in ((0, (5, 18, 31, 44)), (1, (6, 19, 30, 43)),
-                    (2, (207, 220, 233, 246)), (3, (208, 219, 232, 245))):
-        for k in ks:
-            bound = _sector_bound(k)
-            rotation = bound + 0.61 if end < 2 else bound - 0.61
-            for target in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
-                half = _landing_half_angle(rotation, end, float(target))
-                assert half is not None, (end, k, target)
-                assert_same_bowtie(rotation, half, 120.0, 256, 256)
+    while checked < 144:
+        column, row = (int(v) for v in rng.integers(0, size, size=2))
+        x, y = column + 0.5 - size / 2.0, row + 0.5 - size / 2.0
+        if math.hypot(x, y) > radius:
+            continue
+        half = float(rng.uniform(0.05, 1.5))
+        theta = math.atan2(y, x)
+        for edge in (theta - half, theta + half, theta - half + 3 * np.pi,
+                     theta + half - 8 * np.pi):
+            for rotation in (float(np.nextafter(edge, -np.inf)), edge,
+                             float(np.nextafter(edge, np.inf))):
+                assert_same_bowtie(rotation, half, radius, size, size)
                 checked += 1
-    assert checked == 48
 
 
 def test_desk_bowties_fold_only_their_edge_sectors(monkeypatch):
@@ -296,9 +337,10 @@ def test_desk_bowties_fold_only_their_edge_sectors(monkeypatch):
     monkeypatch.setattr(np, "fmod", counting_fmod)
     for angle in DESK.angles_deg:
         bowtie(np.deg2rad(angle), alpha, radius, n, n)
-    # one fold per bow-tie, over 39,818 pixels in all: the two edge sectors
-    # of each wedge, about 660 pixels a sector at this radius; folding every
-    # candidate sector took 645,203, and one more sector per angle ~10,000
+    # one fold per bow-tie, over 11,686 pixels in all: those within a pixel
+    # or two of an edge line's crossing of their row, about 780 a bow-tie.
+    # The polar grid's edge sectors folded 39,818, and folding every candidate
+    # sector took 645,203
     assert len(folded) == len(DESK.angles_deg)
     assert sum(folded) <= 45_000
 
@@ -309,11 +351,17 @@ def _grid_centers(width, height):
     return x, y
 
 
-def _grid_pixels(grid):
-    """The polar grid's pixels, every strip's in strip order."""
-    return np.concatenate([pixels for pixels, _ in grid])
+def _disk_pixels(width, height, radius):
+    """The flat indices of the disk's pixels by its rows, sorted: each row's
+    run of columns inside the edge band, and the band pixels hypot admits."""
+    top, y, first, stop, rim = _disk_rows(width, height, radius)
+    rows = (top + np.arange(len(y))) * width
+    core = [np.arange(row + a, row + b) for row, a, b in zip(rows, first, stop)]
+    return np.sort(np.concatenate(core + [rim]))
 
 
+# the disk as the bow-ties' rows give it, under the names of the polar grid
+# that the rows replaced
 @pytest.mark.parametrize("width,height", [(9, 9), (16, 16), (33, 20), (12, 41), (1, 7)],
                          ids=["odd", "even", "wide", "tall", "one-column"])
 def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height):
@@ -328,9 +376,8 @@ def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height
     for radius in sorted(radii):
         if radius <= 0.0:
             continue
-        pixels = _grid_pixels(_polar_grid(width, height, radius))
         want = np.flatnonzero(rr <= radius)
-        assert np.array_equal(np.sort(pixels), want), radius
+        assert np.array_equal(_disk_pixels(width, height, radius), want), radius
         checked += 1
     assert checked >= 3 * (len(np.unique(rr)) - 1)
 
@@ -343,8 +390,8 @@ def test_polar_grid_disk_on_the_desk_grid_edge():
     assert len(near) >= 20
     for r in near[::4]:
         for radius in (float(r), float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))):
-            pixels = _grid_pixels(_polar_grid(512, 512, radius))
-            assert np.array_equal(np.sort(pixels), np.flatnonzero(rr <= radius)), radius
+            assert np.array_equal(_disk_pixels(512, 512, radius),
+                                  np.flatnonzero(rr <= radius)), radius
 
 
 def _traced_peak_mib(fn):
@@ -356,15 +403,15 @@ def _traced_peak_mib(fn):
         tracemalloc.stop()
 
 
-def test_polar_grid_build_peak_memory():
-    # built and kept in row strips of 8,192 pixels, with no merge: the build
-    # peaks at 0.92 MiB on numpy 2.4, the kept grid's 0.70 MiB (4 bytes per
-    # disk pixel and 2 KiB of starts per strip) plus one strip's temporaries.
-    # Merging 32,768-pixel strips into one array peaked at 2.02 MiB: the
-    # sorted strips and the merged copy, each a full 0.64 MiB, were alive at
-    # once.  The bound sits between the two, 0.58 MiB above this build for a
-    # numpy with other temporaries and 0.52 MiB below the merge
-    assert _traced_peak_mib(lambda: _polar_grid(512, 512, 230.4)) <= 1.5
+def test_row_spans_build_peak_memory():
+    # the desk disk's rows and one bow-tie's spans and band hits: per-row
+    # arrays of 464 entries and a band of about 700 pixels, a traced peak of
+    # 0.15 MiB on numpy 2.4.  One bow-tie bitmap alone is 0.25 MiB, and the
+    # polar grid this replaced peaked at 0.92 MiB; so the bound admits no
+    # grid-sized array, and leaves 0.1 MiB for another numpy's temporaries
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    assert _traced_peak_mib(
+        lambda: _wedge_rows(_disk_rows(n, n, radius), 0.3, alpha, radius, n, n)) < 0.25
 
 
 def test_single_pixel_cell_decomposition_peak_memory():
@@ -491,18 +538,18 @@ def test_scene_error_messages():
         assert str(got.value) == message
 
 
-def test_polar_grid_is_read_only_and_smaller_than_the_full_grid():
-    grid = _polar_grid(512, 512, 230.4)
-    for pixels, starts in grid:
-        assert pixels.dtype == np.int32
-        for arr in (pixels, starts):
-            assert not arr.flags.writeable
-    # one int32 index per disk pixel, and each strip's sector starts
-    x, y = _grid_centers(512, 512)
-    disk = np.count_nonzero(np.hypot(x, y) <= 230.4)
-    assert len(_grid_pixels(grid)) == disk
-    assert (sum(pixels.nbytes + starts.nbytes for pixels, starts in grid)
-            <= 4 * disk + sum(starts.nbytes for _, starts in grid))
+def test_row_spans_keep_per_row_arrays_far_smaller_than_a_bitmap():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    disk = _disk_rows(n, n, radius)
+    _, y, first, stop, _ = disk
+    # one entry per row that meets the disk, and none for the others
+    assert len(y) == len(first) == len(stop) <= 2 * radius + 4
+    for rotation in np.deg2rad(DESK.angles_deg):
+        _, spans, hits = _wedge_rows(disk, rotation, alpha, radius, n, n)
+        assert all(len(a) == len(b) == len(y) for a, b in spans)
+        # four span ends per row and a few hundred band hits: 17 KiB, where
+        # a bitmap is 256 KiB
+        assert sum(a.nbytes + b.nbytes for a, b in spans) + hits.nbytes <= 32 * 2**10
 
 
 @pytest.mark.parametrize("letter", list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))

@@ -11,7 +11,10 @@ so each invocation runs on fresh ones; the seeds are printed.  Each side runs
 its own `bench/` and `BENCHMARK.json`; the metric list, directions and
 bounds are read from this checkout's `BENCHMARK.json`.
 
-For each workload and end-to-end metric it prints both sides' medians and
+For each workload it prints each side's environment as `bench/run.py`
+records it (core count, Python and numpy versions, BLAS thread setting), with
+a warning when the two sides differ, since a perf claim holds only for one
+environment.  For each end-to-end metric it prints both sides' medians and
 quartiles, and the pairs the change won (ties count for neither side).  Two
 verdicts follow:
 - gain: the change won at least 9 of every 10 pairs, and the medians differ,
@@ -35,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
+# the environment facts a perf claim must record
+ENV_KEYS = ("nproc", "python", "numpy", "OPENBLAS_NUM_THREADS")
 
 
 def declared_metrics(root):
@@ -45,16 +50,41 @@ def declared_metrics(root):
 
 
 def run_bench(checkout, workload, seed, seconds):
-    """{metric: value} of one `bench/run.py --trace 0` run, and its problems."""
+    """parse_run of one `bench/run.py --trace 0` run."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        return None, ["exit %d: %s" % (proc.returncode, proc.stderr.strip()[-400:])]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    problems = [line for line in proc.stdout.splitlines() if line.startswith("FAILED CHECK")]
-    return {name: m["value"] for name, m in result["metrics"].items()}, problems
+        return None, ["exit %d: %s" % (proc.returncode, proc.stderr.strip()[-400:])], {}
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout):
+    """({metric: value}, failed checks, {ENV_KEYS: value}) of a run's stdout:
+    its last line is the result, and one line holds its environment."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    problems = [line for line in lines if line.startswith("FAILED CHECK")]
+    env = {}
+    for line in lines:
+        if line.startswith('{"environment"'):
+            env = json.loads(line)["environment"]
+    return ({name: m["value"] for name, m in result["metrics"].items()}, problems,
+            {key: env.get(key) for key in ENV_KEYS})
+
+
+def environment_text(env):
+    return " ".join("%s=%s" % (key, env.get(key)) for key in ENV_KEYS)
+
+
+def environment_warning(parent, change):
+    """A warning naming the ENV_KEYS on which the two sides' environments
+    differ, or None when they agree."""
+    differ = [key for key in ENV_KEYS if parent.get(key) != change.get(key)]
+    if not differ:
+        return None
+    return "WARNING: the sides ran in different environments (%s)" % ", ".join(differ)
 
 
 def quartiles(values):
@@ -102,17 +132,24 @@ def main(argv=None):
     verdicts_met = True
     for workload in workloads:
         runs = {"parent": [], "change": []}
+        envs = {"parent": {}, "change": {}}
         failures = []
         for i in range(args.pairs):
             seed = first + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                values, problems = run_bench(sides[side], workload, seed, args.seconds)
+                values, problems, env = run_bench(sides[side], workload, seed, args.seconds)
                 failures += ["%s seed %d: %s" % (side, seed, p) for p in problems]
                 runs[side].append(values)
+                envs[side] = envs[side] or env
         print("%s: %d pairs at seeds %d-%d, %g s each, parent %s"
               % (workload, args.pairs, first, first + args.pairs - 1, args.seconds,
                  sides["parent"]))
+        for side in ("parent", "change"):
+            print("  %s environment: %s" % (side, environment_text(envs[side])))
+        warning = environment_warning(envs["parent"], envs["change"])
+        if warning:
+            print("  " + warning)
         for failure in failures:
             print("  FAILED: %s" % failure)
         verdicts_met &= not failures
