@@ -18,14 +18,12 @@ from pathlib import Path
 
 # numpy's bundled OpenBLAS starts a worker thread on load, which spins
 # waiting for work and so costs each short CLI process CPU time on a second
-# core. No command makes a BLAS call, so it never gets any. Set before numpy
-# loads; an explicit thread setting, or a numpy loaded before this module, is
-# left alone.
+# core. No command makes a BLAS call, so it never gets any. Set before the
+# package loads numpy; an explicit thread setting, or a numpy loaded before
+# this module, is left alone.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np
 
 from . import estimate, scene
 from .config import ConfigError, RunConfig, config_text, load_config
@@ -49,6 +47,11 @@ from .noise import (
 )
 from .scene import SceneError
 from .traces import TraceError, derive_seed, measure_series
+
+# what import allocated (numpy, the package) lives as long as the process;
+# frozen, it is not traversed by the collections a command triggers, nor
+# handed back to the collector before the interpreter's exit frees it
+gc.freeze()
 
 SWEEP_SCHEMA = "noiseimaging.sweep.v1"
 ALPHABET_SCHEMA = "noiseimaging.alphabet.v1"
@@ -171,9 +174,9 @@ def _measure_curve(cfg, readings, technique):
 
 def _angle_readings(cfg, r):
     """(angle, overlap, {technique: n_true}) per configured angle, in config order."""
-    moments = scene.bowtie_overlaps(np.deg2rad(cfg.angles_deg), cfg.bowtie_half_angle(),
-                                    cfg.bowtie_radius(), cfg.grid_size, cfg.grid_size,
-                                    cfg.cell_size, cfg.weights)
+    moments = scene.bowtie_overlaps([math.radians(a) for a in cfg.angles_deg],
+                                    cfg.bowtie_half_angle(), cfg.bowtie_radius(),
+                                    cfg.grid_size, cfg.grid_size, cfg.cell_size, cfg.weights)
     return [(angle, o, {t: technique_noise(t, o, q, r, cfg) for t in TECHNIQUES})
             for (o, q), angle in zip(moments, cfg.angles_deg)]
 
@@ -208,11 +211,10 @@ def cmd_sweep(cfg):
         tables[technique] = delta_o_table(points[technique], fits[technique], cov)
     enh = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
-    angles = np.array([a for a, _, _ in readings])
-    overlaps = np.array([o for _, o, _ in readings])
-    order = np.argsort(angles)
+    # by angle: the angles are distinct, so no two overlaps are compared
+    angles, overlaps = zip(*sorted((a, o) for a, o, _ in readings))
     try:
-        factor, sigma = angle_enhancement(angles[order], overlaps[order],
+        factor, sigma = angle_enhancement(angles, overlaps,
                                           tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
         angle_payload = {"factor": factor, "sigma": sigma}
     except EstimationError as exc:
@@ -267,7 +269,7 @@ def cmd_calibrate(cfg, db):
     calibrated = replace(cfg, r=r, squeezing_db_detected=float(db))
     n_true = quantum_noise(1.0, 1.0, r, cfg)
     ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
-    n_mean = float(np.mean(ns))
+    n_mean = float(ns.mean())
     floor = detected_noise_floor(cfg)
     payload = {
         "target_db": float(db),
@@ -331,17 +333,7 @@ def build_parser():
 
 
 def main(argv=None):
-    # what import allocated (numpy, the package) lives as long as the process;
-    # frozen, it is not traversed by the collections a command triggers, so a
-    # command's cost does not depend on the collector counts import left
-    gc.freeze()
-    try:
-        return _run(build_parser().parse_args(argv))
-    finally:
-        gc.unfreeze()
-
-
-def _run(args):
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_cfg(args)
         if args.command == "sweep":

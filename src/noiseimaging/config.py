@@ -6,6 +6,8 @@ save/load (floats are written with repr).  Unknown sections or keys are
 rejected with field-level messages.
 """
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -27,7 +29,7 @@ DEFAULT_ANGLES_DEG = (
 
 # float64 values in the largest array numpy can address: past intp-max bytes
 # it raises ValueError, where a size that only exceeds memory raises MemoryError
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
+_MAX_FLOATS = sys.maxsize // 8
 
 
 class ConfigError(ValueError):
@@ -78,26 +80,26 @@ class RunConfig:
         # bound is also capped at inf: a non-finite value fails here, naming
         # its field, not in a later stage that blames another one; R_MAX is
         # the top of the noise model's accepted range of r
-        if not (np.isnan(self.r) or 0 <= self.r <= R_MAX):
+        if not (math.isnan(self.r) or 0 <= self.r <= R_MAX):
             raise ConfigError("source.r", "must lie in [0, %g] when given" % R_MAX)
         # checked when r is given too: the config and the artifacts record it
-        if not np.isfinite(self.squeezing_db_detected):
+        if not math.isfinite(self.squeezing_db_detected):
             raise ConfigError("source.squeezing_db_detected", "must be finite")
-        if np.isnan(self.r) and self.squeezing_db_detected < 0:
+        if math.isnan(self.r) and self.squeezing_db_detected < 0:
             raise ConfigError("source.squeezing_db_detected", "must be >= 0 (dB below SNL)")
         for name in ("t_probe", "t_conj"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError("source.%s" % name, "must lie in [0, 1]")
-        if not 0 <= self.lock_noise < np.inf:
+        if not 0 <= self.lock_noise < math.inf:
             raise ConfigError("source.lock_noise", "must be finite and >= 0")
-        if not 0 <= self.electronic_floor < np.inf:
+        if not 0 <= self.electronic_floor < math.inf:
             raise ConfigError("source.electronic_floor", "must be finite and >= 0")
-        if not 0 < self.power_per_pixel < np.inf:
+        if not 0 < self.power_per_pixel < math.inf:
             raise ConfigError("source.power_per_pixel", "must be finite and > 0")
         if self.grid_size < 2:
             raise ConfigError("scene.grid_size", "must be >= 2")
         # a bow-tie bitmap takes a byte per pixel: 2 GiB at int32's pixel count
-        if self.grid_size ** 2 > np.iinfo(np.int32).max:
+        if self.grid_size ** 2 > 2**31 - 1:
             raise ConfigError("scene.grid_size", "a %dx%d grid has more pixels than int32 "
                               "indices can address" % (self.grid_size, self.grid_size))
         if not 1 <= self.cell_size <= self.grid_size:
@@ -132,7 +134,7 @@ class RunConfig:
                               % (self.n_series, row))
         if len(self.angles_deg) < 1:
             raise ConfigError("acquisition.angles_deg", "must list at least one angle")
-        if not np.all(np.isfinite(self.angles_deg)):
+        if not all(map(math.isfinite, self.angles_deg)):
             raise ConfigError("acquisition.angles_deg", "angles must be finite")
         if len(set(self.angles_deg)) != len(self.angles_deg):
             raise ConfigError("acquisition.angles_deg", "angles must be distinct")
@@ -144,7 +146,7 @@ class RunConfig:
     # ---- derived objects -------------------------------------------------
     def resolve_r(self):
         """The squeezing parameter: explicit r wins, else calibrate from dB."""
-        if not np.isnan(self.r):
+        if not math.isnan(self.r):
             return float(self.r)
         try:
             return calibrate_r(self.squeezing_db_detected, self)
@@ -152,7 +154,7 @@ class RunConfig:
             raise ConfigError("source.squeezing_db_detected", str(exc)) from None
 
     def bowtie_half_angle(self):
-        return float(np.deg2rad(self.bowtie_half_angle_deg))
+        return math.radians(self.bowtie_half_angle_deg)
 
     def bowtie_radius(self):
         return self.bowtie_radius_frac * self.grid_size / 2.0
@@ -201,7 +203,7 @@ class RunConfig:
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         # JSON has no NaN: an unset r is null, and r_resolved carries the value
-        if np.isnan(self.r):
+        if math.isnan(self.r):
             out["r"] = None
         out["r_resolved"] = r_resolved
         return out

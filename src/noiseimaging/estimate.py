@@ -15,7 +15,7 @@ alphabet.csv row keyed by column name, and each technique's ranking as its
 ranking.json dict.
 """
 
-from math import fsum, log10, sqrt
+from math import fsum, log10, nan, sqrt
 
 import numpy as np
 
@@ -94,10 +94,10 @@ def _sigma(grad, cov):
 
 def linear_stage(overlaps):
     """Which overlaps the fit's linear stage uses, those above
-    LINEAR_STAGE_MIN_OVERLAP, as a bool array; an EstimationError when fewer
-    than 2 are."""
-    high = np.asarray(overlaps) > LINEAR_STAGE_MIN_OVERLAP
-    if np.count_nonzero(high) < 2:
+    LINEAR_STAGE_MIN_OVERLAP, as a list of bools; an EstimationError when
+    fewer than 2 are."""
+    high = [o > LINEAR_STAGE_MIN_OVERLAP for o in overlaps]
+    if sum(high) < 2:
         raise EstimationError(
             "need at least 2 points with overlap > %.1f for the linear stage"
             % LINEAR_STAGE_MIN_OVERLAP
@@ -150,17 +150,17 @@ def fit_noise_curve(points):
 
 def snl_crossing(fit):
     """Overlap where a fitted curve crosses the SNL (first crossing on [0, 1]),
-    None when it does not."""
-    os = np.linspace(0.0, 1.0, 2001)
-    c = fit["cubic_coeffs"]
-    vals = c[0] + os * (c[1] + os * (c[2] + os * c[3])) - 1.0
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        return None
-    k = sign_change[0]
-    o0, o1 = os[k], os[k + 1]
-    v0, v1 = vals[k], vals[k + 1]
-    return float(o0 - v0 * (o1 - o0) / (v1 - v0))
+    None when it does not: the first sign change on 2001 evenly spaced
+    overlaps, numpy's linspace grid, interpolated linearly."""
+    c0, c1, c2, c3 = fit["cubic_coeffs"]
+    for k in range(2001):
+        o1 = k * (1.0 / 2000) if k < 2000 else 1.0
+        v1 = c0 + o1 * (c1 + o1 * (c2 + o1 * c3)) - 1.0
+        # a NaN changes sign against every value, as under np.sign
+        if k and not (v0 > 0 < v1 or v0 < 0 > v1 or v0 == 0 == v1):
+            return o0 - v0 * (o1 - o0) / (v1 - v0)
+        o0, v0 = o1, v1
+    return None
 
 
 def overlap_uncertainty(fit, cov, o, delta_n):
@@ -203,6 +203,8 @@ def _ratio_of_means(classical, quantum):
 
 
 def _mean_and_sem(vals):
+    # numpy's pairwise sums set the bits of the enhancement factors
+    vals = np.array(vals)
     sem = vals.std(ddof=1) / sqrt(len(vals)) if len(vals) > 1 else 0.0
     return float(vals.mean()), float(sem)
 
@@ -222,8 +224,8 @@ def enhancement(classical_records, quantum_records):
     O >= ENHANCEMENT_MIN_OVERLAP, as the dict {"factor", "sigma", "n_points",
     "n_insensitive"}."""
     classical, quantum = high_overlap(classical_records), high_overlap(quantum_records)
-    factor, sigma = _ratio_of_means(np.array([u["delta_o_est"] for u in classical]),
-                                    np.array([u["delta_o_est"] for u in quantum]))
+    factor, sigma = _ratio_of_means([u["delta_o_est"] for u in classical],
+                                    [u["delta_o_est"] for u in quantum])
     return {"factor": factor, "sigma": sigma, "n_points": len(classical) + len(quantum),
             "n_insensitive": sum(u["insensitive"] for u in classical + quantum)}
 
@@ -233,15 +235,19 @@ def angle_enhancement(angles, overlaps, classical_records, quantum_records):
     O(angle) table of the small-angle branch: angles ascending from alignment,
     overlaps strictly decreasing from 1.  The ratio is unit-free.
     """
-    a = np.asarray(angles, dtype=float)
-    o = np.asarray(overlaps, dtype=float)
-    if a.shape != o.shape or a.ndim != 1 or len(a) < 2:
+    try:
+        a, o = [float(v) for v in angles], [float(v) for v in overlaps]
+    except TypeError:  # the rows of a 2-D table are no numbers
+        a = o = []
+    if len(a) != len(o) or len(a) < 2:
         raise EstimationError("angle calibration needs matching 1-D tables (>= 2 rows)")
-    if np.any(np.diff(a) <= 0) or a[0] < 0:
+    steps = [y - x for x, y in zip(a, a[1:])]
+    if any(d <= 0 for d in steps) or a[0] < 0:
         raise EstimationError("calibration angles must be >= 0 and strictly increasing")
-    if np.any(np.diff(o) >= 0):
+    # a slope not below 0 (one that underflows too, or a NaN) has no inverse
+    slopes = [(y - x) / d for x, y, d in zip(o, o[1:], steps)]
+    if not all(s < 0 for s in slopes):
         raise EstimationError("calibration must be strictly monotone (overlap decreasing)")
-    slopes = np.diff(o) / np.diff(a)
     return _ratio_of_means(_angle_deltas(o, slopes, classical_records),
                            _angle_deltas(o, slopes, quantum_records))
 
@@ -251,10 +257,9 @@ def _angle_deltas(overlaps, slopes, records):
     delta_o over |dO/d(angle)| of the table segment k with overlaps[k] >= O >
     overlaps[k + 1], the end segments extended past the table.
     """
-    kept = high_overlap(records)
-    k = np.searchsorted(-overlaps, [-u["overlap"] for u in kept], side="right") - 1
-    k = np.clip(k, 0, len(slopes) - 1)
-    return np.array([u["delta_o_est"] for u in kept]) / np.abs(slopes[k])
+    # k counts the inner knots at or above O: overlaps decrease
+    return [u["delta_o_est"] / abs(slopes[sum(v >= u["overlap"] for v in overlaps[1:-1])])
+            for u in high_overlap(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +311,12 @@ def alphabet_gun(glyphs, mask, r, cfg):
     deviation.  Returns (records, rankings): the alphabet.csv rows in letter
     order, and the ranking.json dict of each technique.
     """
-    unmeasured = (np.nan, np.nan)
+    unmeasured = (nan, nan)
     records = []
     snl_joint = 1.0
     for letter, lo in glyphs.items():
         if not lo_power_check(np.count_nonzero(lo), cfg):
-            records += [_row(letter, technique, np.nan, unmeasured, unmeasured, unmeasured,
+            records += [_row(letter, technique, nan, unmeasured, unmeasured, unmeasured,
                              False, FLOOR_REASON) for technique in TECHNIQUES]
             continue
         o, q = scene.overlaps(lo, mask, cfg.cell_size)

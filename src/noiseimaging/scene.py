@@ -189,7 +189,7 @@ def bowtie_overlaps(rotations, half_angle, radius, width, height, cell_size, wei
             raise SceneError("LO bitmap carries no power (empty LO)")
         rows = mask_hits // width - top
         both = (sum(_common(a, b, c, d) for a, b in spans for c, d in mask_spans)
-                + np.count_nonzero(_wedge_hits(hits, 0.0, half_angle, width, height))
+                + int(np.count_nonzero(_wedge_hits(hits, 0.0, half_angle, width, height)))
                 + sum(_common(a[rows], b[rows], mask_hits, mask_hits + 1) for a, b in spans))
         yield both / total, both / total
 
@@ -215,10 +215,10 @@ def overlaps(lo, mask, cell_size, weight_map=None):
         # unit cells: l_i sqrt(p_i / l_i) = p_i in {0, 1}, so both sums count
         # the LO pixels the mask passes
         _check_same_dims(lo, mask)
-        total = np.count_nonzero(lo)
+        total = int(np.count_nonzero(lo))
         if not total:
             raise SceneError("LO bitmap carries no power (empty LO)")
-        overlap = np.count_nonzero(lo & mask) / total
+        overlap = int(np.count_nonzero(lo & mask)) / total
         return overlap, overlap
     lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weight_map)
     # fixed-order sums, not thread-dependent BLAS dots; l_i sqrt(p_i / l_i),

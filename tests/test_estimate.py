@@ -21,7 +21,7 @@ from noiseimaging.estimate import (
     snl_crossing,
     summarize_series,
 )
-from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r
+from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r, quantum_noise
 from noiseimaging.scene import load_font
 from estimate_reference import reference_angle_deltas, reference_fit
 
@@ -411,7 +411,7 @@ class TestAngleCalibration:
         want = [reference_angle_deltas(angles, overlaps, r) for r in (classical, quantum)]
         slopes = np.diff(overlaps) / np.diff(angles)
         got = [_angle_deltas(overlaps, slopes, r) for r in (classical, quantum)]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [np.array(g).tobytes() for g in got] == [w.tobytes() for w in want]
         assert angle_enhancement(angles, overlaps, classical, quantum) == _ratio_of_means(*want)
 
     def test_on_table_overlaps_matches_the_reference_bit_for_bit(self):
@@ -551,6 +551,25 @@ class TestAlphabetGun:
         assert c["best"] == "Z"
         assert q["sigma_separation"] > c["sigma_separation"]
         assert sorted({r["letter"] for r in records if not r["valid"]}) == ["I"]
+
+    def test_masked_noise_just_above_the_snl_is_not_sub_snl(self):
+        # a mismatched E whose true masked quantum noise is 1.005 SNL: its
+        # measured mean, over 3 sigma_masked above 1, must not be flagged
+        from scipy.optimize import brentq
+
+        from noiseimaging.scene import overlaps
+
+        _, cfg = alphabet_profile(cell_size=8, n_series=5, seed=7)
+        cfg = replace(cfg, lock_noise=0.0)
+        font = load_font()
+        o, q = overlaps(font["E"], font["Z"], cfg.cell_size)
+        r = brentq(lambda r: quantum_noise(o, q, r, cfg) - 1.005, 0.0, 3.0)
+        records, rankings = alphabet_gun({"E": font["E"], "Z": font["Z"]}, font["Z"], r, cfg)
+        e = next(rec for rec in records
+                 if rec["letter"] == "E" and rec["technique"] == TECH_QUANTUM)
+        assert 1.0 + 3 * e["sigma_masked"] < e["n_masked"] < 1.01 - 2 * e["sigma_masked"]
+        assert e["sub_snl"] == 0
+        assert rankings[TECH_QUANTUM]["sub_snl_letters"] == ["Z"]
 
     def test_all_letters_reported_with_flags(self):
         font = load_font()

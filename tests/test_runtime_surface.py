@@ -16,12 +16,20 @@ are the bow-tie's pixel angles (`np.arctan2`) and disk edge (`np.hypot`),
 which the CPU-path tests of `test_cli_contract.py` pin by the desk bow-ties'
 digest.  This check also
 holds on hosts where those tests skip their legs.
+
+numpy stays where the arrays are: the modules that work on scalars and
+15-row tables name only the numpy functions their arrays need, and every
+overlap and reading they see is a Python float.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import noiseimaging
+from noiseimaging import cli, scene
+from noiseimaging.config import load_config
 
 PACKAGE = Path(noiseimaging.__file__).resolve().parent
 
@@ -187,3 +195,73 @@ def test_runtime_calls_no_numpy_transcendental():
 def test_the_transcendental_walk_sees_the_bowtie():
     assert {(module, name) for module, tree in _runtime_modules().items()
             for name, _ in _numpy_transcendentals(tree)} == ALLOWED_TRANSCENDENTALS
+
+
+# the numpy names each scalar-side module may use: the weight-map parser, and
+# the enhancement's means (their bits follow numpy's pairwise sums) and the
+# letter bitmaps' pixel counts; "import" stands for an import of numpy itself
+NUMPY_NAMES = {
+    "cli": set(),
+    "config": {"import", "loadtxt"},
+    "estimate": {"import", "array", "count_nonzero"},
+    "noise": set(),
+}
+
+
+def _numpy_names(tree):
+    """The names a module takes from numpy: np.<name>, `from numpy import`
+    names, and "import" for an import of numpy or a submodule."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            names.update("import" for alias in node.names
+                         if alias.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_scalar_modules_name_only_the_numpy_their_arrays_need():
+    modules = _runtime_modules()
+    assert {module: _numpy_names(modules[module]) for module in NUMPY_NAMES} == NUMPY_NAMES
+
+
+def test_the_numpy_walk_sees_the_arrays():
+    modules = _runtime_modules()
+    assert {"import", "arctan2", "count_nonzero"} <= _numpy_names(modules["scene"])
+    assert {"import", "default_rng"} <= _numpy_names(modules["traces"])
+    snippet = "import numpy.random\nfrom numpy import inf\nx = np.isnan(numpy.deg2rad(1.0))"
+    assert _numpy_names(ast.parse(snippet)) == {"import", "inf", "isnan", "deg2rad"}
+
+
+def _bowtie_overlaps(cell_size, weight_map):
+    return list(scene.bowtie_overlaps([0.05, 0.3, 1.0], 0.39, 28.0, 64, 64, cell_size,
+                                      weight_map))
+
+
+def _disk_weights():
+    yy, xx = np.mgrid[0:64, 0:64]
+    return np.exp(-((xx - 32.0) ** 2 + (yy - 32.0) ** 2) / 400.0)
+
+
+def test_every_overlap_path_gives_python_floats():
+    bits = list(scene.bowties([0.0, 0.3], 0.39, 28.0, 64, 64))
+    paths = {
+        "spans": _bowtie_overlaps(1, None),
+        "cells": _bowtie_overlaps(8, None),
+        "weight map": _bowtie_overlaps(1, _disk_weights()),
+        "unit cells": [scene.overlaps(bits[1], bits[0], 1)],
+    }
+    assert {name: {type(x) for pair in pairs for x in pair}
+            for name, pairs in paths.items()} == dict.fromkeys(paths, {float})
+
+
+def test_sweep_readings_are_python_floats():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg")
+    readings = cli._angle_readings(cfg, cfg.resolve_r())
+    assert len(readings) == len(cfg.angles_deg)
+    assert {type(x) for angle, overlap, n_true in readings
+            for x in (angle, overlap, *n_true.values())} == {float}

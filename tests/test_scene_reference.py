@@ -360,11 +360,10 @@ def _disk_pixels(width, height, radius):
     return np.sort(np.concatenate(core + [rim]))
 
 
-# the disk as the bow-ties' rows give it, under the names of the polar grid
-# that the rows replaced
+# the disk as the bow-ties' rows give it
 @pytest.mark.parametrize("width,height", [(9, 9), (16, 16), (33, 20), (12, 41), (1, 7)],
                          ids=["odd", "even", "wide", "tall", "one-column"])
-def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height):
+def test_disk_rows_match_hypot_at_exact_and_adjacent_radii(width, height):
     # a radius exactly at a pixel center's distance puts that center (and its
     # mirror images) on the disk's edge; one ulp either side moves it out or in
     x, y = _grid_centers(width, height)
@@ -382,7 +381,7 @@ def test_polar_grid_disk_matches_hypot_at_exact_and_adjacent_radii(width, height
     assert checked >= 3 * (len(np.unique(rr)) - 1)
 
 
-def test_polar_grid_disk_on_the_desk_grid_edge():
+def test_disk_rows_on_the_desk_grid_edge():
     # exact radii at distances near the desk radius, on the 512^2 grid
     x, y = _grid_centers(512, 512)
     rr = np.hypot(x, y)
