@@ -6,11 +6,11 @@ that are byte-identical across reruns with the same config and seed.
 Failures exit nonzero with one machine-readable JSON line on stderr.
 """
 
-import argparse
 import gc
 import json
 import math
 import os
+import re
 import sys
 from contextlib import suppress
 from dataclasses import replace
@@ -138,8 +138,8 @@ def _print_summary(text):
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {"seed": args.seed, "out_dir": args.out}
+    cfg = load_config(args["config"]) if args["config"] else RunConfig()
+    overrides = {"seed": args["seed"], "out_dir": args["out"]}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
 
 
@@ -289,67 +289,128 @@ def cmd_calibrate(cfg, db):
 
 # ---------------------------------------------------------------------------
 
-def _error_line(command, message, field):
+# each command's help line and options: (flag, metavar, type, required, help)
+_COMMON = (("--config", "CONFIG", str, False, "path to a run config file"),
+           ("--seed", "SEED", int, False, "override the master seed"),
+           ("--out", "OUT", str, False, "override the output directory"))
+_COMMANDS = {
+    "sweep": ("overlap sweep over the configured bow-tie angles", _COMMON),
+    "alphabet": ("letter-recognition test against a letter-shaped mask", _COMMON + (
+        ("--mask", "LETTER", str, True, "letter shape of the inserted mask"),)),
+    "calibrate": ("solve the squeezing parameter for a detected dB target", _COMMON + (
+        ("--db", "DB", float, True, "detected squeezing depth in dB below the SNL"),)),
+}
+_HELP = ("-h", "--help")
+# argparse reads a token like these as a value, never as an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _error(command, message, field=None):
+    """Print a failure's one JSON line on stderr and return its exit code, 2."""
     payload = {"error": {"command": command, "message": message}}
     if field:
         payload["error"]["field"] = field
-    return json.dumps(payload, sort_keys=True)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors keep the CLI contract: one JSON line on stderr, exit 2."""
+def _option(token, flags, command):
+    """argparse's reading of a token: None for a value, else (its flag, or None
+    if unknown; the value the token itself gives, or None)."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token[1] == "h":  # "-hVALUE" or "-h=VALUE"
+        return "-h", value if eq and name == "-h" else (token[2:] or None)
+    found = [flag for flag in flags if token[1] == "-" and flag.startswith(name)]
+    if len(found) > 1:
+        sys.exit(_error(command, "ambiguous option: %s could match %s" % (token, ", ".join(found))))
+    if found:
+        return found[0], value if eq else None
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
 
-    def error(self, message):
-        # argparse calls this from its handler of the ArgumentError that names
-        # the option at fault, where there is one; a command's own parser has
-        # the prog "noiseimaging COMMAND"
-        field = getattr(sys.exc_info()[1], "argument_name", None)
-        command = self.prog.partition(" ")[2] or None
-        self.exit(2, _error_line(command, message, field) + "\n")
+
+def _help(command, flag, value):
+    """Print the help of the CLI, or of one command, and exit 0; a value given
+    to -h/--help is a usage error."""
+    if flag == "-h" and value:  # "-hh" is -h twice
+        value = value.lstrip("h") or None
+    if value is not None:
+        sys.exit(_error(command, "argument -h/--help: ignored explicit argument %r" % value,
+                        "-h/--help"))
+    names = [command] if command else list(_COMMANDS)
+    print("usage: noiseimaging %s [-h] [options]\n\nTwin-beam noise imaging simulator: "
+          "sweeps, letter tests, calibration." % (command or "{%s}" % ",".join(names)))
+    for name in names:
+        print("\n%s: %s" % (name, _COMMANDS[name][0]))
+        for flag, metavar, _, required, text in _COMMANDS[name][1]:
+            print("  %-16s %s%s" % (flag + " " + metavar, text, " (required)" * required))
+    print("\n  -h, --help       show this help and exit")
+    sys.exit(0)
 
 
-def build_parser():
-    parser = _Parser(
-        prog="noiseimaging",
-        description="Twin-beam noise imaging simulator: sweeps, letter tests, calibration.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sweep", "overlap sweep over the configured bow-tie angles"),
-        ("alphabet", "letter-recognition test against a letter-shaped mask"),
-        ("calibrate", "solve the squeezing parameter for a detected dB target"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to a run config file")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="override the output directory")
-        if name == "alphabet":
-            p.add_argument("--mask", required=True, metavar="LETTER",
-                           help="letter shape of the inserted mask")
-        if name == "calibrate":
-            p.add_argument("--db", type=float, required=True,
-                           help="detected squeezing depth in dB below the SNL")
-    return parser
+def _parse_args(argv):
+    """(command, {option: value}) of argv, read as argparse read it: a usage
+    error exits 2 with one JSON line on stderr, and -h/--help exits 0."""
+    unknown, rest = [], list(argv)
+    while rest and rest[0] != "--" and (kind := _option(rest[0], _HELP, None)):
+        if kind[0]:
+            _help(None, *kind)
+        unknown.append(rest.pop(0))
+    if rest in ([], ["--"]):
+        sys.exit(_error(None, "the following arguments are required: command"))
+    command, rest = rest[0], rest[1:]
+    if command not in _COMMANDS:
+        sys.exit(_error(None, "argument command: invalid choice: %r (choose from %s)"
+                        % (command, ", ".join(map(repr, _COMMANDS))), "command"))
+    table = _COMMANDS[command][1]
+    types = {flag: type_ for flag, _, type_, _, _ in table}
+    # from "--" on all is unknown, and neither "--" nor the end is a value
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, _HELP + tuple(types), command) for token in rest[:cut]] + [()]
+    values, i = dict.fromkeys(types), 0
+    while i < cut:
+        token, kind = rest[i], kinds[i]
+        i += 1
+        if not kind or not kind[0]:  # a word or an unknown option
+            unknown.append(token)
+            continue
+        flag, value = kind
+        if flag in _HELP:
+            _help(command, flag, value)
+        if value is None:
+            if kinds[i] is not None:
+                sys.exit(_error(command, "argument %s: expected one argument" % flag, flag))
+            value, i = rest[i], i + 1
+        try:
+            values[flag] = types[flag](value)
+        except ValueError:
+            sys.exit(_error(command, "argument %s: invalid %s value: %r"
+                            % (flag, types[flag].__name__, value), flag))
+    missing = [flag for flag, _, _, required, _ in table if required and values[flag] is None]
+    if missing:
+        sys.exit(_error(command, "the following arguments are required: " + ", ".join(missing)))
+    if unknown + rest[cut:]:
+        sys.exit(_error(None, "unrecognized arguments: " + " ".join(unknown + rest[cut:])))
+    return command, {flag[2:]: value for flag, value in values.items()}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _load_cfg(args)
-        if args.command == "sweep":
+        if command == "sweep":
             summary, files = cmd_sweep(cfg)
-        elif args.command == "alphabet":
-            summary, files = cmd_alphabet(cfg, args.mask)
+        elif command == "alphabet":
+            summary, files = cmd_alphabet(cfg, args["mask"])
         else:
-            summary, files = cmd_calibrate(cfg, args.db)
+            summary, files = cmd_calibrate(cfg, args["db"])
         # every artifact is text by now: a failure before this line leaves no file
         _write_artifacts(_out_dir(cfg), summary, files)
         return 0
     except (ConfigError, SceneError, NoiseModelError, TraceError,
             EstimationError, MemoryError) as exc:
-        print(_error_line(args.command, str(exc), getattr(exc, "field", None)),
-              file=sys.stderr)
-        return 2
+        return _error(command, str(exc), getattr(exc, "field", None))
 
 
 if __name__ == "__main__":

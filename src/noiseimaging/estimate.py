@@ -275,8 +275,8 @@ def summarize_series(ns, deltas, cfg):
     by sqrt(series count) again.
     """
     n_segments = cfg.points_per_trace // cfg.segment_length
-    sem = deltas.mean() / sqrt(n_segments * len(ns))
-    return float(ns.mean()), float(sem), float(deltas.mean())
+    delta_mean = float(deltas.mean())
+    return float(ns.mean()), delta_mean / sqrt(n_segments * len(ns)), delta_mean
 
 
 def _measured_noise(n_true, cfg, *tags):

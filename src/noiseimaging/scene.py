@@ -365,8 +365,9 @@ def load_font(font_dir=None):
     """Load the whole A-Z font, validating the common canvas size."""
     glyphs = {}
     dims = None
+    base = _bundled_font_dir() if font_dir is None else font_dir
     for letter in LETTERS:
-        g = glyph(letter, font_dir)
+        g = glyph(letter, base)
         if dims is None:
             dims = g.shape
         elif g.shape != dims:

@@ -330,11 +330,17 @@ class TestUsageErrors:
         assert message in error["message"]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "--help"]], ids=["top", "sweep"])
-    def test_help_keeps_its_text(self, argv, capsys):
+    @pytest.mark.parametrize("argv, options", [
+        (["-h"], ["--config", "--seed", "--out", "--mask", "--db"]),
+        (["sweep", "--help"], ["--config", "--seed", "--out"]),
+        (["alphabet", "-h"], ["--config", "--seed", "--out", "--mask"]),
+        (["calibrate", "--help"], ["--config", "--seed", "--out", "--db"]),
+    ], ids=["top", "sweep", "alphabet", "calibrate"])
+    def test_help_keeps_its_text(self, argv, options, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run_cli(argv)
         assert exit_info.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: noiseimaging")
         assert captured.err == ""
+        assert [option for option in options if option not in captured.out] == []

@@ -20,9 +20,15 @@ holds on hosts where those tests skip their legs.
 numpy stays where the arrays are: the modules that work on scalars and
 15-row tables name only the numpy functions their arrays need, and every
 overlap and reading they see is a Python float.
+
+A command, and a usage error, run without argparse and so without the
+gettext and locale modules its messages would load.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +271,29 @@ def test_sweep_readings_are_python_floats():
     assert len(readings) == len(cfg.angles_deg)
     assert {type(x) for angle, overlap, n_true in readings
             for x in (angle, overlap, *n_true.values())} == {float}
+
+
+# main for a command and for a usage error in a fresh interpreter; prints the
+# argument-parsing modules it loaded
+_PARSER_MODULES = """
+import sys
+from noiseimaging.cli import main
+assert main(["calibrate", "--db", "2.2", "--out", sys.argv[1]]) == 0
+try:
+    main(["calibrate", "--db", "deep"])
+except SystemExit as exc:
+    assert exc.code == 2
+else:
+    raise AssertionError("a usage error did not exit")
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_a_run_loads_no_argparse_gettext_or_locale(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PARSER_MODULES, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
