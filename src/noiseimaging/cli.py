@@ -13,7 +13,6 @@ import os
 import re
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from pathlib import Path
 
 # numpy's bundled OpenBLAS starts a worker thread on load, which spins
@@ -25,8 +24,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import estimate, scene
+# config before estimate: a module compiled after numpy loads raises the peak RSS
 from .config import ConfigError, RunConfig, config_text, load_config
+from . import estimate, scene
 from .estimate import (
     EstimationError,
     angle_enhancement,
@@ -140,7 +140,7 @@ def _print_summary(text):
 def _load_cfg(args):
     cfg = load_config(args["config"]) if args["config"] else RunConfig()
     overrides = {"seed": args["seed"], "out_dir": args["out"]}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    return cfg.replace(**{k: v for k, v in overrides.items() if v is not None}).validate()
 
 
 def _out_dir(cfg):
@@ -266,7 +266,7 @@ def cmd_alphabet(cfg, mask):
 
 def cmd_calibrate(cfg, db):
     r = calibrate_r(db, cfg)
-    calibrated = replace(cfg, r=r, squeezing_db_detected=float(db))
+    calibrated = cfg.replace(r=r, squeezing_db_detected=float(db))
     n_true = quantum_noise(1.0, 1.0, r, cfg)
     ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
     n_mean = float(ns.mean())
@@ -411,6 +411,10 @@ def main(argv=None):
     except (ConfigError, SceneError, NoiseModelError, TraceError,
             EstimationError, MemoryError) as exc:
         return _error(command, str(exc), getattr(exc, "field", None))
+    except KeyboardInterrupt:
+        # Ctrl-C: the one JSON line, and the shell's status for SIGINT
+        _error(command, "interrupted")
+        return 130
 
 
 if __name__ == "__main__":

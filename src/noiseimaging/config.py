@@ -9,16 +9,11 @@ rejected with field-level messages.
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
-from . import scene
+# numpy, scene and traces are imported where used, so this module compiles before numpy
 from .noise import R_MAX, NoiseModelError, calibrate_r
-from .scene import SceneError, check_weight_map
-from .traces import TraceError, check_acquisition
 
 # fine scan near alignment (overlap 1 down to 0.99) for the high-overlap
 # sensitivity average, coarse tail across the full range for the curve shape
@@ -40,42 +35,60 @@ class ConfigError(ValueError):
         super().__init__("%s: %s" % (field_name, message))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, seed included."""
+# every field in file order, section -> (name, default); the default's type
+# (float, int, str or tuple of floats) is the field's type in a config file.
+# r NaN: derive it from squeezing_db_detected.  t_probe, t_conj: total power
+# transmission per arm (efficiency x path).  lock_noise: additive technical
+# noise on the quantum difference signal only, in two-beam SNL units.
+# electronic_floor: the LO power (pixel count x power_per_pixel) below which a
+# measurement cannot clear the detector's electronic noise
+FIELDS = {
+    "source": (("squeezing_db_detected", 2.2), ("r", math.nan), ("t_probe", 1.0),
+               ("t_conj", 1.0), ("lock_noise", 0.0), ("electronic_floor", 0.0),
+               ("power_per_pixel", 1.0)),
+    "scene": (("grid_size", 256), ("cell_size", 16), ("bowtie_half_angle_deg", 22.5),
+              ("bowtie_radius_frac", 0.9), ("font_dir", ""), ("weight_map", "")),
+    "acquisition": (("points_per_trace", 460), ("segment_length", 10),
+                    ("samples_per_point", 300), ("point_correlation", 0.5),
+                    ("n_series", 10), ("angles_deg", DEFAULT_ANGLES_DEG), ("seed", 12345)),
+    "output": (("out_dir", "out"),),
+}
+_DEFAULTS = {name: default for fields in FIELDS.values() for name, default in fields}
+_SECTION = {name: section for section, fields in FIELDS.items() for name, _ in fields}
 
-    # source / detection chain
-    squeezing_db_detected: float = 2.2
-    r: float = float("nan")            # NaN: derive from squeezing_db_detected
-    # total power transmission per arm (efficiency x path)
-    t_probe: float = 1.0
-    t_conj: float = 1.0
-    # additive technical noise on the quantum difference signal only, in
-    # two-beam SNL units
-    lock_noise: float = 0.0
-    # LO power (pixel count x power_per_pixel) below which a measurement
-    # cannot clear the detector's electronic noise
-    electronic_floor: float = 0.0
-    power_per_pixel: float = 1.0
-    # scene
-    grid_size: int = 256
-    cell_size: int = 16
-    bowtie_half_angle_deg: float = 22.5
-    bowtie_radius_frac: float = 0.9
-    font_dir: str = ""
-    weight_map: str = ""
-    # acquisition
-    points_per_trace: int = 460
-    segment_length: int = 10
-    samples_per_point: int = 300
-    point_correlation: float = 0.5
-    n_series: int = 10
-    angles_deg: tuple = DEFAULT_ANGLES_DEG
-    seed: int = 12345
-    # output
-    out_dir: str = "out"
+
+class RunConfig:
+    """Everything a command run depends on, seed included: one read-only
+    attribute per field of FIELDS."""
+
+    def __init__(self, **values):
+        unknown = values.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError("unknown RunConfig fields: %s" % ", ".join(sorted(unknown)))
+        self.__dict__.update(_DEFAULTS, **values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("RunConfig is frozen: cannot set or delete %r" % name)
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in _DEFAULTS)
+
+    # equal when every field is; unhashable, as no caller hashes a config
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def replace(self, **changes):
+        """A new config with the given fields changed."""
+        return RunConfig(**dict(zip(_DEFAULTS, self._values()), **changes))
 
     def validate(self):
+        from .scene import SceneError
+        from .traces import TraceError, check_acquisition
+
         # NaN fails every comparison and inf passes a lower bound, so each
         # bound is also capped at inf: a non-finite value fails here, naming
         # its field, not in a later stage that blames another one; R_MAX is
@@ -163,7 +176,9 @@ class RunConfig:
     def glyphs(self):
         """The A-Z font, {letter: read-only bool array}, from font_dir when
         set, else the bundled one; the files are read once per config."""
-        return scene.load_font(self.font_dir or None)
+        from .scene import load_font
+
+        return load_font(self.font_dir or None)
 
     @cached_property
     def weights(self):
@@ -171,6 +186,10 @@ class RunConfig:
         None when no map is set; the file is parsed once per config."""
         if not self.weight_map:
             return None
+        import numpy as np
+
+        from .scene import SceneError, check_weight_map
+
         if not Path(self.weight_map).is_file():
             raise ConfigError("scene.weight_map", "file %r not found" % self.weight_map)
         try:
@@ -197,11 +216,11 @@ class RunConfig:
         omits out_dir so artifacts stay byte-identical wherever they are
         written."""
         out = {}
-        for f in fields(self):
-            if f.name == "out_dir":
+        for name in _DEFAULTS:
+            if name == "out_dir":
                 continue
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
+            v = getattr(self, name)
+            out[name] = list(v) if isinstance(v, tuple) else v
         # JSON has no NaN: an unset r is null, and r_resolved carries the value
         if math.isnan(self.r):
             out["r"] = None
@@ -209,40 +228,17 @@ class RunConfig:
         return out
 
 
-_SECTIONS = {
-    "source": ("squeezing_db_detected", "r", "t_probe", "t_conj", "lock_noise",
-               "electronic_floor", "power_per_pixel"),
-    "scene": ("grid_size", "cell_size", "bowtie_half_angle_deg",
-              "bowtie_radius_frac", "font_dir", "weight_map"),
-    "acquisition": ("points_per_trace", "segment_length", "samples_per_point",
-                    "point_correlation", "n_series", "angles_deg", "seed"),
-    "output": ("out_dir",),
-}
-
-_INT_FIELDS = {"grid_size", "cell_size", "points_per_trace", "segment_length",
-               "samples_per_point", "n_series", "seed"}
-_STR_FIELDS = {"font_dir", "weight_map", "out_dir"}
-
-
-def _format_value(name, value):
-    if name == "angles_deg":
+def _format_value(kind, value):
+    if kind is tuple:
         return ", ".join(repr(float(a)) for a in value)
-    if name in _STR_FIELDS:
-        return str(value)
-    if name in _INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
+    return str(value) if kind is str else repr(kind(value))
 
 
-def _parse_value(name, raw, where):
+def _parse_value(kind, raw, where):
     try:
-        if name == "angles_deg":
+        if kind is tuple:
             return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        if name in _STR_FIELDS:
-            return raw
-        if name in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(where, "cannot parse value %r" % raw) from None
 
@@ -251,11 +247,11 @@ def config_text(cfg):
     """The config file text for `cfg`; a non-ASCII value (only a path can hold
     one) raises a ConfigError naming its field."""
     lines = ["# noiseimaging run config v1"]
-    for section, names in _SECTIONS.items():
+    for section, fields in FIELDS.items():
         lines.append("")
         lines.append("[%s]" % section)
-        for name in names:
-            value = _format_value(name, getattr(cfg, name))
+        for name, default in fields:
+            value = _format_value(type(default), getattr(cfg, name))
             if not value.isascii():
                 raise ConfigError("%s.%s" % (section, name),
                                   "%r is not ASCII; config files are ASCII" % value)
@@ -281,7 +277,7 @@ def load_config(path):
             continue
         if text.startswith("[") and text.endswith("]"):
             section = text[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in FIELDS:
                 raise ConfigError("line %d" % lineno, "unknown section %r" % section)
             continue
         if "=" not in text:
@@ -289,11 +285,11 @@ def load_config(path):
         key, raw = (part.strip() for part in text.split("=", 1))
         if section is None:
             raise ConfigError("line %d" % lineno, "key %r appears before any section" % key)
-        if key not in _SECTIONS[section]:
+        if _SECTION.get(key) != section:
             raise ConfigError("%s.%s" % (section, key), "unknown key")
         if key_lines.setdefault(key, lineno) != lineno:
             raise ConfigError("%s.%s" % (section, key),
                               "given twice, on lines %d and %d" % (key_lines[key], lineno))
-        values[key] = _parse_value(key, raw, "%s.%s" % (section, key))
+        values[key] = _parse_value(type(_DEFAULTS[key]), raw, "%s.%s" % (section, key))
     return RunConfig(**values)
 

@@ -17,9 +17,10 @@ ranking.json dict.
 
 from math import fsum, log10, nan, sqrt
 
+# scene before numpy: a module compiled after numpy loads raises the peak RSS
+from . import scene
 import numpy as np
 
-from . import scene
 from .noise import (
     TECH_CLASSICAL,
     TECH_QUANTUM,

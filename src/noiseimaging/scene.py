@@ -13,7 +13,6 @@ bundled A-Z font ships as one P1 file per letter.
 """
 
 import math
-import string
 from importlib import resources
 from pathlib import Path
 
@@ -325,7 +324,7 @@ def load_pbm(path):
 # ---------------------------------------------------------------------------
 # bundled letter font
 
-LETTERS = string.ascii_uppercase
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _bundled_font_dir():

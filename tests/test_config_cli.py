@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noiseimaging.cli import main
-from noiseimaging.config import ConfigError, RunConfig, load_config
+from noiseimaging.config import FIELDS, ConfigError, RunConfig, load_config
 
 from config_files import write_config
 
@@ -23,7 +23,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         write_config(cfg, path)
         loaded = load_config(path)
-        for name in cfg.__dataclass_fields__:
+        for name in (name for fields in FIELDS.values() for name, _ in fields):
             a, b = getattr(cfg, name), getattr(loaded, name)
             if name == "r":
                 assert np.isnan(a) == np.isnan(b)
@@ -106,7 +106,7 @@ class TestConfigFile:
         def broken(cfg):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr("noiseimaging.config.check_acquisition", broken)
+        monkeypatch.setattr("noiseimaging.traces.check_acquisition", broken)
         with pytest.raises(ZeroDivisionError):
             RunConfig().validate()
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +159,7 @@ def _assert_fit_matches_reference(points):
 class TestFitAgainstLapack:
     @pytest.mark.parametrize("seed", [12345, 7, 99])
     def test_desk_sweep_points(self, seed):
-        cfg = replace(load_config(DESK), seed=seed)
+        cfg = load_config(DESK).replace(seed=seed)
         readings = cli._angle_readings(cfg, cfg.resolve_r())
         for technique in TECHNIQUES:
             _assert_fit_matches_reference(cli._measure_curve(cfg, readings, technique)[1])
@@ -560,7 +559,7 @@ class TestAlphabetGun:
         from noiseimaging.scene import overlaps
 
         _, cfg = alphabet_profile(cell_size=8, n_series=5, seed=7)
-        cfg = replace(cfg, lock_noise=0.0)
+        cfg = cfg.replace(lock_noise=0.0)
         font = load_font()
         o, q = overlaps(font["E"], font["Z"], cfg.cell_size)
         r = brentq(lambda r: quantum_noise(o, q, r, cfg) - 1.005, 0.0, 3.0)

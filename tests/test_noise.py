@@ -227,6 +227,15 @@ class TestCalibration:
     def test_floor_formula_balanced(self):
         assert detected_noise_floor(RunConfig(t_probe=0.5, t_conj=0.5)) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1.0, 0.9, 0.44])
+    def test_a_depth_within_rounding_of_the_snl_gives_zero_r(self, t):
+        # 10^(-dB/10) lies within 1e-14 of the SNL up to ~4.3e-14 dB: there r
+        # is exactly 0, not a rounding residue of the closed form; past it
+        # the closed form gives r > 0 (1.15e-14 on the lossless arms)
+        cfg = RunConfig(t_probe=t, t_conj=t)
+        assert calibrate_r(1e-15, cfg) == 0.0
+        assert calibrate_r(1e-13, cfg) > 0
+
     def test_rejects_negative_target(self):
         with pytest.raises(NoiseModelError):
             calibrate_r(-2.2, RunConfig())

@@ -22,20 +22,28 @@ numpy stays where the arrays are: the modules that work on scalars and
 overlap and reading they see is a Python float.
 
 A command, and a usage error, run without argparse and so without the
-gettext and locale modules its messages would load.
+gettext and locale modules its messages would load.  The three commands
+load exactly 14 modules past numpy's own.
+
+Every package module but `traces` compiles before numpy loads, and `traces`
+before `numpy.random`: memory the compiler takes after numpy has loaded is
+never handed back, so a module compiled late raises every command's peak RSS.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import noiseimaging
 from noiseimaging import cli, scene
-from noiseimaging.config import load_config
+from noiseimaging.config import RunConfig, load_config
+
+from config_files import write_config
 
 PACKAGE = Path(noiseimaging.__file__).resolve().parent
 
@@ -297,3 +305,76 @@ def test_a_run_loads_no_argparse_gettext_or_locale(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _run_child(code, *args, flags=(), env_extra=None):
+    """stdout of `code` run by this interpreter in a fresh process that
+    imports the package from this checkout."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# the three commands in a fresh interpreter; prints the modules it loaded last
+_COMMAND_MODULES = """
+import sys
+from noiseimaging.cli import main
+config, out = sys.argv[1:]
+for command in (["calibrate", "--db", "2.2"], ["sweep"], ["alphabet", "--mask", "Z"]):
+    assert main(command + ["--config", config, "--out", out]) == 0, command
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_the_commands_load_only_the_package_json_gc_and_ascii(tmp_path):
+    config = tmp_path / "run.cfg"
+    write_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
+                 config)
+    numpy_modules = set(_run_child(
+        "import sys, numpy, numpy.random; print(' '.join(sorted(sys.modules)))").split())
+    # the commands print their summaries first
+    stdout = _run_child(_COMMAND_MODULES, str(config), str(tmp_path / "out"))
+    loaded = set(stdout.splitlines()[-1].split())
+    assert loaded - numpy_modules == {
+        "noiseimaging", "noiseimaging.cli", "noiseimaging.config", "noiseimaging.estimate",
+        "noiseimaging.noise", "noiseimaging.scene", "noiseimaging.traces",
+        "json", "json.decoder", "json.encoder", "json.scanner", "_json",
+        "gc", "encodings.ascii",
+    }
+
+
+# logs each package file compiled and each import of numpy or numpy.random,
+# in order, while the CLI is imported
+_COMPILE_ORDER = """
+import os, sys
+package = sys.argv[1]
+events = []
+
+def hook(event, args):
+    if event == "compile" and isinstance(args[1], str) and os.path.dirname(args[1]) == package:
+        events.append(os.path.basename(args[1]))
+    elif event == "import" and args[0] in ("numpy", "numpy.random"):
+        events.append(args[0])
+
+sys.addaudithook(hook)
+import noiseimaging.cli
+print(" ".join(events))
+"""
+
+
+def test_every_module_compiles_before_numpy_loads():
+    # -B and an empty bytecode cache: every module is compiled from source,
+    # whatever __pycache__ the checkout holds
+    with tempfile.TemporaryDirectory() as cache:
+        events = _run_child(_COMPILE_ORDER, str(PACKAGE), flags=("-B",),
+                            env_extra={"PYTHONPYCACHEPREFIX": cache}).split()
+    compiled = {name: at for at, name in enumerate(events) if name.endswith(".py")}
+    assert sorted(compiled) == sorted(path.name for path in PACKAGE.glob("*.py"))
+    assert len(compiled) == 7
+    after_numpy = [name for name, at in compiled.items() if at > events.index("numpy")]
+    assert after_numpy == ["traces.py"]
+    assert compiled["traces.py"] < events.index("numpy.random")

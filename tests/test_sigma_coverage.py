@@ -17,7 +17,6 @@ acquisition (ROADMAP item 3).
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,7 @@ def desk_runs():
     cfg = load_config(CONFIGS / "desk_sweep.cfg")
     runs = []
     for seed in DESK_SEEDS:
-        _, files = cli.cmd_sweep(replace(cfg, seed=seed))
+        _, files = cli.cmd_sweep(cfg.replace(seed=seed))
         texts = dict(files)
         runs.append((json.loads(texts["summary.json"]), json.loads(texts["fits.json"])))
     return runs
@@ -93,7 +92,7 @@ def test_alphabet_deviation_sigmas_match_the_seed_spread():
     glyphs = cfg.glyphs
     rows = {}
     for seed in ALPHABET_SEEDS:
-        records, _ = estimate.alphabet_gun(glyphs, glyphs["Z"], r, replace(cfg, seed=seed))
+        records, _ = estimate.alphabet_gun(glyphs, glyphs["Z"], r, cfg.replace(seed=seed))
         for rec in records:
             rows.setdefault((rec["letter"], rec["technique"]), []).append(rec)
     # the rows valid at every seed: validity is the electronic floor's, so it
