@@ -34,7 +34,6 @@ import ast
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -366,12 +365,11 @@ print(" ".join(events))
 """
 
 
-def test_every_module_compiles_before_numpy_loads():
+def test_every_module_compiles_before_numpy_loads(tmp_path):
     # -B and an empty bytecode cache: every module is compiled from source,
     # whatever __pycache__ the checkout holds
-    with tempfile.TemporaryDirectory() as cache:
-        events = _run_child(_COMPILE_ORDER, str(PACKAGE), flags=("-B",),
-                            env_extra={"PYTHONPYCACHEPREFIX": cache}).split()
+    events = _run_child(_COMPILE_ORDER, str(PACKAGE), flags=("-B",),
+                        env_extra={"PYTHONPYCACHEPREFIX": str(tmp_path)}).split()
     compiled = {name: at for at, name in enumerate(events) if name.endswith(".py")}
     assert sorted(compiled) == sorted(path.name for path in PACKAGE.glob("*.py"))
     assert len(compiled) == 7
