@@ -268,8 +268,8 @@ def cmd_calibrate(cfg, db):
     r = calibrate_r(db, cfg)
     calibrated = cfg.replace(r=r, squeezing_db_detected=float(db))
     n_true = quantum_noise(1.0, 1.0, r, cfg)
-    ns, _ = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
-    n_mean = float(ns.mean())
+    ns, deltas = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
+    n_mean = estimate.summarize_series(ns, deltas, cfg)[0]
     floor = detected_noise_floor(cfg)
     payload = {
         "target_db": float(db),

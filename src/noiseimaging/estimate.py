@@ -276,8 +276,8 @@ def summarize_series(ns, deltas, cfg):
     by sqrt(series count) again.
     """
     n_segments = cfg.points_per_trace // cfg.segment_length
-    delta_mean = float(deltas.mean())
-    return float(ns.mean()), delta_mean / sqrt(n_segments * len(ns)), delta_mean
+    n_mean, delta_mean = (float(v.sum() / len(v)) for v in (ns, deltas))
+    return n_mean, delta_mean / sqrt(n_segments * len(ns)), delta_mean
 
 
 def _measured_noise(n_true, cfg, *tags):

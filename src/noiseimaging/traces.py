@@ -13,9 +13,9 @@ seed, which callers derive from the master seed and a tag per series with
 `derive_seed`.
 
 A series of traces draws its rows in turn from one seeded stream and smooths
-them as one block with a prefix scan of the running average, in elementwise
-IEEE arithmetic only, so its bits do not depend on the BLAS kernel or on
-numpy's CPU dispatch.
+them as one block, in place on its flat rows in three blocks of memory, by a
+prefix scan of the running average in elementwise IEEE arithmetic only, so
+its bits do not depend on the BLAS kernel or on numpy's CPU dispatch.
 
 The generator is exactly scale-equivariant: for a fixed seed the whole trace
 is proportional to the true noise power, so delta_n/n does not depend on it.
@@ -102,21 +102,30 @@ def _running_sums(x, phi, taps):
 
     A binary prefix scan of the linear recurrence (Blelloch, "Prefix sums and
     their applications", 1990): s holds the sums over h taps, h a power of
-    two, and doubles as s[:, h:] + phi^h s[:, :-h]; acc holds the sums over
-    the set bits of taps taken so far from the low bit up, a taps in all, and
-    takes in the older block h as acc[:, h:] + phi^a s.  Log-depth in taps,
-    with the powers of phi squared as Python floats.  At one tap the result
-    is x itself.
+    two, and doubles as s[h:] + phi^h s; acc holds the sums over the set bits
+    of taps taken so far from the low bit up, a taps in all, and takes in the
+    older block h as acc[h:] + phi^a s.  Log-depth in taps, with the powers of
+    phi squared as Python floats.  At one tap the result is x itself.  It runs
+    on x's flat rows, may overwrite x, and writes each step in place into the
+    one of three blocks (x, two scratch) that neither s nor acc holds.  Windows
+    crossing rows start in a row's last taps - 1 columns, not returned.
     """
+    blocks = [x.reshape(-1), np.empty(x.size), np.empty(x.size)]
+
+    def shifted_sum(newer, span, weight):
+        n, free = x.size - span - h + 1, min({0, 1, 2} - {s, acc})
+        out = np.multiply(blocks[s][:n], weight, out=blocks[free][:n])
+        np.add(blocks[newer][h:h + n], out, out=out)
+        return free
     acc, phi_a = None, 1.0
-    s, h, phi_h = x, 1, phi
+    s, h, phi_h = 0, 1, phi
     while True:
         if taps & h:
-            acc = s if acc is None else acc[:, h:] + phi_a * s[:, :acc.shape[1] - h]
+            acc = s if acc is None else shifted_sum(acc, taps & (h - 1), phi_a)
             phi_a *= phi_h
         if 2 * h > taps:
-            return acc
-        s = s[:, h:] + phi_h * s[:, :-h]
+            return blocks[acc].reshape(x.shape)[:, :x.shape[1] - taps + 1]
+        s = shifted_sum(s, h, phi_h)
         phi_h *= phi_h
         h *= 2
 
@@ -129,11 +138,17 @@ def _burn_in(phi):
 
 
 def _segment_moments(values, cfg):
-    """Per-row mean and sample standard deviation of the segment means."""
-    n = values.shape[0]
-    ns = values.mean(axis=1)
-    seg = values.reshape(n, -1, cfg.segment_length).mean(axis=2)
-    return ns, seg.std(axis=1, ddof=1)
+    """Per-row mean and std(ddof=1) of the segment means, by numpy's own ufunc calls."""
+    ns = np.add.reduce(values, axis=1)
+    ns /= values.shape[1]
+    seg = np.add.reduce(values.reshape(len(values), -1, cfg.segment_length), axis=2)
+    seg /= cfg.segment_length
+    mean = np.add.reduce(seg, axis=1, keepdims=True)
+    mean /= seg.shape[1]
+    seg -= mean
+    deltas = np.add.reduce(np.square(seg, out=seg), axis=1)
+    deltas /= seg.shape[1] - 1
+    return ns, np.sqrt(deltas, out=deltas)
 
 
 def measure_series(n_true, cfg, n_series, seed):

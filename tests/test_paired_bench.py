@@ -91,3 +91,20 @@ def test_sides_in_different_environments_are_warned_about():
     assert warning.startswith("WARNING")
     assert "nproc" in warning and "OPENBLAS_NUM_THREADS" in warning
     assert "numpy" not in warning
+
+
+def test_an_undeclared_workload_is_a_usage_error_before_any_run(capsys):
+    tool = _tool()
+
+    def no_run(*args):
+        raise AssertionError("a bench ran")
+
+    tool.run_bench = no_run
+    with pytest.raises(SystemExit) as info:
+        tool.main([str(ROOT), "--workload", "sweep-desk", "--workload", "nosuch"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    # the choices are BENCHMARK.json's workloads
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert all(w["name"] in err for w in spec["workloads"])

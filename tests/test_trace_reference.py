@@ -7,6 +7,10 @@ bit for bit; at one tap (phi = 0) both are the drawn values and must agree
 bit for bit, which pins the stream layout.  The block reduction must give
 the trace-by-trace reduction's bits on the same points, and every rejected
 input must raise the same exception type.
+
+The in-place flat scan and the direct reductions must give the bits of the
+row-wise scan and of numpy's mean and std(ddof=1) exactly.  The kernel may
+overwrite its input, so each side gets its own copy.
 """
 
 from pathlib import Path
@@ -18,13 +22,18 @@ from noiseimaging.config import RunConfig, load_config
 from noiseimaging.traces import (
     TraceError,
     _burn_in,
+    _running_sums,
+    _segment_moments,
     _series_points,
+    check_acquisition,
     derive_seed,
     measure_series,
 )
 from trace_reference import (
     REL_BOUND,
     reference_measure_series,
+    reference_running_sums,
+    reference_segment_moments,
     reference_segment_stats,
     reference_series_traces,
     relative_difference,
@@ -202,3 +211,51 @@ def test_long_memory_matches_the_reference(n_series):
     assert _burn_in(cfg.point_correlation) + 1 == 27619
     worst = assert_same_series(0.8, cfg, n_series, derive_seed(5, n_series))
     _report(worst)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_flat_scan_and_moments_are_the_row_wise_bits():
+    rng = np.random.default_rng(45)
+    seen = {"taps1": 0, "full_width": 0, "rows1": 0, "moments": 0}
+    for _ in range(1200):
+        rows, width = int(rng.integers(1, 13)), int(rng.integers(1, 601))
+        taps = int(rng.integers(1, width + 1))
+        phi = float(rng.uniform(0.0, 0.999))
+        x = rng.chisquare(int(rng.integers(1, 301)), size=(rows, width))
+        want = reference_running_sums(x.copy(), phi, taps)
+        got = _running_sums(x.copy(), phi, taps)
+        assert_same_bits(got, want)
+        seen["taps1"] += taps == 1
+        seen["full_width"] += taps == width
+        seen["rows1"] += rows == 1
+        # any length of at least two segments, split into segments
+        points = got.shape[1]
+        lengths = [d for d in range(1, points // 2 + 1) if points % d == 0]
+        if lengths:
+            cfg = RunConfig(points_per_trace=points, segment_length=int(rng.choice(lengths)))
+            for mine, numpys in zip(_segment_moments(got, cfg),
+                                    reference_segment_moments(want.copy(), cfg)):
+                assert_same_bits(mine, numpys)
+            seen["moments"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("name", ["desk_sweep.cfg", "alphabet_recognition.cfg"])
+def test_shipped_profiles_are_the_row_wise_bits(name):
+    # measure_series against its draw, smoothed and reduced by the reference
+    run = load_config(CONFIGS / name)
+    taps = check_acquisition(run) - run.points_per_trace + 1
+    phi = run.point_correlation
+    for k, level in enumerate((0.45, 0.6026, 1.0, 1.7, 4.4)):
+        seed = derive_seed(run.seed, "sweep", "quantum", k)
+        raw = np.random.default_rng(seed).chisquare(
+            run.samples_per_point, size=(run.n_series, check_acquisition(run)))
+        raw /= run.samples_per_point
+        vals = reference_running_sums(raw, phi, taps) * ((1.0 - phi) * level)
+        for mine, numpys in zip(measure_series(level, run, run.n_series, seed),
+                                reference_segment_moments(vals, run)):
+            assert_same_bits(mine, numpys)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,37 @@ class TestRunningSums:
         # 0 .. 7 as tap k = n + 1, with weight 0.5^(n + 1)
         assert np.array_equal(sums[1, :8], 0.5 ** np.arange(1, 9))
         assert not sums[1, 8:].any()
+
+    @pytest.mark.parametrize("taps", [1, 16, 50])
+    def test_impulses_at_row_ends_stay_in_their_rows(self, taps):
+        # the scan runs on the flat rows, so row r's last raw column is next
+        # to row r + 1's first; each impulse must reach only its own row's
+        # kept outputs (powers of two, so the direct sums are exact)
+        x = np.zeros((3, 50))
+        x[0, -1], x[1, 0], x[1, -1], x[2, 0] = 1.0, 2.0, 4.0, 8.0
+        want = np.array([np.convolve(row, 0.5 ** np.arange(taps), mode="valid")
+                         for row in x])
+        sums = _running_sums(x.copy(), 0.5, taps)
+        assert sums.shape == (3, 50 - taps + 1)
+        assert np.array_equal(sums, want)
+        assert sums[0, -1] == 1.0 and sums[2, 0] == 8.0 * 0.5 ** (taps - 1)
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("n_series", [10, 200])
+    def test_a_series_peaks_at_three_blocks(self, n_series):
+        # the drawn block and the scan's two scratch blocks, at the shipped
+        # 500 raw points a trace; the reductions' arrays are a tenth of one
+        assert check_acquisition(DEFAULT) == 500
+        block = n_series * 500 * 8
+        measure_series(1.0, DEFAULT, n_series, SEED)
+        tracemalloc.start()
+        try:
+            measure_series(1.0, DEFAULT, n_series, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block + 16 * 2**10, "traced peak %.2f blocks" % (peak / block)
 
 
 class TestSegmentStats:

@@ -7,6 +7,12 @@ trace at a time.  The runtime draws a series as one 2-D block and smooths it
 with a prefix scan, which rounds differently: the tests require the same
 points within a stated rounding bound, and the same bits at one tap
 (phi = 0), where both reduce to the drawn values.
+
+`reference_running_sums` and `reference_segment_moments` are the scan and
+the reduction written plainly, row by row with fresh arrays and numpy's
+`mean` and `std(ddof=1)`.  The runtime runs the same scan in place on the
+block's flat rows and makes the reductions' own calls, and must give their
+bits exactly.
 """
 
 import numpy as np
@@ -84,3 +90,31 @@ def reference_measure_series(n_true, cfg, n_series, seed):
         raise TraceError("n_series must be >= 1")
     return [reference_segment_stats(points, cfg)
             for points in reference_series_traces(n_true, cfg, n_series, seed)]
+
+
+def reference_running_sums(x, phi, taps):
+    """sum_{k < taps} phi^k x[:, n + taps - 1 - k] for each row, right-aligned,
+    by the binary prefix scan on each row's own columns: s holds the sums over
+    h taps and doubles as s[:, h:] + phi^h s[:, :-h]; acc holds the sums over
+    the set bits of taps taken so far, a taps in all, and takes in the older
+    block h as acc[:, h:] + phi^a s.  Every step makes fresh arrays."""
+    acc, phi_a = None, 1.0
+    s, h, phi_h = x, 1, phi
+    while True:
+        if taps & h:
+            acc = s if acc is None else acc[:, h:] + phi_a * s[:, :acc.shape[1] - h]
+            phi_a *= phi_h
+        if 2 * h > taps:
+            return acc
+        s = s[:, h:] + phi_h * s[:, :-h]
+        phi_h *= phi_h
+        h *= 2
+
+
+def reference_segment_moments(values, cfg):
+    """Per-row mean and sample standard deviation of the segment means, by
+    numpy's mean and std(ddof=1)."""
+    n = values.shape[0]
+    ns = values.mean(axis=1)
+    seg = values.reshape(n, -1, cfg.segment_length).mean(axis=2)
+    return ns, seg.std(axis=1, ddof=1)

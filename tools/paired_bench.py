@@ -1,6 +1,6 @@
 """Compare the end-to-end benchmark of this checkout against a parent checkout.
 
-    python3 tools/paired_bench.py PARENT_CHECKOUT [--workload NAME ...]
+    python3 tools/paired_bench.py PARENT_CHECKOUT [--workload NAME]...
         [--pairs N] [--seconds S] [--first-seed K]
 
 Runs `bench/run.py --trace 0` in the parent checkout and in this one,
@@ -8,8 +8,9 @@ alternately, for N pairs per workload.  Pair i runs at seed K + i, the same
 on both sides, and the side that runs first swaps from pair to pair, so an
 order effect cancels.  Without --first-seed the seeds start from the clock,
 so each invocation runs on fresh ones; the seeds are printed.  Each side runs
-its own `bench/` and `BENCHMARK.json`; the metric list, directions and
-bounds are read from this checkout's `BENCHMARK.json`.
+its own `bench/` and `BENCHMARK.json`; the workload names, metric list,
+directions and bounds are read from this checkout's `BENCHMARK.json`, and a
+name it does not declare is a usage error (exit 2) before any run.
 
 For each workload it prints each side's environment as `bench/run.py`
 records it (core count, Python and numpy versions, BLAS thread setting), with
@@ -42,11 +43,13 @@ WIN_SHARE = 0.9
 ENV_KEYS = ("nproc", "python", "numpy", "OPENBLAS_NUM_THREADS")
 
 
-def declared_metrics(root):
-    """[(name, unit, better, bound)] of the end-to-end metrics in BENCHMARK.json."""
+def declared(root):
+    """([workload name], [(name, unit, better, bound)]): the workloads and the
+    end-to-end metrics that BENCHMARK.json declares."""
     with open(Path(root) / "BENCHMARK.json", encoding="ascii") as fh:
         spec = json.load(fh)
-    return [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    return ([w["name"] for w in spec["workloads"]],
+            [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]])
 
 
 def run_bench(checkout, workload, seed, seconds):
@@ -111,11 +114,12 @@ def compare(parent, change, better, bound):
 
 
 def main(argv=None):
-    metrics = declared_metrics(ROOT)
+    names, metrics = declared(ROOT)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="a checkout of the parent commit")
-    parser.add_argument("--workload", action="append",
-                        help="a workload of BENCHMARK.json (repeatable; default all)")
+    parser.add_argument("--workload", action="append", choices=names, metavar="NAME",
+                        help="a workload of BENCHMARK.json, one of %s (repeatable;"
+                        " default all)" % ", ".join(names))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--first-seed", type=int)
@@ -124,8 +128,7 @@ def main(argv=None):
         parser.error("%s has no bench/run.py" % args.parent)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    with open(ROOT / "BENCHMARK.json", encoding="ascii") as fh:
-        workloads = args.workload or [w["name"] for w in json.load(fh)["workloads"]]
+    workloads = args.workload or names
     first = args.first_seed if args.first_seed is not None else int(time.time()) % 1_000_000
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
