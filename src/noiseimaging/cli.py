@@ -29,7 +29,6 @@ from .config import ConfigError, RunConfig, config_text, load_config
 from . import estimate, scene
 from .estimate import (
     EstimationError,
-    angle_enhancement,
     delta_o_table,
     enhancement,
     fit_noise_curve,
@@ -211,19 +210,9 @@ def cmd_sweep(cfg):
         tables[technique] = delta_o_table(points[technique], fits[technique], cov)
     enh = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
 
-    # by angle: the angles are distinct, so no two overlaps are compared
-    angles, overlaps = zip(*sorted((a, o) for a, o, _ in readings))
-    try:
-        factor, sigma = angle_enhancement(angles, overlaps,
-                                          tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
-        angle_payload = {"factor": factor, "sigma": sigma}
-    except EstimationError as exc:
-        angle_payload = {"error": str(exc)}
-
     summary = {
         "config": cfg.as_dict(r),
         "enhancement": enh,
-        "angle_enhancement": angle_payload,
         "snl_crossing_overlap": snl_crossing(fits[TECH_QUANTUM]),
         "techniques": {technique: {"points": points[technique], "delta_o": tables[technique]}
                        for technique in TECHNIQUES},

@@ -204,7 +204,7 @@ def _ratio_of_means(classical, quantum):
 
 
 def _mean_and_sem(vals):
-    # numpy's pairwise sums set the bits of the enhancement factors
+    # numpy's pairwise sums set the bits of the enhancement factor
     vals = np.array(vals)
     sem = vals.std(ddof=1) / sqrt(len(vals)) if len(vals) > 1 else 0.0
     return float(vals.mean()), float(sem)
@@ -212,7 +212,7 @@ def _mean_and_sem(vals):
 
 def high_overlap(points):
     """The points (dicts with an "overlap") at O >= ENHANCEMENT_MIN_OVERLAP,
-    which the enhancement factors average; an EstimationError when there are
+    which the enhancement factor averages; an EstimationError when there are
     none."""
     kept = [p for p in points if p["overlap"] >= ENHANCEMENT_MIN_OVERLAP]
     if not kept:
@@ -229,38 +229,6 @@ def enhancement(classical_records, quantum_records):
                                     [u["delta_o_est"] for u in quantum])
     return {"factor": factor, "sigma": sigma, "n_points": len(classical) + len(quantum),
             "n_insensitive": sum(u["insensitive"] for u in classical + quantum)}
-
-
-def angle_enhancement(angles, overlaps, classical_records, quantum_records):
-    """(factor, sigma) of the angle estimate's enhancement, via the measured
-    O(angle) table of the small-angle branch: angles ascending from alignment,
-    overlaps strictly decreasing from 1.  The ratio is unit-free.
-    """
-    try:
-        a, o = [float(v) for v in angles], [float(v) for v in overlaps]
-    except TypeError:  # the rows of a 2-D table are no numbers
-        a = o = []
-    if len(a) != len(o) or len(a) < 2:
-        raise EstimationError("angle calibration needs matching 1-D tables (>= 2 rows)")
-    steps = [y - x for x, y in zip(a, a[1:])]
-    if any(d <= 0 for d in steps) or a[0] < 0:
-        raise EstimationError("calibration angles must be >= 0 and strictly increasing")
-    # a slope not below 0 (one that underflows too, or a NaN) has no inverse
-    slopes = [(y - x) / d for x, y, d in zip(o, o[1:], steps)]
-    if not all(s < 0 for s in slopes):
-        raise EstimationError("calibration must be strictly monotone (overlap decreasing)")
-    return _ratio_of_means(_angle_deltas(o, slopes, classical_records),
-                           _angle_deltas(o, slopes, quantum_records))
-
-
-def _angle_deltas(overlaps, slopes, records):
-    """Angle uncertainty of each record at O >= ENHANCEMENT_MIN_OVERLAP: its
-    delta_o over |dO/d(angle)| of the table segment k with overlaps[k] >= O >
-    overlaps[k + 1], the end segments extended past the table.
-    """
-    # k counts the inner knots at or above O: overlaps decrease
-    return [u["delta_o_est"] / abs(slopes[sum(v >= u["overlap"] for v in overlaps[1:-1])])
-            for u in high_overlap(records)]
 
 
 # ---------------------------------------------------------------------------

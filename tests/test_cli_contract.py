@@ -624,19 +624,15 @@ def test_main_freezes_nothing_more(db, tmp_path):
     assert counts[1:] == [counts[1]] * 4
 
 
-def test_failed_angle_calibration_is_noted_in_the_summary(tmp_path, capsys):
-    # an angle table that starts below zero has no calibration; the overlap
-    # enhancement does not need one
-    angles = (ROOT / "configs" / "desk_sweep.cfg").read_text().split("angles_deg = ")[1]
-    angles = angles.splitlines()[0].replace("45.0", "-44.0")
-    cfgfile = _desk_copy(tmp_path, grid_size=128, angles_deg=angles)
+def test_desk_sweep_summary_has_exactly_its_keys(tmp_path, capsys):
+    # a summary.json key is dropped or added only on purpose
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(ROOT / "configs" / "desk_sweep.cfg"),
+                 "--out", str(out)]) == 0
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["angle_enhancement"] == {
-        "error": "calibration angles must be >= 0 and strictly increasing"}
-    assert summary["enhancement"]["factor"] > 1.0
+    assert sorted(summary) == ["config", "enhancement", "snl_crossing_overlap", "techniques"]
+    assert sorted(summary["enhancement"]) == ["factor", "n_insensitive", "n_points", "sigma"]
 
 
 def test_desk_sweep_keeps_no_decomposition_across_angles(tmp_path, capsys):

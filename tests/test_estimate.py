@@ -8,11 +8,9 @@ from noiseimaging import cli
 from noiseimaging.config import RunConfig, load_config
 from noiseimaging.estimate import (
     EstimationError,
-    _angle_deltas,
     _lstsq_with_cov,
     _ratio_of_means,
     alphabet_gun,
-    angle_enhancement,
     delta_o_table,
     enhancement,
     fit_noise_curve,
@@ -22,9 +20,7 @@ from noiseimaging.estimate import (
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r, quantum_noise
 from noiseimaging.scene import load_font
-from estimate_reference import reference_angle_deltas, reference_fit
-
-ALPHA = np.pi / 8
+from estimate_reference import reference_fit
 
 
 def point(overlap, n, sigma_n, delta_n):
@@ -91,6 +87,14 @@ class TestFitNoiseCurve:
     def test_rejects_unsorted_overlaps(self):
         with pytest.raises(EstimationError, match="strictly increasing"):
             fit_noise_curve(make_points([0.1, 0.5, 0.95, 0.85, 0.9], [1] * 5))
+
+    @pytest.mark.parametrize("os", [
+        [0.1, 0.5, 0.85, 0.9, math.nextafter(1.0, 2.0)],
+        [-5e-324, 0.5, 0.85, 0.9, 0.95],
+    ], ids=["one-ulp-above-1", "below-0"])
+    def test_rejects_overlaps_one_step_outside_the_unit_interval(self, os):
+        with pytest.raises(EstimationError, match=r"must lie in \[0, 1\]"):
+            fit_noise_curve(make_points(os, [1] * 5))
 
     def test_recovers_simulated_classical_slope(self):
         # full pipeline points at the desk-scale calibration
@@ -341,10 +345,10 @@ class TestEnhancement:
                     for o, v in zip(os, nc)])
         tq = table([point(float(o), float(v), 1e-6, kappa * float(v))
                     for o, v in zip(os, nq)])
-        angles = np.linspace(0, 2 * ALPHA, 9)
         assert len(tc) == len(tq) == 10
-        assert enhancement(tc, tq)["factor"] == pytest.approx(
-            angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0], rel=1e-9)
+        # only O = 1 is at or above 0.9: delta_o is kappa N / |N'| there
+        assert enhancement(tc, tq)["factor"] == pytest.approx((1.2 / 0.2) / (0.7 / 0.5),
+                                                              rel=1e-9)
 
     def test_advantage_regime_always_enhances(self):
         # balanced lossless arms with any squeezing and no lock noise keep
@@ -372,121 +376,6 @@ class TestEnhancement:
                for p in qu]
         scaled = enhancement(table(cl2), table(qu2))["factor"]
         assert scaled == pytest.approx(base, rel=1e-9)
-
-
-class TestAngleCalibration:
-    def test_ideal_bowtie_equality(self):
-        # constant wedge slope cancels in the ratio even with varying delta_n
-        angles = np.linspace(0.0, 2 * ALPHA, 20)
-        os = np.linspace(0.0, 1.0, 10)
-        kappa = 0.03
-        nc, nq = 1 + 0.2 * os, 1.2 - 0.5 * os
-        cl = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nc)]
-        qu = [point(o, v, 1e-6, kappa * v) for o, v in zip(os, nq)]
-        tc, tq = table(cl), table(qu)
-        overlap_factor = enhancement(tc, tq)["factor"]
-        angle_factor = angle_enhancement(angles, 1 - angles / (2 * ALPHA), tc, tq)[0]
-        assert angle_factor == pytest.approx(overlap_factor, rel=1e-9)
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(EstimationError):
-            angle_enhancement(np.array([0.0, 0.1, 0.2]), np.array([1.0, 0.7, 0.8]), [], [])
-
-    @staticmethod
-    def _random_table(rng):
-        n = int(rng.integers(2, 13))
-        # a[0] >= 0; every segment at least 0.002 wide in overlap
-        angles = rng.uniform(0.0, 0.01) + np.cumsum(rng.uniform(0.01, 0.1, n)) - 0.01
-        overlaps = rng.uniform(0.95, 1.0) - np.append(
-            0.0, np.cumsum(rng.uniform(0.002, 0.03, n - 1)))
-        return angles, overlaps
-
-    @staticmethod
-    def _records(rng, overlaps):
-        return [{"overlap": float(o), "delta_o_est": float(rng.uniform(0.01, 1.0)),
-                 "slope": 0.0, "insensitive": False} for o in overlaps]
-
-    def _assert_matches_reference(self, angles, overlaps, classical, quantum):
-        want = [reference_angle_deltas(angles, overlaps, r) for r in (classical, quantum)]
-        slopes = np.diff(overlaps) / np.diff(angles)
-        got = [_angle_deltas(overlaps, slopes, r) for r in (classical, quantum)]
-        assert [np.array(g).tobytes() for g in got] == [w.tobytes() for w in want]
-        assert angle_enhancement(angles, overlaps, classical, quantum) == _ratio_of_means(*want)
-
-    def test_on_table_overlaps_matches_the_reference_bit_for_bit(self):
-        # the only overlaps a sweep passes: np.interp returns the knot angle
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            angles, overlaps = self._random_table(rng)
-            self._assert_matches_reference(angles, overlaps,
-                                           self._records(rng, overlaps),
-                                           self._records(rng, rng.permutation(overlaps)))
-
-    def test_between_knots_and_past_the_ends_matches_the_reference(self):
-        # inside a segment, at least 1% of its width (>= 2e-5) from either knot
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            angles, overlaps = self._random_table(rng)
-            inside = overlaps[1:] + rng.uniform(0.01, 0.99, len(angles) - 1) * -np.diff(overlaps)
-            past = [rng.uniform(overlaps[0], 1.0), overlaps[-1] - rng.uniform(0.0, 0.01)]
-            self._assert_matches_reference(angles, overlaps,
-                                           self._records(rng, inside),
-                                           self._records(rng, np.append(inside, past)))
-
-    @pytest.mark.parametrize("angles,overlaps", [
-        ([0.0, 0.1, 0.2], [1.0, 0.95]),
-        ([0.0], [1.0]),
-        ([[0.0, 0.1]], [[1.0, 0.95]]),
-        ([0.0, 0.2, 0.1], [1.0, 0.95, 0.9]),
-        ([-0.1, 0.1, 0.2], [1.0, 0.95, 0.9]),
-        ([0.0, 0.1, 0.2], [1.0, 0.9, 0.95]),
-        # a flat segment has no slope to turn an overlap error into an angle
-        ([0.0, 0.1, 0.2], [1.0, 0.9, 0.9]),
-    ], ids=["shapes", "one-row", "2-d", "angles-unsorted", "angles-negative",
-            "overlaps-rising", "overlaps-equal"])
-    def test_bad_tables_raise_like_the_reference(self, angles, overlaps):
-        with pytest.raises(EstimationError) as want:
-            reference_angle_deltas(angles, overlaps, [])
-        with pytest.raises(EstimationError) as got:
-            angle_enhancement(angles, overlaps, [], [])
-        assert str(got.value) == str(want.value)
-
-    @staticmethod
-    def _factors_for_weight_map(w):
-        from noiseimaging.scene import overlaps
-        from scene_reference import bowtie
-
-        n = 256
-        mask = bowtie(0.0, ALPHA, 120, n, n)
-        angles = np.linspace(0.0, 2 * ALPHA, 60)
-        os = np.array([overlaps(bowtie(d, ALPHA, 120, n, n), mask, n, w)[0]
-                       for d in angles])
-        pts_o = np.sort(os)
-        kappa = 0.03
-        nc, nq = 1 + 0.2 * pts_o, 1.2 - 0.5 * pts_o
-        cl = [point(float(o), float(v), 1e-6, kappa * float(v))
-              for o, v in zip(pts_o, nc)]
-        qu = [point(float(o), float(v), 1e-6, kappa * float(v))
-              for o, v in zip(pts_o, nq)]
-        tc, tq = table(cl), table(qu)
-        return enhancement(tc, tq)["factor"], angle_enhancement(angles, os, tc, tq)[0]
-
-    def test_nonuniform_beam_changes_angle_factor(self):
-        # an angular hotspot in the beam profile bends O(angle), so the angle
-        # and overlap enhancements separate; a uniform beam keeps them equal
-        # to rasterization accuracy
-        n = 256
-        yy, xx = np.mgrid[0:n, 0:n]
-        cx = n / 2 - 0.5
-        phi = np.arctan2(yy - cx, xx - cx)
-        d1 = np.abs(np.angle(np.exp(1j * (phi - ALPHA))))
-        d2 = np.abs(np.angle(np.exp(1j * (phi - ALPHA - np.pi))))
-        w = 1 + 8 * np.exp(-((np.minimum(d1, d2) / 0.1) ** 2))
-
-        of_u, af_u = self._factors_for_weight_map(np.ones((n, n)))
-        of_h, af_h = self._factors_for_weight_map(w)
-        assert abs(af_u - of_u) / of_u < 2e-4
-        assert abs(af_h - of_h) / of_h > 1e-3
 
 
 def _assert_json_ready(value, path="result"):

@@ -1,24 +1,18 @@
 """The scalar work moved off numpy keeps its bits.
 
-The SNL crossing, the angle enhancement and the sweep's degree-to-radian
-conversion run in Python floats.  Each is compared with the numpy version it
-replaced (`tests/estimate_reference.py`, `np.deg2rad`) on random cases, bit
-for bit: a float is compared by its IEEE bytes, so -0.0 and a NaN's sign
-count too.
+The SNL crossing and the sweep's degree-to-radian conversion run in Python
+floats.  Each is compared with the numpy version it replaced
+(`tests/estimate_reference.py`, `np.deg2rad`) on random cases, bit for bit:
+a float is compared by its IEEE bytes, so -0.0 and a NaN's sign count too.
 """
 
 import math
 import struct
 
 import numpy as np
-import pytest
 
-from noiseimaging.estimate import EstimationError, _angle_deltas, angle_enhancement, snl_crossing
-from estimate_reference import (
-    numpy_angle_deltas,
-    numpy_angle_enhancement,
-    numpy_snl_crossing,
-)
+from noiseimaging.estimate import snl_crossing
+from estimate_reference import numpy_snl_crossing
 
 CASES = 2000
 
@@ -94,63 +88,6 @@ class TestSnlCrossing:
                 c[i] = special[int(rng.integers(0, 3))]
             cubics.append(c)
         _assert_crossings_match(cubics)
-
-
-def _random_table(rng):
-    n = int(rng.integers(2, 16))
-    angles = rng.uniform(0.0, 0.01) + np.cumsum(rng.uniform(1e-4, 0.1, n)) - 1e-4
-    overlaps = rng.uniform(0.9, 1.0) - np.append(0.0, np.cumsum(rng.uniform(1e-6, 0.03, n - 1)))
-    return angles, overlaps
-
-
-def _records(rng, overlaps):
-    return [{"overlap": float(o), "delta_o_est": float(rng.uniform(0.01, 1.0)),
-             "slope": 0.0, "insensitive": False} for o in overlaps]
-
-
-def _record_overlaps(rng, overlaps):
-    """Knots, points inside segments, past both ends, and at least one >= 0.9."""
-    inside = overlaps[1:] + rng.uniform(0.0, 1.0, len(overlaps) - 1) * -np.diff(overlaps)
-    past = [rng.uniform(overlaps[0], 1.0), overlaps[-1] - rng.uniform(0.0, 0.05)]
-    picked = rng.permutation(np.concatenate([overlaps, inside, past]))
-    return np.append(picked[:int(rng.integers(0, len(picked)))], rng.uniform(0.9, 1.0))
-
-
-def test_angle_enhancement_matches_numpy_on_random_tables():
-    rng = np.random.default_rng(20_006)
-    for _ in range(CASES):
-        angles, overlaps = _random_table(rng)
-        classical = _records(rng, _record_overlaps(rng, overlaps))
-        quantum = _records(rng, _record_overlaps(rng, overlaps))
-        slopes = np.diff(overlaps) / np.diff(angles)
-        for records in (classical, quantum):
-            assert (np.array(_angle_deltas(list(overlaps), list(slopes), records)).tobytes()
-                    == numpy_angle_deltas(overlaps, slopes, records).tobytes())
-        # as the sweep passes them, tuples of Python floats
-        got = angle_enhancement(tuple(angles.tolist()), tuple(overlaps.tolist()),
-                                classical, quantum)
-        want = numpy_angle_enhancement(angles, overlaps, classical, quantum)
-        assert [_bits(v) for v in got] == [_bits(v) for v in want]
-
-
-def test_bad_angle_tables_raise_like_numpy():
-    # a table is broken at a random row: an angle moved below the one
-    # before (or below 0), an overlap moved to or above the one before
-    rng = np.random.default_rng(20_007)
-    for _ in range(CASES):
-        angles, overlaps = _random_table(rng)
-        k = int(rng.integers(0, len(angles)))
-        if rng.integers(0, 2):
-            angles[k] = angles[k - 1] - rng.choice([0.0, 1e-3]) if k else -rng.uniform(0.0, 1.0)
-        elif k:
-            overlaps[k] = overlaps[k - 1] + rng.choice([0.0, 1e-3])
-        else:
-            overlaps = overlaps[::-1].copy()
-        with pytest.raises(EstimationError) as want:
-            numpy_angle_enhancement(angles, overlaps, [], [])
-        with pytest.raises(EstimationError) as got:
-            angle_enhancement(tuple(angles.tolist()), tuple(overlaps.tolist()), [], [])
-        assert str(got.value) == str(want.value)
 
 
 def _random_doubles(rng, n):

@@ -17,6 +17,7 @@ from noiseimaging.config import load_config
 from noiseimaging.scene import (
     SceneError,
     _disk_rows,
+    _occupied_cell_sums,
     _wedge_rows,
     bowtie_overlaps,
     bowties,
@@ -475,16 +476,35 @@ def test_single_pixel_cells_on_the_desk_bowtie_with_a_weight_map():
     assert assert_overlaps_match_reference(lo, mask, cell_size, weights)
 
 
+def _unclamped_moments(lo, mask, cell_size, weights):
+    """overlaps' (O, Q) before it clamps each to at most 1."""
+    lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weights)
+    return (float(np.sum(passed_sums)) / total,
+            float(np.sum(lo_sums * np.sqrt(passed_sums / lo_sums))) / total)
+
+
 def test_full_mask_gives_unit_moments_on_every_cell_size():
     rng = np.random.default_rng(43)
+    past_one = 0
     for _ in range(60):
         width, height = (int(v) for v in rng.integers(1, 40, size=2))
         lo = rng.random((height, width)) < rng.uniform(0.05, 1.0)
         if not lo.any():
             continue
         full = np.ones((height, width), dtype=bool)
+        # finite and non-negative, zero on about a tenth of the pixels
+        weights = rng.random((height, width)) * (rng.random((height, width)) > 0.1)
+        if not (weights * lo).any():
+            continue
         for cell_size in (1, 2, 3, 8, 40):
             assert overlaps(lo, full, cell_size) == (1.0, 1.0)
+            # the weighted sums run in another order than the total's, so
+            # they round to either side of 1 (by at most ~2 log2(pixels)
+            # units of 2^-53), and the clamp brings those past 1 back
+            for moment in overlaps(lo, full, cell_size, weights):
+                assert 1.0 - 32 * 2.0**-53 <= moment <= 1.0
+            past_one += max(_unclamped_moments(lo, full, cell_size, weights)) > 1.0
+    assert past_one > 0
 
 
 def test_power_of_two_weight_scaling_on_the_desk_bowtie():
