@@ -112,7 +112,7 @@ def _write_artifacts(out, summary, files):
             path = out / name
             reached.append(path)
             try:
-                path.write_text(text, encoding="ascii")
+                path.write_bytes(text.encode("ascii"))
             except OSError as exc:
                 raise ConfigError(_OUT_FIELD, "cannot write an artifact: %s" % exc) from None
         _print_summary(summary)

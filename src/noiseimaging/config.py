@@ -264,13 +264,14 @@ def load_config(path):
     if not path.is_file():
         raise ConfigError("config", "file %r not found" % str(path))
     try:
-        contents = path.read_text(encoding="ascii")
+        contents = path.read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise ConfigError("config", "file %r is not ASCII text: %s" % (str(path), exc)) from None
     values, key_lines = {}, {}
     section = None
-    # read_text has turned every line end into "\n"; splitlines would also
-    # break at \x0b, \x0c and \x1c-\x1e and so miscount the lines
+    # \r\n and a lone \r end a line as \n does; splitlines would also break
+    # at \x0b, \x0c and \x1c-\x1e and so miscount the lines
+    contents = contents.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, line in enumerate(contents.split("\n"), 1):
         text = line.split("#", 1)[0].strip()
         if not text:

@@ -874,12 +874,19 @@ def test_non_ascii_config_fails_cleanly(where, tmp_path, capsys):
     text = cfgfile.read_bytes()
     if where == "comment":
         text = "# r\u00e9glage\n".encode("utf-8") + text
+        byte, position = 0xc3, 3
     else:
+        position = text.index(b"out_dir = out") + len(b"out_dir = ")
         text = text.replace(b"out_dir = out", "out_dir = \u00e9".encode("latin-1"))
+        byte = 0xe9
     cfgfile.write_bytes(text)
     code = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert _one_error_line(capsys, "sweep")["field"] == "config"
+    error = _one_error_line(capsys, "sweep")
+    assert error["field"] == "config"
+    assert error["message"] == (
+        "config: file %r is not ASCII text: 'ascii' codec can't decode byte 0x%02x in position %d:"
+        " ordinal not in range(128)" % (str(cfgfile), byte, position))
 
 
 def test_runtime_imports_numpy_only():
@@ -1079,16 +1086,16 @@ def test_any_failure_while_writing_removes_the_artifacts(command, tmp_path, caps
                                                          monkeypatch):
     # not an OSError: the second artifact's write runs out of memory
     cfgfile = _small_config(tmp_path)
-    write_text = Path.write_text
+    write_bytes = Path.write_bytes
     writes = []
 
-    def second_write_fails(path, text, encoding):
+    def second_write_fails(path, data):
         writes.append(path.name)
         if len(writes) == 2:
             raise MemoryError("injected while writing %s" % path.name)
-        return write_text(path, text, encoding=encoding)
+        return write_bytes(path, data)
 
-    monkeypatch.setattr(Path, "write_text", second_write_fails)
+    monkeypatch.setattr(Path, "write_bytes", second_write_fails)
     args, _ = _COMMANDS[command]
     out = tmp_path / "out"
     code = main(args + ["--config", str(cfgfile), "--out", str(out)])
@@ -1100,15 +1107,15 @@ def test_any_failure_while_writing_removes_the_artifacts(command, tmp_path, caps
 
 
 def test_partly_written_artifact_is_removed(tmp_path, capsys, monkeypatch):
-    def full_disk(path, text, encoding):
+    def full_disk(path, data):
         # part of the text lands before the device runs out of space
-        with open(path, "w", encoding=encoding) as fh:
-            fh.write(text[:len(text) // 2])
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2])
         raise OSError(28, "No space left on device")
 
     cfgfile = _small_config(tmp_path)
     out = tmp_path / "out"
-    monkeypatch.setattr(Path, "write_text", full_disk)
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
     code = main(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])
     monkeypatch.undo()
     assert code == 2

@@ -1,11 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noiseimaging.cli import main
-from noiseimaging.config import FIELDS, ConfigError, RunConfig, load_config
+from noiseimaging.config import FIELDS, ConfigError, RunConfig, config_text, load_config
 
 from config_files import write_config
 
@@ -84,6 +85,21 @@ class TestConfigFile:
             load_config(path)
         assert exc.value.field == "line 3"
 
+    @pytest.mark.parametrize("ends", [["\r\n"], ["\r"], ["\r\n", "\r"]],
+                             ids=["crlf", "cr", "mixed"])
+    def test_any_line_end_reads_as_its_lf_copy(self, tmp_path, ends):
+        # the shipped desk config: comments, blank lines and r = nan, so the
+        # loads are compared by their text (nan != nan in ==)
+        lf = Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg"
+        lines = lf.read_text(encoding="ascii").split("\n")
+        text = lines[0]
+        for k, line in enumerate(lines[1:]):
+            text += ends[k % len(ends)] + line
+        path = tmp_path / "ends.cfg"
+        path.write_bytes(text.encode("ascii"))
+        assert b"\n" not in path.read_bytes().replace(b"\r\n", b"")
+        assert config_text(load_config(path)) == config_text(load_config(lf))
+
     # finite values out of range, each named by its own field
     @pytest.mark.parametrize("name,value,field", [
         ("cell_size", 0, "scene.cell_size"),
@@ -115,8 +131,6 @@ class TestConfigFile:
         assert cfg.resolve_r() == 0.4
 
     def test_shipped_example_configs_validate(self):
-        from pathlib import Path
-
         base = Path(__file__).resolve().parents[1] / "configs"
         for name in ("desk_sweep.cfg", "alphabet_recognition.cfg"):
             cfg = load_config(base / name)

@@ -55,14 +55,15 @@ def test_the_bound_is_a_fraction_of_the_parent_median():
     assert compare(PARENT, slower, "lower", 0.03)["within_bound"] is False
 
 
-def _stdout(env, ok=True):
+def _stdout(env, ok=True, values=None):
     """A `bench/run.py` stdout: metric lines, its environment line, then the
-    result line."""
+    result line, which holds these metric values (default a peak RSS)."""
+    values = values or {"peak_rss_mb": 36.2}
     result = {"correct": ok, "attempted": 3, "failed": 0,
-              "metrics": {"peak_rss_mb": {"value": 36.2, "unit": "MB"}}}
+              "metrics": {name: {"value": v, "unit": "-"} for name, v in values.items()}}
     lines = [] if ok else ["FAILED CHECK: artifacts differ"]
-    lines += ["peak_rss_mb                                    36.2 MB",
-              json.dumps({"environment": env}, sort_keys=True), json.dumps(result)]
+    lines += ["%-46s %s" % (name, v) for name, v in values.items()]
+    lines += [json.dumps({"environment": env}, sort_keys=True), json.dumps(result)]
     return "\n".join(lines) + "\n"
 
 
@@ -108,3 +109,41 @@ def test_an_undeclared_workload_is_a_usage_error_before_any_run(capsys):
     # the choices are BENCHMARK.json's workloads
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert all(w["name"] in err for w in spec["workloads"])
+
+
+# run_s in ms, wide: the parent's quartiles lie 0.9 apart around a median of
+# 1.9, wider than its 25% bound (0.475)
+WIDE = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+
+
+@pytest.mark.parametrize("parent,change,verdict,status", [
+    (WIDE, [p * 1.1 for p in WIDE], "ok", 0),
+    # +32% at the median, but the two sides' runs interleave
+    (WIDE, [p + 0.6 for p in WIDE], "unresolved", 0),
+    # as wide, and every change run is worse than every parent run
+    (WIDE, [p + 2.0 for p in WIDE], "WORSE", 1),
+    # +30% past quartiles 0.035 apart
+    (PARENT, [p * 1.3 for p in PARENT], "WORSE", 1),
+], ids=["ok", "unresolved", "worse-every-run", "worse-narrow"])
+def test_a_median_past_its_bound_is_unresolved_within_the_parent_spread(
+        parent, change, verdict, status, tmp_path, capsys):
+    tool = _tool()
+    names, metrics = tool.declared(ROOT)
+    assert ("run_s", "s", "lower", 0.25) in metrics
+
+    def canned(checkout, workload, seed, seconds):
+        # pair i runs at seed i; every metric but run_s reads 1.0 on both sides
+        values = dict.fromkeys((name for name, *_ in metrics), 1.0)
+        values["run_s"] = (change if checkout == tool.ROOT else parent)[seed]
+        return tool.parse_run(_stdout(ENV, values=values))
+
+    tool.run_bench = canned
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").touch()
+    code = tool.main([str(tmp_path), "--workload", names[0], "--pairs", str(len(parent)),
+                      "--first-seed", "0"])
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    # the bound column: verdict, then "(+x% of y%)"
+    assert {name: rows[name][-4] for name, *_ in metrics} == dict(
+        dict.fromkeys((name for name, *_ in metrics), "ok"), run_s=verdict)
+    assert code == status

@@ -21,11 +21,15 @@ verdicts follow:
 - gain: the change won at least 9 of every 10 pairs, and the medians differ,
   in the metric's better direction, by more than the distance between the
   parent's quartiles;
-- bound: the change's median is worse than the parent's by no more than the
-  metric's bound, a fraction of the parent's median.
+- bound: "ok" when the change's median is worse than the parent's by no more
+  than the metric's bound, a fraction of the parent's median.  Past the
+  bound it is "WORSE", or "unresolved" when the parent's own quartiles lie
+  further apart than the bound, so that the runs cannot tell a shift of
+  that size from their spread; then only a change whose every run is worse
+  than every parent run is "WORSE".
 A run that exits non-zero is printed and its pair left out; a failed check
 is printed, and `bench/run.py` counts it in `ok_frac`.  The exit status is 1
-when a run failed or a metric broke its bound.  Nothing is written to either
+when a run failed or a metric is WORSE.  Nothing is written to either
 checkout except what `bench/run.py` itself writes and removes.
 """
 
@@ -100,7 +104,8 @@ def quartiles(values):
 def compare(parent, change, better, bound):
     """The verdicts for one metric from paired values (parent[i] and change[i]
     ran at the same seed): a dict of both sides' quartiles, the change's wins,
-    whether a gain holds, and whether the change stays within its bound."""
+    whether a gain holds, whether the change stays within its bound, and the
+    bound's verdict: "ok", "unresolved" or "WORSE"."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     p1, pm, p3 = quartiles(parent)
@@ -108,9 +113,16 @@ def compare(parent, change, better, bound):
     gain = wins >= WIN_SHARE * len(parent) and sign * (pm - cm) > p3 - p1
     # how much worse the change's median is, as a fraction of the parent's
     worse = sign * (cm - pm) / abs(pm) if pm else (0.0 if cm == pm else float("inf"))
+    every_run_worse = min(sign * c for c in change) > max(sign * p for p in parent)
+    if worse <= bound:
+        verdict = "ok"
+    elif p3 - p1 > bound * abs(pm) and not every_run_worse:
+        verdict = "unresolved"
+    else:
+        verdict = "WORSE"
     return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
             "pairs": len(parent), "gain": gain, "worse": worse,
-            "within_bound": worse <= bound}
+            "within_bound": worse <= bound, "verdict": verdict}
 
 
 def main(argv=None):
@@ -168,7 +180,7 @@ def main(argv=None):
         for name, unit, better, bound in metrics:
             result = compare([p[name] for p, _ in pairs], [c[name] for _, c in pairs],
                              better, bound)
-            verdicts_met &= result["within_bound"]
+            verdicts_met &= result["verdict"] != "WORSE"
             print("  %-12s %-34s %-34s %6s %5s %s" % (
                 name,
                 "%.5g [%.5g, %.5g] %s" % (result["parent"][1], result["parent"][0],
@@ -177,8 +189,8 @@ def main(argv=None):
                                            result["change"][2], unit),
                 "%d/%d" % (result["wins"], result["pairs"]),
                 "yes" if result["gain"] else "no",
-                "%s (%+.1f%% of %g%%)" % ("ok" if result["within_bound"] else "WORSE",
-                                          100.0 * result["worse"], 100.0 * bound)))
+                "%s (%+.1f%% of %g%%)" % (result["verdict"], 100.0 * result["worse"],
+                                          100.0 * bound)))
     return 0 if verdicts_met else 1
 
 
