@@ -72,18 +72,9 @@ class RunConfig:
 
     __delattr__ = __setattr__
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in _DEFAULTS)
-
-    # equal when every field is; unhashable, as no caller hashes a config
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
     def replace(self, **changes):
         """A new config with the given fields changed."""
-        return RunConfig(**dict(zip(_DEFAULTS, self._values()), **changes))
+        return RunConfig(**{name: getattr(self, name) for name in _DEFAULTS} | changes)
 
     def validate(self):
         from .scene import SceneError

@@ -13,7 +13,6 @@ bundled A-Z font ships as one P1 file per letter.
 """
 
 import math
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -240,13 +239,10 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     # (which starts at +0.0 and so is never -0.0) unchanged, so summing only
     # the other pixels, in pixel order, gives the same sums
     pixels = np.flatnonzero(lo)
-    if weight_map is None:
-        power = None
-        total = float(len(pixels))
-    else:
-        lo_power = _lo_power(lo, weight_map)
-        power = lo_power.ravel()[pixels]
-        total = float(lo_power.sum())
+    # no map weighs every pixel 1: bool weights sum to exact integers
+    lo_power = lo if weight_map is None else _lo_power(lo, weight_map)
+    power = lo_power.ravel()[pixels]
+    total = float(lo_power.sum())
     if not len(pixels):
         raise SceneError("LO bitmap carries no power (empty LO)")
     if total <= 0.0:
@@ -258,11 +254,9 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     width = lo.shape[1]
     ys, xs = np.divmod(pixels, width)
     cells = ys // cell_size * ((width - 1) // cell_size + 1) + xs // cell_size
-    # unit weights: integer counts, which are exact, so they divide to the
-    # same floats as float sums
     per_cell_lo = np.bincount(cells, weights=power)
     per_cell_passed = np.bincount(cells[passed], minlength=len(per_cell_lo),
-                                  weights=None if power is None else power[passed])
+                                  weights=power[passed])
     keep = np.flatnonzero(per_cell_lo > 0)
     return per_cell_lo[keep], per_cell_passed[keep], total
 
@@ -325,10 +319,7 @@ def load_pbm(path):
 # bundled letter font
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def _bundled_font_dir():
-    return resources.files("noiseimaging") / "font"
+_FONT_DIR = Path(__file__).with_name("font")
 
 
 def font_letter(letter):
@@ -343,36 +334,28 @@ def font_letter(letter):
     return letter.upper()
 
 
-def glyph(letter, font_dir=None):
-    """Load one letter's bitmap from a font of per-letter P1 files.
+def load_font(font_dir=None):
+    """Load the whole A-Z font, {letter: bitmap}, from a directory of
+    per-letter P1 files, the bundled one by default.
 
     All glyphs of a font share one canvas so their boxes exactly overlap.
     """
-    name = font_letter(letter)
-    base = Path(font_dir) if font_dir is not None else _bundled_font_dir()
-    path = base / ("%s.pbm" % name)
-    try:
-        return load_pbm(path)
-    except FileNotFoundError:
-        raise SceneError("font file for letter %r not found under %s" % (name, base)) from None
-    except OSError as exc:
-        raise SceneError("font file for letter %r at %s cannot be read: %s"
-                         % (name, path, exc.strerror)) from None
-
-
-def load_font(font_dir=None):
-    """Load the whole A-Z font, validating the common canvas size."""
+    base = _FONT_DIR if font_dir is None else Path(font_dir)
     glyphs = {}
-    dims = None
-    base = _bundled_font_dir() if font_dir is None else font_dir
     for letter in LETTERS:
-        g = glyph(letter, base)
-        if dims is None:
-            dims = g.shape
-        elif g.shape != dims:
+        path = base / ("%s.pbm" % letter)
+        try:
+            g = load_pbm(path)
+        except FileNotFoundError:
+            raise SceneError("font file for letter %r not found under %s"
+                             % (letter, base)) from None
+        except OSError as exc:
+            raise SceneError("font file for letter %r at %s cannot be read: %s"
+                             % (letter, path, exc.strerror)) from None
+        if glyphs and g.shape != glyphs["A"].shape:
             raise SceneError(
                 "font glyphs do not share a common bounding box: %r is %s, expected %s"
-                % (letter, g.shape, dims)
+                % (letter, g.shape, glyphs["A"].shape)
             )
         glyphs[letter] = g
     return glyphs

@@ -35,7 +35,7 @@ class TestConfigFile:
         cfg = RunConfig(r=0.31415926535)
         path = tmp_path / "run.cfg"
         write_config(cfg, path)
-        assert load_config(path) == cfg
+        assert config_text(load_config(path)) == config_text(cfg)
 
     def test_saved_file_is_stable_bytes(self, tmp_path):
         cfg = RunConfig()

@@ -3,8 +3,11 @@
 Every public top-level function, public class and public method under
 `src/noiseimaging` must be referenced from runtime code other than its own
 definition and the package `__init__`.  A name only the tests use belongs on
-the test side.  References match by name alone, so the check can miss a
-dead method that shares its name with a live attribute, never the reverse.
+the test side.  The same holds for every single-underscore helper, a module
+function or a method (dunders aside): a private helper only the tests call
+is as dead as a public one.  References match by name alone, so the check
+can miss a dead method that shares its name with a live attribute, never
+the reverse.
 
 Likewise every defaulted parameter of those functions and methods must be
 passed by some runtime call: a default nothing overrides is a setting no
@@ -57,16 +60,27 @@ def _runtime_modules():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
-def _public_definitions(tree):
-    """(qualified name, node, is_method) of the public functions, classes and
-    methods defined at module level or directly in a module-level class."""
+def _is_public(name):
+    return not name.startswith("_")
+
+
+def _is_helper(name):
+    """A single-underscore name: private, and not a dunder or mangled."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(tree, wanted=_is_public):
+    """(qualified name, node, is_method) of the functions, classes and
+    methods with wanted names, defined at module level or directly in a
+    module-level public class."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield node.name, node, False
-        if isinstance(node, ast.ClassDef):
+        if wanted(node.name):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef) and _is_public(node.name):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and wanted(item.name):
                     yield "%s.%s" % (node.name, item.name), item, True
 
 
@@ -82,13 +96,13 @@ def _references(tree):
                 yield "import", alias.name, node
 
 
-def _unreferenced():
+def _unreferenced(wanted=_is_public):
     modules = _runtime_modules()
     refs = [(kind, name, node) for tree in modules.values()
             for kind, name, node in _references(tree)]
     missing = []
     for module, tree in modules.items():
-        for qualname, definition, is_method in _public_definitions(tree):
+        for qualname, definition, is_method in _definitions(tree, wanted):
             if (module, qualname) in EXEMPT:
                 continue
             # a method is reached through an object, never as a bare name
@@ -102,6 +116,10 @@ def _unreferenced():
 
 def test_every_public_name_is_used_by_the_runtime():
     assert _unreferenced() == []
+
+
+def test_every_private_helper_is_used_by_the_runtime():
+    assert _unreferenced(_is_helper) == []
 
 
 def _defaulted(definition, is_method):
@@ -123,7 +141,7 @@ def _defaulted_parameters(modules):
     """((module, qualname), definition, parameter, slot) of each defaulted
     parameter of a public function or method."""
     for module, tree in modules.items():
-        for qualname, definition, is_method in _public_definitions(tree):
+        for qualname, definition, is_method in _definitions(tree):
             if isinstance(definition, ast.FunctionDef):
                 for name, slot in _defaulted(definition, is_method):
                     yield (module, qualname), definition, name, slot
@@ -165,10 +183,17 @@ def test_every_defaulted_parameter_is_passed_by_the_runtime():
 def test_the_walk_sees_the_package():
     names = {"%s.%s" % (module, qualname)
              for module, tree in _runtime_modules().items()
-             for qualname, _, _ in _public_definitions(tree)}
+             for qualname, _, _ in _definitions(tree)}
     # a function, a class and a method of each kind the walk must reach
     assert {"traces.measure_series", "config.RunConfig",
             "config.RunConfig.validate", "cli.main"} <= names
+    helpers = {"%s.%s" % (module, qualname)
+               for module, tree in _runtime_modules().items()
+               for qualname, _, _ in _definitions(tree, _is_helper)}
+    # module helpers, and a helper method but no dunder
+    assert {"scene._lo_power", "cli._parse_args"} <= helpers
+    snippet = "def _f(): pass\nclass A:\n    def _m(self): pass\n    def __init__(self): pass"
+    assert [name for name, _, _ in _definitions(ast.parse(snippet), _is_helper)] == ["_f", "A._m"]
     # a keyword default, and the entry point's, which no runtime call passes
     labels = {"%s.%s(%s)" % (*key, name)
               for key, _, name, _ in _defaulted_parameters(_runtime_modules())}

@@ -4,6 +4,10 @@ The SNL crossing and the sweep's degree-to-radian conversion run in Python
 floats.  Each is compared with the numpy version it replaced
 (`tests/estimate_reference.py`, `np.deg2rad`) on random cases, bit for bit:
 a float is compared by its IEEE bytes, so -0.0 and a NaN's sign count too.
+The NaN-sign leg assumes CPython's specializing interpreter: under a
+`sys.settrace` line tracer (coverage.py, pdb) some NaNs of the non-finite
+cases come out with the other sign, which no artifact shows (JSON writes
+`null`).
 """
 
 import math

@@ -4,7 +4,7 @@ import pytest
 from noiseimaging.scene import (
     LETTERS,
     SceneError,
-    glyph,
+    font_letter,
     load_font,
     load_pbm,
     overlaps,
@@ -62,7 +62,7 @@ class TestArrayOwnership:
         mask = bowtie(0.0, ALPHA, 14, 32, 32)
         lo = bowtie(0.3, ALPHA, 14, 32, 32)
         save_pbm(lo, tmp_path / "lo.pbm")
-        for arr in (mask, lo, load_pbm(tmp_path / "lo.pbm"), glyph("Z")):
+        for arr in (mask, lo, load_pbm(tmp_path / "lo.pbm"), load_font()["Z"]):
             assert not arr.flags.writeable
 
 
@@ -280,7 +280,7 @@ class TestGlyphs:
         assert shapes == {(64, 64)}
 
     def test_self_overlap_is_one(self):
-        z = glyph("Z")
+        z = load_font()["Z"]
         assert overlap(z, z) == 1.0
 
     def test_distinct_letters_overlap_below_one(self):
@@ -299,17 +299,17 @@ class TestGlyphs:
 
     def test_unknown_letter_named_in_error(self):
         with pytest.raises(SceneError, match="'@'"):
-            glyph("@")
+            font_letter("@")
 
     def test_lowercase_accepted(self):
-        assert np.array_equal(glyph("q"), glyph("Q"))
+        assert font_letter("q") == font_letter("Q") == "Q"
 
     # each upper-cases to an ASCII letter, which is not the letter it names
     @pytest.mark.parametrize("letter", ["\u0131", "\u017f"], ids=["dotless-i", "long-s"])
     def test_non_ascii_letter_rejected(self, letter):
         with pytest.raises(SceneError, match="unknown letter %r" % letter):
-            glyph(letter)
+            font_letter(letter)
 
     def test_missing_font_dir(self, tmp_path):
         with pytest.raises(SceneError, match="'A'"):
-            glyph("A", tmp_path)
+            load_font(tmp_path)

@@ -322,6 +322,17 @@ def check(arrays):
     return errors, counts
 
 
+def render(arrays):
+    """{file name: plain P1 text} of each glyph, block-upscaled SCALE times."""
+    files = {}
+    for letter, arr in sorted(arrays.items()):
+        big = np.kron(arr, np.ones((SCALE, SCALE), dtype=bool))
+        lines = ["P1", "%d %d" % (big.shape[1], big.shape[0])]
+        lines += [" ".join("1" if v else "0" for v in row) for row in big]
+        files["%s.pbm" % letter] = "\n".join(lines) + "\n"
+    return files
+
+
 def main():
     out_dir = Path(__file__).resolve().parents[1] / "src" / "noiseimaging" / "font"
     arrays = {k: to_array(v) for k, v in GLYPHS.items()}
@@ -331,12 +342,10 @@ def main():
             print("FONT CHECK FAILED:", e, file=sys.stderr)
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in render(arrays).items():
+        (out_dir / name).write_text(text, encoding="ascii")
     z = arrays["Z"]
     for letter, arr in sorted(arrays.items()):
-        big = np.kron(arr, np.ones((SCALE, SCALE), dtype=bool))
-        lines = ["P1", "%d %d" % (big.shape[1], big.shape[0])]
-        lines += [" ".join("1" if v else "0" for v in row) for row in big]
-        (out_dir / ("%s.pbm" % letter)).write_text("\n".join(lines) + "\n", encoding="ascii")
         o = (arr & z).sum() / counts[letter]
         print("%s  ink=%2d (%4d px at 64x64)  overlap_with_Z=%.3f"
               % (letter, counts[letter], counts[letter] * SCALE * SCALE, o))
