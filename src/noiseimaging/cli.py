@@ -137,7 +137,7 @@ def _print_summary(text):
 
 
 def _load_cfg(args):
-    cfg = load_config(args["config"]) if args["config"] else RunConfig()
+    cfg = RunConfig() if args["config"] is None else load_config(args["config"])
     overrides = {"seed": args["seed"], "out_dir": args["out"]}
     return cfg.replace(**{k: v for k, v in overrides.items() if v is not None}).validate()
 
@@ -160,8 +160,7 @@ def _measure_curve(cfg, readings, technique):
     rows, points = [], []
     for k, (angle, overlap, n_true) in enumerate(readings):
         seed = derive_seed(cfg.seed, "sweep", technique, k)
-        ns, deltas = measure_series(n_true[technique], cfg, cfg.n_series, seed)
-        n_mean, sem, delta_mean = estimate.summarize_series(ns, deltas, cfg)
+        (n_mean, sem, delta_mean), (ns, deltas) = measure_series(n_true[technique], cfg, seed)
         points.append({"overlap": overlap, "n": n_mean, "sigma_n": sem,
                        "delta_n": delta_mean})
         for s, (n, delta) in enumerate(zip(ns.tolist(), deltas.tolist())):
@@ -257,8 +256,7 @@ def cmd_calibrate(cfg, db):
     r = calibrate_r(db, cfg)
     calibrated = cfg.replace(r=r, squeezing_db_detected=float(db))
     n_true = quantum_noise(1.0, 1.0, r, cfg)
-    ns, deltas = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, "calibrate"))
-    n_mean = estimate.summarize_series(ns, deltas, cfg)[0]
+    (n_mean, _, _), _ = measure_series(n_true, cfg, derive_seed(cfg.seed, "calibrate"))
     floor = detected_noise_floor(cfg)
     payload = {
         "target_db": float(db),

@@ -251,13 +251,15 @@ def config_text(cfg):
 
 
 def load_config(path):
+    # messages name the path as given: Path("") reads as "."
+    name = str(path)
     path = Path(path)
     if not path.is_file():
-        raise ConfigError("config", "file %r not found" % str(path))
+        raise ConfigError("config", "file %r not found" % name)
     try:
         contents = path.read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
-        raise ConfigError("config", "file %r is not ASCII text: %s" % (str(path), exc)) from None
+        raise ConfigError("config", "file %r is not ASCII text: %s" % (name, exc)) from None
     values, key_lines = {}, {}
     section = None
     # \r\n and a lone \r end a line as \n does; splitlines would also break

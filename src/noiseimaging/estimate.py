@@ -6,7 +6,8 @@ synthetic point joins the data in an unweighted cubic fit.  The estimation
 sensitivity at a given overlap is delta_n divided by the magnitude of the
 fitted slope; slopes that are too small or statistically unresolved are
 flagged insensitive and evaluated at a slope floor instead of silently
-diverging.
+diverging.  A point's noise, standard error and delta_n arrive measured:
+`traces.measure_series` is the one home of a series' summary.
 
 Results come back in the form their artifact holds them: curve points,
 overlap uncertainties and the enhancement as the dicts summary.json writes,
@@ -234,26 +235,6 @@ def enhancement(classical_records, quantum_records):
 # ---------------------------------------------------------------------------
 # alphabet gun
 
-def summarize_series(ns, deltas, cfg):
-    """Mean noise, its standard error, and the mean per-trace delta_n of a
-    series, from the per-trace arrays that `measure_series` returns under
-    the acquisition fields of cfg.
-
-    Segment means are near-independent, so one trace mean carries a standard
-    deviation of about delta_n/sqrt(segments); averaging the series divides
-    by sqrt(series count) again.
-    """
-    n_segments = cfg.points_per_trace // cfg.segment_length
-    n_mean, delta_mean = (float(v.sum() / len(v)) for v in (ns, deltas))
-    return n_mean, delta_mean / sqrt(n_segments * len(ns)), delta_mean
-
-
-def _measured_noise(n_true, cfg, *tags):
-    ns, deltas = measure_series(n_true, cfg, cfg.n_series, derive_seed(cfg.seed, *tags))
-    n_mean, sem, _ = summarize_series(ns, deltas, cfg)
-    return n_mean, sem
-
-
 def _row(letter, technique, overlap, baseline, masked, deviation, sub_snl, reason):
     """One alphabet.csv row as a dict keyed by its column names; baseline,
     masked and deviation are (value, standard error) pairs, and a row that
@@ -293,11 +274,12 @@ def alphabet_gun(glyphs, mask, r, cfg):
             # the baseline has no mask: unit overlap and root overlap
             nb_true = technique_noise(technique, 1.0, 1.0, r, cfg)
             nm_true = technique_noise(technique, o, q, r, cfg)
-            baseline = _measured_noise(nb_true, cfg, "alphabet", letter, technique, "baseline")
-            masked = _measured_noise(nm_true, cfg, "alphabet", letter, technique, "masked")
+            tags = (cfg.seed, "alphabet", letter, technique)
+            (nb, sb, _), _ = measure_series(nb_true, cfg, derive_seed(*tags, "baseline"))
+            (nm, sm, _), _ = measure_series(nm_true, cfg, derive_seed(*tags, "masked"))
             records.append(_row(
-                letter, technique, o, baseline, masked, _ratio(*masked, *baseline),
-                technique == TECH_QUANTUM and masked[0] < snl_joint, "",
+                letter, technique, o, (nb, sb), (nm, sm), _ratio(nm, sm, nb, sb),
+                technique == TECH_QUANTUM and nm < snl_joint, "",
             ))
     rankings = {}
     for technique in TECHNIQUES:

@@ -4,13 +4,13 @@ A zero-span trace is a row of displayed points, each the average of many
 squared-Gaussian (chi-square) power samples; successive points mix through
 an exponentially weighted running average (an AR(1) kernel), the way a
 video-bandwidth filter correlates neighbouring points.  A trace reduces to
-one noise measurement: the mean of all points, with the standard deviation
-of the segment means as its uncertainty.
+its mean and the standard deviation of its segment means (delta_n), and a
+series of traces to one noise measurement: mean, standard error, delta_n.
 
-The acquisition geometry is read from the run config, whose fields
-`check_acquisition` describes and validates.  Each series takes its own
-seed, which callers derive from the master seed and a tag per series with
-`derive_seed`.
+The acquisition geometry, which `check_acquisition` describes and
+validates, and the series length are read from the run config.  Each series
+takes its own seed, which callers derive from the master seed and a tag per
+series with `derive_seed`.
 
 A series of traces draws its rows in turn from one seeded stream and smooths
 them as one block, in place on its flat rows in three blocks of memory, by a
@@ -151,14 +151,27 @@ def _segment_moments(values, cfg):
     return ns, np.sqrt(deltas, out=deltas)
 
 
-def measure_series(n_true, cfg, n_series, seed):
-    """(ns, deltas) of n_series independent traces drawn from the stream
-    `seed` under cfg's acquisition fields: each trace's mean and the sample
-    standard deviation of its segment means, as float arrays.
+def _summary(ns, deltas, cfg):
+    """(n_mean, sem, delta_mean) of a series from its per-trace arrays.
 
-    The traces are drawn and reduced as one block.
+    Segment means are near-independent, so one trace mean carries a standard
+    deviation of about delta_n/sqrt(segments); averaging the series divides
+    by sqrt(series count) again.
     """
-    if n_series < 1:
+    n_segments = cfg.points_per_trace // cfg.segment_length
+    n_mean, delta_mean = (float(v.sum() / len(v)) for v in (ns, deltas))
+    return n_mean, delta_mean / math.sqrt(n_segments * len(ns)), delta_mean
+
+
+def measure_series(n_true, cfg, seed):
+    """((n_mean, sem, delta_mean), (ns, deltas)) of cfg.n_series traces drawn
+    from the stream `seed` under cfg's acquisition fields: the series' mean
+    noise, its standard error and mean delta_n as Python floats, and each
+    trace's mean and segment scatter as float arrays, drawn and reduced as
+    one block.
+    """
+    if cfg.n_series < 1:
         raise TraceError("n_series must be >= 1")
-    values = _series_points(n_true, cfg, int(n_series), seed)
-    return _segment_moments(values, cfg)
+    values = _series_points(n_true, cfg, int(cfg.n_series), seed)
+    ns, deltas = _segment_moments(values, cfg)
+    return _summary(ns, deltas, cfg), (ns, deltas)

@@ -19,7 +19,6 @@ from noiseimaging.estimate import (
     delta_o_table,
     enhancement,
     fit_noise_curve,
-    summarize_series,
 )
 from gaussian_reference import two_mode_squeezed_cov, apply_loss, phase_rotate
 from noiseimaging.noise import (
@@ -204,12 +203,12 @@ def test_criterion_4_alphabet_gun(tmp_path):
 
 def test_criterion_5_delta_n_scales_with_n():
     levels = np.array([0.6, 1.0, 1.6, 2.5])
-    cfg = RunConfig()
+    cfg = RunConfig(n_series=1)
     mean_n, mean_delta, sem_delta = [], [], []
     for li, level in enumerate(levels):
         ns, deltas = [], []
         for seed in range(100):
-            n, delta = measure_series(level, cfg, 1, derive_seed(20260403, "scaling", li, seed))
+            _, (n, delta) = measure_series(level, cfg, derive_seed(20260403, "scaling", li, seed))
             ns.append(n[0])
             deltas.append(delta[0])
         mean_n.append(np.mean(ns))
@@ -283,6 +282,7 @@ def _binary_decomposition(o):
 
 
 def _pipeline_enhancement(r, source, angles_overlaps, acq, n_series, master, tag):
+    acq = acq.replace(n_series=n_series)
     tables = {}
     for technique in (TECH_CLASSICAL, TECH_QUANTUM):
         pts = []
@@ -292,10 +292,9 @@ def _pipeline_enhancement(r, source, angles_overlaps, acq, n_series, master, tag
                 n_true = quantum_noise(o_cells, q_cells, r, source)
             else:
                 n_true = classical_noise(o_cells, r, source)
-            ns, deltas = measure_series(
-                n_true, acq, n_series, derive_seed(master, tag, technique, k),
+            (n, sem, delta), _ = measure_series(
+                n_true, acq, derive_seed(master, tag, technique, k),
             )
-            n, sem, delta = summarize_series(ns, deltas, acq)
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
         pts.sort(key=lambda p: p["overlap"])
         tables[technique] = delta_o_table(pts, *fit_noise_curve(pts))
@@ -338,10 +337,9 @@ def test_criterion_8_null_case():
             o_cells, q_cells = _binary_decomposition(o)
             n_true = (quantum_noise(o_cells, q_cells, 0.0, acq) if technique == TECH_QUANTUM
                       else classical_noise(o_cells, 0.0, acq))
-            ns, deltas = measure_series(
-                n_true, acq, 10, derive_seed(20260406, "null", technique, k),
+            (n, sem, delta), _ = measure_series(
+                n_true, acq.replace(n_series=10), derive_seed(20260406, "null", technique, k),
             )
-            n, sem, delta = summarize_series(ns, deltas, acq)
             if abs(n - 1.0) > 5 * sem:
                 failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
             pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})

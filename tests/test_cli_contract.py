@@ -1021,6 +1021,22 @@ def test_empty_output_directory_fails_cleanly(command, given_by, tmp_path, capsy
     assert set(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("config", ["missing.cfg", ""], ids=["missing", "empty"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_config_path_naming_no_file_fails_cleanly(command, config, tmp_path, capsys,
+                                                    monkeypatch):
+    # an empty path names no file: it fails as a missing one does, and does
+    # not run the defaults as no --config would; "" is named as given, not "."
+    monkeypatch.chdir(tmp_path)
+    args, _ = _COMMANDS[command]
+    code = main(args + ["--config", config, "--out", "out"])
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["field"] == "config"
+    assert error["message"] == "config: file %r not found" % config
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_unwritable_artifact_fails_cleanly(command, tmp_path, capsys):
     args, first_artifact = _COMMANDS[command]

@@ -16,10 +16,10 @@ from noiseimaging.estimate import (
     fit_noise_curve,
     overlap_uncertainty,
     snl_crossing,
-    summarize_series,
 )
 from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r, quantum_noise
 from noiseimaging.scene import load_font
+from noiseimaging.traces import _summary
 from estimate_reference import reference_fit
 
 
@@ -106,8 +106,8 @@ class TestFitNoiseCurve:
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 12)):
             n_true = classical_noise(o, r, cfg)
-            ns, deltas = measure_series(n_true, cfg, 10, derive_seed(5, "slope", k))
-            n, sem, delta = summarize_series(ns, deltas, cfg)
+            (n, sem, delta), _ = measure_series(n_true, cfg.replace(n_series=10),
+                                                derive_seed(5, "slope", k))
             pts.append(point(float(o), n, sem, delta))
         fit, cov = fit_noise_curve(pts)
         true_slope = np.cosh(2 * r) - 1
@@ -197,7 +197,7 @@ class TestStandardErrors:
         ns = np.array([1.0, 1.2, 0.9, 1.1])
         deltas = np.array([0.02, 0.03, 0.025, 0.035])
         cfg = RunConfig(points_per_trace=460, segment_length=10)
-        n_mean, sem, delta_mean = summarize_series(ns, deltas, cfg)
+        n_mean, sem, delta_mean = _summary(ns, deltas, cfg)
         assert n_mean == pytest.approx(1.05, rel=1e-15)
         assert delta_mean == pytest.approx(0.0275, rel=1e-15)
         assert sem == pytest.approx(0.0275 / math.sqrt(46 * 4), rel=1e-15)
@@ -400,8 +400,9 @@ def test_results_are_json_ready():
     for technique, slope in ((TECH_CLASSICAL, 0.2), (TECH_QUANTUM, -0.5)):
         pts = []
         for k, o in enumerate(np.linspace(0.0, 1.0, 8).tolist()):
-            ns, deltas = measure_series(1.2 + slope * o, cfg, 2, derive_seed(6, technique, k))
-            pts.append(point(o, *summarize_series(ns, deltas, cfg)))
+            summary, _ = measure_series(1.2 + slope * o, cfg.replace(n_series=2),
+                                        derive_seed(6, technique, k))
+            pts.append(point(o, *summary))
         fit, cov = fit_noise_curve(pts)
         points.append(pts)
         fits.append(fit)

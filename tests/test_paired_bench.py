@@ -1,8 +1,8 @@
 """The verdicts of `tools/paired_bench.py` on made-up pairs: a gain needs
 nine of every ten pairs and a median gap wider than the parent's quartiles,
 and the bound is a fraction of the parent's median in the worse direction.
-Each side's environment is read from its run, and a difference is warned
-about."""
+Each side's environment is read from its run, with its checkout's path
+length beside it, and a difference is warned about."""
 
 import importlib.util
 import json
@@ -92,6 +92,41 @@ def test_sides_in_different_environments_are_warned_about():
     assert warning.startswith("WARNING")
     assert "nproc" in warning and "OPENBLAS_NUM_THREADS" in warning
     assert "numpy" not in warning
+    # checkouts at paths of different lengths, each side's length named
+    assert tool.environment_warning(dict(env, path_len=10), dict(env, path_len=10)) is None
+    warning = tool.environment_warning(dict(env, path_len=10), dict(env, path_len=16))
+    assert warning == "WARNING: the sides ran in different environments (path_len 10 vs 16)"
+
+
+@pytest.mark.parametrize("names,warned", [
+    (("parent", "change"), False),
+    (("parent", "the-change"), True),
+], ids=["equal-length", "unequal-length"])
+def test_each_side_prints_its_checkout_path_length(names, warned, tmp_path, capsys):
+    tool = _tool()
+    metrics = tool.declared(ROOT)[1]
+    # the parent's path is resolved, as the change's root is
+    parent, change = (tmp_path.resolve() / name for name in names)
+    (parent / "bench").mkdir(parents=True)
+    (parent / "bench" / "run.py").touch()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    tool.ROOT = change
+
+    def canned(checkout, workload, seed, seconds):
+        return tool.parse_run(_stdout(ENV, values=dict.fromkeys(
+            (name for name, *_ in metrics), 1.0)))
+
+    tool.run_bench = canned
+    assert tool.main([str(parent), "--workload", "sweep-desk", "--pairs", "2",
+                      "--first-seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for side, path in (("parent", parent), ("change", change)):
+        assert ("  %s environment: nproc=2 python=3.11.7 numpy=2.4.6 "
+                "OPENBLAS_NUM_THREADS=unset path_len=%d" % (side, len(str(path)))) in lines
+    warnings = [line for line in lines if "WARNING" in line]
+    assert warnings == (["  WARNING: the sides ran in different environments (path_len %d vs %d)"
+                         % (len(str(parent)), len(str(change)))] if warned else [])
 
 
 def test_an_undeclared_workload_is_a_usage_error_before_any_run(capsys):

@@ -35,6 +35,7 @@ from trace_reference import (
     reference_running_sums,
     reference_segment_moments,
     reference_segment_stats,
+    reference_series_summary,
     reference_series_traces,
     relative_difference,
 )
@@ -69,13 +70,13 @@ def _report(worst):
 def assert_same_series(n_true, cfg, n_series, seed):
     """Check measure_series and the block's points against the reference and
     return the worst relative difference seen (0 when the inputs raise)."""
-    got = _outcome(measure_series, n_true, cfg, n_series, seed)
+    got = _outcome(measure_series, n_true, cfg.replace(n_series=n_series), seed)
     want = _outcome(reference_measure_series, n_true, cfg, n_series, seed)
     assert got[0] == want[0]
     if want[0] == "raise":
         assert got[1] is want[1]
         return 0.0
-    ns, deltas = got[1]
+    _, (ns, deltas) = got[1]
     assert ns.shape == deltas.shape == (n_series,)
     assert len(want[1]) == n_series
     # the block reduction is the trace-by-trace one, bit for bit, on the same
@@ -135,8 +136,9 @@ def test_shipped_profiles_match_the_reference(name):
 
 @pytest.mark.parametrize("n_true", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
 def test_nonpositive_levels_raise_like_the_reference(n_true):
-    for fn in (measure_series, reference_measure_series, reference_series_traces,
-               _series_points):
+    with pytest.raises(TraceError, match="must be positive"):
+        measure_series(n_true, RunConfig(n_series=3), 5)
+    for fn in (reference_measure_series, reference_series_traces, _series_points):
         with pytest.raises(TraceError, match="must be positive"):
             fn(n_true, RunConfig(), 3, 5)
 
@@ -246,7 +248,8 @@ def test_flat_scan_and_moments_are_the_row_wise_bits():
 
 @pytest.mark.parametrize("name", ["desk_sweep.cfg", "alphabet_recognition.cfg"])
 def test_shipped_profiles_are_the_row_wise_bits(name):
-    # measure_series against its draw, smoothed and reduced by the reference
+    # measure_series against its draw, smoothed, reduced and summarized by
+    # the reference
     run = load_config(CONFIGS / name)
     taps = check_acquisition(run) - run.points_per_trace + 1
     phi = run.point_correlation
@@ -256,6 +259,8 @@ def test_shipped_profiles_are_the_row_wise_bits(name):
             run.samples_per_point, size=(run.n_series, check_acquisition(run)))
         raw /= run.samples_per_point
         vals = reference_running_sums(raw, phi, taps) * ((1.0 - phi) * level)
-        for mine, numpys in zip(measure_series(level, run, run.n_series, seed),
-                                reference_segment_moments(vals, run)):
+        summary, arrays = measure_series(level, run, seed)
+        want = reference_segment_moments(vals, run)
+        for mine, numpys in zip(arrays, want):
             assert_same_bits(mine, numpys)
+        assert_same_bits(np.array(summary), np.array(reference_series_summary(*want, run)))

@@ -40,7 +40,8 @@ def ar1_segment_mean_std(cfg, n_true=1.0):
 def assert_rejected(cfg, message):
     """Both the check and the library boundary that runs it before drawing
     reject cfg with exactly this message."""
-    for check in (check_acquisition, lambda cfg: measure_series(1.0, cfg, 1, SEED)):
+    for check in (check_acquisition,
+                  lambda cfg: measure_series(1.0, cfg.replace(n_series=1), SEED)):
         with pytest.raises(TraceError) as info:
             check(cfg)
         assert str(info.value) == message
@@ -155,10 +156,11 @@ class TestWorkingMemory:
         # 500 raw points a trace; the reductions' arrays are a tenth of one
         assert check_acquisition(DEFAULT) == 500
         block = n_series * 500 * 8
-        measure_series(1.0, DEFAULT, n_series, SEED)
+        cfg = DEFAULT.replace(n_series=n_series)
+        measure_series(1.0, cfg, SEED)
         tracemalloc.start()
         try:
-            measure_series(1.0, DEFAULT, n_series, SEED)
+            measure_series(1.0, cfg, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -181,13 +183,13 @@ class TestSegmentStats:
 
     def test_iid_prediction(self):
         cfg = RunConfig(point_correlation=0.0)
-        _, deltas = measure_series(1.0, cfg, 1000, SEED)
+        _, (_, deltas) = measure_series(1.0, cfg.replace(n_series=1000), SEED)
         predicted = ar1_segment_mean_std(cfg)
         assert predicted == pytest.approx(np.sqrt(2 / 300 / 10), abs=1e-12)
         assert np.mean(deltas) == pytest.approx(predicted, rel=0.05)
 
     def test_ar1_prediction_within_15_percent(self):
-        _, deltas = measure_series(1.0, DEFAULT, 1000, SEED)
+        _, (_, deltas) = measure_series(1.0, DEFAULT.replace(n_series=1000), SEED)
         assert np.mean(deltas) == pytest.approx(ar1_segment_mean_std(DEFAULT), rel=0.15)
 
     def test_segment_means_nearly_independent(self):
@@ -204,7 +206,7 @@ class TestSegmentStats:
 
     def test_unbiased_estimator_of_true_power(self):
         cfg = RunConfig(samples_per_point=20)
-        means, _ = measure_series(2.0, cfg, 10**4, SEED)
+        _, (means, _) = measure_series(2.0, cfg.replace(n_series=10**4), SEED)
         grand = np.mean(means)
         se = np.std(means) / np.sqrt(len(means))
         assert abs(grand - 2.0) < 3 * se
@@ -212,28 +214,28 @@ class TestSegmentStats:
 
 class TestMeasureSeries:
     def test_singleton(self):
-        ns, deltas = measure_series(1.0, DEFAULT, 1, SEED)
+        _, (ns, deltas) = measure_series(1.0, DEFAULT.replace(n_series=1), SEED)
         assert ns.shape == deltas.shape == (1,)
         assert ns[0] == trace_points(1.0, DEFAULT).mean()
 
     def test_scaling_matched_seeds(self):
-        a = measure_series(1.0, DEFAULT, 5, SEED)
-        b = measure_series(3.0, DEFAULT, 5, SEED)
+        _, a = measure_series(1.0, DEFAULT.replace(n_series=5), SEED)
+        _, b = measure_series(3.0, DEFAULT.replace(n_series=5), SEED)
         for na, da, nb, db in zip(*a, *b):
             assert nb == pytest.approx(3.0 * na, rel=1e-14)
             assert db == pytest.approx(3.0 * da, rel=1e-12)
 
     def test_delta_over_n_seed_invariant_across_levels(self):
         for level in (0.6, 1.0, 1.6, 2.5):
-            ns, deltas = measure_series(level, DEFAULT, 3, SEED)
-            ref_ns, ref_deltas = measure_series(1.0, DEFAULT, 3, SEED)
+            _, (ns, deltas) = measure_series(level, DEFAULT.replace(n_series=3), SEED)
+            _, (ref_ns, ref_deltas) = measure_series(1.0, DEFAULT.replace(n_series=3), SEED)
             for n, d, ref_n, ref_d in zip(ns, deltas, ref_ns, ref_deltas):
                 assert d / n == pytest.approx(ref_d / ref_n, abs=1e-12)
 
     def test_series_spread_consistent_with_delta(self):
         # chi-square test of the 10 series means against their per-trace
         # uncertainties (delta_n / sqrt(segments))
-        ns, deltas = measure_series(1.0, DEFAULT, 10, SEED)
+        _, (ns, deltas) = measure_series(1.0, DEFAULT.replace(n_series=10), SEED)
         sems = deltas / np.sqrt(46)
         stat = float(np.sum((ns - ns.mean()) ** 2 / sems**2))
         from scipy.stats import chi2
@@ -243,7 +245,7 @@ class TestMeasureSeries:
 
     def test_rejects_zero_series(self):
         with pytest.raises(TraceError):
-            measure_series(1.0, DEFAULT, 0, SEED)
+            measure_series(1.0, DEFAULT.replace(n_series=0), SEED)
 
 
 class TestSeeding:

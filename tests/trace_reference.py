@@ -10,10 +10,13 @@ points within a stated rounding bound, and the same bits at one tap
 
 `reference_running_sums` and `reference_segment_moments` are the scan and
 the reduction written plainly, row by row with fresh arrays and numpy's
-`mean` and `std(ddof=1)`.  The runtime runs the same scan in place on the
-block's flat rows and makes the reductions' own calls, and must give their
-bits exactly.
+`mean` and `std(ddof=1)`, and `reference_series_summary` is a series'
+mean, standard error and mean delta_n from those arrays.  The runtime runs
+the same scan in place on the block's flat rows and makes the reductions'
+own calls, and must give their bits exactly.
 """
+
+import math
 
 import numpy as np
 from numpy.random import default_rng
@@ -118,3 +121,12 @@ def reference_segment_moments(values, cfg):
     ns = values.mean(axis=1)
     seg = values.reshape(n, -1, cfg.segment_length).mean(axis=2)
     return ns, seg.std(axis=1, ddof=1)
+
+
+def reference_series_summary(ns, deltas, cfg):
+    """(n_mean, sem, delta_mean) of a series from its per-trace arrays: each
+    mean a numpy sum over the count, and the standard error the mean
+    delta_n over sqrt(segments per trace * traces)."""
+    n_segments = cfg.points_per_trace // cfg.segment_length
+    n_mean, delta_mean = (float(v.sum() / len(v)) for v in (ns, deltas))
+    return n_mean, delta_mean / math.sqrt(n_segments * len(ns)), delta_mean

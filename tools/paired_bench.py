@@ -13,9 +13,11 @@ directions and bounds are read from this checkout's `BENCHMARK.json`, and a
 name it does not declare is a usage error (exit 2) before any run.
 
 For each workload it prints each side's environment as `bench/run.py`
-records it (core count, Python and numpy versions, BLAS thread setting), with
-a warning when the two sides differ, since a perf claim holds only for one
-environment.  For each end-to-end metric it prints both sides' medians and
+records it (core count, Python and numpy versions, BLAS thread setting) and
+the length of the side's checkout path, with a warning when the two sides
+differ, since a perf claim holds only for one environment: peak RSS moves by
+about 0.06 MB with the path length alone, so run both sides from checkouts at
+paths of equal length.  For each end-to-end metric it prints both sides' medians and
 quartiles, and the pairs the change won (ties count for neither side).  Two
 verdicts follow:
 - gain: the change won at least 9 of every 10 pairs, and the medians differ,
@@ -43,8 +45,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
-# the environment facts a perf claim must record
+# the environment facts a perf claim must record: those of a run's
+# environment line, then the length of the side's checkout path
 ENV_KEYS = ("nproc", "python", "numpy", "OPENBLAS_NUM_THREADS")
+PATH_KEY = "path_len"
 
 
 def declared(root):
@@ -82,13 +86,17 @@ def parse_run(stdout):
 
 
 def environment_text(env):
-    return " ".join("%s=%s" % (key, env.get(key)) for key in ENV_KEYS)
+    """ENV_KEYS of one side's environment, then its path length if recorded."""
+    keys = ENV_KEYS + ((PATH_KEY,) if PATH_KEY in env else ())
+    return " ".join("%s=%s" % (key, env.get(key)) for key in keys)
 
 
 def environment_warning(parent, change):
-    """A warning naming the ENV_KEYS on which the two sides' environments
-    differ, or None when they agree."""
-    differ = [key for key in ENV_KEYS if parent.get(key) != change.get(key)]
+    """A warning naming, with both sides' values, the ENV_KEYS and the path
+    length on which the two sides' environments differ, or None when they
+    agree."""
+    differ = ["%s %s vs %s" % (key, parent.get(key), change.get(key))
+              for key in ENV_KEYS + (PATH_KEY,) if parent.get(key) != change.get(key)]
     if not differ:
         return None
     return "WARNING: the sides ran in different environments (%s)" % ", ".join(differ)
@@ -161,6 +169,7 @@ def main(argv=None):
               % (workload, args.pairs, first, first + args.pairs - 1, args.seconds,
                  sides["parent"]))
         for side in ("parent", "change"):
+            envs[side][PATH_KEY] = len(str(sides[side]))
             print("  %s environment: %s" % (side, environment_text(envs[side])))
         warning = environment_warning(envs["parent"], envs["change"])
         if warning:
