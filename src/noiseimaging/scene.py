@@ -22,15 +22,6 @@ class SceneError(ValueError):
     """Raised for invalid shapes, grids or file contents."""
 
 
-def _check_same_dims(a, b):
-    for bits in (a, b):
-        if getattr(bits, "dtype", None) != bool or bits.ndim != 2 or 0 in bits.shape:
-            raise SceneError("bitmap must be a 2-D bool array with width, height >= 1")
-    if a.shape != b.shape:
-        raise SceneError("bitmap dimensions differ: %dx%d vs %dx%d"
-                         % (a.shape[1], a.shape[0], b.shape[1], b.shape[0]))
-
-
 # how far past half_angle a folded pixel can still pass the wedge test: the
 # difference theta - rotation rounds by half an ulp of pi + |rotation|, and
 # arctan2 and the fold's +-pi by a few ulps of pi; 8 eps times
@@ -206,18 +197,11 @@ def overlaps(lo, mask, cell_size, weight_map=None):
     and Q = sum(l_i sqrt(p_i / l_i)) / total: without a weight map O is the
     correctly rounded pixel-count ratio, single-pixel cells give Q == O, and
     the full mask gives O = Q = 1.  Each drifts past 1 only by rounding.
+    Single-pixel cells are summed off the LO's pixels, weighted or not, with
+    no grid-length per-cell array.
     """
     if cell_size < 1:
         raise SceneError("cell_size must be >= 1, got %r" % (cell_size,))
-    if cell_size == 1 and weight_map is None:
-        # unit cells: l_i sqrt(p_i / l_i) = p_i in {0, 1}, so both sums count
-        # the LO pixels the mask passes
-        _check_same_dims(lo, mask)
-        total = int(np.count_nonzero(lo))
-        if not total:
-            raise SceneError("LO bitmap carries no power (empty LO)")
-        overlap = int(np.count_nonzero(lo & mask)) / total
-        return overlap, overlap
     lo_sums, passed_sums, total = _occupied_cell_sums(lo, mask, cell_size, weight_map)
     # fixed-order sums, not thread-dependent BLAS dots; l_i sqrt(p_i / l_i),
     # not sqrt(p_i l_i), which underflows for subnormal cell powers
@@ -233,7 +217,12 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
     A separate function so the full-range per-cell arrays are freed before
     `overlaps` allocates its per-cell temporaries.
     """
-    _check_same_dims(lo, mask)
+    for bits in (lo, mask):
+        if getattr(bits, "dtype", None) != bool or bits.ndim != 2 or 0 in bits.shape:
+            raise SceneError("bitmap must be a 2-D bool array with width, height >= 1")
+    if lo.shape != mask.shape:
+        raise SceneError("bitmap dimensions differ: %dx%d vs %dx%d"
+                         % (lo.shape[1], lo.shape[0], mask.shape[1], mask.shape[0]))
     # off the LO every term of the per-cell sums is zero, and off the mask
     # every term of the passed sums is; a zero term leaves a partial sum
     # (which starts at +0.0 and so is never -0.0) unchanged, so summing only
@@ -249,6 +238,12 @@ def _occupied_cell_sums(lo, mask, cell_size, weight_map):
         raise SceneError("LO bitmap carries no power: the weight map is zero on "
                          "all %d of its pixels" % len(pixels))
     passed = mask.ravel()[pixels]
+    if cell_size == 1:
+        # each LO pixel is its own cell, numbered in pixel order, and a
+        # one-term sum is +0.0 plus the term: the cells of zero power drop out
+        keep = power > 0
+        power = power[keep].astype(float, copy=False)
+        return power, np.where(passed[keep], power, 0.0), total
     # cells are numbered row by row, so ids increase with the cell's
     # (row, column) position on the plane
     width = lo.shape[1]

@@ -7,10 +7,13 @@ draws a sweep's bow-ties as row spans on one set of disk rows.
 `%` and `np.where`, and `reference_decompose` sums every pixel of the grid
 into a full-length float `bincount` per cell and returns the per-cell LO
 weight fractions and mask transmissions; `cell_moments` turns those into
-the overlap and root overlap.  The runtime folds only the disk pixels near
-the wedge's edge lines and sums only LO pixels; the tests require the same bits, and
-the same moments to within rounding.  `reference_load_pbm` tokenizes a P1
-file line by line as text, where the runtime parses its bytes.
+the overlap and root overlap.  `reference_overlaps` takes the moments from
+the same full-grid sums in the runtime's arithmetic.  The runtime folds only
+the disk pixels near the wedge's edge lines and sums only LO pixels; the
+tests require the same bits, the same moments as `cell_moments` to within
+rounding, and those of `reference_overlaps` bit for bit.
+`reference_load_pbm` tokenizes a P1 file line by line as text, where the
+runtime parses its bytes.
 """
 
 from pathlib import Path
@@ -42,11 +45,9 @@ def reference_bowtie(rotation, half_angle, radius, width, height):
     return (rr <= radius) & (np.abs(psi) <= half_angle)
 
 
-def reference_decompose(lo, mask, cell_size, weight_map=None):
-    """(weights, transmissions): the LO weight fraction and mask power
-    transmission of each cell holding LO power, from full-grid sums."""
-    w = np.ones(lo.shape) if weight_map is None else np.asarray(weight_map, float)
-    lo_power = w * lo
+def _reference_cell_sums(lo, mask, cell_size, lo_power):
+    """(LO sums, passed sums, total): the per-cell LO and passed power of
+    each cell holding LO power, from full-length `bincount`s over the grid."""
     total = float(lo_power.sum())
     if not lo.any():
         raise SceneError("LO bitmap carries no power (empty LO)")
@@ -61,9 +62,30 @@ def reference_decompose(lo, mask, cell_size, weight_map=None):
     passed = lo_power * mask
     per_cell_passed = np.bincount(cells.ravel(), weights=passed.ravel(), minlength=ncells)
     keep = per_cell_lo > 0.0
-    weights = per_cell_lo[keep] / total
-    transmissions = per_cell_passed[keep] / per_cell_lo[keep]
-    return weights, transmissions
+    return per_cell_lo[keep], per_cell_passed[keep], total
+
+
+def reference_decompose(lo, mask, cell_size, weight_map=None):
+    """(weights, transmissions): the LO weight fraction and mask power
+    transmission of each cell holding LO power, from full-grid sums."""
+    w = np.ones(lo.shape) if weight_map is None else np.asarray(weight_map, float)
+    lo_sums, passed_sums, total = _reference_cell_sums(lo, mask, cell_size, w * lo)
+    return lo_sums / total, passed_sums / lo_sums
+
+
+def reference_overlaps(lo, mask, cell_size, weight_map=None):
+    """(overlap, root overlap) from full-grid sums in the runtime's
+    arithmetic: the LO power scaled to a largest entry of 1, then
+    O = sum(p_i) / total and Q = sum(l_i sqrt(p_i / l_i)) / total over the
+    cells holding LO power, each clamped at 1."""
+    w = np.ones(lo.shape) if weight_map is None else np.asarray(weight_map, float)
+    lo_power = w * lo
+    peak = lo_power.max()
+    if peak > 0.0:
+        lo_power = lo_power / peak
+    lo_sums, passed_sums, total = _reference_cell_sums(lo, mask, cell_size, lo_power)
+    return (min(float(np.sum(passed_sums)) / total, 1.0),
+            min(float(np.sum(lo_sums * np.sqrt(passed_sums / lo_sums))) / total, 1.0))
 
 
 def cell_moments(weights, transmissions):

@@ -1,11 +1,14 @@
 """The verdicts of `tools/paired_bench.py` on made-up pairs: a gain needs
 nine of every ten pairs and a median gap wider than the parent's quartiles,
-and the bound is a fraction of the parent's median in the worse direction.
+the paired verdict needs the sign-test interval of the paired differences
+wholly on the better side, and the bound is a fraction of the parent's
+median in the worse direction.
 Each side's environment is read from its run, with its checkout's path
 length beside it, and a difference is warned about."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,77 @@ def test_a_median_past_its_bound_is_unresolved_within_the_parent_spread(
     assert {name: rows[name][-4] for name, *_ in metrics} == dict(
         dict.fromkeys((name for name, *_ in metrics), "ok"), run_s=verdict)
     assert code == status
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (6, 1), (10, 2), (20, 6), (30, 10)])
+def test_the_paired_interval_is_the_sign_test_order_statistics(n, k):
+    # k is the sign test's two-sided 5% critical count plus one, from its
+    # published tables; below 6 pairs no interval reaches 95%
+    diffs = [float(v) for v in range(n, 0, -1)]
+    want = (float(k), float(n + 1 - k)) if k else (-math.inf, math.inf)
+    assert _tool().sign_test_interval(diffs) == want
+
+
+# PR 35's calibrate-solve run_s in ms: a parent whose quartiles lie about 0.5
+# apart around 1.78, and a change 19-25% lower
+PR35_PARENT = [1.55, 1.62, 1.66, 1.70, 1.77, 1.80, 1.95, 2.17, 2.25, 2.40]
+PR35_CUTS = [0.75, 0.81, 0.77, 0.79, 0.76, 0.80, 0.78, 0.81, 0.75, 0.77]
+PR35_CHANGE = [p * cut for p, cut in zip(PR35_PARENT, PR35_CUTS)]
+
+
+@pytest.mark.parametrize("lost", [[], [3], [6]], ids=["10-of-10", "9-of-10", "9-of-10-late"])
+def test_a_pr35_shaped_run_reads_paired_where_the_gain_gate_cannot(lost):
+    # a lost pair is one where the change ran slower, as runs B and C had
+    change = [PR35_PARENT[i] * 1.05 if i in lost else c for i, c in enumerate(PR35_CHANGE)]
+    result = _tool().compare(PR35_PARENT, change, "lower", 0.25)
+    assert result["wins"] == 10 - len(lost)
+    assert result["paired"] is True
+    assert result["interval"][1] < 0.0
+    # the median gap, about 0.4, is inside the parent's quartile range
+    assert result["gain"] is False
+
+
+def test_eight_wins_in_ten_need_more_pairs():
+    # run D's 8 of 10: d_(9) is a lost pair at 10 pairs, but the same share
+    # at 30 pairs puts d_(21) among the wins
+    change = PR35_CHANGE[:8] + [p * 1.05 for p in PR35_PARENT[8:]]
+    compare = _tool().compare
+    assert compare(PR35_PARENT, change, "lower", 0.25)["paired"] is False
+    assert compare(PR35_PARENT * 3, change * 3, "lower", 0.25)["paired"] is True
+
+
+@pytest.mark.parametrize("change,better", [
+    # a null change: each pair moves by noise of either sign
+    ([p + (0.02 if i % 2 else -0.02) for i, p in enumerate(PARENT)], "lower"),
+    (list(PARENT), "lower"),
+    # worse: slower, or lower where higher is better
+    ([p * 1.2 for p in PARENT], "lower"),
+    ([p * 0.8 for p in PARENT], "higher"),
+], ids=["null", "identical", "worse", "worse-higher"])
+def test_a_null_or_worse_change_does_not_read_paired(change, better):
+    assert _tool().compare(PARENT, change, better, 0.25)["paired"] is False
+
+
+def test_higher_is_better_reads_paired_above_zero():
+    result = _tool().compare(PARENT, [p * 1.2 for p in PARENT], "higher", 0.25)
+    assert result["paired"] is True and result["interval"][0] > 0.0
+
+
+def test_the_paired_column_sits_between_wins_and_gain(tmp_path, capsys):
+    tool = _tool()
+    names, metrics = tool.declared(ROOT)
+
+    def canned(checkout, workload, seed, seconds):
+        values = dict.fromkeys((name for name, *_ in metrics), 1.0)
+        values["run_s"] = (PR35_CHANGE if checkout == tool.ROOT else PR35_PARENT)[seed]
+        return tool.parse_run(_stdout(ENV, values=values))
+
+    tool.run_bench = canned
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").touch()
+    assert tool.main([str(tmp_path), "--workload", names[0], "--pairs", "10",
+                      "--first-seed", "0"]) == 0
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    # wins, then "d [low, high] verdict", then gain, then the bound's four
+    assert rows["run_s"][-10:-4] == ["10/10", "-0.3999", "[-0.552,", "-0.357]", "yes", "no"]
+    assert rows["wall_s"][-10:-4] == ["0/10", "+0", "[+0,", "+0]", "no", "no"]

@@ -1,9 +1,9 @@
 """The row-span rasterizer, the LO-pixel overlaps and the byte P1 parser
 against their references: every bit must agree, the overlaps must agree with
-the reference cells' moments to within rounding (and bit for bit where they
-are exact), the counted bow-tie overlaps must equal the overlaps of the
-reference bitmaps bit for bit, and every rejected input must raise the same
-SceneError."""
+the reference cells' moments to within rounding and with the reference's
+full-grid sums in the runtime's arithmetic bit for bit, the counted bow-tie
+overlaps must equal the overlaps of the reference bitmaps bit for bit, and
+every rejected input must raise the same SceneError."""
 
 import math
 import tracemalloc
@@ -30,6 +30,7 @@ from scene_reference import (
     reference_bowtie,
     reference_decompose,
     reference_load_pbm,
+    reference_overlaps,
 )
 
 DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg")
@@ -51,10 +52,11 @@ def assert_overlaps_match_reference(lo, mask, cell_size, weights=None):
     """`overlaps` against the moments of `reference_decompose`.
 
     A rejected pair must raise the same SceneError on both sides.  Otherwise
-    both moments agree within MOMENT_TOL, and three identities hold bit for
-    bit: without a weight map O is the correctly rounded pixel-count ratio
-    (Python's int division), and O = Q = 1 against the full mask; with
-    single-pixel cells Q == O.  Returns whether the pair was accepted.
+    both moments agree within MOMENT_TOL, equal `reference_overlaps` bit for
+    bit, and three identities hold bit for bit: without a weight map O is the
+    correctly rounded pixel-count ratio (Python's int division), and
+    O = Q = 1 against the full mask; with single-pixel cells Q == O.  Returns
+    whether the pair was accepted.
     """
     try:
         want = cell_moments(*reference_decompose(lo, mask, cell_size, weights))
@@ -66,6 +68,8 @@ def assert_overlaps_match_reference(lo, mask, cell_size, weights=None):
     o, q = overlaps(lo, mask, cell_size, weights)
     assert abs(o - want[0]) <= MOMENT_TOL
     assert abs(q - want[1]) <= MOMENT_TOL
+    exact = reference_overlaps(lo, mask, cell_size, weights)
+    assert [o.hex(), q.hex()] == [x.hex() for x in exact]
     if weights is None:
         assert o.hex() == (int(np.count_nonzero(lo & mask))
                            / int(np.count_nonzero(lo))).hex()
@@ -423,6 +427,18 @@ def test_single_pixel_cell_decomposition_peak_memory():
     assert _traced_peak_mib(lambda: overlaps(lo, mask, cell_size)) < 2.5
 
 
+def test_weighted_single_pixel_cell_peak_memory():
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    mask = bowtie(0.0, alpha, radius, n, n)
+    lo = bowtie(np.deg2rad(45.0), alpha, radius, n, n)
+    x, y = _grid_centers(n, n)
+    weights = np.exp(-(x * x + y * y) / (2.0 * radius * radius))
+    cell_size = 1
+    # the scaled LO power is one grid-length float array (2 MiB); two
+    # full-range per-cell arrays on top of it peaked at 8.25 MiB
+    assert _traced_peak_mib(lambda: overlaps(lo, mask, cell_size, weights)) < 5.0
+
+
 def _signed_zero_weights(rng, height, width):
     weights = rng.uniform(0.0, 3.0, size=(height, width))
     weights[rng.random((height, width)) < 0.15] = 0.0
@@ -444,11 +460,15 @@ def test_single_pixel_cells_with_weight_maps():
         lo = rng.random((height, width)) < rng.uniform(0.0, 1.0)
         mask = rng.random((height, width)) < rng.uniform(0.0, 1.0)
         weights = _signed_zero_weights(rng, height, width)
-        if not assert_overlaps_match_reference(lo, mask, cell_size, weights):
-            rejected += 1
-            continue
+        rejected += not assert_overlaps_match_reference(lo, mask, cell_size, weights)
         assert_overlaps_match_reference(lo, mask, cell_size)
     assert 0 < rejected < 60
+    # an empty LO, weighted or not, is rejected with the same message
+    for height, width in ((1, 1), (1, 17), (23, 1), (9, 12)):
+        lo = np.zeros((height, width), dtype=bool)
+        mask = rng.random((height, width)) < 0.5
+        for weights in (None, _signed_zero_weights(rng, height, width)):
+            assert not assert_overlaps_match_reference(lo, mask, cell_size, weights)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
@@ -535,6 +555,13 @@ def test_subnormal_uniform_weight_maps_give_the_moments_of_no_map():
         got = overlaps(lo, mask, cell_size, np.full((4, 4), 5e-324))
         assert [x.hex() for x in got] == want
         checked += 1
+    # and an all-ones map, on the desk pair, on single-pixel and coarse cells
+    n, alpha, radius = DESK.grid_size, DESK.bowtie_half_angle(), DESK.bowtie_radius()
+    mask = bowtie(0.0, alpha, radius, n, n)
+    lo = bowtie(np.deg2rad(45.0), alpha, radius, n, n)
+    for cell_size in (1, 2, 8):
+        want = [x.hex() for x in overlaps(lo, mask, cell_size)]
+        assert [x.hex() for x in overlaps(lo, mask, cell_size, np.ones((n, n)))] == want
 
 
 def test_scene_error_messages():

@@ -18,8 +18,13 @@ the length of the side's checkout path, with a warning when the two sides
 differ, since a perf claim holds only for one environment: peak RSS moves by
 about 0.06 MB with the path length alone, so run both sides from checkouts at
 paths of equal length.  For each end-to-end metric it prints both sides' medians and
-quartiles, and the pairs the change won (ties count for neither side).  Two
-verdicts follow:
+quartiles, the pairs the change won (ties count for neither side), and the
+median of the paired differences d_i = change - parent with its
+distribution-free 95% interval: the order statistics d_(k) and d_(n+1-k)
+of the sign test, for the largest k whose coverage reaches 95% (no interval
+below 6 pairs).  Three verdicts follow:
+- paired: the interval lies wholly on the metric's better side of zero.
+  Unlike gain, it tightens as pairs are added;
 - gain: the change won at least 9 of every 10 pairs, and the medians differ,
   in the metric's better direction, by more than the distance between the
   parent's quartiles;
@@ -37,6 +42,7 @@ checkout except what `bench/run.py` itself writes and removes.
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -45,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
+# the coverage of the paired differences' interval
+PAIRED_LEVEL = 0.95
 # the environment facts a perf claim must record: those of a run's
 # environment line, then the length of the side's checkout path
 ENV_KEYS = ("nproc", "python", "numpy", "OPENBLAS_NUM_THREADS")
@@ -109,13 +117,34 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def sign_test_interval(diffs):
+    """(low, high): the order statistics d_(k) and d_(n+1-k) of the sorted
+    differences, which cover their median with probability
+    1 - 2 P(B <= k - 1), B ~ Bin(n, 1/2), whatever their distribution; k is
+    the largest rank whose coverage is at least PAIRED_LEVEL, and with no
+    such rank the interval is (-inf, inf)."""
+    n, k, below = len(diffs), 0, 0
+    # below counts the outcomes of n fair signs with fewer than k negatives
+    while 2 * (below + math.comb(n, k)) <= (1.0 - PAIRED_LEVEL) * 2 ** n:
+        below += math.comb(n, k)
+        k += 1
+    if not k:
+        return -math.inf, math.inf
+    ordered = sorted(diffs)
+    return ordered[k - 1], ordered[n - k]
+
+
 def compare(parent, change, better, bound):
     """The verdicts for one metric from paired values (parent[i] and change[i]
     ran at the same seed): a dict of both sides' quartiles, the change's wins,
-    whether a gain holds, whether the change stays within its bound, and the
-    bound's verdict: "ok", "unresolved" or "WORSE"."""
+    the median and sign-test interval of the differences change - parent,
+    whether that interval lies wholly on the better side, whether a gain
+    holds, whether the change stays within its bound, and the bound's
+    verdict: "ok", "unresolved" or "WORSE"."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+    diffs = [c - p for p, c in zip(parent, change)]
+    low, high = sign_test_interval(diffs)
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     gain = wins >= WIN_SHARE * len(parent) and sign * (pm - cm) > p3 - p1
@@ -129,7 +158,9 @@ def compare(parent, change, better, bound):
     else:
         verdict = "WORSE"
     return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
-            "pairs": len(parent), "gain": gain, "worse": worse,
+            "pairs": len(parent), "diff": statistics.median(diffs),
+            "interval": (low, high), "paired": high < 0 if better == "lower" else low > 0,
+            "gain": gain, "worse": worse,
             "within_bound": worse <= bound, "verdict": verdict}
 
 
@@ -183,20 +214,22 @@ def main(argv=None):
         if not pairs:
             verdicts_met = False
             continue
-        print("  %-12s %-34s %-34s %6s %5s %s" % (
-            "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins", "gain",
-            "bound"))
+        print("  %-12s %-34s %-34s %6s %-37s %5s %s" % (
+            "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins",
+            "paired d [95% interval]", "gain", "bound"))
         for name, unit, better, bound in metrics:
             result = compare([p[name] for p, _ in pairs], [c[name] for _, c in pairs],
                              better, bound)
             verdicts_met &= result["verdict"] != "WORSE"
-            print("  %-12s %-34s %-34s %6s %5s %s" % (
+            print("  %-12s %-34s %-34s %6s %-37s %5s %s" % (
                 name,
                 "%.5g [%.5g, %.5g] %s" % (result["parent"][1], result["parent"][0],
                                            result["parent"][2], unit),
                 "%.5g [%.5g, %.5g] %s" % (result["change"][1], result["change"][0],
                                            result["change"][2], unit),
                 "%d/%d" % (result["wins"], result["pairs"]),
+                "%+.4g [%+.4g, %+.4g] %s" % (result["diff"], *result["interval"],
+                                             "yes" if result["paired"] else "no"),
                 "yes" if result["gain"] else "no",
                 "%s (%+.1f%% of %g%%)" % (result["verdict"], 100.0 * result["worse"],
                                           100.0 * bound)))
