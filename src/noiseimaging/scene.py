@@ -8,8 +8,7 @@ in T_i and in sqrt(T_i), so `overlaps` reduces an (LO, mask) pair to two
 moments: the overlap O = sum(w_i T_i) and the root overlap
 Q = sum(w_i sqrt(T_i)).
 
-Shapes also load from plain ASCII portable bitmaps (magic "P1").  The
-bundled A-Z font ships as one P1 file per letter.
+Shapes also load from plain ASCII portable bitmaps (magic "P1").
 """
 
 import math
@@ -314,7 +313,35 @@ def load_pbm(path):
 # bundled letter font
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_FONT_DIR = Path(__file__).with_name("font")
+# the bundled font: each letter's eight rows of eight cells, '#' for ink, drawn 8x8 px
+_GLYPHS = {
+    "A": "..####.. .##..##. ##....## ##....## ######## ##....## ##....## ##....##",
+    "B": "######.. ##...##. ##...##. ######.. ##...##. ##...##. ##...##. ######..",
+    "C": ".######. ##...##. ##...... ##...... ##...... ##...... ##...##. .######.",
+    "D": "######.. ##...##. ##....## ##....## ##....## ##....## ##...##. ######..",
+    "E": "######## ##...... ##...... #####... ##...... ##...... ##...... #######.",
+    "F": "######## ##...... ##...... ######.. ##...... ##...... ##...... ##......",
+    "G": ".######. ##....## ##...... ##...... ##..#### ##....## ##....## .######.",
+    "H": "##....## ##....## ##....## ######## ##....## ##....## ##....## ##....##",
+    "I": "..####.. ...##... ...##... ...##... ...##... ...##... ...##... ..####..",
+    "J": "...##### .....##. .....##. .....##. .....##. ##...##. ##...##. .#####..",
+    "K": "##...##. ##..##.. ##.##... ####.... ####.... ##.##... ##..##.. ##...##.",
+    "L": "##...... ##...... ##...... ##...... ##...... ##...... ######## ########",
+    "M": "##....## ###..### ######## ##.##.## ##....## ##....## ##....## ##....##",
+    "N": "##....## ###...## ###...## ##.##.## ##.##.## ##...### ##...### ##....##",
+    "O": ".######. ##....## ##....## ##....## ##....## ##....## ##....## .######.",
+    "P": "#######. ##....## ##....## ######## ##...... ##...... ##...... ##......",
+    "Q": ".######. ##....## ##....## ##....## ##.##.## ##..#### .######. .....###",
+    "R": "#######. ##....## ##....## #######. ##.##... ##..##.. ##...##. ##....##",
+    "S": ".######. ##....## ##...... .#####.. ......## ......## ##....## .######.",
+    "T": "######## ######## ...##... ...##... ...##... ...##... ...##... ...##...",
+    "U": "##....## ##....## ##....## ##....## ##....## ##....## ##....## .######.",
+    "V": "##....## ##....## ##....## ##....## .##..##. .##..##. ..####.. ...##...",
+    "W": "##....## ##....## ##....## ##....## ##.##.## ##.##.## ######## .##..##.",
+    "X": "##....## .##..##. ..####.. ...##... ...##... ..####.. .##..##. ##....##",
+    "Y": "##....## ##....## .##..##. ..####.. ...##... ...##... ...##... ...##...",
+    "Z": "######## .....##. ....##.. ...##... ..##.... .##..... ##...... ########",
+}
 
 
 def font_letter(letter):
@@ -330,12 +357,17 @@ def font_letter(letter):
 
 
 def load_font(font_dir=None):
-    """Load the whole A-Z font, {letter: bitmap}, from a directory of
-    per-letter P1 files, the bundled one by default.
+    """Load the whole A-Z font, {letter: bitmap}: the bundled one by default,
+    with no file read, else from a directory of per-letter P1 files.
 
     All glyphs of a font share one canvas so their boxes exactly overlap.
     """
-    base = _FONT_DIR if font_dir is None else Path(font_dir)
+    if font_dir is None:
+        cells = np.frombuffer("".join(_GLYPHS.values()).replace(" ", "").encode(), np.uint8)
+        bits = (cells == ord("#")).reshape(-1, 8, 8).repeat(8, axis=1).repeat(8, axis=2)
+        bits.setflags(write=False)
+        return dict(zip(_GLYPHS, bits))
+    base = Path(font_dir)
     glyphs = {}
     for letter in LETTERS:
         path = base / ("%s.pbm" % letter)

@@ -319,8 +319,8 @@ def test_calibrate_reaches_deep_squeezing(tmp_path, capsys):
 def _font_copy(tmp_path):
     font = tmp_path / "font"
     font.mkdir()
-    for path in (Path(noiseimaging.__file__).parent / "font").glob("*.pbm"):
-        (font / path.name).write_bytes(path.read_bytes())
+    for letter, glyph in scene.load_font().items():
+        save_pbm(glyph, font / ("%s.pbm" % letter))
     return font
 
 
@@ -375,8 +375,8 @@ def test_unknown_mask_letter_fails_cleanly(mask, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_alphabet_reads_each_glyph_once(tmp_path, capsys, monkeypatch):
-    # the mask comes from the loaded font, not from a second read of its file
+def _counted_pbm_reads(monkeypatch):
+    """The names of the files `scene.load_pbm` reads from now on, in order."""
     reads = []
     load_pbm = scene.load_pbm
 
@@ -385,12 +385,29 @@ def test_alphabet_reads_each_glyph_once(tmp_path, capsys, monkeypatch):
         return load_pbm(path)
 
     monkeypatch.setattr(scene, "load_pbm", counting_load_pbm)
-    assert main(["alphabet", "--mask", "Z",
-                 "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
+    return reads
+
+
+def test_alphabet_reads_each_glyph_once(tmp_path, capsys, monkeypatch):
+    # the mask comes from the loaded font, not from a second read of its file
+    cfgfile = tmp_path / "run.cfg"
+    cfg = load_config(ROOT / "configs" / "alphabet_recognition.cfg")
+    write_config(cfg.replace(font_dir=str(_font_copy(tmp_path))), cfgfile)
+    reads = _counted_pbm_reads(monkeypatch)
+    assert main(["alphabet", "--mask", "Z", "--config", str(cfgfile),
                  "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert len(reads) == 26
     assert sorted(reads) == ["%s.pbm" % letter for letter in string.ascii_uppercase]
+
+
+def test_the_bundled_font_reads_no_file(tmp_path, capsys, monkeypatch):
+    reads = _counted_pbm_reads(monkeypatch)
+    assert main(["alphabet", "--mask", "Z",
+                 "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert reads == []
 
 
 @pytest.mark.parametrize("args", [

@@ -3,8 +3,9 @@ nine of every ten pairs and a median gap wider than the parent's quartiles,
 the paired verdict needs the sign-test interval of the paired differences
 wholly on the better side, and the bound is a fraction of the parent's
 median in the worse direction.
-Each side's environment is read from its run, with its checkout's path
-length beside it, and a difference is warned about."""
+Each side's environment is read from its run, with its copy's path length
+beside it, and a difference is warned about; the copies of the two
+checkouts lie at paths of equal length."""
 
 import importlib.util
 import json
@@ -101,22 +102,56 @@ def test_sides_in_different_environments_are_warned_about():
     assert warning == "WARNING: the sides ran in different environments (path_len 10 vs 16)"
 
 
-@pytest.mark.parametrize("names,warned", [
-    (("parent", "change"), False),
-    (("parent", "the-change"), True),
-], ids=["equal-length", "unequal-length"])
-def test_each_side_prints_its_checkout_path_length(names, warned, tmp_path, capsys):
-    tool = _tool()
-    metrics = tool.declared(ROOT)[1]
-    # the parent's path is resolved, as the change's root is
-    parent, change = (tmp_path.resolve() / name for name in names)
+def _checkouts(tool, root, names=("parent", "change")):
+    """(parent, change): two made-up checkouts under root, the parent with a
+    `bench/run.py` and the change, made tool's own checkout, with this
+    repository's BENCHMARK.json."""
+    parent, change = (root / name for name in names)
     (parent / "bench").mkdir(parents=True)
     (parent / "bench" / "run.py").touch()
     change.mkdir()
     (change / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
     tool.ROOT = change
+    return parent, change
+
+
+def test_the_copies_lie_at_equal_length_paths_without_history_or_scratch(tmp_path):
+    tool = _tool()
+    parent, change = _checkouts(tool, tmp_path, ("a-parent-checkout", "here"))
+    for checkout in (parent, change):
+        (checkout / "bench" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        (checkout / "bench" / "run.py").write_text("print('run')\n")
+        for name in (".git/HEAD", ".bench_work/run.csv", "bench/__pycache__/run.pyc",
+                     "src/pkg/__pycache__/mod.pyc", "src/pkg/mod.py"):
+            (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / name).write_text(name)
+    sides = tool.copy_sides(parent, change, tmp_path / "copies")
+    assert sorted(sides) == ["change", "parent"]
+    assert len(str(sides["parent"])) == len(str(sides["change"]))
+    for side, checkout in (("parent", parent), ("change", change)):
+        copy = sides[side]
+        assert copy.parent == (tmp_path / "copies").resolve()
+        assert (copy / "bench" / "run.py").read_text() == "print('run')\n"
+        assert (copy / "src" / "pkg" / "mod.py").read_text() == "src/pkg/mod.py"
+        names = {path.name for path in copy.rglob("*")}
+        assert not names & {".git", ".bench_work", "__pycache__"}
+        # the checkout itself keeps them
+        assert (checkout / ".git" / "HEAD").is_file()
+
+
+@pytest.mark.parametrize("names", [
+    ("parent", "change"),
+    ("parent", "the-change"),
+], ids=["equal-length", "unequal-length"])
+def test_each_side_prints_its_checkout_path_length(names, tmp_path, capsys):
+    tool = _tool()
+    metrics = tool.declared(ROOT)[1]
+    parent, change = _checkouts(tool, tmp_path, names)
+    ran = {}
 
     def canned(checkout, workload, seed, seconds):
+        # the copy of the change is named as its side
+        ran.setdefault(checkout.name, checkout)
         return tool.parse_run(_stdout(ENV, values=dict.fromkeys(
             (name for name, *_ in metrics), 1.0)))
 
@@ -124,12 +159,16 @@ def test_each_side_prints_its_checkout_path_length(names, warned, tmp_path, caps
     assert tool.main([str(parent), "--workload", "sweep-desk", "--pairs", "2",
                       "--first-seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    for side, path in (("parent", parent), ("change", change)):
+    # each side ran in its copy, removed when main returned
+    assert sorted(ran) == ["change", "parent"]
+    assert ran["parent"] != parent and ran["change"] != change
+    assert not ran["parent"].exists() and not ran["change"].exists()
+    for side, path in ran.items():
         assert ("  %s environment: nproc=2 python=3.11.7 numpy=2.4.6 "
                 "OPENBLAS_NUM_THREADS=unset path_len=%d" % (side, len(str(path)))) in lines
-    warnings = [line for line in lines if "WARNING" in line]
-    assert warnings == (["  WARNING: the sides ran in different environments (path_len %d vs %d)"
-                         % (len(str(parent)), len(str(change)))] if warned else [])
+    # however long the checkouts' paths, the copies' are equal: no warning
+    assert len(str(ran["parent"])) == len(str(ran["change"]))
+    assert [line for line in lines if "WARNING" in line] == []
 
 
 def test_an_undeclared_workload_is_a_usage_error_before_any_run(capsys):
@@ -172,13 +211,12 @@ def test_a_median_past_its_bound_is_unresolved_within_the_parent_spread(
     def canned(checkout, workload, seed, seconds):
         # pair i runs at seed i; every metric but run_s reads 1.0 on both sides
         values = dict.fromkeys((name for name, *_ in metrics), 1.0)
-        values["run_s"] = (change if checkout == tool.ROOT else parent)[seed]
+        values["run_s"] = (change if checkout.name == "change" else parent)[seed]
         return tool.parse_run(_stdout(ENV, values=values))
 
     tool.run_bench = canned
-    (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "run.py").touch()
-    code = tool.main([str(tmp_path), "--workload", names[0], "--pairs", str(len(parent)),
+    checkout = _checkouts(tool, tmp_path)[0]
+    code = tool.main([str(checkout), "--workload", names[0], "--pairs", str(len(parent)),
                       "--first-seed", "0"])
     rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
     # the bound column: verdict, then "(+x% of y%)"
@@ -247,13 +285,12 @@ def test_the_paired_column_sits_between_wins_and_gain(tmp_path, capsys):
 
     def canned(checkout, workload, seed, seconds):
         values = dict.fromkeys((name for name, *_ in metrics), 1.0)
-        values["run_s"] = (PR35_CHANGE if checkout == tool.ROOT else PR35_PARENT)[seed]
+        values["run_s"] = (PR35_CHANGE if checkout.name == "change" else PR35_PARENT)[seed]
         return tool.parse_run(_stdout(ENV, values=values))
 
     tool.run_bench = canned
-    (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "run.py").touch()
-    assert tool.main([str(tmp_path), "--workload", names[0], "--pairs", "10",
+    checkout = _checkouts(tool, tmp_path)[0]
+    assert tool.main([str(checkout), "--workload", names[0], "--pairs", "10",
                       "--first-seed", "0"]) == 0
     rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
     # wins, then "d [low, high] verdict", then gain, then the bound's four

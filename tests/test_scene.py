@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ from noiseimaging.scene import (
 from scene_reference import bowtie, save_pbm
 
 ALPHA = np.pi / 8
+
+# the bundled font's design bounds: the runner-up to I carries this much more
+# ink than I, so a detector floor can separate them, and no other letter
+# overlaps Z by more than this, below the alphabet profile's threshold
+MIN_COUNT_GAP = 1.15
+MAX_Z_OVERLAP = 0.72
 
 
 def random_bitmap(rng, w, h, fill=0.5):
@@ -276,14 +284,20 @@ class TestDecompose:
 class TestGlyphs:
     def test_every_letter_loads_with_common_canvas(self):
         font = load_font()
+        assert list(font) == list(LETTERS)
         shapes = {g.shape for g in font.values()}
         assert shapes == {(64, 64)}
+        # each glyph is an 8x8 grid of 8x8-pixel blocks, so that cells of 8
+        # pixels, criterion 4's cell_size, hold all ink or none
+        for g in font.values():
+            assert np.array_equal(g, g[::8, ::8].repeat(8, axis=0).repeat(8, axis=1))
 
     def test_self_overlap_is_one(self):
         z = load_font()["Z"]
         assert overlap(z, z) == 1.0
 
     def test_distinct_letters_overlap_below_one(self):
+        # no glyph is a subset of another, so none equals another
         font = load_font()
         for a in LETTERS:
             for b in LETTERS:
@@ -296,6 +310,21 @@ class TestGlyphs:
         ordered = sorted(counts.items(), key=lambda kv: kv[1])
         assert ordered[0][0] == "I"
         assert ordered[1][1] > counts["I"]
+        assert ordered[1][1] >= MIN_COUNT_GAP * counts["I"]
+
+    def test_bundled_glyphs_keep_their_bits(self):
+        # the sha256 of the glyphs' packed bits, A to Z: a pixel moved in any
+        # glyph moves the alphabet artifacts, and this digest
+        font = load_font()
+        digest = hashlib.sha256(b"".join(np.packbits(font[letter]).tobytes()
+                                         for letter in LETTERS))
+        assert digest.hexdigest() == (
+            "3f3e1697c5cf24f2b589e2330984662936c8d40f1ff85440245f66fcf16bffe7")
+
+    def test_no_other_letter_overlaps_z_past_the_bound(self):
+        font = load_font()
+        for letter in LETTERS.replace("Z", ""):
+            assert overlap(font[letter], font["Z"]) <= MAX_Z_OVERLAP, letter
 
     def test_unknown_letter_named_in_error(self):
         with pytest.raises(SceneError, match="'@'"):

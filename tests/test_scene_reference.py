@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import noiseimaging
 from noiseimaging.config import load_config
 from noiseimaging.scene import (
     SceneError,
@@ -21,6 +20,7 @@ from noiseimaging.scene import (
     _wedge_rows,
     bowtie_overlaps,
     bowties,
+    load_font,
     load_pbm,
     overlaps,
 )
@@ -31,6 +31,7 @@ from scene_reference import (
     reference_decompose,
     reference_load_pbm,
     reference_overlaps,
+    save_pbm,
 )
 
 DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg")
@@ -599,9 +600,13 @@ def test_row_spans_keep_per_row_arrays_far_smaller_than_a_bitmap():
 
 
 @pytest.mark.parametrize("letter", list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
-def test_bundled_glyphs_parse_like_the_tokenizer(letter):
-    path = Path(noiseimaging.__file__).parent / "font" / ("%s.pbm" % letter)
+def test_bundled_glyphs_parse_like_the_tokenizer(letter, tmp_path):
+    # save_pbm writes a glyph as the P1 text of a per-letter font file
+    glyph = load_font()[letter]
+    path = tmp_path / ("%s.pbm" % letter)
+    save_pbm(glyph, path)
     assert_same_bitmap(load_pbm(path), reference_load_pbm(path))
+    assert_same_bitmap(load_pbm(path), glyph)
 
 
 _SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f"]

@@ -3,26 +3,28 @@
     python3 tools/paired_bench.py PARENT_CHECKOUT [--workload NAME]...
         [--pairs N] [--seconds S] [--first-seed K]
 
-Runs `bench/run.py --trace 0` in the parent checkout and in this one,
-alternately, for N pairs per workload.  Pair i runs at seed K + i, the same
-on both sides, and the side that runs first swaps from pair to pair, so an
-order effect cancels.  Without --first-seed the seeds start from the clock,
-so each invocation runs on fresh ones; the seeds are printed.  Each side runs
-its own `bench/` and `BENCHMARK.json`; the workload names, metric list,
-directions and bounds are read from this checkout's `BENCHMARK.json`, and a
-name it does not declare is a usage error (exit 2) before any run.
+Copies the parent checkout and this one into one temporary directory, at
+paths of equal length and without `.git`, `.bench_work` or `__pycache__`,
+then runs `bench/run.py --trace 0` in each copy, alternately, for N pairs
+per workload.  Pair i runs at seed K + i, the same on both sides, and the
+side that runs first swaps from pair to pair, so an order effect cancels.
+Without --first-seed the seeds start from the clock, so each invocation runs
+on fresh ones; the seeds are printed.  Each side runs its own `bench/` and
+`BENCHMARK.json`; the workload names, metric list, directions and bounds are
+read from this checkout's `BENCHMARK.json`, and a name it does not declare
+is a usage error (exit 2) before any run.
 
 For each workload it prints each side's environment as `bench/run.py`
 records it (core count, Python and numpy versions, BLAS thread setting) and
-the length of the side's checkout path, with a warning when the two sides
-differ, since a perf claim holds only for one environment: peak RSS moves by
-about 0.06 MB with the path length alone, so run both sides from checkouts at
-paths of equal length.  For each end-to-end metric it prints both sides' medians and
-quartiles, the pairs the change won (ties count for neither side), and the
-median of the paired differences d_i = change - parent with its
-distribution-free 95% interval: the order statistics d_(k) and d_(n+1-k)
-of the sign test, for the largest k whose coverage reaches 95% (no interval
-below 6 pairs).  Three verdicts follow:
+the length of its copy's path, with a warning when the two sides differ,
+since a perf claim holds only for one environment: peak RSS moves by about
+0.06 MB with the path length alone, which the copies hold equal.  For each
+end-to-end metric it prints both sides' medians and quartiles, the pairs the
+change won (ties count for neither side), and the median of the paired
+differences d_i = change - parent with its distribution-free 95% interval:
+the order statistics d_(k) and d_(n+1-k) of the sign test, for the largest k
+whose coverage reaches 95% (no interval below 6 pairs).  Three verdicts
+follow:
 - paired: the interval lies wholly on the metric's better side of zero.
   Unlike gain, it tightens as pairs are added;
 - gain: the change won at least 9 of every 10 pairs, and the medians differ,
@@ -37,15 +39,17 @@ below 6 pairs).  Three verdicts follow:
 A run that exits non-zero is printed and its pair left out; a failed check
 is printed, and `bench/run.py` counts it in `ok_frac`.  The exit status is 1
 when a run failed or a metric is WORSE.  Nothing is written to either
-checkout except what `bench/run.py` itself writes and removes.
+checkout, and the copies are removed at exit.
 """
 
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,9 +58,11 @@ WIN_SHARE = 0.9
 # the coverage of the paired differences' interval
 PAIRED_LEVEL = 0.95
 # the environment facts a perf claim must record: those of a run's
-# environment line, then the length of the side's checkout path
+# environment line, then the length of the side's copy's path
 ENV_KEYS = ("nproc", "python", "numpy", "OPENBLAS_NUM_THREADS")
 PATH_KEY = "path_len"
+# what a side's copy leaves out: history, bench scratch and bytecode
+EXCLUDED = (".git", ".bench_work", "__pycache__")
 
 
 def declared(root):
@@ -66,6 +72,17 @@ def declared(root):
         spec = json.load(fh)
     return ([w["name"] for w in spec["workloads"]],
             [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]])
+
+
+def copy_sides(parent, change, root):
+    """{"parent": path, "change": path}: copies of the two checkouts as
+    root/parent and root/change, paths of equal length, without EXCLUDED."""
+    sides = {}
+    for side, checkout in (("parent", parent), ("change", change)):
+        sides[side] = Path(root).resolve() / side
+        shutil.copytree(checkout, sides[side], symlinks=True,
+                        ignore=shutil.ignore_patterns(*EXCLUDED))
+    return sides
 
 
 def run_bench(checkout, workload, seed, seconds):
@@ -181,7 +198,9 @@ def main(argv=None):
         parser.error("--pairs must be >= 1")
     workloads = args.workload or names
     first = args.first_seed if args.first_seed is not None else int(time.time()) % 1_000_000
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    # removed with this object: when main returns, or at the latest at exit
+    scratch = tempfile.TemporaryDirectory(prefix="paired_bench.")
+    sides = copy_sides(args.parent, ROOT, scratch.name)
 
     verdicts_met = True
     for workload in workloads:
@@ -198,7 +217,7 @@ def main(argv=None):
                 envs[side] = envs[side] or env
         print("%s: %d pairs at seeds %d-%d, %g s each, parent %s"
               % (workload, args.pairs, first, first + args.pairs - 1, args.seconds,
-                 sides["parent"]))
+                 args.parent.resolve()))
         for side in ("parent", "change"):
             envs[side][PATH_KEY] = len(str(sides[side]))
             print("  %s environment: %s" % (side, environment_text(envs[side])))
