@@ -2,44 +2,34 @@
 
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them on
 success).  Statistical checks run at fixed seeds; expected values come from
-closed forms re-derived in-line or from the sampling oracles, never from
-eyeballing the pipeline under test.
+closed forms re-derived in-line or in `referee`, or from the sampling
+oracles, never from eyeballing the pipeline under test.  Every pipeline run
+goes through `referee`: criteria 1-4 through `main` and a config file.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
-from noiseimaging.cli import main
 from noiseimaging.config import RunConfig
-from noiseimaging.estimate import (
-    alphabet_gun,
-    delta_o_table,
-    enhancement,
-    fit_noise_curve,
-)
+from noiseimaging.estimate import alphabet_gun
 from gaussian_reference import two_mode_squeezed_cov, apply_loss, phase_rotate
-from noiseimaging.noise import (
-    TECH_CLASSICAL,
-    TECH_QUANTUM,
-    classical_noise,
-    quantum_noise,
-)
+from noiseimaging.noise import classical_noise, quantum_noise
 from noiseimaging.scene import load_font
 from noiseimaging.traces import derive_seed, measure_series
 
-from config_files import write_config
 from oracles import mc_classical_noise, mc_quantum_noise
+from referee import (
+    DESK_OVERLAPS,
+    R_DESK,
+    alphabet_profile,
+    binary_points,
+    curve_enhancement,
+    lossless_snl_crossing,
+    read_json,
+    run,
+)
 from scene_reference import cell_moments
-
-# desk-scale lossless calibration: r solving 20 r log10(e) = 2.2
-R_DESK = 2.2 * np.log(10.0) / 20.0
-
-# angles reproducing the default overlap design on an ideal wedge pair
-DESK_ANGLES = (0.0, 0.09, 0.18, 0.27, 0.36, 0.45,
-               5.4, 7.2, 9.0, 13.5, 20.25, 27.0, 33.75, 39.6, 45.0)
 
 
 def _finish(num, title, failures, detail=""):
@@ -54,35 +44,19 @@ def _finish(num, title, failures, detail=""):
 def _desk_config(**overrides):
     base = dict(
         squeezing_db_detected=2.2, t_probe=1.0, t_conj=1.0, lock_noise=0.0,
-        grid_size=512, cell_size=1, angles_deg=DESK_ANGLES, seed=20260401,
+        grid_size=512, cell_size=1, seed=20260401,
     )
     base.update(overrides)
     return RunConfig(**base)
 
 
-def _run_sweep(tmp_path, tag, cfg):
-    cfg_path = tmp_path / ("%s.cfg" % tag)
-    out = tmp_path / tag
-    write_config(cfg, cfg_path)
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    fits = json.loads((out / "fits.json").read_text())
-    summary = json.loads((out / "summary.json").read_text())
-    return fits, summary
-
-
 def test_criterion_1_squeezing_calibration(tmp_path):
     started = time.perf_counter()
-    out = tmp_path / "cal"
-    cfg_path = tmp_path / "cal.cfg"
-    write_config(_desk_config(), cfg_path)
-    code = main(["calibrate", "--db", "2.2", "--config", str(cfg_path),
-                 "--out", str(out)])
-    payload = json.loads((out / "calibration.json").read_text())
+    out = run(tmp_path, "cal", ["calibrate", "--db", "2.2"], _desk_config())
+    payload = read_json(out, "calibration.json")
     elapsed = time.perf_counter() - started
 
     failures = []
-    if code != 0:
-        failures.append("calibrate exited %d" % code)
     if abs(payload["r"] - R_DESK) > 1e-4:
         failures.append("r = %.6f, expected %.6f +/- 1e-4" % (payload["r"], R_DESK))
     measured = payload["measured_db_over_series"]
@@ -98,7 +72,8 @@ def test_criterion_1_squeezing_calibration(tmp_path):
 
 def test_criterion_2_noise_curve_shape(tmp_path):
     started = time.perf_counter()
-    fits, summary = _run_sweep(tmp_path, "shape", _desk_config())
+    out = run(tmp_path, "shape", ["sweep"], _desk_config())
+    fits, summary = read_json(out, "fits.json"), read_json(out, "summary.json")
     elapsed = time.perf_counter() - started
 
     failures = []
@@ -126,7 +101,7 @@ def test_criterion_2_noise_curve_shape(tmp_path):
         failures.append("quantum fit is not monotonically decreasing on [0, 1]")
 
     crossing = summary["snl_crossing_overlap"]
-    closed_form = (np.cosh(R_DESK) ** 2 - 1) / (np.cosh(R_DESK) ** 2 - np.exp(-2 * R_DESK))
+    closed_form = lossless_snl_crossing(R_DESK)
     if crossing is None or abs(crossing - 0.140) > 0.02:
         failures.append("SNL crossing %s, expected 0.140 +/- 0.02" % crossing)
     if crossing is None or abs(crossing - closed_form) > 0.02:
@@ -141,9 +116,9 @@ def test_criterion_2_noise_curve_shape(tmp_path):
 def test_criterion_3_enhancement_factor(tmp_path):
     started = time.perf_counter()
     cfg = _desk_config(samples_per_point=4800, n_series=40)
-    _, clean = _run_sweep(tmp_path, "enh0", cfg)
-    _, locked = _run_sweep(tmp_path, "enh2", _desk_config(
-        samples_per_point=4800, n_series=40, lock_noise=0.02))
+    clean = read_json(run(tmp_path, "enh0", ["sweep"], cfg), "summary.json")
+    locked = read_json(run(tmp_path, "enh2", ["sweep"], cfg.replace(lock_noise=0.02)),
+                       "summary.json")
     elapsed = time.perf_counter() - started
 
     factor = clean["enhancement"]["factor"]
@@ -164,22 +139,12 @@ def test_criterion_3_enhancement_factor(tmp_path):
 
 def test_criterion_4_alphabet_gun(tmp_path):
     started = time.perf_counter()
-    cfg = RunConfig(
-        squeezing_db_detected=2.2, t_probe=0.44, t_conj=0.44, lock_noise=0.02,
-        electronic_floor=1400.0, power_per_pixel=1.0, cell_size=8,
-        n_series=10, seed=20260402,
-    )
-    cfg_path = tmp_path / "alphabet.cfg"
-    out = tmp_path / "alphabet"
-    write_config(cfg, cfg_path)
-    code = main(["alphabet", "--mask", "Z", "--config", str(cfg_path),
-                 "--out", str(out)])
-    payload = json.loads((out / "ranking.json").read_text())
+    cfg = alphabet_profile(cell_size=8, n_series=10, seed=20260402)[1]
+    out = run(tmp_path, "alphabet", ["alphabet", "--mask", "Z"], cfg)
+    payload = read_json(out, "ranking.json")
     elapsed = time.perf_counter() - started
 
     failures = []
-    if code != 0:
-        failures.append("alphabet exited %d" % code)
     q = payload["rankings"]["quantum"]
     c = payload["rankings"]["classical"]
     if q["best"] != "Z":
@@ -275,46 +240,16 @@ def test_criterion_6_oracle_equivalence():
             "1000 draws physical, worst MC deviation %.2f SE" % worst)
 
 
-def _binary_decomposition(o):
-    """(overlap, root overlap) of fully transmitted and fully blocked cells
-    mixing to overlap o."""
-    return cell_moments(np.array([o, 1.0 - o]), np.array([1.0, 0.0]))
-
-
-def _pipeline_enhancement(r, source, angles_overlaps, acq, n_series, master, tag):
-    acq = acq.replace(n_series=n_series)
-    tables = {}
-    for technique in (TECH_CLASSICAL, TECH_QUANTUM):
-        pts = []
-        for k, o in enumerate(angles_overlaps):
-            o_cells, q_cells = _binary_decomposition(o)
-            if technique == TECH_QUANTUM:
-                n_true = quantum_noise(o_cells, q_cells, r, source)
-            else:
-                n_true = classical_noise(o_cells, r, source)
-            (n, sem, delta), _ = measure_series(
-                n_true, acq, derive_seed(master, tag, technique, k),
-            )
-            pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
-        pts.sort(key=lambda p: p["overlap"])
-        tables[technique] = delta_o_table(pts, *fit_noise_curve(pts))
-    return enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
-
-
-DESK_OVERLAPS = (1.0, 0.998, 0.996, 0.994, 0.992, 0.99,
-                 0.88, 0.84, 0.8, 0.7, 0.55, 0.4, 0.25, 0.12, 0.002)
-
-
 def test_criterion_7_unbalanced_loss_degradation():
     # binary-cell pipeline at a deeper squeezing point where the stated
     # imbalance range actually wipes out the advantage
-    acq = RunConfig(samples_per_point=4800)
+    acq = RunConfig(samples_per_point=4800, n_series=20)
     factors = []
     for t_probe in (1.0, 0.8, 0.6, 0.4, 0.2):
         source = RunConfig(t_probe=t_probe, t_conj=0.96)
-        result = _pipeline_enhancement(0.6, source, DESK_OVERLAPS, acq, 20,
-                                       20260405, "imbalance-%s" % t_probe)
-        factors.append(result["factor"])
+        points = binary_points(0.6, source, DESK_OVERLAPS, acq, 20260405,
+                               "imbalance-%s" % t_probe)
+        factors.append(curve_enhancement(points)["factor"])
 
     failures = []
     if not all(b < a for a, b in zip(factors, factors[1:])):
@@ -327,26 +262,14 @@ def test_criterion_7_unbalanced_loss_degradation():
 
 def test_criterion_8_null_case():
     acq = RunConfig()
-    failures = []
 
     # both curves flat at the SNL
-    tables = {}
-    for technique in (TECH_CLASSICAL, TECH_QUANTUM):
-        pts = []
-        for k, o in enumerate(DESK_OVERLAPS):
-            o_cells, q_cells = _binary_decomposition(o)
-            n_true = (quantum_noise(o_cells, q_cells, 0.0, acq) if technique == TECH_QUANTUM
-                      else classical_noise(o_cells, 0.0, acq))
-            (n, sem, delta), _ = measure_series(
-                n_true, acq.replace(n_series=10), derive_seed(20260406, "null", technique, k),
-            )
-            if abs(n - 1.0) > 5 * sem:
-                failures.append("%s at O=%.3f reads %.4f +/- %.4f" % (technique, o, n, sem))
-            pts.append({"overlap": float(o), "n": n, "sigma_n": sem, "delta_n": delta})
-        pts.sort(key=lambda p: p["overlap"])
-        tables[technique] = delta_o_table(pts, *fit_noise_curve(pts))
+    points = binary_points(0.0, acq, DESK_OVERLAPS, acq.replace(n_series=10), 20260406, "null")
+    failures = ["%s at O=%.3f reads %.4f +/- %.4f" % (technique, p["overlap"], p["n"], p["sigma_n"])
+                for technique, pts in points.items() for p in pts
+                if abs(p["n"] - 1.0) > 5 * p["sigma_n"]]
 
-    result = enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
+    result = curve_enhancement(points)
     if abs(result["factor"] - 1.0) > 0.1:
         failures.append("null enhancement %.3f, expected 1 +/- 0.1" % result["factor"])
     if result["n_insensitive"] == 0:

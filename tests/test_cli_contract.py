@@ -21,7 +21,8 @@ import noiseimaging
 from noiseimaging import cli, estimate, noise, scene
 from noiseimaging.cli import _json_text, main
 from noiseimaging.config import RunConfig, load_config
-from config_files import write_config
+from config_files import small_config, write_config
+from referee import read_json, run, strict_json
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,10 +264,6 @@ def test_alphabet_at_the_largest_r_does_not_depend_on_the_cpu_path(leg, tmp_path
     _assert_same_commands_on_cpu_path(leg, cfgfile, (("alphabet", "--mask", "Z"),))
 
 
-def _reject_constant(token):
-    raise ValueError("non-JSON constant %s" % token)
-
-
 def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     # r unset: derived from the detected squeezing depth
@@ -278,16 +275,15 @@ def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
         "calibration.json": ["calibrate", "--db", "2.2"],
     }
     for name, args in runs.items():
-        out = tmp_path / name.split(".")[0]
-        assert main(args + ["--config", str(cfgfile), "--out", str(out)]) == 0
-        payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        payload = read_json(run(tmp_path, name.split(".")[0], args + ["--config", str(cfgfile)]),
+                            name)
         assert payload["config"]["r_resolved"] > 0
 
 
 def test_non_finite_floats_are_written_as_null():
     payload = {"a": 1.5, "b": [1.0, float("nan"), {"c": float("-inf")}],
                "d": {"e": float("inf"), "f": (2.0, float("nan"))}, "g": None, "h": "x"}
-    got = json.loads(_json_text(payload), parse_constant=_reject_constant)
+    got = strict_json(_json_text(payload))
     assert got == {"a": 1.5, "b": [1.0, None, {"c": None}], "d": {"e": None, "f": [2.0, None]},
                    "g": None, "h": "x", "non_finite": ["b.1", "b.2.c", "d.e", "d.f.1"]}
     # a finite payload keeps the bytes of a plain dump, with no flag key
@@ -635,7 +631,7 @@ def test_importing_the_cli_freezes_the_import_graph():
 @pytest.mark.parametrize("db", ["2.2", "x"], ids=["run", "usage-error"])
 def test_main_freezes_nothing_more(db, tmp_path):
     # the freeze is import's, once: repeated calls neither add to it nor undo it
-    counts = _freeze_counts(["calibrate", "--db", db, "--config", str(_small_config(tmp_path)),
+    counts = _freeze_counts(["calibrate", "--db", db, "--config", str(small_config(tmp_path)),
                              "--out", str(tmp_path / "out")])
     assert counts[1] > 0
     assert counts[1:] == [counts[1]] * 4
@@ -643,11 +639,9 @@ def test_main_freezes_nothing_more(db, tmp_path):
 
 def test_desk_sweep_summary_has_exactly_its_keys(tmp_path, capsys):
     # a summary.json key is dropped or added only on purpose
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(ROOT / "configs" / "desk_sweep.cfg"),
-                 "--out", str(out)]) == 0
+    out = run(tmp_path, "out", ["sweep", "--config", str(ROOT / "configs" / "desk_sweep.cfg")])
     capsys.readouterr()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out, "summary.json")
     assert sorted(summary) == ["config", "enhancement", "snl_crossing_overlap", "techniques"]
     assert sorted(summary["enhancement"]) == ["factor", "n_insensitive", "n_points", "sigma"]
 
@@ -982,20 +976,13 @@ def test_the_largest_grid_int32_indices_address_is_valid():
     RunConfig(grid_size=46340).validate()
 
 
-def _small_config(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    write_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
-                 cfgfile)
-    return cfgfile
-
-
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_unusable_output_directory_fails_cleanly(command, tmp_path, capsys):
     # a directory cannot be made under a regular file
     blocker = tmp_path / "file"
     blocker.write_text("")
     args, _ = _COMMANDS[command]
-    code = main(args + ["--config", str(_small_config(tmp_path)),
+    code = main(args + ["--config", str(small_config(tmp_path)),
                         "--out", str(blocker / "out")])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
@@ -1005,7 +992,7 @@ def test_unusable_output_directory_fails_cleanly(command, tmp_path, capsys):
 def test_output_directory_with_a_nul_byte_fails_cleanly(command, tmp_path, capsys):
     # a config file may hold a NUL byte, which no path can
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(_small_config(tmp_path).read_text().replace(
+    cfgfile.write_text(small_config(tmp_path).read_text().replace(
         "out_dir = out", "out_dir = %s" % (tmp_path / "o\0x")))
     before = set(tmp_path.rglob("*"))
     args, _ = _COMMANDS[command]
@@ -1021,7 +1008,7 @@ def test_empty_output_directory_fails_cleanly(command, given_by, tmp_path, capsy
                                               monkeypatch):
     # an empty path would put the artifacts in the working directory
     cfgfile = tmp_path / "run.cfg"
-    text = _small_config(tmp_path).read_text()
+    text = small_config(tmp_path).read_text()
     if given_by == "config":
         cfgfile.write_text(text.replace("out_dir = out", "out_dir ="))
         extra = []
@@ -1059,7 +1046,7 @@ def test_unwritable_artifact_fails_cleanly(command, tmp_path, capsys):
     args, first_artifact = _COMMANDS[command]
     out = tmp_path / "out"
     (out / first_artifact).mkdir(parents=True)
-    code = main(args + ["--config", str(_small_config(tmp_path)), "--out", str(out)])
+    code = main(args + ["--config", str(small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
 
@@ -1074,7 +1061,7 @@ def test_failed_run_leaves_no_artifact(command, tmp_path, capsys):
     args, _ = _COMMANDS[command]
     out = tmp_path / "out"
     (out / _LAST_ARTIFACT[command]).mkdir(parents=True)
-    code = main(args + ["--config", str(_small_config(tmp_path)), "--out", str(out)])
+    code = main(args + ["--config", str(small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, command)["field"] == "output.out_dir"
     assert [p.name for p in out.iterdir()] == [_LAST_ARTIFACT[command]]
@@ -1092,7 +1079,7 @@ def test_failure_while_rendering_leaves_no_output_directory(tmp_path, capsys, mo
 
     monkeypatch.setattr(cli, "_finite", exhausted)
     out = tmp_path / "out"
-    code = main(["sweep", "--config", str(_small_config(tmp_path)), "--out", str(out)])
+    code = main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert _one_error_line(capsys, "sweep")["message"] == "injected while rendering summary.json"
     assert not out.exists()
@@ -1108,7 +1095,7 @@ def test_non_positive_fit_pivot_fails_cleanly(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(estimate, "_spd_inverse", singular)
     out = tmp_path / "out"
-    code = main(["sweep", "--config", str(_small_config(tmp_path)), "--out", str(out)])
+    code = main(["sweep", "--config", str(small_config(tmp_path)), "--out", str(out)])
     assert code == 2
     assert "rank deficient" in _one_error_line(capsys, "sweep")["message"]
     assert not out.exists()
@@ -1118,7 +1105,7 @@ def test_non_positive_fit_pivot_fails_cleanly(tmp_path, capsys, monkeypatch):
 def test_any_failure_while_writing_removes_the_artifacts(command, tmp_path, capsys,
                                                          monkeypatch):
     # not an OSError: the second artifact's write runs out of memory
-    cfgfile = _small_config(tmp_path)
+    cfgfile = small_config(tmp_path)
     write_bytes = Path.write_bytes
     writes = []
 
@@ -1146,7 +1133,7 @@ def test_partly_written_artifact_is_removed(tmp_path, capsys, monkeypatch):
             fh.write(data[:len(data) // 2])
         raise OSError(28, "No space left on device")
 
-    cfgfile = _small_config(tmp_path)
+    cfgfile = small_config(tmp_path)
     out = tmp_path / "out"
     monkeypatch.setattr(Path, "write_bytes", full_disk)
     code = main(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])
@@ -1171,7 +1158,7 @@ def test_closed_stdout_fails_cleanly(command, buffered, tmp_path):
     try:
         proc = subprocess.run(
             [sys.executable, *([] if buffered else ["-u"]), "-m", "noiseimaging.cli", *args,
-             "--config", str(_small_config(tmp_path)), "--out", str(out)],
+             "--config", str(small_config(tmp_path)), "--out", str(out)],
             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
         )
     finally:
@@ -1185,7 +1172,7 @@ def test_closed_stdout_fails_cleanly(command, buffered, tmp_path):
 
 
 def test_non_ascii_output_directory(tmp_path, capsys):
-    cfgfile = _small_config(tmp_path)
+    cfgfile = small_config(tmp_path)
     # calibrated.cfg records out_dir, and config files are ASCII
     out = tmp_path / "résultats"
     code = main(["calibrate", "--db", "2.2", "--config", str(cfgfile), "--out", str(out)])

@@ -35,6 +35,7 @@ from noiseimaging.cli import main
 from noiseimaging.config import RunConfig
 
 from config_files import write_config
+from referee import strict_json
 
 UNADDRESSABLE = 10**20
 
@@ -144,10 +145,6 @@ def _runs(draw):
     return values, draw(_weight_maps(values["grid_size"])), argv, out
 
 
-def _reject_constant(token):
-    raise ValueError("non-JSON constant %s" % token)
-
-
 def _out_dir(root, kind):
     if kind == "under-a-file":
         (root / "blocker").write_text("")
@@ -187,7 +184,7 @@ def test_cli_keeps_its_contract(run):
         assert written
         for path in written:
             if path.suffix == ".json":
-                json.loads(path.read_text(), parse_constant=_reject_constant)
+                strict_json(path.read_text())
 
 
 # a small usable run as config lines; no edit below makes a size larger: a

@@ -17,10 +17,11 @@ from noiseimaging.estimate import (
     overlap_uncertainty,
     snl_crossing,
 )
-from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r, quantum_noise
+from noiseimaging.noise import TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, quantum_noise
 from noiseimaging.scene import load_font
 from noiseimaging.traces import _summary
 from estimate_reference import reference_fit
+from referee import alphabet_profile
 
 
 def point(overlap, n, sigma_n, delta_n):
@@ -40,16 +41,6 @@ def slope_sigma(cov, o):
     """Standard error of a fitted cubic's slope at overlap o."""
     grad = np.array([0.0, 1.0, 2.0 * o, 3.0 * o * o])
     return float(np.sqrt(grad @ np.array(cov) @ grad))
-
-
-def alphabet_profile(**acquisition):
-    """(r, config) of the recognition-contrast calibration: deep pair squeezing
-    with lossy arms, detected baseline still at -2.2 dB, and the given
-    acquisition fields."""
-    t = 0.44
-    cfg = RunConfig(t_probe=t, t_conj=t, lock_noise=0.02, electronic_floor=1400.0,
-                    **acquisition)
-    return calibrate_r(2.2, cfg), cfg
 
 
 class TestFitNoiseCurve:

@@ -45,9 +45,9 @@ import pytest
 
 import noiseimaging
 from noiseimaging import cli, scene
-from noiseimaging.config import RunConfig, load_config
+from noiseimaging.config import load_config
 
-from config_files import write_config
+from config_files import small_config
 
 PACKAGE = Path(noiseimaging.__file__).resolve().parent
 
@@ -356,15 +356,8 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def _small_config(tmp_path):
-    config = tmp_path / "run.cfg"
-    write_config(RunConfig(grid_size=64, cell_size=2, n_series=2, samples_per_point=100),
-                 config)
-    return config
-
-
 def test_the_commands_load_only_the_package_json_and_gc(tmp_path):
-    config = _small_config(tmp_path)
+    config = small_config(tmp_path)
     numpy_modules = set(_run_child(
         "import sys, numpy, numpy.random; print(' '.join(sorted(sys.modules)))").split())
     # the commands print their summaries first
@@ -393,7 +386,7 @@ print(sorted(before ^ set(sys.modules)))
                          ids=["calibrate", "sweep", "alphabet"])
 def test_a_command_run_loads_no_module(command, tmp_path):
     # the config is read and the artifacts written without the codec registry
-    stdout = _run_child(_RUN_MODULES, *command, "--config", str(_small_config(tmp_path)),
+    stdout = _run_child(_RUN_MODULES, *command, "--config", str(small_config(tmp_path)),
                         "--out", str(tmp_path / "out"))
     assert stdout.splitlines()[-1] == "[]"
 

@@ -16,15 +16,16 @@ The enhancement's sigma is left out: it understates the spread on the desk
 acquisition (ROADMAP item 3).
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noiseimaging import cli, estimate
+from noiseimaging import estimate
 from noiseimaging.config import load_config
 from noiseimaging.noise import TECHNIQUES
+
+from referee import sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DESK_SEEDS = range(2000, 2040)
@@ -47,12 +48,7 @@ def _median_ratio(estimates, sigmas):
 def desk_runs():
     """(summary, fits) of the desk sweep at each seed."""
     cfg = load_config(CONFIGS / "desk_sweep.cfg")
-    runs = []
-    for seed in DESK_SEEDS:
-        _, files = cli.cmd_sweep(cfg.replace(seed=seed))
-        texts = dict(files)
-        runs.append((json.loads(texts["summary.json"]), json.loads(texts["fits.json"])))
-    return runs
+    return [sweep(cfg.replace(seed=seed)) for seed in DESK_SEEDS]
 
 
 def _desk_quantities(runs):

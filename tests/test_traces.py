@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from trace_reference import REL_BOUND, relative_difference
 
 DEFAULT = RunConfig()
 SEED = 0
+# sha256 of the desk sweep's first chi-square block under numpy 2.4.6
+STREAM_SHA256 = "7cc985a43dc95d978601c95b801438534dae51c428ee28a1b730b8df1f83fd6e"
 
 
 def trace_points(n_true, cfg, row=0, seed=SEED):
@@ -255,3 +258,13 @@ class TestSeeding:
         assert a != derive_seed(12345, "sweep", "quantum", 4)
         assert a != derive_seed(12345, "sweep", "classical", 3)
 
+    def test_the_chisquare_stream_keeps_its_bytes(self):
+        # the desk sweep's first series: 10 traces of 460 points plus 40 of
+        # burn-in.  Every artifact byte is a function of this stream, which
+        # numpy does not promise across its feature releases
+        block = np.random.default_rng(derive_seed(12345, "sweep", "classical", 0)).chisquare(
+            300, size=(10, 500))
+        digest = hashlib.sha256(block.tobytes()).hexdigest()
+        assert digest == STREAM_SHA256, (
+            "the seeded chi-square block moved under numpy %s (pinned under numpy 2.4.6); "
+            "every pinned artifact hash moves with it" % np.__version__)
