@@ -190,6 +190,9 @@ class RunConfig:
                 data = np.loadtxt(self.weight_map, dtype=float)
         except ValueError as exc:
             raise ConfigError("scene.weight_map", "not a numeric matrix: %s" % exc) from None
+        except OSError as exc:
+            raise ConfigError("scene.weight_map", "file %r cannot be read: %s"
+                              % (self.weight_map, exc.strerror or exc)) from None
         if data.shape != (self.grid_size, self.grid_size):
             raise ConfigError(
                 "scene.weight_map",
@@ -258,6 +261,9 @@ def load_config(path):
         raise ConfigError("config", "file %r not found" % name)
     try:
         contents = path.read_bytes().decode("ascii")
+    except OSError as exc:
+        raise ConfigError("config", "file %r cannot be read: %s"
+                          % (name, exc.strerror or exc)) from None
     except UnicodeDecodeError as exc:
         raise ConfigError("config", "file %r is not ASCII text: %s" % (name, exc)) from None
     values, key_lines = {}, {}

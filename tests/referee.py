@@ -2,23 +2,31 @@
 the closed forms and operating points they compare against.
 
 Every artifact is read through `strict_json`, so it also keeps the CLI
-contract's rule that JSON holds no NaN or Infinity literal.
+contract's rule that JSON holds no NaN or Infinity literal.  Every child
+process a test starts runs through `child`, in an environment from
+`child_env`.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from noiseimaging import cli
+from noiseimaging import cli, scene
 from noiseimaging.config import RunConfig
 from noiseimaging.estimate import delta_o_table, enhancement, fit_noise_curve
-from noiseimaging.noise import (TECH_CLASSICAL, TECH_QUANTUM, calibrate_r, classical_noise,
-                                quantum_noise)
+from noiseimaging.noise import (TECH_CLASSICAL, TECH_QUANTUM, TECHNIQUES, calibrate_r,
+                                classical_noise, lo_power_check, quantum_noise, technique_noise)
 from noiseimaging.traces import derive_seed, measure_series
 
 from config_files import write_config
 from scene_reference import cell_moments
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 # desk-scale lossless calibration: r solving 20 r log10(e) = 2.2
 R_DESK = 2.2 * math.log(10.0) / 20.0
@@ -51,6 +59,26 @@ def run(tmp_path, name, argv, cfg=None):
         argv = argv + ["--config", str(cfg_path)]
     assert cli.main(argv + ["--out", str(out)]) == 0
     return out
+
+
+def child_env(**extra):
+    """This process's environment with this checkout's src first on
+    PYTHONPATH, and each extra variable set, or removed when given None."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {name: value for name, value in env.items() if value is not None}
+
+
+def child(args, env=None, returncode=0, **run_kwargs):
+    """The CompletedProcess of `[sys.executable, *args]`, run with
+    `subprocess.run` in child_env() unless env is given, its output captured
+    as text unless run_kwargs route it; it must exit with returncode."""
+    run_kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
+                  "timeout": 300, **run_kwargs}
+    proc = subprocess.run([sys.executable, *args], env=child_env() if env is None else env,
+                          **run_kwargs)
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def sweep(cfg):
@@ -98,3 +126,26 @@ def curve_enhancement(points):
     tables = {technique: delta_o_table(pts, *fit_noise_curve(pts))
               for technique, pts in points.items()}
     return enhancement(tables[TECH_CLASSICAL], tables[TECH_QUANTUM])
+
+
+def expected_alphabet(glyphs, mask, r, cfg):
+    """The closed form of `alphabet_gun(glyphs, mask, r, cfg)`, with no draws:
+    {technique: {"n_masked": {letter: nm_true}, "deviation": {letter: nm_true
+    / nb_true}, "best": letter, "sub_snl_letters": set}} over the letters
+    above the electronic floor.  The quantum best has the least deviation, the
+    classical the most, and the sub-SNL letters are the quantum ones whose
+    true masked noise is below the SNL."""
+    moments = {letter: scene.overlaps(lo, mask, cfg.cell_size) for letter, lo in glyphs.items()
+               if lo_power_check(np.count_nonzero(lo), cfg)}
+    expected = {}
+    for technique in TECHNIQUES:
+        nb_true = technique_noise(technique, 1.0, 1.0, r, cfg)
+        masked = {letter: technique_noise(technique, o, q, r, cfg)
+                  for letter, (o, q) in moments.items()}
+        deviation = {letter: n / nb_true for letter, n in masked.items()}
+        pick = max if technique == TECH_CLASSICAL else min
+        expected[technique] = {
+            "n_masked": masked, "deviation": deviation, "best": pick(deviation, key=deviation.get),
+            "sub_snl_letters": {letter for letter, n in masked.items()
+                                if technique == TECH_QUANTUM and n < 1.0}}
+    return expected

@@ -22,28 +22,10 @@ from noiseimaging import cli, estimate, noise, scene
 from noiseimaging.cli import _json_text, main
 from noiseimaging.config import RunConfig, load_config
 from config_files import small_config, write_config
-from referee import read_json, run, strict_json
+from referee import child, child_env, read_json, run, strict_json
 from scene_reference import save_pbm
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = Path(noiseimaging.__file__).resolve().parents[1]
-
-
-def _child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
-
-
-def _run_in_subprocess(args, out, threads):
-    env = _child_env()
-    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
-    proc = subprocess.run(
-        [sys.executable, "-m", "noiseimaging.cli", *args, "--out", str(out)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
 @pytest.mark.parametrize("args", [
@@ -51,8 +33,13 @@ def _run_in_subprocess(args, out, threads):
     ("alphabet", "--config", "configs/alphabet_recognition.cfg", "--mask", "Z"),
 ], ids=["sweep-desk", "alphabet-Z"])
 def test_artifacts_do_not_depend_on_blas_threads(args, tmp_path):
-    one = _run_in_subprocess(args, tmp_path / "threads1", 1)
-    two = _run_in_subprocess(args, tmp_path / "threads2", 2)
+    got = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads" + threads)
+        child(["-m", "noiseimaging.cli", *args, "--out", str(out)], cwd=ROOT,
+              env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+        got.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    one, two = got
     assert sorted(one) == sorted(two)
     differ = [name for name in one if one[name] != two[name]]
     assert not differ, "artifacts differ between 1 and 2 BLAS threads: %s" % differ
@@ -69,16 +56,7 @@ print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
                   "changed": {k: v for k, v in os.environ.items() if before.get(k) != v}}))
 """
 
-
-def _threads_after_import(settings, *argv):
-    env = _child_env()
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        env.pop(name, None)
-    env.update(settings)
-    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_IMPORT, *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -94,21 +72,39 @@ def _threads_after_import(settings, *argv):
 def test_cli_runs_blas_on_one_thread_unless_told_otherwise(settings, argv, expected):
     if expected.get("tasks", 1) > (os.cpu_count() or 1):
         pytest.skip("OpenBLAS starts no more threads than there are cores")
-    seen = _threads_after_import(settings, *argv)
+    env = child_env(**{**dict.fromkeys(_THREAD_VARIABLES), **settings})
+    seen = json.loads(child(["-c", _THREADS_AFTER_IMPORT, *argv], env=env).stdout)
     assert {key: seen[key] for key in expected} == expected
 
 
-# the trace points of four smoothing depths, the 16 desk bow-ties (mask and
-# LOs, whose band pixels' angles are arctan2s of gathered centers), the 15
-# desk overlaps counted from their row spans, and the fits.json payload of a
-# fit to 16 points made of Python floats, each hashed in a fresh interpreter
+# in one fresh interpreter per leg, the digests of: the trace points of four
+# smoothing depths, the 16 desk bow-ties (mask and LOs, whose band pixels'
+# angles are arctan2s of gathered centers), the 15 desk overlaps counted from
+# their row spans, the fits.json payload of a fit to 16 points made of Python
+# floats; and of each byte `sweep`, `alphabet --mask Z` and `calibrate --db
+# 2.2` print and write on the desk config, and `alphabet --mask Z` prints and
+# writes at r = 12 (deep.cfg), each run through `main`
 _CPU_PATH_DIGESTS = """
-import hashlib, json, sys
+import contextlib, hashlib, io, json, os, sys
 import numpy as np
-from noiseimaging import scene
+from noiseimaging import cli, scene
 from noiseimaging.config import RunConfig, load_config
 from noiseimaging.estimate import fit_noise_curve
 from noiseimaging.traces import _series_points, derive_seed
+
+def commands(config, out, *argvs):
+    got = {}
+    for command in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*command, "--config", config, "--out", out])
+        assert code == 0, stderr.getvalue()
+        got[command[0] + " stdout"] = stdout.getvalue().encode()
+        got[command[0] + " stderr"] = stderr.getvalue().encode()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            got[name] = fh.read()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
 
 points = hashlib.sha256()
 for phi in (0.0, 0.5, 0.9, 0.99):
@@ -125,9 +121,13 @@ for o, q in scene.bowtie_overlaps(np.deg2rad(desk.angles_deg), *shape, 1, None):
 fit_points = [{"overlap": k / 15, "n": 1.0 + 0.3 * k / 15 + ((7 * k) % 11 - 5) * 1e-3,
                "sigma_n": 1e-3 * (1 + k % 3), "delta_n": 0.02} for k in range(16)]
 fit = json.dumps(fit_noise_curve(fit_points)[0], sort_keys=True)
+desk_commands = commands(sys.argv[1], "desk", ["sweep"], ["alphabet", "--mask", "Z"],
+                         ["calibrate", "--db", "2.2"])
+deep_alphabet = commands("deep.cfg", "deep", ["alphabet", "--mask", "Z"])
 print(json.dumps({"trace_points": points.hexdigest(), "desk_bowties": bowties.hexdigest(),
                   "desk_overlaps": overlaps.hexdigest(),
-                  "fit": hashlib.sha256(fit.encode()).hexdigest()}))
+                  "fit": hashlib.sha256(fit.encode()).hexdigest(),
+                  "desk_commands": desk_commands, "deep_alphabet": deep_alphabet}))
 """
 
 
@@ -156,28 +156,21 @@ def _cpu_legs():
     return legs
 
 
-def _leg_env(leg):
-    """The child environment of one leg, or None when this host cannot run it."""
-    legs = _cpu_legs()
-    if leg not in legs:
-        return None
-    env = _child_env()
-    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES"):
-        env.pop(name, None)
-    env.update(legs[leg])
-    return env
+_LEG_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")
 
 
 @functools.lru_cache(maxsize=None)
 def _cpu_path_digests(leg):
     """The digests on one leg, or None when this host cannot run it."""
-    env = _leg_env(leg)
-    if env is None:
+    legs = _cpu_legs()
+    if leg not in legs:
         return None
-    proc = subprocess.run(
-        [sys.executable, "-c", _CPU_PATH_DIGESTS, str(ROOT / "configs" / "desk_sweep.cfg")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    env = child_env(**{**dict.fromkeys(_LEG_VARIABLES), **legs[leg]})
+    with tempfile.TemporaryDirectory() as workdir:
+        write_config(RunConfig(r=noise.R_MAX, grid_size=64, cell_size=8, n_series=2,
+                               samples_per_point=100), Path(workdir, "deep.cfg"))
+        proc = child(["-c", _CPU_PATH_DIGESTS, str(ROOT / "configs" / "desk_sweep.cfg")],
+                     cwd=workdir, env=env)
     return json.loads(proc.stdout)
 
 
@@ -212,56 +205,18 @@ def test_fit_does_not_depend_on_the_cpu_path(leg):
     _assert_same_on_cpu_path(leg, "fit")
 
 
-@functools.lru_cache(maxsize=None)
-def _commands_on_cpu_path(leg, config, commands):
-    """{name: bytes} of what commands run on one leg write and print, each in
-    a fresh process with the same --out; None when this host cannot run the
-    leg."""
-    env = _leg_env(leg)
-    if env is None:
-        return None
-    got = {}
-    with tempfile.TemporaryDirectory() as workdir:
-        for command in commands:
-            proc = subprocess.run(
-                [sys.executable, "-m", "noiseimaging.cli", *command,
-                 "--config", str(config), "--out", "out"],
-                cwd=workdir, env=env, capture_output=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr.decode()
-            got[command[0] + " stdout"], got[command[0] + " stderr"] = proc.stdout, proc.stderr
-        got.update((path.name, path.read_bytes())
-                   for path in sorted(Path(workdir, "out").iterdir()))
-    return got
-
-
-def _assert_same_commands_on_cpu_path(leg, config, commands):
-    got = _commands_on_cpu_path(leg, config, commands)
-    if got is None:
-        pytest.skip("this host cannot run the %s leg" % leg)
-    want = _commands_on_cpu_path("default", config, commands)
-    assert sorted(got) == sorted(want)
-    differ = [name for name in want if got[name] != want[name]]
-    assert not differ, "bytes differ under %s: %s" % (_cpu_legs()[leg], differ)
-
-
-_DESK_COMMANDS = (("sweep",), ("alphabet", "--mask", "Z"), ("calibrate", "--db", "2.2"))
-
-
 # the fits make no BLAS or LAPACK call and the noise model calls only `math`,
 # so no leg moves a byte of what the three commands write or print
 @pytest.mark.parametrize("leg", _CPU_PATHS)
 def test_desk_artifacts_do_not_depend_on_the_cpu_path(leg):
-    _assert_same_commands_on_cpu_path(leg, ROOT / "configs" / "desk_sweep.cfg", _DESK_COMMANDS)
+    _assert_same_on_cpu_path(leg, "desk_commands")
 
 
 # r = 12, the top of the accepted range: lossless arms detect e^-24 = 3.8e-11
 # SNL at unit overlap, which the noise model resolves on every CPU path
 @pytest.mark.parametrize("leg", _CPU_PATHS)
-def test_alphabet_at_the_largest_r_does_not_depend_on_the_cpu_path(leg, tmp_path):
-    cfgfile = tmp_path / "deep.cfg"
-    write_config(RunConfig(r=noise.R_MAX, grid_size=64, cell_size=8, n_series=2,
-                           samples_per_point=100), cfgfile)
-    _assert_same_commands_on_cpu_path(leg, cfgfile, (("alphabet", "--mask", "Z"),))
+def test_alphabet_at_the_largest_r_does_not_depend_on_the_cpu_path(leg):
+    _assert_same_on_cpu_path(leg, "deep_alphabet")
 
 
 def test_json_artifacts_have_no_nan_or_infinity(tmp_path):
@@ -614,25 +569,19 @@ print(*counts)
 """
 
 
-def _freeze_counts(args):
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_COUNTS, *args], cwd=ROOT,
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return [int(n) for n in proc.stdout.split()[-5:]]
-
-
 def test_importing_the_cli_freezes_the_import_graph():
     # so a command's collections traverse only its own objects, and the
     # collector is not handed numpy's and the package's back at exit
-    before, after, *_ = _freeze_counts([])
+    before, after, *_ = map(int, child(["-c", _FREEZE_COUNTS], cwd=ROOT).stdout.split()[-5:])
     assert before == 0 < after
 
 
 @pytest.mark.parametrize("db", ["2.2", "x"], ids=["run", "usage-error"])
 def test_main_freezes_nothing_more(db, tmp_path):
     # the freeze is import's, once: repeated calls neither add to it nor undo it
-    counts = _freeze_counts(["calibrate", "--db", db, "--config", str(small_config(tmp_path)),
-                             "--out", str(tmp_path / "out")])
+    args = ["calibrate", "--db", db, "--config", str(small_config(tmp_path)),
+            "--out", str(tmp_path / "out")]
+    counts = [int(n) for n in child(["-c", _FREEZE_COUNTS, *args], cwd=ROOT).stdout.split()[-5:]]
     assert counts[1] > 0
     assert counts[1:] == [counts[1]] * 4
 
@@ -704,19 +653,6 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_rss_mib(args, out):
-    """The high-water resident set of one CLI run in a fresh process."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS,
-         sys.executable, "-m", "noiseimaging.cli", *args, "--out", str(out)],
-        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, maxrss = proc.stdout.split()
-    assert code == "0", args
-    # Linux reports ru_maxrss in KiB
-    return int(maxrss) / 1024.0
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
     # calibrate on the same config imports the same modules and draws no
@@ -734,9 +670,15 @@ def test_desk_sweep_peak_rss_stays_near_calibrate(tmp_path):
     # than the sweep's, and the gap is 0.54-0.83 MiB (60 runs; 0.31-0.72 MiB
     # in 30 runs of the order before)
     desk = str(ROOT / "configs" / "desk_sweep.cfg")
-    sweep = _peak_rss_mib(["sweep", "--config", desk], tmp_path / "sweep")
-    calibrate = _peak_rss_mib(["calibrate", "--db", "2.2", "--config", desk],
-                              tmp_path / "calibrate")
+    peak = []
+    for args in (["sweep"], ["calibrate", "--db", "2.2"]):
+        code, maxrss = child(["-c", _PEAK_RSS, sys.executable, "-m", "noiseimaging.cli", *args,
+                              "--config", desk, "--out", str(tmp_path / args[0])],
+                             cwd=ROOT).stdout.split()
+        assert code == "0", args
+        # Linux reports ru_maxrss in KiB
+        peak.append(int(maxrss) / 1024.0)
+    sweep, calibrate = peak
     assert sweep - calibrate < 1.05, "sweep %.2f MiB, calibrate %.2f MiB" % (sweep, calibrate)
 
 
@@ -751,7 +693,7 @@ def test_an_interrupted_sweep_fails_cleanly(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "noiseimaging.cli", "sweep", "--config", str(cfgfile),
          "--out", str(out)],
-        cwd=ROOT, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         time.sleep(3.0)
         assert proc.poll() is None, "the sweep ended before the interrupt"
@@ -900,48 +842,6 @@ def test_non_ascii_config_fails_cleanly(where, tmp_path, capsys):
         " ordinal not in range(128)" % (str(cfgfile), byte, position))
 
 
-def test_runtime_imports_numpy_only():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, noiseimaging.cli; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy'))"],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-_NEW_NUMPY_MODULES = """
-import json, sys
-import noiseimaging.cli
-
-def loaded():
-    return {m for m in sys.modules if m.split(".")[0] == "numpy"}
-
-before = loaded()
-for argv in json.loads(sys.argv[1]):
-    assert noiseimaging.cli.main(argv) == 0, argv
-print(json.dumps(sorted(loaded() - before)))
-"""
-
-
-def test_commands_load_no_numpy_module_after_import(tmp_path):
-    # a fresh interpreter: scipy on the test side imports numpy submodules here
-    desk = str(_desk_copy(tmp_path, grid_size=128))
-    runs = [
-        ["sweep", "--config", desk, "--out", str(tmp_path / "sweep")],
-        ["alphabet", "--mask", "Z", "--config", str(ROOT / "configs" / "alphabet_recognition.cfg"),
-         "--out", str(tmp_path / "alphabet")],
-        ["calibrate", "--db", "2.2", "--config", desk, "--out", str(tmp_path / "calibrate")],
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NEW_NUMPY_MODULES, json.dumps(runs)],
-        env=_child_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
-
-
 _COMMANDS = {
     "sweep": (["sweep"], "sweep.csv"),
     "alphabet": (["alphabet", "--mask", "Z"], "alphabet.csv"),
@@ -1039,6 +939,41 @@ def test_a_config_path_naming_no_file_fails_cleanly(command, config, tmp_path, c
     assert error["field"] == "config"
     assert error["message"] == "config: file %r not found" % config
     assert not any(tmp_path.iterdir())
+
+
+# a file that exists but cannot be read: a read of /proc/self/mem from its
+# start fails with EIO
+_UNREADABLE = "/proc/self/mem"
+
+
+@pytest.mark.skipif(not os.path.isfile(_UNREADABLE), reason="needs %s" % _UNREADABLE)
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_unreadable_config_fails_cleanly(command, tmp_path, capsys):
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    code = main(args + ["--config", _UNREADABLE, "--out", str(out)])
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["field"] == "config"
+    assert error["message"].startswith("config: file %r cannot be read: " % _UNREADABLE)
+    assert not out.exists()
+
+
+# every command reads and checks a set weight map
+@pytest.mark.skipif(not os.path.isfile(_UNREADABLE), reason="needs %s" % _UNREADABLE)
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_unreadable_weight_map_fails_every_command(command, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    write_config(RunConfig(grid_size=4, cell_size=1, weight_map=_UNREADABLE, n_series=2,
+                           samples_per_point=100), cfgfile)
+    args, _ = _COMMANDS[command]
+    out = tmp_path / "out"
+    code = main(args + ["--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    error = _one_error_line(capsys, command)
+    assert error["field"] == "scene.weight_map"
+    assert error["message"].startswith("scene.weight_map: file %r cannot be read: " % _UNREADABLE)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -1151,19 +1086,14 @@ def test_closed_stdout_fails_cleanly(command, buffered, tmp_path):
     # a pipe whose reader has gone, as in `noiseimaging ... | true`
     args, _ = _COMMANDS[command]
     out = tmp_path / "out"
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, *([] if buffered else ["-u"]), "-m", "noiseimaging.cli", *args,
-             "--config", str(small_config(tmp_path)), "--out", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
-        )
+        proc = child([*([] if buffered else ["-u"]), "-m", "noiseimaging.cli", *args,
+                      "--config", str(small_config(tmp_path)), "--out", str(out)],
+                     env=child_env(PYTHONUNBUFFERED=None), returncode=2, stdout=write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     error = json.loads(lines[0])["error"]

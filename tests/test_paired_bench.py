@@ -96,10 +96,6 @@ def test_sides_in_different_environments_are_warned_about():
     assert warning.startswith("WARNING")
     assert "nproc" in warning and "OPENBLAS_NUM_THREADS" in warning
     assert "numpy" not in warning
-    # checkouts at paths of different lengths, each side's length named
-    assert tool.environment_warning(dict(env, path_len=10), dict(env, path_len=10)) is None
-    warning = tool.environment_warning(dict(env, path_len=10), dict(env, path_len=16))
-    assert warning == "WARNING: the sides ran in different environments (path_len 10 vs 16)"
 
 
 def _checkouts(tool, root, names=("parent", "change")):

@@ -24,10 +24,10 @@ numpy stays where the arrays are: the modules that work on scalars and
 15-row tables name only the numpy functions their arrays need, and every
 overlap and reading they see is a Python float.
 
-A command, and a usage error, run without argparse and so without the
-gettext and locale modules its messages would load.  The three commands
-load exactly 13 modules past numpy's own, all while the CLI is imported: a
-command's run loads none.
+The three commands and a usage error load exactly 13 modules past numpy's
+own, all while the CLI is imported.  argparse, and the gettext and locale
+modules its messages would load, are not among them, and a command's run
+loads none.
 
 Every package module but `traces` compiles before numpy loads, and `traces`
 before `numpy.random`: memory the compiler takes after numpy has loaded is
@@ -35,9 +35,6 @@ never handed back, so a module compiled late raises every command's peak RSS.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +45,10 @@ from noiseimaging import cli, scene
 from noiseimaging.config import load_config
 
 from config_files import small_config
+from referee import child, child_env
 
 PACKAGE = Path(noiseimaging.__file__).resolve().parent
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # the entry point
 EXEMPT = {("cli", "main")}
@@ -300,68 +299,38 @@ def test_every_overlap_path_gives_python_floats():
 
 
 def test_sweep_readings_are_python_floats():
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk_sweep.cfg")
+    cfg = load_config(CONFIGS / "desk_sweep.cfg")
     readings = cli._angle_readings(cfg, cfg.resolve_r())
     assert len(readings) == len(cfg.angles_deg)
     assert {type(x) for angle, overlap, n_true in readings
             for x in (angle, overlap, *n_true.values())} == {float}
 
 
-# main for a command and for a usage error in a fresh interpreter; prints the
-# argument-parsing modules it loaded
-_PARSER_MODULES = """
-import sys
-from noiseimaging.cli import main
-assert main(["calibrate", "--db", "2.2", "--out", sys.argv[1]]) == 0
-try:
-    main(["calibrate", "--db", "deep"])
-except SystemExit as exc:
-    assert exc.code == 2
-else:
-    raise AssertionError("a usage error did not exit")
-print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
-"""
-
-
-def test_a_run_loads_no_argparse_gettext_or_locale(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PARSER_MODULES, str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def _run_child(code, *args, flags=(), env_extra=None):
-    """stdout of `code` run by this interpreter in a fresh process that
-    imports the package from this checkout."""
-    env = dict(os.environ, **(env_extra or {}))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-# the three commands in a fresh interpreter; prints the modules it loaded last
+# the three commands and a usage error in a fresh interpreter; prints the
+# modules it loaded last
 _COMMAND_MODULES = """
 import sys
 from noiseimaging.cli import main
 config, out = sys.argv[1:]
 for command in (["calibrate", "--db", "2.2"], ["sweep"], ["alphabet", "--mask", "Z"]):
     assert main(command + ["--config", config, "--out", out]) == 0, command
+try:
+    main(["calibrate", "--db", "deep"])
+except SystemExit as exc:
+    assert exc.code == 2
+else:
+    raise AssertionError("a usage error did not exit")
 print(" ".join(sorted(sys.modules)))
 """
 
 
 def test_the_commands_load_only_the_package_json_and_gc(tmp_path):
     config = small_config(tmp_path)
-    numpy_modules = set(_run_child(
-        "import sys, numpy, numpy.random; print(' '.join(sorted(sys.modules)))").split())
+    numpy_modules = set(child(
+        ["-c", "import sys, numpy, numpy.random; print(' '.join(sorted(sys.modules)))"]
+    ).stdout.split())
     # the commands print their summaries first
-    stdout = _run_child(_COMMAND_MODULES, str(config), str(tmp_path / "out"))
+    stdout = child(["-c", _COMMAND_MODULES, str(config), str(tmp_path / "out")]).stdout
     loaded = set(stdout.splitlines()[-1].split())
     assert loaded - numpy_modules == {
         "noiseimaging", "noiseimaging.cli", "noiseimaging.config", "noiseimaging.estimate",
@@ -381,13 +350,20 @@ print(sorted(before ^ set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("command", [["calibrate", "--db", "2.2"], ["sweep"],
-                                     ["alphabet", "--mask", "Z"]],
-                         ids=["calibrate", "sweep", "alphabet"])
-def test_a_command_run_loads_no_module(command, tmp_path):
+# the small run, then the shipped profiles: the desk's single-pixel cells,
+# whose overlaps are counted from the bow-ties' row spans, and the alphabet's
+@pytest.mark.parametrize("command, config", [
+    (["calibrate", "--db", "2.2"], None),
+    (["sweep"], None),
+    (["alphabet", "--mask", "Z"], None),
+    (["sweep"], "desk_sweep.cfg"),
+    (["alphabet", "--mask", "Z"], "alphabet_recognition.cfg"),
+], ids=["calibrate", "sweep", "alphabet", "sweep-spans", "alphabet-shipped"])
+def test_a_command_run_loads_no_module(command, config, tmp_path):
     # the config is read and the artifacts written without the codec registry
-    stdout = _run_child(_RUN_MODULES, *command, "--config", str(small_config(tmp_path)),
-                        "--out", str(tmp_path / "out"))
+    config = small_config(tmp_path) if config is None else CONFIGS / config
+    stdout = child(["-c", _RUN_MODULES, *command, "--config", str(config),
+                    "--out", str(tmp_path / "out")]).stdout
     assert stdout.splitlines()[-1] == "[]"
 
 
@@ -413,8 +389,8 @@ print(" ".join(events))
 def test_every_module_compiles_before_numpy_loads(tmp_path):
     # -B and an empty bytecode cache: every module is compiled from source,
     # whatever __pycache__ the checkout holds
-    events = _run_child(_COMPILE_ORDER, str(PACKAGE), flags=("-B",),
-                        env_extra={"PYTHONPYCACHEPREFIX": str(tmp_path)}).split()
+    events = child(["-B", "-c", _COMPILE_ORDER, str(PACKAGE)],
+                   env=child_env(PYTHONPYCACHEPREFIX=str(tmp_path))).stdout.split()
     compiled = {name: at for at, name in enumerate(events) if name.endswith(".py")}
     assert sorted(compiled) == sorted(path.name for path in PACKAGE.glob("*.py"))
     assert len(compiled) == 7

@@ -117,11 +117,11 @@ def environment_text(env):
 
 
 def environment_warning(parent, change):
-    """A warning naming, with both sides' values, the ENV_KEYS and the path
-    length on which the two sides' environments differ, or None when they
-    agree."""
+    """A warning naming, with both sides' values, the ENV_KEYS on which the
+    two sides' environments differ, or None when they agree.  Their path
+    lengths are equal: `copy_sides` puts both copies in one directory."""
     differ = ["%s %s vs %s" % (key, parent.get(key), change.get(key))
-              for key in ENV_KEYS + (PATH_KEY,) if parent.get(key) != change.get(key)]
+              for key in ENV_KEYS if parent.get(key) != change.get(key)]
     if not differ:
         return None
     return "WARNING: the sides ran in different environments (%s)" % ", ".join(differ)
